@@ -22,13 +22,13 @@ K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0]
 R = np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
 
 r = rot6d.to_sixdof(R)
-back = rot6d.from_sixdof(r)
+back = rot6d.batch_from_sixdof(r)
 print("random rotation, 6DoF encoding:", np.round(r, 3))
 print("roundtrip max error:", np.abs(back - R).max())
 
 # --- off-manifold robustness ---------------------------------------------
 noisy = r + 0.3 * rng.standard_normal(6)
-R_noisy = rot6d.from_sixdof(noisy)
+R_noisy = rot6d.batch_from_sixdof(noisy)
 print("\ndecoded from a perturbed 6-vector:")
 print("  orthonormality error:", np.abs(R_noisy @ R_noisy.T - np.eye(3)).max())
 print("  determinant:", np.linalg.det(R_noisy))
@@ -43,8 +43,8 @@ for i in range(6):
     hi, lo = noisy.copy(), noisy.copy()
     hi[i] += step
     lo[i] -= step
-    fd[:, i] = (rot6d.vec9(rot6d.from_sixdof(hi))
-                - rot6d.vec9(rot6d.from_sixdof(lo))) / (2 * step)
+    fd[:, i] = (rot6d.vec9(rot6d.batch_from_sixdof(hi))
+                - rot6d.vec9(rot6d.batch_from_sixdof(lo))) / (2 * step)
 print("\nanalytic 9x6 decode Jacobian vs finite differences:",
       np.abs(J - fd).max())
 

@@ -13,7 +13,6 @@ from .skeleton import (
 )
 from .rot6d import (
     to_sixdof,
-    from_sixdof,
     batch_from_sixdof,
     vjp_from_sixdof,
     geodesic_angle,
@@ -23,7 +22,6 @@ from .measurement import (
     MeasurementSet,
     LinearOperatorA,
     build_A,
-    apply_measurement_operator,
     differential_transform,
     extract_measurements,
 )

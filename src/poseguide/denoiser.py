@@ -10,9 +10,11 @@ classifier-free-guidance conditioning.
 Conditioning is a per-frame vector built from the sensed joints only: the
 three measured 6DoF rotations (18 numbers), optionally followed by the
 three measured locations (9 more) for the location-conditioned baseline
-variant, and optionally finite-difference angular-velocity features.
-Locations are never an input to the default configuration, which is what
-makes the learned prior scale-free.
+variant.  Locations are never an input to the default configuration, which
+is what makes the learned prior scale-free.
+
+The noise schedule is defined once, by :func:`alpha_bar`; training, the
+models and the sampler's :class:`~poseguide.sampler.Schedule` all call it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 JOINTS = 22
 STATE_PER_FRAME = JOINTS * 6
 TIME_FEATURES = 8
@@ -37,8 +39,15 @@ class TrainingError(RuntimeError):
     """Training aborted (empty dataset, non-finite loss, ...)."""
 
 
-def make_conditioning(measurements, cond_spec: str = "rotations",
-                      angular_velocity: bool = False) -> np.ndarray:
+def alpha_bar(t):
+    """VP-SDE signal level at diffusion time ``t`` (scalar or array).
+
+    The linear sigma rule sigma(t) = t gives alpha-bar = 1 / (1 + sigma^2).
+    """
+    return 1.0 / (1.0 + t**2)
+
+
+def make_conditioning(measurements, cond_spec: str = "rotations") -> np.ndarray:
     """Per-frame conditioning vector from a MeasurementSet.
 
     ``rotations`` uses only the sensed 6DoF (scale-free); the
@@ -54,18 +63,14 @@ def make_conditioning(measurements, cond_spec: str = "rotations",
         parts = [measurements.locations.reshape(measurements.frames, -1)]
     else:
         raise ValueError(f"unknown cond_spec {cond_spec!r}")
-    if angular_velocity:
-        vel = np.diff(rot, axis=0, prepend=rot[:1])
-        parts.append(vel)
     return np.concatenate(parts, axis=1)
 
 
-def cond_dim(cond_spec: str, angular_velocity: bool = False) -> int:
+def cond_dim(cond_spec: str) -> int:
     try:
-        base = {"rotations": 18, "rotations+locations": 27, "locations": 9}[cond_spec]
+        return {"rotations": 18, "rotations+locations": 27, "locations": 9}[cond_spec]
     except KeyError:
         raise ValueError(f"unknown cond_spec {cond_spec!r}") from None
-    return base + (18 if angular_velocity else 0)
 
 
 def _time_features(t: float, terminal: float) -> np.ndarray:
@@ -78,12 +83,15 @@ class DenoiserInterface:
     """Behavioral contract used by the sampler.
 
     ``window`` is the fixed frame capacity, or None when any length works.
+    ``terminal`` is the diffusion horizon the model was trained on, or None
+    when it works under any schedule.
     ``predict`` must be deterministic and shape-preserving;
     ``vjp`` is the vector-Jacobian product of the *denoised estimate*
     with respect to the noisy input, for a given cotangent.
     """
 
     window: int | None = None
+    terminal: float | None = None
     cond_spec: str = "rotations"
 
     def predict(self, r_t: np.ndarray, t: float, cond: np.ndarray | None,
@@ -102,14 +110,11 @@ class OracleDenoiser(DenoiserInterface):
     denoised estimate is constant in the input and ``vjp`` is zero.
     """
 
-    window = None
-
-    def __init__(self, ground_truth_rotations: np.ndarray, alpha_bar):
+    def __init__(self, ground_truth_rotations: np.ndarray):
         self.truth = np.asarray(ground_truth_rotations, dtype=float)
-        self.alpha_bar = alpha_bar
 
     def predict(self, r_t, t, cond=None, frame_offset=0):
-        ab = self.alpha_bar(t)
+        ab = alpha_bar(t)
         truth = self.truth[frame_offset : frame_offset + r_t.shape[0]]
         if truth.shape != r_t.shape:
             raise ValueError("window does not match the stored ground truth")
@@ -133,7 +138,6 @@ class TrainConfig:
     blocks: int = 2
     seed: int = 0
     cond_spec: str = "rotations"
-    angular_velocity: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_prob < 1.0:
@@ -152,7 +156,7 @@ class MLPDenoiser(DenoiserInterface):
         self.window = config.window
         self.cond_spec = config.cond_spec
         self.terminal = config.terminal
-        self._cdim = cond_dim(config.cond_spec, config.angular_velocity)
+        self._cdim = cond_dim(config.cond_spec)
         self.d_state = config.window * STATE_PER_FRAME
         self.d_side = TIME_FEATURES + config.window * self._cdim + 1
         self.d_in = self.d_state + self.d_side
@@ -174,11 +178,6 @@ class MLPDenoiser(DenoiserInterface):
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
-
-    def alpha_bar(self, t: float) -> float:
-        # VP-SDE with a linear sigma rule; matches sampler schedules built
-        # with the same terminal time.
-        return 1.0 / (1.0 + float(t) ** 2)
 
     def _pack(self, r_t, t, cond):
         W = self.window
@@ -246,7 +245,7 @@ class MLPDenoiser(DenoiserInterface):
         # estimate follows from r_t = sqrt(ab) r0 + sqrt(1-ab) eps.  This
         # keeps the high-noise regime trivially consistent (eps -> r_t)
         # without the network having to pass r_t through its bottleneck.
-        ab = self.alpha_bar(t)
+        ab = alpha_bar(t)
         r0_hat, _ = self._denoise(np.asarray(r_t, dtype=float), t, cond)
         return (np.asarray(r_t, dtype=float) - np.sqrt(ab) * r0_hat) / np.sqrt(1.0 - ab)
 
@@ -289,7 +288,7 @@ def _extract_windows(dataset, config: TrainConfig):
     W = config.window
     states, conds = [], []
     for poses, meas in dataset:
-        cond = make_conditioning(meas, config.cond_spec, config.angular_velocity)
+        cond = make_conditioning(meas, config.cond_spec)
         for start in range(0, poses.frames - W + 1, max(1, W // 4)):
             states.append(poses.rotations[start : start + W])
             conds.append(cond[start : start + W])
@@ -321,7 +320,7 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
         x0 = states[idx]
         cond = conds[idx]
         t = rng.uniform(1e-3, config.terminal, size=B)
-        ab = 1.0 / (1.0 + t**2)
+        ab = alpha_bar(t)
         noise = rng.standard_normal(x0.shape)
         x_t = np.sqrt(ab)[:, None, None, None] * x0 + np.sqrt(1 - ab)[:, None, None, None] * noise
         drop = rng.random(B) < config.dropout_prob
@@ -371,7 +370,7 @@ def finite_difference_vjp(denoiser: DenoiserInterface, r_t, t, cond, cotangent,
     cot = np.asarray(cotangent, dtype=float)
 
     def denoised(x):
-        ab = denoiser.alpha_bar(t)
+        ab = alpha_bar(t)
         eps = denoiser.predict(x, t, cond, frame_offset)
         return (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
 

@@ -2,12 +2,11 @@
 
 With zero root translation, the location of a measured joint is
 
-    l_j = [R_a1 ... R_ak] @ [b_1; ...; b_k] = C @ kappa
-        = (I_3 kron kappa^T) @ vec_rowmajor(C)
+    l_j = R_a1 b_1 + ... + R_ak b_k
 
 where a_1..a_k are the parents along the root->j chain and b_1..b_k the
-bone vectors they rotate.  ``build_A`` assembles both this Kronecker row
-block per measured joint and a global dense matrix acting on the per-joint
+bone vectors they rotate.  This is linear in the rotation entries, so
+``build_A`` assembles it as a dense matrix acting on the per-joint
 column-stacked vec9 layout used by the rest of the package.
 
 The differential form subtracts the head row block from each wrist block
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rot6d
 from .skeleton import Skeleton, forward_kinematics
 
 
@@ -44,8 +42,12 @@ class MeasurementSet:
             raise ValueError(f"locations must be (frames, 3, 3), got {self.locations.shape}")
         if self.rotations.shape != self.locations.shape[:1] + (3, 6):
             raise ValueError(f"rotations must be (frames, 3, 6), got {self.rotations.shape}")
-        if self.sigma_l < 0 or self.sigma_r < 0:
+        if not (self.sigma_l >= 0 and self.sigma_r >= 0):  # also refuses NaN
             raise ValueError("sigma values must be non-negative")
+        for name, values in (("locations", self.locations), ("rotations", self.rotations)):
+            bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(f"non-finite {name} at frame {bad[0]}")
 
     @property
     def frames(self) -> int:
@@ -70,10 +72,6 @@ class MeasurementSet:
                 rots.append(doc["rot"])
         if len(locs) != header["frames"]:
             raise ValueError(f"truncated file: {len(locs)} of {header['frames']} frames")
-        locs = np.array(locs, dtype=float)
-        rots = np.array(rots, dtype=float)
-        if not (np.isfinite(locs).all() and np.isfinite(rots).all()):
-            raise ValueError("non-finite values in measurement file")
         return MeasurementSet(locs, rots, header["sigma_l"], header["sigma_r"])
 
 
@@ -104,18 +102,13 @@ def _chain_to_root(skeleton: Skeleton, joint: int) -> list[int]:
 class LinearOperatorA:
     """The linear map from stacked rotation entries to measured-joint locations.
 
-    ``kron_rows[k]`` is the exact ``I_3 kron kappa^T`` block of measured
-    joint k, acting on the row-major vectorization of the chain block
-    matrix C.  ``matrix`` is the same map assembled over the full
-    ``(J * 9,)`` column-stacked vec9 layout, rows grouped 3 per measured
-    joint; ``diff_matrix`` holds the root-cancelling differential rows
-    (wrist minus head), shape ``(6, J * 9)``.
+    ``matrix`` acts on the full ``(J * 9,)`` column-stacked vec9 layout,
+    rows grouped 3 per measured joint; ``diff_matrix`` holds the
+    root-cancelling differential rows (wrist minus head), shape
+    ``(6, J * 9)``.
     """
 
     measured_joints: tuple[int, ...]
-    chains: list[list[int]]        # rotated parents per measured joint
-    kappas: list[np.ndarray]       # stacked bone vectors per measured joint
-    kron_rows: list[np.ndarray]    # (3, 9 * len(chain)) per measured joint
     matrix: np.ndarray             # (3 * |m|, J * 9)
     diff_matrix: np.ndarray        # (6, J * 9)
     joint_count: int
@@ -138,34 +131,21 @@ def build_A(skeleton: Skeleton, measured_joints=None) -> LinearOperatorA:
     if measured_joints is None:
         measured_joints = skeleton.measured_joints
     n = skeleton.joint_count
-    chains, kappas, kron_rows = [], [], []
     full = np.zeros((3 * len(measured_joints), n * 9))
     for k, j in enumerate(measured_joints):
         if not 0 <= j < n:
             raise ValueError(f"measured joint {j} not in tree")
-        path = _chain_to_root(skeleton, j)
-        parents = [int(skeleton.parents[c]) for c in path]
-        kappa = np.concatenate([skeleton.bone_vectors[c] for c in path])
-        chains.append(parents)
-        kappas.append(kappa)
-        kron_rows.append(np.kron(np.eye(3), kappa[None, :]))
-        # Same map over the per-joint column-stacked layout: the location
-        # axis i picks row i of each chain rotation, whose entry in column
-        # c sits at vec9 slot 3*c + i of that joint.
-        for c_idx, (p, child) in enumerate(zip(parents, path)):
+        # The location axis i picks row i of each chain rotation, whose entry
+        # in column c sits at vec9 slot 3*c + i of that joint.
+        for child in _chain_to_root(skeleton, j):
+            p = int(skeleton.parents[child])
             b = skeleton.bone_vectors[child]
             for i in range(3):
                 for c in range(3):
                     full[3 * k + i, 9 * p + 3 * c + i] += b[c]
     head_rows = full[0:3]
     diff = np.vstack([full[3:6] - head_rows, full[6:9] - head_rows])
-    return LinearOperatorA(tuple(measured_joints), chains, kappas, kron_rows, full, diff, n)
-
-
-def apply_measurement_operator(A: LinearOperatorA, r: np.ndarray) -> np.ndarray:
-    """Predicted measured-joint locations from per-joint 6DoF ``(..., J, 6)``."""
-    R = rot6d.batch_from_sixdof(r)
-    return A.apply_vec9(rot6d.vec9(R))
+    return LinearOperatorA(tuple(measured_joints), full, diff, n)
 
 
 def differential_transform(locations: np.ndarray) -> np.ndarray:

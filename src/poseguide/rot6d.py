@@ -28,53 +28,43 @@ def to_sixdof(R: np.ndarray) -> np.ndarray:
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
-def from_sixdof(r: np.ndarray) -> np.ndarray:
-    """Decode 6DoF vectors ``(..., 6)`` into rotation matrices ``(..., 3, 3)``.
+def _gram_schmidt(r: np.ndarray):
+    """Gram-Schmidt on the halves a, b of 6DoF vectors ``(..., 6)``.
 
-    Gram-Schmidt: normalize the first half, remove its component from the
-    second half and normalize, then cross-product for the third column.
-    Invariant to positive rescaling of the first half and to adding
-    multiples of the first half to the second.
+    Normalize a, remove its component from b and normalize.  Returns the
+    unit columns ``c1, c2`` together with ``|a|``, the norm of the raw
+    second column and ``c1 . b``, which the Jacobian reuses.  A degenerate
+    entry is reported with its flat joint index.
     """
-    r = np.asarray(r, dtype=float)
     if r.shape[-1] != 6:
         raise ValueError(f"expected trailing dimension 6, got {r.shape}")
     a = r[..., 0:3]
     b = r[..., 3:6]
     na = np.linalg.norm(a, axis=-1)
-    if np.any(na < DEGENERACY_EPS):
-        raise DegenerateRotationError("first column is (near) zero")
+    _refuse_degenerate(na, "zero first column")
     c1 = a / na[..., None]
-    c2 = b - np.sum(c1 * b, axis=-1, keepdims=True) * c1
-    nc2 = np.linalg.norm(c2, axis=-1)
-    if np.any(nc2 < DEGENERACY_EPS):
-        raise DegenerateRotationError("second column is (near) parallel to the first")
-    c2 = c2 / nc2[..., None]
-    c3 = np.cross(c1, c2)
-    return np.stack([c1, c2, c3], axis=-1)
+    proj = np.sum(c1 * b, axis=-1)
+    c2r = b - proj[..., None] * c1
+    nc2 = np.linalg.norm(c2r, axis=-1)
+    _refuse_degenerate(nc2, "columns (near) parallel")
+    return c1, c2r / nc2[..., None], na, nc2, proj
+
+
+def _refuse_degenerate(norms: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(norms < DEGENERACY_EPS)
+    if bad.size:
+        raise DegenerateRotationError(f"degenerate 6DoF at joint {bad[0]}: {what}")
 
 
 def batch_from_sixdof(rs: np.ndarray) -> np.ndarray:
-    """Per-joint decode of a ``(joints, 6)`` array (or any leading shape).
+    """Decode 6DoF vectors ``(..., 6)`` into rotation matrices ``(..., 3, 3)``.
 
-    Identical to calling :func:`from_sixdof` per joint, but a degenerate
-    entry is reported with its flat joint index.
+    Gram-Schmidt on the two halves, then a cross product for the third
+    column.  Invariant to positive rescaling of the first half and to
+    adding multiples of the first half to the second.
     """
-    rs = np.asarray(rs, dtype=float)
-    flat = rs.reshape(-1, 6)
-    a, b = flat[:, 0:3], flat[:, 3:6]
-    na = np.linalg.norm(a, axis=-1)
-    bad = np.flatnonzero(na < DEGENERACY_EPS)
-    if bad.size:
-        raise DegenerateRotationError(f"degenerate 6DoF at joint {bad[0]}: zero first column")
-    c1 = a / na[:, None]
-    resid = b - np.sum(c1 * b, axis=-1, keepdims=True) * c1
-    bad = np.flatnonzero(np.linalg.norm(resid, axis=-1) < DEGENERACY_EPS)
-    if bad.size:
-        raise DegenerateRotationError(
-            f"degenerate 6DoF at joint {bad[0]}: columns (near) parallel"
-        )
-    return from_sixdof(rs)
+    c1, c2, *_ = _gram_schmidt(np.asarray(rs, dtype=float))
+    return np.stack([c1, c2, np.cross(c1, c2)], axis=-1)
 
 
 def vec9(R: np.ndarray) -> np.ndarray:
@@ -101,24 +91,14 @@ def _skew(v: np.ndarray) -> np.ndarray:
 
 
 def jacobian_from_sixdof(r: np.ndarray) -> np.ndarray:
-    """Jacobian ``(..., 9, 6)`` of vec9(from_sixdof(r)) with respect to r.
+    """Jacobian ``(..., 9, 6)`` of vec9(batch_from_sixdof(r)) with respect to r.
 
     Closed form from differentiating the Gram-Schmidt chain; the cross
     product row block follows from d(c1 x c2) = c1 x dc2 - c2 x dc1.
     """
     r = np.asarray(r, dtype=float)
-    a = r[..., 0:3]
     b = r[..., 3:6]
-    na = np.linalg.norm(a, axis=-1)
-    if np.any(na < DEGENERACY_EPS):
-        raise DegenerateRotationError("first column is (near) zero")
-    c1 = a / na[..., None]
-    proj = np.sum(c1 * b, axis=-1)
-    c2r = b - proj[..., None] * c1
-    nc2 = np.linalg.norm(c2r, axis=-1)
-    if np.any(nc2 < DEGENERACY_EPS):
-        raise DegenerateRotationError("second column is (near) parallel to the first")
-    c2 = c2r / nc2[..., None]
+    c1, c2, na, nc2, proj = _gram_schmidt(r)
 
     eye = np.broadcast_to(np.eye(3), c1.shape + (3,))
     # d c1 / d a

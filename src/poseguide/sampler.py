@@ -20,7 +20,7 @@ from .skeleton import (
     PoseSequence, Skeleton, forward_kinematics, recover_root_translation,
 )
 from .uncertainty import sigma_matrix
-from .denoiser import DenoiserInterface, make_conditioning, predict_with_cfg
+from .denoiser import DenoiserInterface, alpha_bar, make_conditioning, predict_with_cfg
 
 DEFAULT_TERMINAL = 15.0
 WINDOW = 41
@@ -34,40 +34,24 @@ class SamplerDivergence(RuntimeError):
 
 @dataclass
 class Schedule:
-    """Monotone timesteps q_0 = 0 .. q_N = T with VP-SDE alpha-bar = 1/(1+sigma^2)."""
+    """Monotone timesteps q_0 = 0 .. q_N = T and their alpha-bars (``denoiser.alpha_bar``)."""
 
     timesteps: np.ndarray
-    sigmas: np.ndarray
     alpha_bars: np.ndarray
     terminal: float
-    sigma_rule: object
 
     @property
     def steps(self) -> int:
         return len(self.timesteps) - 1
 
-    def alpha_bar(self, t: float) -> float:
-        s = float(self.sigma_rule(t))
-        return 1.0 / (1.0 + s * s)
 
-
-def linear_sigma(t):
-    return t
-
-
-def make_schedule(n_steps: int, terminal: float = DEFAULT_TERMINAL, sigma_rule=None) -> Schedule:
+def make_schedule(n_steps: int, terminal: float = DEFAULT_TERMINAL) -> Schedule:
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if sigma_rule is None:
-        sigma_rule = linear_sigma
+    if not terminal > 0.0:
+        raise ValueError(f"terminal must be positive, got {terminal}")
     q = np.linspace(0.0, terminal, n_steps + 1)
-    sigmas = np.array([float(sigma_rule(t)) for t in q])
-    if sigmas[0] != 0.0:
-        raise ValueError("sigma_rule must vanish at t = 0")
-    if np.any(np.diff(sigmas) <= 0.0):
-        raise ValueError("sigma_rule must be strictly increasing over the schedule")
-    alpha_bars = 1.0 / (1.0 + sigmas**2)
-    return Schedule(q, sigmas, alpha_bars, float(terminal), sigma_rule)
+    return Schedule(q, alpha_bar(q), float(terminal))
 
 
 @dataclass
@@ -78,7 +62,6 @@ class GuidanceConfig:
     guidance_scale: float = 1.0
     sigma_l: float = 0.01            # score-side measurement noise (meters)
     covariance_mode: str = "identity"  # "identity" | "sigma"
-    w_schedule: object = None        # t, alpha_bar -> w_t; default sqrt(1 - alpha_bar)
     cfg_weight: float = 1.0
 
     def __post_init__(self):
@@ -86,14 +69,10 @@ class GuidanceConfig:
             raise ValueError("eta must be in [0, 1]")
         if self.guidance_scale < 0.0:
             raise ValueError("guidance_scale must be non-negative")
+        if not 0.0 <= self.sigma_l < np.inf:
+            raise ValueError(f"sigma_l must be finite and non-negative, got {self.sigma_l}")
         if self.covariance_mode not in ("identity", "sigma"):
             raise ValueError(f"unknown covariance_mode {self.covariance_mode!r}")
-
-    def w_at(self, t: float, alpha_bar: float) -> float:
-        if self.w_schedule is not None:
-            return float(self.w_schedule(t, alpha_bar))
-        # standard VP-SDE pseudoinverse-guidance width: w^2 = sigma^2/(1+sigma^2)
-        return float(np.sqrt(1.0 - alpha_bar))
 
 
 def tweedie_denoise(r_t: np.ndarray, eps: np.ndarray, alpha_bar_t: float) -> np.ndarray:
@@ -201,7 +180,8 @@ def _sample_window(r_shape, l_diff, cond, A, denoiser, schedule, config, rng, fr
                                  frame_offset=frame_offset)
         r_hat = tweedie_denoise(r, eps_t, ab_t)
         if config.guidance_scale > 0.0:
-            w_t = config.w_at(t, ab_t)
+            # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
+            w_t = float(np.sqrt(1.0 - ab_t))
 
             def den_vjp(cot, _t=t):
                 return denoiser.vjp(r, _t, cond, cot, frame_offset=frame_offset)
@@ -210,10 +190,11 @@ def _sample_window(r_shape, l_diff, cond, A, denoiser, schedule, config, rng, fr
         else:
             g = np.zeros_like(r)
         r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rng)
-        if np.max(np.abs(r)) > DIVERGENCE_NORM:
+        peak = np.max(np.abs(r))
+        if not peak <= DIVERGENCE_NORM:  # also catches NaN
             raise SamplerDivergence(
-                f"state magnitude {np.max(np.abs(r)):.3g} exceeded {DIVERGENCE_NORM} "
-                f"at step {i} (t={t:.3g})"
+                f"window at frame {frame_offset}: state magnitude {peak:.3g} exceeded "
+                f"{DIVERGENCE_NORM} at step {i} (t={t:.3g})"
             )
     return r
 
@@ -234,6 +215,11 @@ def run_guided_inference(
     measured locations only through their per-frame differences, so a
     constant translation of all sensors leaves them unchanged.
     """
+    if denoiser.terminal is not None and denoiser.terminal != schedule.terminal:
+        raise ValueError(
+            f"denoiser terminal {denoiser.terminal} differs from schedule terminal "
+            f"{schedule.terminal}"
+        )
     frames = measurements.frames
     W = window or denoiser.window or min(frames, WINDOW)
     if denoiser.window is not None and frames < denoiser.window:
@@ -242,9 +228,7 @@ def run_guided_inference(
         )
     A = build_A(skeleton)
     l_diff = differential_transform(measurements.locations)
-    cond_full = make_conditioning(
-        measurements, denoiser.cond_spec, getattr(denoiser, "angular_velocity", False)
-    )
+    cond_full = make_conditioning(measurements, denoiser.cond_spec)
 
     overlap = min(overlap, W - 1)
     starts = _window_starts(frames, W, max(1, W - overlap))
@@ -253,10 +237,9 @@ def run_guided_inference(
     for w_idx, start in enumerate(starts):
         rng = np.random.default_rng([seed, w_idx])
         win = slice(start, start + W)
-        cond = cond_full[win] if denoiser.cond_spec is not None else None
         r = _sample_window(
-            (W, skeleton.joint_count, 6), l_diff[win], cond, A, denoiser, schedule, config,
-            rng, start,
+            (W, skeleton.joint_count, 6), l_diff[win], cond_full[win], A, denoiser, schedule,
+            config, rng, start,
         )
         ramp = np.ones(W)
         if overlap > 0:

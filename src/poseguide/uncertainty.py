@@ -19,7 +19,6 @@ import numpy as np
 # r_hat further off the constraint manifold than this is an error; below
 # it the input is projected back onto the manifold before use.
 HYPOTHESIS_HARD_TOL = 1e-2
-HYPOTHESIS_SOFT_TOL = 1e-6
 
 
 class HypothesisError(ValueError):

@@ -96,7 +96,7 @@ def test_rotation_algebra():
             hi, lo = r.copy(), r.copy()
             hi[i] += step
             lo[i] -= step
-            diff = rot6d.vec9(rot6d.from_sixdof(hi)) - rot6d.vec9(rot6d.from_sixdof(lo))
+            diff = rot6d.vec9(rot6d.batch_from_sixdof(hi)) - rot6d.vec9(rot6d.batch_from_sixdof(lo))
             fd[i] = cot @ diff / (2 * step)
         vjp_err = max(vjp_err, float(np.abs(got - fd).max()))
 
@@ -200,7 +200,7 @@ def test_oracle_exact_recovery_across_scales():
         base = generate_motion(MotionSpec(kind="arm-swing", frames=60, seed=9), skel)
         truth, sk = scale_ground_truth(base, skel, f"uniform:{scale}")
         meas = extract_measurements(truth, sk, 0.0, 0.0, seed=0)
-        oracle = OracleDenoiser(truth.rotations, schedule.alpha_bar)
+        oracle = OracleDenoiser(truth.rotations)
         pred = run_guided_inference(meas, sk, oracle, schedule, cfg, seed=1,
                                     window=60, overlap=0)
         geo = np.degrees(rot6d.geodesic_angle(
@@ -225,7 +225,7 @@ def test_root_cancellation_invariance():
     meas = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
     schedule = make_schedule(50)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
-    oracle = OracleDenoiser(truth.rotations, schedule.alpha_bar)
+    oracle = OracleDenoiser(truth.rotations)
     a = run_guided_inference(meas, skel, oracle, schedule, cfg, seed=5,
                              window=50, overlap=0)
     shifted = extract_measurements(truth, skel, 0.0, 0.0, seed=0)

@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from poseguide.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from poseguide.cli import EXIT_OK, EXIT_USAGE, main
 from poseguide.datagen import (
     BenchmarkCell, BenchmarkManifest, MotionSpec, load_sequence,
 )
+from poseguide.denoiser import MLPDenoiser, TrainConfig
+from poseguide.measurement import MeasurementSet
+from poseguide.sampler import GuidanceConfig, make_schedule, run_guided_inference
+from poseguide.skeleton import Skeleton
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +104,39 @@ def test_infer_requires_model_source(data_dir, tmp_path):
     assert rc == EXIT_USAGE
 
 
-def test_verify_passes_and_detects_corruption(tmp_path):
+def test_infer_samples_on_the_checkpoint_terminal(data_dir, tmp_path):
+    # a model trained on a terminal-5 horizon is sampled on that horizon,
+    # not on the default terminal-15 schedule
+    ckpt = tmp_path / "t5.npz"
+    MLPDenoiser(TrainConfig(window=16, hidden=24, terminal=5.0)).save(ckpt)
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    pred = tmp_path / "pred.pgseq"
+    rc = main(["infer", "--measurements", str(cell / "measurements.jsonl"),
+               "--skeleton", str(cell / "skeleton.json"), "--out", str(pred),
+               "--checkpoint", str(ckpt), "--steps", "10"])
+    assert rc == EXIT_OK
+    want = run_guided_inference(
+        MeasurementSet.load(cell / "measurements.jsonl"), Skeleton.load(cell / "skeleton.json"),
+        MLPDenoiser.load(ckpt), make_schedule(10, terminal=5.0), GuidanceConfig())
+    assert np.array_equal(load_sequence(pred).rotations, want.rotations)
+
+
+def test_infer_refuses_version_2_checkpoint(data_dir, tmp_path):
+    ckpt = tmp_path / "v2.npz"
+    MLPDenoiser(TrainConfig(window=16, hidden=24)).save(ckpt)
+    with np.load(ckpt) as blob:
+        header = json.loads(bytes(blob["__header__"]).decode())
+        params = {k: blob[k] for k in blob.files if k != "__header__"}
+    header["version"] = 2  # version 2 configs carry a conditioning field since removed
+    np.savez(ckpt, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+             **params)
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    rc = main(["infer", "--measurements", str(cell / "measurements.jsonl"),
+               "--out", str(tmp_path / "p.pgseq"), "--checkpoint", str(ckpt)])
+    assert rc == EXIT_USAGE
+
+
+def test_verify_passes(tmp_path):
     out = tmp_path / "verify.json"
     rc = main(["verify", "--points", "2", "--samples", "20000", "--out", str(out)])
     assert rc == EXIT_OK
@@ -108,6 +144,3 @@ def test_verify_passes_and_detects_corruption(tmp_path):
     assert doc["passed"] is True
     assert doc["rot6d_roundtrip_max_err"] < 1e-9
     assert doc["fk_linearization_max_err"] < 1e-12
-    rc = main(["verify", "--points", "2", "--samples", "20000",
-               "--flip-sign-entry", "6", "7"])
-    assert rc == EXIT_FAIL

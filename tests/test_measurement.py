@@ -5,8 +5,8 @@ import pytest
 
 from poseguide import rot6d
 from poseguide.measurement import (
-    MeasurementSet, apply_measurement_operator, build_A, chain_locations,
-    differential_transform, extract_measurements,
+    MeasurementSet, build_A, chain_locations, differential_transform,
+    extract_measurements,
 )
 from poseguide.skeleton import (
     PoseSequence, build_skeleton, default_skeleton, forward_kinematics,
@@ -44,39 +44,16 @@ def test_operator_matches_fk_random_skeletons():
         assert np.abs(got - ref).max() < 1e-12
 
 
-def test_kron_rows_equal_chain_product():
-    # the Kronecker block applied to the row-major chain matrix is the same
-    # location the dense operator produces
-    skel = default_skeleton()
-    A = build_A(skel)
-    R = random_pose_matrices(1, seed=1)[0]
-    v9 = rot6d.vec9(R)
-    dense = A.apply_vec9(v9)
-    for k, (chain, kappa) in enumerate(zip(A.chains, A.kappas)):
-        C = np.hstack([R[p] for p in chain])
-        loc = A.kron_rows[k] @ C.reshape(-1)  # row-major vec
-        assert np.allclose(loc, kappa @ np.vstack([R[p].T for p in chain]))
-        assert np.allclose(loc, dense[k], atol=1e-14)
-
-
-def test_apply_measurement_operator_from_sixdof():
-    skel = default_skeleton()
-    A = build_A(skel)
-    rng = np.random.default_rng(2)
-    r = rng.standard_normal((5, 22, 6))
-    got = apply_measurement_operator(A, r)
-    ref = chain_locations(skel, A, rot6d.batch_from_sixdof(r))
-    assert np.abs(got - ref).max() < 1e-12
-
-
 def test_off_chain_rotations_do_not_matter():
     # perturbing vec9 entries of joints outside all measured chains leaves
     # the operator output unchanged
     skel = default_skeleton()
     A = build_A(skel)
-    on_chain = set()
-    for chain in A.chains:
-        on_chain.update(chain)
+    on_chain = set()  # every ancestor of a measured joint rotates its bone chain
+    for j in skel.measured_joints:
+        while skel.parents[j] >= 0:
+            j = int(skel.parents[j])
+            on_chain.add(j)
     rng = np.random.default_rng(3)
     v9 = rot6d.vec9(random_pose_matrices(4, seed=4))
     pert = v9.copy()
@@ -129,6 +106,19 @@ def test_measurement_set_validation():
         MeasurementSet(np.zeros((4, 3, 3)), np.zeros((5, 3, 6)), 0.0, 0.0)
     with pytest.raises(ValueError):
         MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), -1.0, 0.0)
+
+
+def test_measurement_set_refuses_non_finite_values():
+    # checked when the set is built, not only when it is loaded from a file
+    locs, rots = np.zeros((4, 3, 3)), np.zeros((4, 3, 6))
+    locs[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite locations at frame 2"):
+        MeasurementSet(locs, rots, 0.0, 0.0)
+    rots[3, 0, 5] = np.inf
+    with pytest.raises(ValueError, match="non-finite rotations at frame 3"):
+        MeasurementSet(np.zeros((4, 3, 3)), rots, 0.0, 0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), np.nan, 0.0)
 
 
 def test_measurement_jsonl_roundtrip(tmp_path):

@@ -61,8 +61,8 @@ def test_jacobian_matches_finite_differences():
             hi, lo = r.copy(), r.copy()
             hi[k] += step
             lo[k] -= step
-            fd[:, k] = (rot6d.vec9(rot6d.from_sixdof(hi))
-                        - rot6d.vec9(rot6d.from_sixdof(lo))) / (2 * step)
+            fd[:, k] = (rot6d.vec9(rot6d.batch_from_sixdof(hi))
+                        - rot6d.vec9(rot6d.batch_from_sixdof(lo))) / (2 * step)
         assert np.abs(J - fd).max() < 1e-5
 
 
@@ -79,19 +79,25 @@ def test_vjp_matches_jacobian_transpose():
 
 def test_degenerate_inputs_raise():
     with pytest.raises(rot6d.DegenerateRotationError):
-        rot6d.from_sixdof(np.zeros(6))
+        rot6d.batch_from_sixdof(np.zeros(6))
     # parallel columns
     with pytest.raises(rot6d.DegenerateRotationError):
-        rot6d.from_sixdof(np.array([1.0, 0, 0, 2.0, 0, 0]))
+        rot6d.batch_from_sixdof(np.array([1.0, 0, 0, 2.0, 0, 0]))
+    # decode and Jacobian name the flat joint index of a batch entry
+    r = np.tile([1.0, 0, 0, 0, 1.0, 0], (2, 3, 1))
+    r[1, 2, :3] = 0.0
+    for fn in (rot6d.batch_from_sixdof, rot6d.jacobian_from_sixdof):
+        with pytest.raises(rot6d.DegenerateRotationError, match="joint 5"):
+            fn(r)
 
 
 def test_decode_invariant_to_column_scaling():
     rng = np.random.default_rng(7)
     r = rng.standard_normal(6)
-    R0 = rot6d.from_sixdof(r)
+    R0 = rot6d.batch_from_sixdof(r)
     s = r.copy()
     s[:3] *= 3.7  # scaling the first column does not move the frame
-    assert np.allclose(rot6d.from_sixdof(s), R0, atol=1e-12)
+    assert np.allclose(rot6d.batch_from_sixdof(s), R0, atol=1e-12)
 
 
 def test_geodesic_angle_known_values():

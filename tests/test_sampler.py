@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from poseguide import rot6d
-from poseguide.denoiser import OracleDenoiser
+from poseguide.denoiser import (
+    DenoiserInterface, MLPDenoiser, OracleDenoiser, TrainConfig, alpha_bar,
+)
 from poseguide.measurement import build_A, differential_transform, extract_measurements
 from poseguide.sampler import (
     GuidanceConfig, SamplerDivergence, ddim_step, likelihood_score,
@@ -14,10 +16,6 @@ from poseguide.skeleton import default_skeleton, PoseSequence
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.uncertainty import random_manifold_points
 from tests.test_skeleton import random_pose_matrices
-
-
-def alpha_bar_linear(t):
-    return 1.0 / (1.0 + t**2)
 
 
 def test_make_schedule_shape_and_endpoints():
@@ -32,17 +30,16 @@ def test_make_schedule_shape_and_endpoints():
 
 def test_schedule_alpha_bar_values():
     sch = make_schedule(10, terminal=3.0)
-    assert sch.alpha_bar(1.0) == pytest.approx(0.5, abs=1e-15)
-    assert sch.alpha_bar(3.0) == pytest.approx(0.1, abs=1e-15)
+    assert alpha_bar(1.0) == pytest.approx(0.5, abs=1e-15)
+    assert sch.alpha_bars[-1] == pytest.approx(0.1, abs=1e-15)
+    assert np.array_equal(sch.alpha_bars, alpha_bar(sch.timesteps))
 
 
 def test_make_schedule_validation():
     with pytest.raises(ValueError):
         make_schedule(0)
-    with pytest.raises(ValueError):
-        make_schedule(10, sigma_rule=lambda t: t + 1.0)  # sigma(0) != 0
-    with pytest.raises(ValueError):
-        make_schedule(10, sigma_rule=lambda t: 0.0 * t)  # not increasing
+    with pytest.raises(ValueError, match="terminal"):
+        make_schedule(10, terminal=0.0)
 
 
 def test_tweedie_inverts_forward_noising():
@@ -177,10 +174,12 @@ def test_guidance_config_validation():
         GuidanceConfig(guidance_scale=-1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(covariance_mode="full")
-    cfg = GuidanceConfig()
-    assert cfg.w_at(1.0, 0.5) == pytest.approx(np.sqrt(0.5))
-    cfg2 = GuidanceConfig(w_schedule=lambda t, ab: 0.2)
-    assert cfg2.w_at(3.0, 0.1) == 0.2
+
+
+def test_guidance_config_refuses_bad_sigma_l():
+    for sigma_l in (-0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma_l"):
+            GuidanceConfig(sigma_l=sigma_l)
 
 
 def test_window_starts():
@@ -194,8 +193,15 @@ def make_case(frames=41, seed=0, sigma_l=0.0):
     skel = default_skeleton()
     seq = generate_motion(MotionSpec(kind="arm-swing", frames=frames, seed=seed), skel)
     meas = extract_measurements(seq, skel, sigma_l, 0.0, seed=seed + 1)
-    oracle = OracleDenoiser(seq.rotations, alpha_bar_linear)
+    oracle = OracleDenoiser(seq.rotations)
     return skel, seq, meas, oracle
+
+
+def test_terminal_mismatch_is_refused():
+    skel, seq, meas, _ = make_case()
+    model = MLPDenoiser(TrainConfig(terminal=5.0, hidden=8))
+    with pytest.raises(ValueError, match=r"terminal 5\.0 .* terminal 15\.0"):
+        run_guided_inference(meas, skel, model, make_schedule(5), GuidanceConfig())
 
 
 def test_run_guided_inference_deterministic():
@@ -264,20 +270,19 @@ def test_windowed_inference_covers_long_sequences():
 def test_sampler_divergence_guard():
     skel, seq, meas, _ = make_case(frames=10)
 
-    class ExplodingDenoiser:
-        window = None
-        cond_spec = "rotations"
-
-        def alpha_bar(self, t):
-            return alpha_bar_linear(t)
+    class ExplodingDenoiser(DenoiserInterface):
+        def __init__(self, noise):
+            self.noise = noise
 
         def predict(self, r_t, t, cond=None, frame_offset=0):
-            return -1e6 * np.ones_like(r_t)
+            return self.noise * np.ones_like(r_t)
 
         def vjp(self, r_t, t, cond, cot, frame_offset=0):
             return np.zeros_like(cot)
 
     sch = make_schedule(5)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
-    with pytest.raises(SamplerDivergence):
-        run_guided_inference(meas, skel, ExplodingDenoiser(), sch, cfg, seed=0)
+    # a huge state and a NaN state (for which "> bound" is False) both stop
+    for noise in (-1e6, np.nan):
+        with pytest.raises(SamplerDivergence, match="window at frame 0: .* at step 5"):
+            run_guided_inference(meas, skel, ExplodingDenoiser(noise), sch, cfg, seed=0)

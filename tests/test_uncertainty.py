@@ -15,7 +15,7 @@ def test_mean_is_full_rotation_vec9():
     pts = random_manifold_points(20, seed=0)
     for r in pts:
         g = covariance_sixdof_pushforward(r, 0.1)
-        R = rot6d.from_sixdof(r)
+        R = rot6d.batch_from_sixdof(r)
         assert np.allclose(g.mean, rot6d.vec9(R), atol=1e-12)
 
 
