@@ -36,7 +36,6 @@ from .sampler import (
     Schedule,
     GuidanceConfig,
     make_schedule,
-    tweedie_denoise,
     likelihood_score,
     ddim_step,
     run_guided_inference,
@@ -47,7 +46,6 @@ from .denoiser import (
     MLPDenoiser,
     TrainConfig,
     train_denoiser,
-    predict_with_cfg,
 )
 from .datagen import (
     MotionSpec,

@@ -1,11 +1,11 @@
-"""Conditional noise-prediction models.
+"""Conditional denoisers.
 
-The sampler only needs two capabilities from a denoiser: ``predict`` (the
-noise estimate for a windowed 6DoF batch) and ``vjp`` (pull a cotangent on
-the Tweedie-denoised estimate back to the noisy input).  Implementations
-here: an oracle that denoises to a known ground truth exactly (for tests),
-and a small trainable residual MLP over flattened windows with
-classifier-free-guidance conditioning.
+The sampler needs one call from a denoiser: ``denoise`` returns the
+clean-signal estimate r_hat for a windowed 6DoF batch together with its
+pullback, which maps a cotangent on r_hat back to the noisy input.
+Implementations here: an oracle that denoises to a known ground truth
+exactly (for tests), and a small trainable residual MLP over flattened
+windows with conditioning dropout, so it also has an unconditional path.
 
 Conditioning is a per-frame vector built from the sensed joints only: the
 three measured 6DoF rotations (18 numbers), optionally followed by the
@@ -85,52 +85,44 @@ class DenoiserInterface:
     ``window`` is the fixed frame capacity, or None when any length works.
     ``terminal`` is the diffusion horizon the model was trained on, or None
     when it works under any schedule.
-    ``predict`` must be deterministic and shape-preserving;
-    ``vjp`` is the vector-Jacobian product of the *denoised estimate*
-    with respect to the noisy input, for a given cotangent.
     """
 
     window: int | None = None
     terminal: float | None = None
     cond_spec: str = "rotations"
 
-    def predict(self, r_t: np.ndarray, t: float, cond: np.ndarray | None,
-                frame_offset: int = 0) -> np.ndarray:
-        raise NotImplementedError
+    def denoise(self, r_t: np.ndarray, t: float, cond: np.ndarray | None,
+                frame_offset: int = 0):
+        """Clean-signal estimate and its pullback: ``(r_hat, pullback)``.
 
-    def vjp(self, r_t: np.ndarray, t: float, cond: np.ndarray | None,
-            cotangent: np.ndarray, frame_offset: int = 0) -> np.ndarray:
+        ``r_hat`` has the shape of ``r_t`` and is deterministic in the
+        inputs; ``pullback(cot)`` returns (d r_hat / d r_t)^T cot.
+        """
         raise NotImplementedError
 
 
 class OracleDenoiser(DenoiserInterface):
-    """Returns the exact noise for a known ground-truth sequence.
+    """Denoises to a known ground-truth sequence exactly.
 
-    Tweedie's formula then recovers the ground truth exactly, so the
-    denoised estimate is constant in the input and ``vjp`` is zero.
+    The estimate is the stored truth window, constant in the input, so the
+    pullback is zero.
     """
 
     def __init__(self, ground_truth_rotations: np.ndarray):
         self.truth = np.asarray(ground_truth_rotations, dtype=float)
 
-    def predict(self, r_t, t, cond=None, frame_offset=0):
-        ab = alpha_bar(t)
+    def denoise(self, r_t, t, cond, frame_offset=0):
         truth = self.truth[frame_offset : frame_offset + r_t.shape[0]]
         if truth.shape != r_t.shape:
             raise ValueError("window does not match the stored ground truth")
-        if ab >= 1.0:
-            return np.zeros_like(r_t)
-        return (r_t - np.sqrt(ab) * truth) / np.sqrt(1.0 - ab)
-
-    def vjp(self, r_t, t, cond, cotangent, frame_offset=0):
-        return np.zeros_like(cotangent)
+        return truth.copy(), np.zeros_like
 
 
 @dataclass
 class TrainConfig:
     window: int = 41
     terminal: float = 15.0          # diffusion horizon used for training noise
-    dropout_prob: float = 0.1       # conditioning dropout for CFG
+    dropout_prob: float = 0.1       # conditioning dropout (trains the unconditional path)
     step_size: float = 1e-3
     steps: int = 4000
     batch: int = 32
@@ -142,6 +134,13 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
+        if not 0.0 < self.terminal < np.inf:
+            raise ValueError(f"terminal must be positive and finite, got {self.terminal}")
+        for name in ("window", "hidden", "batch", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.blocks < 0:
+            raise ValueError(f"blocks must be non-negative, got {self.blocks}")
 
 
 class MLPDenoiser(DenoiserInterface):
@@ -209,56 +208,47 @@ class MLPDenoiser(DenoiserInterface):
         cache["hout"] = h
         return h @ p["Wo"] + p["bo"], cache
 
-    def _backward(self, cache, d_out):
-        """Gradients of <d_out, output> w.r.t. params and input X."""
+    def _backward(self, cache, d_out, grads=None):
+        """Backward pass of <d_out, output>; returns the gradient at the
+        first pre-activation, and fills ``grads`` with the parameter
+        gradients when a dict is given."""
         p = self.params
-        grads = {}
-        h = cache["hout"]
-        grads["Wo"] = h.T @ d_out
-        grads["bo"] = d_out.sum(axis=0)
+        if grads is not None:
+            grads["Wo"] = cache["hout"].T @ d_out
+            grads["bo"] = d_out.sum(axis=0)
         dh = d_out @ p["Wo"].T
         side = cache["X"][:, self.d_state:]
-        d_side = np.zeros_like(side)
         for k in reversed(range(self.config.blocks)):
             h_in, a = cache["acts"][k]
             da = dh * (1.0 - a * a)
-            grads[f"Wr{k}"] = h_in.T @ da
-            grads[f"Wc{k}"] = side.T @ da
-            grads[f"br{k}"] = da.sum(axis=0)
-            d_side += da @ p[f"Wc{k}"].T
+            if grads is not None:
+                grads[f"Wr{k}"] = h_in.T @ da
+                grads[f"Wc{k}"] = side.T @ da
+                grads[f"br{k}"] = da.sum(axis=0)
             dh = dh + da @ p[f"Wr{k}"].T
         dz0 = dh * (1.0 - cache["h0"] * cache["h0"])
-        grads["W0"] = cache["X"].T @ dz0
-        grads["b0"] = dz0.sum(axis=0)
-        dX = dz0 @ p["W0"].T
-        dX[:, self.d_state:] += d_side
-        return grads, dX
+        if grads is not None:
+            grads["W0"] = cache["X"].T @ dz0
+            grads["b0"] = dz0.sum(axis=0)
+        return dz0
 
-    def _denoise(self, r_t, t, cond):
-        """Network output: the clean-signal estimate (the Tweedie mean)."""
+    def denoise(self, r_t, t, cond, frame_offset=0):
+        """The network output is r_hat; the pullback reuses this call's
+        activations and returns only the state slice of the input gradient.
+
+        The network regresses the clean signal rather than the noise: the
+        noise estimate the sampler derives from r_t = sqrt(ab) r0 +
+        sqrt(1-ab) eps then tends to r_t at high noise without the network
+        having to pass r_t through its bottleneck.
+        """
         X = self._pack(np.asarray(r_t, dtype=float), t, cond)[None, :]
         out, cache = self._forward(X)
-        return out[0].reshape(self.window, JOINTS, 6), cache
 
-    def predict(self, r_t, t, cond=None, frame_offset=0):
-        # The network regresses the clean signal; the matching noise
-        # estimate follows from r_t = sqrt(ab) r0 + sqrt(1-ab) eps.  This
-        # keeps the high-noise regime trivially consistent (eps -> r_t)
-        # without the network having to pass r_t through its bottleneck.
-        ab = alpha_bar(t)
-        r0_hat, _ = self._denoise(np.asarray(r_t, dtype=float), t, cond)
-        return (np.asarray(r_t, dtype=float) - np.sqrt(ab) * r0_hat) / np.sqrt(1.0 - ab)
+        def pullback(cot):
+            dz0 = self._backward(cache, np.asarray(cot, dtype=float).reshape(1, -1))
+            return (dz0 @ self.params["W0"][: self.d_state].T).reshape(self.window, JOINTS, 6)
 
-    def vjp(self, r_t, t, cond, cotangent, frame_offset=0):
-        """Cotangent on the denoised estimate pulled back to r_t.
-
-        The denoised estimate is the raw network output, so this is a plain
-        backward pass restricted to the state slice of the input."""
-        X = self._pack(np.asarray(r_t, dtype=float), t, cond)[None, :]
-        _, cache = self._forward(X)
-        cot = np.asarray(cotangent, dtype=float).reshape(1, -1)
-        _, dX = self._backward(cache, cot)
-        return dX[0, : self.d_state].reshape(self.window, JOINTS, 6)
+        return out[0].reshape(self.window, JOINTS, 6), pullback
 
     # -- persistence -------------------------------------------------------
 
@@ -300,9 +290,9 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
 
     Samples a window and a diffusion time, noises the clean rotations with
     the matching alpha-bar, and regresses the clean signal (the network's
-    output convention; the noise estimate is recovered analytically in
-    ``predict``).  The conditioning is dropped with ``config.dropout_prob``
-    so the model also learns the unconditional score.
+    output convention; the sampler derives the noise estimate from it).
+    The conditioning is dropped with ``config.dropout_prob`` so the model
+    also learns the unconditional score.
     """
     states, conds = _extract_windows(dataset, config)
     if len(states) == 0:
@@ -336,7 +326,8 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
         if loss_callback is not None:
             loss_callback(step, loss)
         d_out = 2.0 * resid / resid.size
-        grads, _ = model._backward(cache, d_out)
+        grads = {}
+        model._backward(cache, d_out, grads)
         for k, g in grads.items():
             adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
             adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
@@ -346,33 +337,18 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     return model
 
 
-def predict_with_cfg(denoiser: DenoiserInterface, r_t, t, cond, cfg_weight: float = 1.0,
-                     frame_offset: int = 0) -> np.ndarray:
-    """eps_uncond + cfg_weight * (eps_cond - eps_uncond)."""
-    if cfg_weight == 1.0:
-        return denoiser.predict(r_t, t, cond, frame_offset)
-    eps_u = denoiser.predict(r_t, t, None, frame_offset)
-    if cfg_weight == 0.0:
-        return eps_u
-    eps_c = denoiser.predict(r_t, t, cond, frame_offset)
-    return eps_u + cfg_weight * (eps_c - eps_u)
-
-
 def finite_difference_vjp(denoiser: DenoiserInterface, r_t, t, cond, cotangent,
                           step: float = 1e-4, frame_offset: int = 0) -> np.ndarray:
-    """Central-difference fallback for denoisers without an analytic ``vjp``.
+    """Central-difference reference for a denoiser's analytic pullback.
 
     Differentiates <cotangent, r_hat(r_t)> one input coordinate at a time,
-    so cost scales with the state size; intended for small windows or as a
-    last resort.
+    so cost scales with the state size; intended for small windows.
     """
     r_t = np.asarray(r_t, dtype=float)
     cot = np.asarray(cotangent, dtype=float)
 
     def denoised(x):
-        ab = alpha_bar(t)
-        eps = denoiser.predict(x, t, cond, frame_offset)
-        return (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+        return denoiser.denoise(x, t, cond, frame_offset)[0]
 
     grad = np.zeros_like(r_t)
     flat = r_t.reshape(-1)

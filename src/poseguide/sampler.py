@@ -1,11 +1,13 @@
 """Guided DDIM sampling over 6DoF pose windows.
 
 The reverse loop follows the modified pseudoinverse-guided scheme: at each
-step the conditional denoiser produces a Tweedie estimate, the measured
-location differences contribute a Gaussian likelihood score through the
-linear measurement operator, and the DDIM update combines estimate, fresh
-noise, predicted noise and the guidance term.  Long sequences run in
-fixed-size windows with a linear cross-fade over the overlap.
+step one conditional denoiser call gives the clean-signal estimate r_hat and
+its pullback, the noise estimate follows from r_hat, the measured location
+differences contribute a Gaussian likelihood score through the linear
+measurement operator and that pullback, and the DDIM update combines
+estimate, fresh noise, noise estimate and the guidance term.  Long
+sequences run in fixed-size windows with a linear cross-fade over the
+overlap.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .skeleton import (
     PoseSequence, Skeleton, forward_kinematics, recover_root_translation,
 )
 from .uncertainty import sigma_matrix
-from .denoiser import DenoiserInterface, alpha_bar, make_conditioning, predict_with_cfg
+from .denoiser import DenoiserInterface, alpha_bar, make_conditioning
 
 DEFAULT_TERMINAL = 15.0
 WINDOW = 41
@@ -62,7 +64,6 @@ class GuidanceConfig:
     guidance_scale: float = 1.0
     sigma_l: float = 0.01            # score-side measurement noise (meters)
     covariance_mode: str = "identity"  # "identity" | "sigma"
-    cfg_weight: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -75,15 +76,6 @@ class GuidanceConfig:
             raise ValueError(f"unknown covariance_mode {self.covariance_mode!r}")
 
 
-def tweedie_denoise(r_t: np.ndarray, eps: np.ndarray, alpha_bar_t: float) -> np.ndarray:
-    """Posterior-mean estimate (r_t - sqrt(1-ab) eps) / sqrt(ab)."""
-    if not 0.0 < alpha_bar_t <= 1.0:
-        raise ValueError(f"alpha_bar_t must be in (0, 1], got {alpha_bar_t}")
-    return (np.asarray(r_t, dtype=float) - np.sqrt(1.0 - alpha_bar_t) * np.asarray(eps)) / np.sqrt(
-        alpha_bar_t
-    )
-
-
 def _active_joints(A: LinearOperatorA) -> np.ndarray:
     cols = A.diff_matrix.reshape(A.diff_matrix.shape[0], A.joint_count, 9)
     return np.flatnonzero(np.abs(cols).sum(axis=(0, 2)) > 0.0)
@@ -93,7 +85,7 @@ def likelihood_score(
     l_diff: np.ndarray,
     A: LinearOperatorA,
     r_hat: np.ndarray,
-    denoiser_vjp,
+    pullback,
     config: GuidanceConfig,
     w_t: float,
     sigma_l: float,
@@ -101,11 +93,11 @@ def likelihood_score(
     """Gaussian likelihood score pulled back to the noisy state.
 
     Solves (w^2 A Sigma A^T + sigma_l^2 I) u = residual per frame, then
-    applies the transposed chain A^T -> decode Jacobian -> denoiser VJP,
+    applies the transposed chain A^T -> decode Jacobian -> denoiser pullback,
     scaled by ``config.guidance_scale``.
 
     ``l_diff``: (frames, 2, 3) differential measured locations;
-    ``r_hat``: (frames, J, 6); ``denoiser_vjp``: cotangent (frames, J, 6)
+    ``r_hat``: (frames, J, 6); ``pullback``: cotangent (frames, J, 6)
     on the denoised estimate -> gradient w.r.t. the noisy input.
     """
     r_hat = np.asarray(r_hat, dtype=float)
@@ -134,7 +126,7 @@ def likelihood_score(
             u[f] = np.linalg.solve(B, e[f])
     cot9 = (u @ Gd).reshape(frames, A.joint_count, 9)
     cot6 = rot6d.vjp_from_sixdof(r_hat, cot9)
-    return config.guidance_scale * denoiser_vjp(cot6)
+    return config.guidance_scale * pullback(cot6)
 
 
 def ddim_step(
@@ -176,25 +168,23 @@ def _sample_window(r_shape, l_diff, cond, A, denoiser, schedule, config, rng, fr
     q, abars = schedule.timesteps, schedule.alpha_bars
     for i in range(schedule.steps, 0, -1):
         t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
-        eps_t = predict_with_cfg(denoiser, r, t, cond, config.cfg_weight,
-                                 frame_offset=frame_offset)
-        r_hat = tweedie_denoise(r, eps_t, ab_t)
+        r_hat, pullback = denoiser.denoise(r, t, cond, frame_offset=frame_offset)
+        eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
         if config.guidance_scale > 0.0:
             # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
             w_t = float(np.sqrt(1.0 - ab_t))
-
-            def den_vjp(cot, _t=t):
-                return denoiser.vjp(r, _t, cond, cot, frame_offset=frame_offset)
-
-            g = likelihood_score(l_diff, A, r_hat, den_vjp, config, w_t, config.sigma_l)
+            g = likelihood_score(l_diff, A, r_hat, pullback, config, w_t, config.sigma_l)
         else:
             g = np.zeros_like(r)
         r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rng)
         peak = np.max(np.abs(r))
         if not peak <= DIVERGENCE_NORM:  # also catches NaN
+            # argmax returns the first NaN if there is one, else the largest entry
+            f, j, _ = np.unravel_index(np.argmax(np.abs(r)), r.shape)
             raise SamplerDivergence(
                 f"window at frame {frame_offset}: state magnitude {peak:.3g} exceeded "
-                f"{DIVERGENCE_NORM} at step {i} (t={t:.3g})"
+                f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
+                f"{frame_offset + f}, joint {j}"
             )
     return r
 

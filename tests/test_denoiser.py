@@ -1,17 +1,15 @@
-"""Denoiser contracts: oracle identities, training, CFG, persistence."""
+"""Denoiser contracts: oracle identities, training, config validation, pullback, persistence."""
 
 import numpy as np
 import pytest
 
 from poseguide.denoiser import (
     CapabilityError, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
-    alpha_bar, cond_dim, finite_difference_vjp, make_conditioning, predict_with_cfg,
-    train_denoiser,
+    alpha_bar, cond_dim, finite_difference_vjp, make_conditioning, train_denoiser,
 )
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.measurement import extract_measurements
 from poseguide.skeleton import default_skeleton
-from poseguide.sampler import tweedie_denoise
 
 
 def small_dataset(n_seqs=3, frames=60):
@@ -43,8 +41,8 @@ def test_make_conditioning_shapes():
 
 
 def test_oracle_denoiser_identities():
-    # the oracle's noise estimate inverts the forward noising exactly, and
-    # its denoised estimate has zero sensitivity to the noisy input
+    # the oracle denoises to the ground truth exactly, and its estimate has
+    # zero sensitivity to the noisy input
     ds, _ = small_dataset(1, frames=20)
     truth = ds[0][0]
     oracle = OracleDenoiser(truth.rotations)
@@ -53,12 +51,10 @@ def test_oracle_denoiser_identities():
     ab = alpha_bar(t)
     noise = rng.standard_normal(truth.rotations.shape)
     r_t = np.sqrt(ab) * truth.rotations + np.sqrt(1 - ab) * noise
-    eps = oracle.predict(r_t, t)
-    assert np.abs(eps - noise).max() < 1e-10
-    r_hat = tweedie_denoise(r_t, eps, ab)
-    assert np.abs(r_hat - truth.rotations).max() < 1e-10
+    r_hat, pullback = oracle.denoise(r_t, t, None)
+    assert np.array_equal(r_hat, truth.rotations)
     cot = rng.standard_normal(r_t.shape)
-    assert np.array_equal(oracle.vjp(r_t, t, None, cot), np.zeros_like(cot))
+    assert np.array_equal(pullback(cot), np.zeros_like(cot))
 
 
 def test_oracle_denoiser_frame_offset():
@@ -67,11 +63,10 @@ def test_oracle_denoiser_frame_offset():
     oracle = OracleDenoiser(truth.rotations)
     rng = np.random.default_rng(1)
     r_t = rng.standard_normal((5, 22, 6))
-    t = 1.0
-    ab = alpha_bar(t)
-    eps = oracle.predict(r_t, t, frame_offset=7)
-    r_hat = tweedie_denoise(r_t, eps, ab)
-    assert np.abs(r_hat - truth.rotations[7:12]).max() < 1e-10
+    r_hat, _ = oracle.denoise(r_t, 1.0, None, frame_offset=7)
+    assert np.array_equal(r_hat, truth.rotations[7:12])
+    with pytest.raises(ValueError, match="ground truth"):
+        oracle.denoise(r_t, 1.0, None, frame_offset=17)
 
 
 def test_training_is_deterministic():
@@ -100,6 +95,15 @@ def test_training_errors():
         train_denoiser(ds, small_config(window=100))
 
 
+def test_train_config_refuses_bad_fields():
+    for field, value in (("terminal", 0.0), ("terminal", -1.0), ("terminal", np.inf),
+                         ("terminal", np.nan), ("window", 0), ("hidden", 0), ("batch", 0),
+                         ("steps", 0), ("blocks", -1)):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+    assert TrainConfig(blocks=0).blocks == 0
+
+
 def test_conditioning_affects_prediction():
     ds, _ = small_dataset()
     model = train_denoiser(ds, small_config(dropout_prob=0.2))
@@ -107,7 +111,7 @@ def test_conditioning_affects_prediction():
     r_t = rng.standard_normal((12, 22, 6))
     c1 = make_conditioning(ds[0][1], "rotations")[:12]
     c2 = make_conditioning(ds[1][1], "rotations")[:12]
-    assert np.abs(model.predict(r_t, 1.0, c1) - model.predict(r_t, 1.0, c2)).max() > 0
+    assert np.abs(model.denoise(r_t, 1.0, c1)[0] - model.denoise(r_t, 1.0, c2)[0]).max() > 0
 
 
 def test_unconditional_path_requires_dropout():
@@ -116,22 +120,9 @@ def test_unconditional_path_requires_dropout():
     rng = np.random.default_rng(3)
     r_t = rng.standard_normal((12, 22, 6))
     with pytest.raises(CapabilityError):
-        model.predict(r_t, 1.0, None)
+        model.denoise(r_t, 1.0, None)
     model2 = train_denoiser(ds, small_config(dropout_prob=0.2))
-    assert model2.predict(r_t, 1.0, None).shape == r_t.shape
-
-
-def test_cfg_combination_is_the_two_call_formula():
-    ds, _ = small_dataset()
-    model = train_denoiser(ds, small_config(dropout_prob=0.2))
-    rng = np.random.default_rng(4)
-    r_t = rng.standard_normal((12, 22, 6))
-    cond = make_conditioning(ds[0][1], "rotations")[:12]
-    eps_u = model.predict(r_t, 1.0, None)
-    eps_c = model.predict(r_t, 1.0, cond)
-    for w in (0.0, 1.0, 2.5):
-        got = predict_with_cfg(model, r_t, 1.0, cond, cfg_weight=w)
-        assert np.allclose(got, eps_u + w * (eps_c - eps_u), atol=1e-12)
+    assert model2.denoise(r_t, 1.0, None)[0].shape == r_t.shape
 
 
 def test_vjp_matches_finite_differences():
@@ -141,7 +132,7 @@ def test_vjp_matches_finite_differences():
     r_t = rng.standard_normal((12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[:12]
     cot = rng.standard_normal(r_t.shape)
-    got = model.vjp(r_t, 1.5, cond, cot)
+    got = model.denoise(r_t, 1.5, cond)[1](cot)
     ref = finite_difference_vjp(model, r_t, 1.5, cond, cot)
     assert np.abs(got - ref).max() < 1e-5
 
@@ -156,7 +147,7 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     r_t = rng.standard_normal((12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[:12]
-    assert np.array_equal(back.predict(r_t, 0.7, cond), model.predict(r_t, 0.7, cond))
+    assert np.array_equal(back.denoise(r_t, 0.7, cond)[0], model.denoise(r_t, 0.7, cond)[0])
     assert model.param_count() == back.param_count()
 
 

@@ -10,7 +10,7 @@ from poseguide.denoiser import (
 from poseguide.measurement import build_A, differential_transform, extract_measurements
 from poseguide.sampler import (
     GuidanceConfig, SamplerDivergence, ddim_step, likelihood_score,
-    make_schedule, run_guided_inference, tweedie_denoise, _window_starts,
+    make_schedule, run_guided_inference, _window_starts,
 )
 from poseguide.skeleton import default_skeleton, PoseSequence
 from poseguide.datagen import MotionSpec, generate_motion
@@ -40,19 +40,6 @@ def test_make_schedule_validation():
         make_schedule(0)
     with pytest.raises(ValueError, match="terminal"):
         make_schedule(10, terminal=0.0)
-
-
-def test_tweedie_inverts_forward_noising():
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal((4, 22, 6))
-    noise = rng.standard_normal(x0.shape)
-    ab = 0.37
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * noise
-    assert np.abs(tweedie_denoise(x_t, noise, ab) - x0).max() < 1e-12
-    with pytest.raises(ValueError):
-        tweedie_denoise(x_t, noise, 0.0)
-    with pytest.raises(ValueError):
-        tweedie_denoise(x_t, noise, 1.5)
 
 
 def test_ddim_constants_known_values():
@@ -204,6 +191,23 @@ def test_terminal_mismatch_is_refused():
         run_guided_inference(meas, skel, model, make_schedule(5), GuidanceConfig())
 
 
+def test_one_forward_pass_per_step(monkeypatch):
+    # the estimate and the guidance pullback share one forward pass
+    skel, seq, meas, _ = make_case(frames=60)
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    forward = MLPDenoiser._forward
+    rows = []
+
+    def counting_forward(self, X):
+        rows.append(X.shape[0])
+        return forward(self, X)
+
+    monkeypatch.setattr(MLPDenoiser, "_forward", counting_forward)
+    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
+    assert rows == [1] * (2 * 3)  # 2 windows of 41 frames, 3 steps
+
+
 def test_run_guided_inference_deterministic():
     skel, seq, meas, oracle = make_case()
     sch = make_schedule(20)
@@ -239,8 +243,8 @@ def test_unguided_inference_matches_manual_ddim_loop():
     r = rng.standard_normal((30, 22, 6))
     for i in range(sch.steps, 0, -1):
         t, ab_t, ab_s = sch.timesteps[i], sch.alpha_bars[i], sch.alpha_bars[i - 1]
-        eps = oracle.predict(r, t, None, frame_offset=0)
-        r_hat = tweedie_denoise(r, eps, ab_t)
+        r_hat, _ = oracle.denoise(r, t, None)
+        eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
         r = np.sqrt(ab_s) * r_hat + np.sqrt(1 - ab_s) * eps
     want = rot6d.to_sixdof(rot6d.batch_from_sixdof(r))
     assert np.abs(got.rotations - want).max() < 1e-12
@@ -271,18 +275,23 @@ def test_sampler_divergence_guard():
     skel, seq, meas, _ = make_case(frames=10)
 
     class ExplodingDenoiser(DenoiserInterface):
-        def __init__(self, noise):
-            self.noise = noise
+        """Estimates zero, except one entry of the window starting at frame 4."""
 
-        def predict(self, r_t, t, cond=None, frame_offset=0):
-            return self.noise * np.ones_like(r_t)
+        def __init__(self, value):
+            self.value = value
 
-        def vjp(self, r_t, t, cond, cot, frame_offset=0):
-            return np.zeros_like(cot)
+        def denoise(self, r_t, t, cond, frame_offset=0):
+            r_hat = np.zeros_like(r_t)
+            if frame_offset == 4:
+                r_hat[3, 11, 2] = self.value
+            return r_hat, np.zeros_like
 
     sch = make_schedule(5)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
-    # a huge state and a NaN state (for which "> bound" is False) both stop
-    for noise in (-1e6, np.nan):
-        with pytest.raises(SamplerDivergence, match="window at frame 0: .* at step 5"):
-            run_guided_inference(meas, skel, ExplodingDenoiser(noise), sch, cfg, seed=0)
+    # a huge state and a NaN state (for which "> bound" is False) both stop,
+    # and the message names the absolute frame and the joint
+    for value in (-1e6, np.nan):
+        with pytest.raises(SamplerDivergence,
+                           match="window at frame 4: .* at step 5 .* frame 7, joint 11"):
+            run_guided_inference(meas, skel, ExplodingDenoiser(value), sch, cfg, seed=0,
+                                 window=6, overlap=1)
