@@ -16,7 +16,7 @@ so the (unknown) root translation cancels from the guidance residual.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,24 +105,36 @@ class LinearOperatorA:
     ``matrix`` acts on the full ``(J * 9,)`` column-stacked vec9 layout,
     rows grouped 3 per measured joint; ``diff_matrix`` holds the
     root-cancelling differential rows (wrist minus head), shape
-    ``(6, J * 9)``.
+    ``(6, J * 9)``.  The rotations of the trunk shared by all three chains
+    cancel there, so only ``active_joints`` (derived from ``diff_matrix``)
+    have a nonzero column block; ``active_block`` gathers those blocks.
     """
 
     measured_joints: tuple[int, ...]
     matrix: np.ndarray             # (3 * |m|, J * 9)
     diff_matrix: np.ndarray        # (6, J * 9)
     joint_count: int
+    active_joints: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        blocks = self.diff_matrix.reshape(-1, self.joint_count, 9)
+        self.active_joints = np.flatnonzero(blocks.any(axis=(0, 2)))
+
+    @property
+    def active_block(self) -> np.ndarray:
+        """``diff_matrix`` on the active joints only: ``(6, active, 9)``."""
+        return self.diff_matrix.reshape(-1, self.joint_count, 9)[:, self.active_joints]
 
     def apply_vec9(self, p9: np.ndarray) -> np.ndarray:
         """Measured-joint locations from vec9 rotations ``(..., J, 9)`` -> ``(..., |m|, 3)``."""
-        flat = np.asarray(p9, dtype=float).reshape(p9.shape[:-2] + (-1,))
-        out = flat @ self.matrix.T
+        p9 = np.asarray(p9, dtype=float)
+        out = p9.reshape(p9.shape[:-2] + (-1,)) @ self.matrix.T
         return out.reshape(p9.shape[:-2] + (len(self.measured_joints), 3))
 
     def apply_diff_vec9(self, p9: np.ndarray) -> np.ndarray:
         """Differential locations from vec9 rotations ``(..., J, 9)`` -> ``(..., 2, 3)``."""
-        flat = np.asarray(p9, dtype=float).reshape(p9.shape[:-2] + (-1,))
-        out = flat @ self.diff_matrix.T
+        p9 = np.asarray(p9, dtype=float)
+        out = p9.reshape(p9.shape[:-2] + (-1,)) @ self.diff_matrix.T
         return out.reshape(p9.shape[:-2] + (2, 3))
 
 

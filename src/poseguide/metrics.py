@@ -67,8 +67,8 @@ def upe_lpe(pred: PoseSequence, pred_skel: Skeleton, truth: PoseSequence,
 def scaled_mpjpe(pred: PoseSequence, pred_skel: Skeleton, truth: PoseSequence,
                  truth_skel: Skeleton, scale: float) -> float:
     """MPJPE divided by the body scaling factor (body-size sweeps)."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < np.inf:  # also refuses NaN
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return mpjpe(pred, pred_skel, truth, truth_skel) / scale
 
 

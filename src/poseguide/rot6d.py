@@ -106,17 +106,14 @@ def jacobian_from_sixdof(r: np.ndarray) -> np.ndarray:
     # c2raw = b - c1 (c1.b):  d/db = I - c1 c1^T, d/da via dc1
     dc2r_db = eye - c1[..., :, None] * c1[..., None, :]
     outer = c1[..., :, None] * b[..., None, :] + proj[..., None, None] * eye
-    dc2r_da = -np.einsum("...ik,...kj->...ij", outer, dc1_da)
+    dc2r_da = -(outer @ dc1_da)
     dnorm = (eye - c2[..., :, None] * c2[..., None, :]) / nc2[..., None, None]
-    dc2_da = np.einsum("...ik,...kj->...ij", dnorm, dc2r_da)
-    dc2_db = np.einsum("...ik,...kj->...ij", dnorm, dc2r_db)
+    dc2_da = dnorm @ dc2r_da
+    dc2_db = dnorm @ dc2r_db
 
     s1 = _skew(c1)
-    s2 = _skew(c2)
-    dc3_da = np.einsum("...ik,...kj->...ij", s1, dc2_da) - np.einsum(
-        "...ik,...kj->...ij", s2, dc1_da
-    )
-    dc3_db = np.einsum("...ik,...kj->...ij", s1, dc2_db)
+    dc3_da = s1 @ dc2_da - _skew(c2) @ dc1_da
+    dc3_db = s1 @ dc2_db
 
     zeros = np.zeros_like(dc1_da)
     top = np.concatenate([dc1_da, zeros], axis=-1)

@@ -76,11 +76,6 @@ class GuidanceConfig:
             raise ValueError(f"unknown covariance_mode {self.covariance_mode!r}")
 
 
-def _active_joints(A: LinearOperatorA) -> np.ndarray:
-    cols = A.diff_matrix.reshape(A.diff_matrix.shape[0], A.joint_count, 9)
-    return np.flatnonzero(np.abs(cols).sum(axis=(0, 2)) > 0.0)
-
-
 def likelihood_score(
     l_diff: np.ndarray,
     A: LinearOperatorA,
@@ -92,9 +87,10 @@ def likelihood_score(
 ) -> np.ndarray:
     """Gaussian likelihood score pulled back to the noisy state.
 
-    Solves (w^2 A Sigma A^T + sigma_l^2 I) u = residual per frame, then
-    applies the transposed chain A^T -> decode Jacobian -> denoiser pullback,
-    scaled by ``config.guidance_scale``.
+    Solves (w^2 A Sigma A^T + sigma_l^2 I) u = residual for all frames in
+    one batch, then applies the transposed chain A^T -> decode Jacobian ->
+    denoiser pullback, scaled by ``config.guidance_scale``.  Only A's
+    active joints enter; every other joint's cotangent is exactly zero.
 
     ``l_diff``: (frames, 2, 3) differential measured locations;
     ``r_hat``: (frames, J, 6); ``pullback``: cotangent (frames, J, 6)
@@ -103,29 +99,23 @@ def likelihood_score(
     r_hat = np.asarray(r_hat, dtype=float)
     frames = r_hat.shape[0]
     R = rot6d.batch_from_sixdof(r_hat)
-    p9 = rot6d.vec9(R)
-    pred = A.apply_diff_vec9(p9)
+    pred = A.apply_diff_vec9(rot6d.vec9(R))
     e = (np.asarray(l_diff, dtype=float) - pred).reshape(frames, 6)
 
-    Gd = A.diff_matrix
+    act = A.active_joints
+    G = A.active_block  # (6, active, 9)
+    Gc = G.reshape(6, -1)
     if config.covariance_mode == "identity":
-        B = w_t**2 * (Gd @ Gd.T) + sigma_l**2 * np.eye(6)
-        u = np.linalg.solve(B, e.T).T
+        GSG = Gc @ Gc.T
     else:
-        active = _active_joints(A)
-        # Sigma evaluated at the decoded (manifold) point of each joint.
-        r_proj = rot6d.to_sixdof(R)
-        u = np.empty_like(e)
-        blocks = Gd.reshape(6, A.joint_count, 9)
-        for f in range(frames):
-            B = sigma_l**2 * np.eye(6)
-            for j in active:
-                S = sigma_matrix(r_proj[f, j], w_t)
-                Gj = blocks[:, j, :]
-                B = B + w_t**2 * (Gj @ S @ Gj.T)
-            u[f] = np.linalg.solve(B, e[f])
-    cot9 = (u @ Gd).reshape(frames, A.joint_count, 9)
-    cot6 = rot6d.vjp_from_sixdof(r_hat, cot9)
+        # Sigma evaluated at the decoded (manifold) point of each active joint
+        S = sigma_matrix(rot6d.to_sixdof(R[:, act]), w_t)  # (frames, active, 9, 9)
+        GS = G.transpose(1, 0, 2) @ S                       # (frames, active, 6, 9)
+        GSG = GS.transpose(0, 2, 1, 3).reshape(frames, 6, -1) @ Gc.T
+    B = w_t**2 * GSG + sigma_l**2 * np.eye(6)
+    u = np.linalg.solve(B, e[..., None])[..., 0]
+    cot6 = np.zeros_like(r_hat)
+    cot6[:, act] = rot6d.vjp_from_sixdof(r_hat[:, act], (u @ Gc).reshape(frames, len(act), 9))
     return config.guidance_scale * pullback(cot6)
 
 

@@ -53,20 +53,20 @@ def project_to_manifold(r_hat: np.ndarray, hard_tol: float = HYPOTHESIS_HARD_TOL
 
 
 def sigma_matrix(r_hat: np.ndarray, w: float) -> np.ndarray:
-    """The 9x9 matrix Sigma such that Cov = w^2 Sigma, for a manifold point r_hat.
+    """Sigma with Cov = w^2 Sigma at manifold points r_hat: ``(..., 6) -> (..., 9, 9)``.
 
     Leading 6x6 block is the identity (the first two columns pass through
     linearly); the cross-product block carries the 2w^2-augmented variances
     and the +-r_hat cross-covariances.
     """
     r = np.asarray(r_hat, dtype=float)
-    r1, r2, r3, r4, r5, r6 = r
-    S = np.zeros((9, 9))
-    S[:6, :6] = np.eye(6)
+    r1, r2, r3, r4, r5, r6 = np.moveaxis(r, -1, 0)
+    S = np.zeros(r.shape[:-1] + (9, 9))
+    S[..., :6, :6] = np.eye(6)
     # variances of x1 = r2 r6 - r3 r5, x2 = r3 r4 - r1 r6, x3 = r1 r5 - r2 r4
-    S[6, 6] = 2 * w**2 + r2**2 + r6**2 + r5**2 + r3**2
-    S[7, 7] = 2 * w**2 + r3**2 + r4**2 + r1**2 + r6**2
-    S[8, 8] = 2 * w**2 + r1**2 + r5**2 + r4**2 + r2**2
+    S[..., 6, 6] = 2 * w**2 + r2**2 + r6**2 + r5**2 + r3**2
+    S[..., 7, 7] = 2 * w**2 + r3**2 + r4**2 + r1**2 + r6**2
+    S[..., 8, 8] = 2 * w**2 + r1**2 + r5**2 + r4**2 + r2**2
     # cross-covariances with the linear entries
     cross = {
         (6, 1): r6, (6, 2): -r5, (6, 4): -r3, (6, 5): r2,
@@ -74,11 +74,11 @@ def sigma_matrix(r_hat: np.ndarray, w: float) -> np.ndarray:
         (8, 0): r5, (8, 1): -r4, (8, 3): -r2, (8, 4): r1,
     }
     for (i, j), v in cross.items():
-        S[i, j] = S[j, i] = v
+        S[..., i, j] = S[..., j, i] = v
     # third-column cross-covariances
-    S[6, 7] = S[7, 6] = -(r1 * r2 + r4 * r5)
-    S[7, 8] = S[8, 7] = -(r2 * r3 + r5 * r6)
-    S[8, 6] = S[6, 8] = -(r1 * r3 + r4 * r6)
+    S[..., 6, 7] = S[..., 7, 6] = -(r1 * r2 + r4 * r5)
+    S[..., 7, 8] = S[..., 8, 7] = -(r2 * r3 + r5 * r6)
+    S[..., 8, 6] = S[..., 6, 8] = -(r1 * r3 + r4 * r6)
     return S
 
 

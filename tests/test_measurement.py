@@ -5,7 +5,7 @@ import pytest
 
 from poseguide import rot6d
 from poseguide.measurement import (
-    MeasurementSet, build_A, chain_locations, differential_transform,
+    MeasurementSet, _chain_to_root, build_A, chain_locations, differential_transform,
     extract_measurements,
 )
 from poseguide.skeleton import (
@@ -72,6 +72,31 @@ def test_diff_matrix_cancels_root_column_translation():
     full = A.apply_vec9(v9)
     diff = A.apply_diff_vec9(v9)
     assert np.allclose(diff, differential_transform(full), atol=1e-14)
+
+
+def test_active_joints_are_the_unshared_chain_parents():
+    # the trunk shared by the head and a wrist chain cancels in the
+    # differential rows, so only the parents of the unshared chain edges
+    # have a nonzero column block
+    def chain_edges(skel, joint):
+        return {(int(skel.parents[c]), c) for c in _chain_to_root(skel, joint)}
+
+    for skel in [default_skeleton()] + [random_skeleton(seed) for seed in range(10)]:
+        A = build_A(skel)
+        head, *wrists = (chain_edges(skel, j) for j in skel.measured_joints)
+        want = sorted({p for edges in wrists for p, _ in edges ^ head})
+        assert A.active_joints.tolist() == want
+        blocks = A.diff_matrix.reshape(6, skel.joint_count, 9)
+        assert np.array_equal(A.active_block, blocks[:, want])
+        assert not np.delete(blocks, want, axis=1).any()
+    assert build_A(default_skeleton()).active_joints.tolist() == [9, 12, 13, 14, 16, 17, 18, 19]
+
+
+def test_operator_accepts_nested_lists():
+    A = build_A(default_skeleton())
+    v9 = rot6d.vec9(random_pose_matrices(3, seed=6))
+    assert np.array_equal(A.apply_vec9(v9.tolist()), A.apply_vec9(v9))
+    assert np.array_equal(A.apply_diff_vec9(v9.tolist()), A.apply_diff_vec9(v9))
 
 
 def test_differential_transform_translation_invariance():

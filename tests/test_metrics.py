@@ -74,6 +74,13 @@ def test_scaled_mpjpe_homogeneity():
         scaled_mpjpe(moved, skel, seq, skel, 0.0)
 
 
+def test_scaled_mpjpe_refuses_non_finite_scale():
+    seq = make_seq(seed=3)
+    for scale in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="scale"):
+            scaled_mpjpe(seq, default_skeleton(), seq, default_skeleton(), scale)
+
+
 def test_upe_lpe_partition_identity():
     # weighted recombination of the partition means recovers the full mean
     skel = default_skeleton()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poseguide import rot6d
+from poseguide import rot6d, sampler
 from poseguide.denoiser import (
     DenoiserInterface, MLPDenoiser, OracleDenoiser, TrainConfig, alpha_bar,
 )
@@ -14,7 +14,7 @@ from poseguide.sampler import (
 )
 from poseguide.skeleton import default_skeleton, PoseSequence
 from poseguide.datagen import MotionSpec, generate_motion
-from poseguide.uncertainty import random_manifold_points
+from poseguide.uncertainty import random_manifold_points, sigma_matrix
 from tests.test_skeleton import random_pose_matrices
 
 
@@ -106,25 +106,15 @@ def test_likelihood_score_zero_at_exact_residual():
     assert np.abs(g).max() < 1e-10
 
 
-def test_likelihood_score_is_frozen_metric_gradient():
+def _assert_frozen_metric_gradient(g, A, r_hat, l_diff, Bs):
     # with the denoiser VJP replaced by the identity, the score must equal
-    # the gradient of -1/2 e^T B^-1 e in r_hat, holding B fixed
-    skel = default_skeleton()
-    A = build_A(skel)
-    rng = np.random.default_rng(4)
-    r_hat = random_manifold_points(2 * 22, seed=5).reshape(2, 22, 6)
-    r_hat = r_hat + 0.05 * rng.standard_normal(r_hat.shape)
-    l_diff = rng.standard_normal((2, 2, 3)) * 0.2
-    w_t, sig = 0.4, 0.03
-    cfg = GuidanceConfig(guidance_scale=1.0, covariance_mode="identity")
-    g = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, w_t, sig)
-    Gd = A.diff_matrix
-    B = w_t**2 * (Gd @ Gd.T) + sig**2 * np.eye(6)
+    # the gradient of -1/2 sum_f e_f^T B_f^-1 e_f in r_hat, holding each B_f fixed
+    frames = r_hat.shape[0]
 
     def objective(rh):
         pred = A.apply_diff_vec9(rot6d.vec9(rot6d.batch_from_sixdof(rh)))
-        e = (l_diff - pred).reshape(2, 6)
-        return 0.5 * float(sum(e[f] @ np.linalg.solve(B, e[f]) for f in range(2)))
+        e = (l_diff - pred).reshape(frames, 6)
+        return 0.5 * float(sum(e[f] @ np.linalg.solve(Bs[f], e[f]) for f in range(frames)))
 
     step = 1e-6
     fd = np.zeros_like(r_hat)
@@ -139,6 +129,91 @@ def test_likelihood_score_is_frozen_metric_gradient():
         flat[i] = v
         fdf[i] = (hi - lo) / (2 * step)
     assert np.abs(g + fd).max() < 1e-6  # score is minus the gradient
+
+
+def test_likelihood_score_is_frozen_metric_gradient():
+    skel = default_skeleton()
+    A = build_A(skel)
+    rng = np.random.default_rng(4)
+    r_hat = random_manifold_points(2 * 22, seed=5).reshape(2, 22, 6)
+    r_hat = r_hat + 0.05 * rng.standard_normal(r_hat.shape)
+    l_diff = rng.standard_normal((2, 2, 3)) * 0.2
+    w_t, sig = 0.4, 0.03
+    cfg = GuidanceConfig(guidance_scale=1.0, covariance_mode="identity")
+    g = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, w_t, sig)
+    Gd = A.diff_matrix
+    B = w_t**2 * (Gd @ Gd.T) + sig**2 * np.eye(6)
+    _assert_frozen_metric_gradient(g, A, r_hat, l_diff, [B, B])
+
+
+def test_likelihood_score_is_frozen_metric_gradient_sigma_multiframe():
+    # sigma mode over several frames, each with its own frozen B built from
+    # per-joint sigma_matrix calls at the decoded point
+    skel = default_skeleton()
+    A = build_A(skel)
+    rng = np.random.default_rng(8)
+    frames = 3
+    r_hat = random_manifold_points(frames * 22, seed=9).reshape(frames, 22, 6)
+    r_hat = r_hat + 0.05 * rng.standard_normal(r_hat.shape)
+    l_diff = rng.standard_normal((frames, 2, 3)) * 0.2
+    w_t, sig = 0.4, 0.03
+    cfg = GuidanceConfig(guidance_scale=1.0, covariance_mode="sigma")
+    g = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, w_t, sig)
+    r_proj = rot6d.to_sixdof(rot6d.batch_from_sixdof(r_hat))
+    blocks = A.diff_matrix.reshape(6, 22, 9)
+    Bs = []
+    for f in range(frames):
+        B = sig**2 * np.eye(6)
+        for j in range(22):
+            Gj = blocks[:, j, :]
+            B = B + w_t**2 * (Gj @ sigma_matrix(r_proj[f, j], w_t) @ Gj.T)
+        Bs.append(B)
+    assert not np.allclose(Bs[0], Bs[1])
+    _assert_frozen_metric_gradient(g, A, r_hat, l_diff, Bs)
+
+
+def test_sigma_matrix_called_once_per_score(monkeypatch):
+    calls = []
+
+    def counting_sigma_matrix(r_hat, w):
+        calls.append(np.shape(r_hat))
+        return sigma_matrix(r_hat, w)
+
+    monkeypatch.setattr(sampler, "sigma_matrix", counting_sigma_matrix)
+    A = build_A(default_skeleton())
+    r_hat = random_manifold_points(4 * 22, seed=10).reshape(4, 22, 6)
+    l_diff = np.random.default_rng(11).standard_normal((4, 2, 3))
+    for mode in ("identity", "sigma"):
+        likelihood_score(l_diff, A, r_hat, lambda c: c,
+                         GuidanceConfig(covariance_mode=mode), 0.3, 0.01)
+    assert len(calls) == 1
+    assert calls[0] == (4, 8, 6)  # frames, active joints, 6DoF
+    # one call per window and step of a whole sigma-mode run
+    skel, seq, meas, oracle = make_case(frames=60)
+    calls.clear()
+    run_guided_inference(meas, skel, oracle, make_schedule(3),
+                         GuidanceConfig(covariance_mode="sigma"), seed=0)
+    assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("mode", ["identity", "sigma"])
+def test_likelihood_score_is_zero_off_the_active_joints(mode):
+    A = build_A(default_skeleton())
+    rng = np.random.default_rng(12)
+    r_hat = random_manifold_points(3 * 22, seed=13).reshape(3, 22, 6)
+    r_hat = r_hat + 0.05 * rng.standard_normal(r_hat.shape)
+    l_diff = rng.standard_normal((3, 2, 3)) * 0.2
+    cfg = GuidanceConfig(covariance_mode=mode)
+    g = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, 0.4, 0.03)
+    assert np.all(np.delete(g, A.active_joints, axis=1) == 0.0)
+    assert np.all(np.abs(g[:, A.active_joints]).max(axis=-1) > 0.0)
+    # a degenerate estimate is refused with its flat (frame, joint) index,
+    # on or off the active joints
+    for f, j, flat in ((1, 5, 27), (0, 13, 13)):
+        bad = r_hat.copy()
+        bad[f, j, 3:] = 2.0 * bad[f, j, :3]
+        with pytest.raises(rot6d.DegenerateRotationError, match=f"at joint {flat}:"):
+            likelihood_score(l_diff, A, bad, lambda c: c, cfg, 0.4, 0.03)
 
 
 def test_likelihood_score_scales_linearly():

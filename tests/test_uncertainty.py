@@ -36,6 +36,16 @@ def test_sigma_at_identity_frame():
     assert np.allclose(S, S.T, atol=1e-15)
 
 
+def test_sigma_matrix_broadcasts_bit_for_bit():
+    r = random_manifold_points(3 * 4, seed=2).reshape(3, 4, 6)
+    S = sigma_matrix(r, 0.4)
+    assert S.shape == (3, 4, 9, 9)
+    for f in range(3):
+        for j in range(4):
+            assert np.array_equal(S[f, j], sigma_matrix(r[f, j], 0.4))
+    assert np.array_equal(S, np.swapaxes(S, -1, -2))
+
+
 def test_covariance_scales_as_w_squared_linear_block():
     r = random_manifold_points(1, seed=1)[0]
     g = covariance_sixdof_pushforward(r, 0.25)
