@@ -1,8 +1,8 @@
 """Conditional denoisers.
 
 The sampler needs one call from a denoiser: ``denoise`` returns the
-clean-signal estimate r_hat for a windowed 6DoF batch together with its
-pullback, which maps a cotangent on r_hat back to the noisy input.
+clean-signal estimates r_hat for a stack of 6DoF windows together with
+their pullback, which maps a cotangent on r_hat back to the noisy input.
 Implementations here: an oracle that denoises to a known ground truth
 exactly (for tests), and a small trainable residual MLP over flattened
 windows with conditioning dropout, so it also has an unconditional path.
@@ -73,10 +73,10 @@ def cond_dim(cond_spec: str) -> int:
         raise ValueError(f"unknown cond_spec {cond_spec!r}") from None
 
 
-def _time_features(t: float, terminal: float) -> np.ndarray:
-    x = 2.0 * np.pi * t / terminal
+def _time_features(t, terminal: float) -> np.ndarray:
+    x = 2.0 * np.pi * np.asarray(t, dtype=float)[..., None] / terminal
     ks = np.arange(1, TIME_FEATURES // 2 + 1)
-    return np.concatenate([np.sin(ks * x), np.cos(ks * x)])
+    return np.concatenate([np.sin(ks * x), np.cos(ks * x)], axis=-1)
 
 
 class DenoiserInterface:
@@ -91,12 +91,13 @@ class DenoiserInterface:
     terminal: float | None = None
     cond_spec: str = "rotations"
 
-    def denoise(self, r_t: np.ndarray, t: float, cond: np.ndarray | None,
-                frame_offset: int = 0):
-        """Clean-signal estimate and its pullback: ``(r_hat, pullback)``.
+    def denoise(self, r_t: np.ndarray, t: float, cond: np.ndarray | None, starts):
+        """Estimates for a stack of windows and their pullback: ``(r_hat, pullback)``.
 
-        ``r_hat`` has the shape of ``r_t`` and is deterministic in the
-        inputs; ``pullback(cot)`` returns (d r_hat / d r_t)^T cot.
+        ``r_t`` is (windows, W, J, 6), ``cond`` (windows, W, C) or None, and
+        ``starts`` the first sequence frame of each window.  ``r_hat`` has the
+        shape of ``r_t``; ``pullback(cot)`` takes r_hat's entries in any shape
+        (the sampler passes them frame-stacked) and returns (d r_hat / d r_t)^T cot.
         """
         raise NotImplementedError
 
@@ -111,11 +112,16 @@ class OracleDenoiser(DenoiserInterface):
     def __init__(self, ground_truth_rotations: np.ndarray):
         self.truth = np.asarray(ground_truth_rotations, dtype=float)
 
-    def denoise(self, r_t, t, cond, frame_offset=0):
-        truth = self.truth[frame_offset : frame_offset + r_t.shape[0]]
-        if truth.shape != r_t.shape:
+    def denoise(self, r_t, t, cond, starts):
+        W = np.shape(r_t)[1]
+        for w, start in enumerate(starts):
+            if not 0 <= start <= len(self.truth) - W:
+                raise ValueError(f"window {w} (frames {start} to {start + W - 1}) runs past "
+                                 f"the stored ground truth of {len(self.truth)} frames")
+        truth = self.truth[np.asarray(starts, dtype=int)[:, None] + np.arange(W)]
+        if truth.shape != np.shape(r_t):
             raise ValueError("window does not match the stored ground truth")
-        return truth.copy(), np.zeros_like
+        return truth, lambda cot: np.zeros(truth.shape)
 
 
 @dataclass
@@ -178,21 +184,23 @@ class MLPDenoiser(DenoiserInterface):
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def _pack(self, r_t, t, cond):
-        W = self.window
-        if r_t.shape != (W, JOINTS, 6):
-            raise ValueError(f"expected ({W}, {JOINTS}, 6) window, got {r_t.shape}")
-        if cond is None:
-            if not self.uncond_available:
-                raise CapabilityError("unconditional path was never trained (dropout 0)")
-            cvec = np.zeros(W * self._cdim)
-            flag = 1.0
-        else:
-            if cond.shape != (W, self._cdim):
-                raise ValueError(f"conditioning must be ({W}, {self._cdim}), got {cond.shape}")
-            cvec = cond.reshape(-1)
-            flag = 0.0
-        return np.concatenate([r_t.reshape(-1), _time_features(t, self.terminal), cvec, [flag]])
+    def _pack(self, r_t, t, cond, drop):
+        """One input row per window.  ``t`` is one time or one per window; a
+        window marked in ``drop`` gets zeroed conditioning and the flag 1, so
+        ``cond`` may be None when every window is dropped."""
+        n, W = r_t.shape[0], self.window
+        if r_t.shape[1:] != (W, JOINTS, 6):
+            raise ValueError(f"expected (windows, {W}, {JOINTS}, 6) stack, got {r_t.shape}")
+        X = np.empty((n, self.d_in))
+        X[:, : self.d_state] = r_t.reshape(n, -1)
+        X[:, self.d_state : self.d_state + TIME_FEATURES] = _time_features(t, self.terminal)
+        if cond is not None:
+            if cond.shape != (n, W, self._cdim):
+                raise ValueError(f"conditioning must be ({n}, {W}, {self._cdim}), got {cond.shape}")
+            X[:, self.d_state + TIME_FEATURES : -1] = cond.reshape(n, -1)
+        X[drop, self.d_state + TIME_FEATURES : -1] = 0.0
+        X[:, -1] = drop
+        return X
 
     def _forward(self, X: np.ndarray):
         """Batched forward pass; returns output and the activation cache."""
@@ -232,23 +240,25 @@ class MLPDenoiser(DenoiserInterface):
             grads["b0"] = dz0.sum(axis=0)
         return dz0
 
-    def denoise(self, r_t, t, cond, frame_offset=0):
-        """The network output is r_hat; the pullback reuses this call's
-        activations and returns only the state slice of the input gradient.
+    def denoise(self, r_t, t, cond, starts):
+        """The network output is r_hat, one row per window; the pullback reuses
+        this call's activations and returns only the state slice of the input gradient.
 
         The network regresses the clean signal rather than the noise: the
         noise estimate the sampler derives from r_t = sqrt(ab) r0 +
         sqrt(1-ab) eps then tends to r_t at high noise without the network
         having to pass r_t through its bottleneck.
         """
-        X = self._pack(np.asarray(r_t, dtype=float), t, cond)[None, :]
-        out, cache = self._forward(X)
+        r_t = np.asarray(r_t, dtype=float)
+        if cond is None and not self.uncond_available:
+            raise CapabilityError("unconditional path was never trained (dropout 0)")
+        out, cache = self._forward(self._pack(r_t, t, cond, np.full(len(r_t), cond is None)))
 
         def pullback(cot):
-            dz0 = self._backward(cache, np.asarray(cot, dtype=float).reshape(1, -1))
-            return (dz0 @ self.params["W0"][: self.d_state].T).reshape(self.window, JOINTS, 6)
+            dz0 = self._backward(cache, np.asarray(cot, dtype=float).reshape(len(r_t), -1))
+            return (dz0 @ self.params["W0"][: self.d_state].T).reshape(r_t.shape)
 
-        return out[0].reshape(self.window, JOINTS, 6), pullback
+        return out.reshape(r_t.shape), pullback
 
     # -- persistence -------------------------------------------------------
 
@@ -314,11 +324,8 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
         noise = rng.standard_normal(x0.shape)
         x_t = np.sqrt(ab)[:, None, None, None] * x0 + np.sqrt(1 - ab)[:, None, None, None] * noise
         drop = rng.random(B) < config.dropout_prob
-        X = np.empty((B, model.d_in))
-        for b in range(B):
-            X[b] = model._pack(x_t[b], t[b], None if drop[b] else cond[b])
         target = x0.reshape(B, -1)
-        out, cache = model._forward(X)
+        out, cache = model._forward(model._pack(x_t, t, cond, drop))
         resid = out - target
         loss = float(np.mean(resid**2))
         if not np.isfinite(loss):
@@ -337,8 +344,8 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     return model
 
 
-def finite_difference_vjp(denoiser: DenoiserInterface, r_t, t, cond, cotangent,
-                          step: float = 1e-4, frame_offset: int = 0) -> np.ndarray:
+def finite_difference_vjp(denoiser: DenoiserInterface, r_t, t, cond, starts, cotangent,
+                          step: float = 1e-4) -> np.ndarray:
     """Central-difference reference for a denoiser's analytic pullback.
 
     Differentiates <cotangent, r_hat(r_t)> one input coordinate at a time,
@@ -348,7 +355,7 @@ def finite_difference_vjp(denoiser: DenoiserInterface, r_t, t, cond, cotangent,
     cot = np.asarray(cotangent, dtype=float)
 
     def denoised(x):
-        return denoiser.denoise(x, t, cond, frame_offset)[0]
+        return denoiser.denoise(x, t, cond, starts)[0]
 
     grad = np.zeros_like(r_t)
     flat = r_t.reshape(-1)

@@ -6,8 +6,8 @@ its pullback, the noise estimate follows from r_hat, the measured location
 differences contribute a Gaussian likelihood score through the linear
 measurement operator and that pullback, and the DDIM update combines
 estimate, fresh noise, noise estimate and the guidance term.  Long
-sequences run in fixed-size windows with a linear cross-fade over the
-overlap.
+sequences run as one stack of fixed-size windows, one denoiser call per
+step, joined with a linear cross-fade over the overlap.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class GuidanceConfig:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must be in [0, 1]")
-        if self.guidance_scale < 0.0:
-            raise ValueError("guidance_scale must be non-negative")
+        if not 0.0 <= self.guidance_scale < np.inf:
+            raise ValueError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
         if not 0.0 <= self.sigma_l < np.inf:
             raise ValueError(f"sigma_l must be finite and non-negative, got {self.sigma_l}")
         if self.covariance_mode not in ("identity", "sigma"):
@@ -127,12 +127,13 @@ def ddim_step(
     alpha_bar_t: float,
     alpha_bar_s: float,
     eta: float,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """One reverse update from time t to s < t.
+    """One reverse update from time t to s < t for a stack of windows.
 
     c1 = eta sqrt((1 - ab_t/ab_s)(1 - ab_s)/(1 - ab_t)), c2 = sqrt(1 - ab_s - c1^2);
-    returns sqrt(ab_s) r_hat + c1 fresh + c2 eps_t + sqrt(ab_t) g.
+    returns sqrt(ab_s) r_hat + c1 fresh + c2 eps_t + sqrt(ab_t) g, where window
+    k's fresh noise is drawn from ``rngs[k]`` (only when c1 > 0).
     """
     if alpha_bar_t >= 1.0:
         raise ValueError("step must start at a noisy time (alpha_bar_t < 1)")
@@ -141,7 +142,7 @@ def ddim_step(
     if rad < -1e-12:
         raise ValueError(f"invalid schedule/eta combination: 1 - ab_s - c1^2 = {rad}")
     c2 = np.sqrt(max(rad, 0.0))
-    fresh = rng.standard_normal(np.shape(r_t)) if c1 > 0.0 else 0.0
+    fresh = np.stack([gen.standard_normal(r_t.shape[1:]) for gen in rngs]) if c1 > 0 else 0.0
     return np.sqrt(alpha_bar_s) * r_hat + c1 * fresh + c2 * eps_t + np.sqrt(alpha_bar_t) * g
 
 
@@ -151,32 +152,6 @@ def _window_starts(frames: int, window: int, stride: int) -> list[int]:
     starts = list(range(0, frames - window, stride))
     starts.append(frames - window)
     return starts
-
-
-def _sample_window(r_shape, l_diff, cond, A, denoiser, schedule, config, rng, frame_offset):
-    r = rng.standard_normal(r_shape)
-    q, abars = schedule.timesteps, schedule.alpha_bars
-    for i in range(schedule.steps, 0, -1):
-        t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
-        r_hat, pullback = denoiser.denoise(r, t, cond, frame_offset=frame_offset)
-        eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
-        if config.guidance_scale > 0.0:
-            # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
-            w_t = float(np.sqrt(1.0 - ab_t))
-            g = likelihood_score(l_diff, A, r_hat, pullback, config, w_t, config.sigma_l)
-        else:
-            g = np.zeros_like(r)
-        r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rng)
-        peak = np.max(np.abs(r))
-        if not peak <= DIVERGENCE_NORM:  # also catches NaN
-            # argmax returns the first NaN if there is one, else the largest entry
-            f, j, _ = np.unravel_index(np.argmax(np.abs(r)), r.shape)
-            raise SamplerDivergence(
-                f"window at frame {frame_offset}: state magnitude {peak:.3g} exceeded "
-                f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
-                f"{frame_offset + f}, joint {j}"
-            )
-    return r
 
 
 def run_guided_inference(
@@ -201,35 +176,53 @@ def run_guided_inference(
             f"{schedule.terminal}"
         )
     frames = measurements.frames
-    W = window or denoiser.window or min(frames, WINDOW)
-    if denoiser.window is not None and frames < denoiser.window:
-        raise ValueError(
-            f"sequence of {frames} frames is shorter than the denoiser window {denoiser.window}"
-        )
+    W = (denoiser.window or min(frames, WINDOW)) if window is None else window
+    if not 1 <= W <= frames:
+        raise ValueError(f"window {W} must be between 1 and the {frames} frames of the sequence")
+    if overlap < 0:
+        raise ValueError(f"overlap must be non-negative, got {overlap}")
     A = build_A(skeleton)
-    l_diff = differential_transform(measurements.locations)
-    cond_full = make_conditioning(measurements, denoiser.cond_spec)
-
+    J = skeleton.joint_count
     overlap = min(overlap, W - 1)
-    starts = _window_starts(frames, W, max(1, W - overlap))
-    out = np.zeros((frames, skeleton.joint_count, 6))
+    starts = np.array(_window_starts(frames, W, max(1, W - overlap)))
+    win = starts[:, None] + np.arange(W)  # (windows, W) sequence frames
+    l_diff = differential_transform(measurements.locations)[win].reshape(-1, 2, 3)
+    cond = make_conditioning(measurements, denoiser.cond_spec)[win]
+
+    rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(len(starts))]
+    r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
+    q, abars = schedule.timesteps, schedule.alpha_bars
+    for i in range(schedule.steps, 0, -1):
+        t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
+        r_hat, pullback = denoiser.denoise(r, t, cond, starts)
+        eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
+        if config.guidance_scale > 0.0:
+            # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
+            w_t = float(np.sqrt(1.0 - ab_t))
+            g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t,
+                                 config.sigma_l)
+        else:
+            g = np.zeros_like(r)
+        r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rngs)
+        peaks = np.abs(r).reshape(len(starts), -1).max(axis=1)
+        if not np.all(peaks <= DIVERGENCE_NORM):  # also catches NaN
+            w = np.argmin(peaks <= DIVERGENCE_NORM)  # the first window over the bound
+            # argmax returns the first NaN if there is one, else the largest entry
+            f, j, _ = np.unravel_index(np.argmax(np.abs(r[w])), r[w].shape)
+            raise SamplerDivergence(
+                f"window at frame {starts[w]}: state magnitude {peaks[w]:.3g} exceeded "
+                f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
+                f"{starts[w] + f}, joint {j}"
+            )
+
+    fade = np.linspace(0.0, 1.0, overlap + 2)[1:-1]
+    ramp = np.ones((len(starts), W))
+    ramp[1:, :overlap] = fade
+    ramp[:-1, W - overlap :] = fade[::-1]
+    out = np.zeros((frames, J, 6))
     weight = np.zeros(frames)
-    for w_idx, start in enumerate(starts):
-        rng = np.random.default_rng([seed, w_idx])
-        win = slice(start, start + W)
-        r = _sample_window(
-            (W, skeleton.joint_count, 6), l_diff[win], cond_full[win], A, denoiser, schedule,
-            config, rng, start,
-        )
-        ramp = np.ones(W)
-        if overlap > 0:
-            fade = np.linspace(0.0, 1.0, overlap + 2)[1:-1]
-            if w_idx > 0:
-                ramp[:overlap] = fade
-            if w_idx < len(starts) - 1:
-                ramp[-overlap:] = fade[::-1]
-        out[win] += ramp[:, None, None] * r
-        weight[win] += ramp
+    np.add.at(out, win, ramp[..., None, None] * r)
+    np.add.at(weight, win, ramp)
     out /= weight[:, None, None]
     # cross-faded 6DoF vectors are generally off-manifold; re-orthonormalize
     rotations = rot6d.to_sixdof(rot6d.batch_from_sixdof(out))

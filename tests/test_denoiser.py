@@ -1,4 +1,5 @@
-"""Denoiser contracts: oracle identities, training, config validation, pullback, persistence."""
+"""Denoiser contracts: oracle identities, window stacks, training, config validation,
+pullback, persistence."""
 
 import numpy as np
 import pytest
@@ -51,22 +52,28 @@ def test_oracle_denoiser_identities():
     ab = alpha_bar(t)
     noise = rng.standard_normal(truth.rotations.shape)
     r_t = np.sqrt(ab) * truth.rotations + np.sqrt(1 - ab) * noise
-    r_hat, pullback = oracle.denoise(r_t, t, None)
-    assert np.array_equal(r_hat, truth.rotations)
+    r_hat, pullback = oracle.denoise(r_t[None], t, None, [0])
+    assert np.array_equal(r_hat, truth.rotations[None])
     cot = rng.standard_normal(r_t.shape)
-    assert np.array_equal(pullback(cot), np.zeros_like(cot))
+    assert np.array_equal(pullback(cot[None]), np.zeros_like(cot[None]))
 
 
-def test_oracle_denoiser_frame_offset():
+def test_oracle_denoiser_gathers_by_starts():
     ds, _ = small_dataset(1, frames=20)
     truth = ds[0][0]
     oracle = OracleDenoiser(truth.rotations)
     rng = np.random.default_rng(1)
-    r_t = rng.standard_normal((5, 22, 6))
-    r_hat, _ = oracle.denoise(r_t, 1.0, None, frame_offset=7)
-    assert np.array_equal(r_hat, truth.rotations[7:12])
-    with pytest.raises(ValueError, match="ground truth"):
-        oracle.denoise(r_t, 1.0, None, frame_offset=17)
+    r_t = rng.standard_normal((2, 5, 22, 6))
+    r_hat, _ = oracle.denoise(r_t, 1.0, None, [7, 2])
+    assert np.array_equal(r_hat, np.stack([truth.rotations[7:12], truth.rotations[2:7]]))
+    # a window running past either end of the truth is refused by its index
+    with pytest.raises(ValueError, match=r"window 1 \(frames 17 to 21\) runs past the stored "
+                                         r"ground truth of 20 frames"):
+        oracle.denoise(r_t, 1.0, None, [7, 17])
+    with pytest.raises(ValueError, match=r"window 0 \(frames -1 to 3\)"):
+        oracle.denoise(r_t, 1.0, None, [-1, 2])
+    with pytest.raises(ValueError, match="does not match the stored ground truth"):
+        oracle.denoise(r_t[:, :, :21], 1.0, None, [0, 2])
 
 
 def test_training_is_deterministic():
@@ -111,7 +118,9 @@ def test_conditioning_affects_prediction():
     r_t = rng.standard_normal((12, 22, 6))
     c1 = make_conditioning(ds[0][1], "rotations")[:12]
     c2 = make_conditioning(ds[1][1], "rotations")[:12]
-    assert np.abs(model.denoise(r_t, 1.0, c1)[0] - model.denoise(r_t, 1.0, c2)[0]).max() > 0
+    a = model.denoise(r_t[None], 1.0, c1[None], [0])[0]
+    b = model.denoise(r_t[None], 1.0, c2[None], [0])[0]
+    assert np.abs(a - b).max() > 0
 
 
 def test_unconditional_path_requires_dropout():
@@ -120,21 +129,61 @@ def test_unconditional_path_requires_dropout():
     rng = np.random.default_rng(3)
     r_t = rng.standard_normal((12, 22, 6))
     with pytest.raises(CapabilityError):
-        model.denoise(r_t, 1.0, None)
+        model.denoise(r_t[None], 1.0, None, [0])
     model2 = train_denoiser(ds, small_config(dropout_prob=0.2))
-    assert model2.denoise(r_t, 1.0, None)[0].shape == r_t.shape
+    assert model2.denoise(r_t[None], 1.0, None, [0])[0].shape == (1,) + r_t.shape
 
 
 def test_vjp_matches_finite_differences():
+    # the pullback of a 2-window stack; each window's gradient comes from its own row
     ds, _ = small_dataset()
     model = train_denoiser(ds, small_config())
     rng = np.random.default_rng(5)
-    r_t = rng.standard_normal((12, 22, 6))
-    cond = make_conditioning(ds[0][1], "rotations")[:12]
+    r_t = rng.standard_normal((2, 12, 22, 6))
+    cond = make_conditioning(ds[0][1], "rotations")[:24].reshape(2, 12, -1)
     cot = rng.standard_normal(r_t.shape)
-    got = model.denoise(r_t, 1.5, cond)[1](cot)
-    ref = finite_difference_vjp(model, r_t, 1.5, cond, cot)
+    got = model.denoise(r_t, 1.5, cond, [0, 12])[1](cot)
+    ref = finite_difference_vjp(model, r_t, 1.5, cond, [0, 12], cot)
     assert np.abs(got - ref).max() < 1e-5
+
+
+def test_denoise_stack_equals_one_window_stacks():
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    rng = np.random.default_rng(14)
+    r_t = rng.standard_normal((3, 41, 22, 6))
+    cond = rng.standard_normal((3, 41, 18))
+    cot = rng.standard_normal(r_t.shape)
+    r_hat, pullback = model.denoise(r_t, 2.0, cond, [0, 20, 40])
+    grad = pullback(cot)
+    for w in range(3):
+        r_hat_w, pullback_w = model.denoise(r_t[w : w + 1], 2.0, cond[w : w + 1], [20 * w])
+        assert np.abs(r_hat[w] - r_hat_w[0]).max() < 1e-12
+        assert np.abs(grad[w] - pullback_w(cot[w : w + 1])[0]).max() < 1e-12
+
+
+def test_pack_rows_hold_state_time_and_conditioning():
+    model = MLPDenoiser(TrainConfig(window=3, hidden=8))
+    rng = np.random.default_rng(15)
+    r_t = rng.standard_normal((2, 3, 22, 6))
+    cond = rng.standard_normal((2, 3, 18))
+    t = np.array([0.5, 7.0])
+    X = model._pack(r_t, t, cond, np.array([False, True]))
+    assert X.shape == (2, model.d_in)
+    d = model.d_state
+    assert np.array_equal(X[:, :d], r_t.reshape(2, -1))
+    for row in range(2):
+        x = 2.0 * np.pi * t[row] / model.terminal
+        want = [np.sin(k * x) for k in range(1, 5)] + [np.cos(k * x) for k in range(1, 5)]
+        assert np.allclose(X[row, d : d + 8], want, rtol=0, atol=1e-15)
+    assert np.array_equal(X[0, d + 8 : -1], cond[0].reshape(-1))
+    assert X[0, -1] == 0.0
+    # a dropped row has zeroed conditioning and the unconditional flag
+    assert np.all(X[1, d + 8 : -1] == 0.0) and X[1, -1] == 1.0
+    # one time for the whole stack matches the same time given per row
+    same = model._pack(r_t, 7.0, cond, np.array([False, True]))
+    assert np.array_equal(same[1], X[1])
+    with pytest.raises(ValueError, match="conditioning must be"):
+        model._pack(r_t, t, cond[:, :2], np.array([False, False]))
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -145,9 +194,10 @@ def test_checkpoint_roundtrip(tmp_path):
     back = MLPDenoiser.load(path)
     assert back.config == model.config
     rng = np.random.default_rng(6)
-    r_t = rng.standard_normal((12, 22, 6))
-    cond = make_conditioning(ds[0][1], "rotations")[:12]
-    assert np.array_equal(back.denoise(r_t, 0.7, cond)[0], model.denoise(r_t, 0.7, cond)[0])
+    r_t = rng.standard_normal((1, 12, 22, 6))
+    cond = make_conditioning(ds[0][1], "rotations")[None, :12]
+    assert np.array_equal(back.denoise(r_t, 0.7, cond, [0])[0],
+                          model.denoise(r_t, 0.7, cond, [0])[0])
     assert model.param_count() == back.param_count()
 
 

@@ -49,9 +49,11 @@ def test_ddim_constants_known_values():
     eps = rng.standard_normal((2, 3))
     # ab_t = 0.5, ab_s = 0.75, eta = 1:
     # c1 = sqrt((1 - 2/3) * 0.25 / 0.5) = sqrt(1/6), c2 = sqrt(1/12)
+    # one generator per leading entry: row k's fresh noise comes from its own stream
     got = ddim_step(r_t, r_hat, eps, np.zeros_like(r_t), 0.5, 0.75, 1.0,
-                    np.random.default_rng(7))
-    fresh = np.random.default_rng(7).standard_normal((2, 3))
+                    [np.random.default_rng(7), np.random.default_rng(8)])
+    fresh = np.stack([np.random.default_rng(7).standard_normal(3),
+                      np.random.default_rng(8).standard_normal(3)])
     want = (np.sqrt(0.75) * r_hat + np.sqrt(1 / 6) * fresh
             + np.sqrt(1 / 12) * eps + np.sqrt(0.5) * np.zeros_like(r_t))
     assert np.abs(got - want).max() < 1e-12
@@ -64,9 +66,9 @@ def test_ddim_deterministic_when_eta_zero():
     r_hat = rng.standard_normal((2, 3))
     eps = rng.standard_normal((2, 3))
     a = ddim_step(r_t, r_hat, eps, np.zeros_like(r_t), 0.4, 0.9, 0.0,
-                  np.random.default_rng(1))
+                  [np.random.default_rng(1), np.random.default_rng(3)])
     b = ddim_step(r_t, r_hat, eps, np.zeros_like(r_t), 0.4, 0.9, 0.0,
-                  np.random.default_rng(2))
+                  [np.random.default_rng(2), np.random.default_rng(4)])
     assert np.array_equal(a, b)
     # eta=0: c2^2 = 1 - ab_s exactly
     want = np.sqrt(0.9) * r_hat + np.sqrt(0.1) * eps
@@ -86,7 +88,7 @@ def test_ddim_variance_split_identity():
 def test_ddim_rejects_clean_start():
     z = np.zeros((1, 3))
     with pytest.raises(ValueError):
-        ddim_step(z, z, z, z, 1.0, 0.5, 0.0, np.random.default_rng(0))
+        ddim_step(z, z, z, z, 1.0, 0.5, 0.0, [np.random.default_rng(0)])
 
 
 def test_likelihood_score_zero_at_exact_residual():
@@ -188,12 +190,12 @@ def test_sigma_matrix_called_once_per_score(monkeypatch):
                          GuidanceConfig(covariance_mode=mode), 0.3, 0.01)
     assert len(calls) == 1
     assert calls[0] == (4, 8, 6)  # frames, active joints, 6DoF
-    # one call per window and step of a whole sigma-mode run
+    # one call per step of a whole sigma-mode run, on all windows' frames
     skel, seq, meas, oracle = make_case(frames=60)
     calls.clear()
     run_guided_inference(meas, skel, oracle, make_schedule(3),
                          GuidanceConfig(covariance_mode="sigma"), seed=0)
-    assert len(calls) == 2 * 3
+    assert calls == [(2 * 41, 8, 6)] * 3  # 2 windows of 41 frames, 3 steps
 
 
 @pytest.mark.parametrize("mode", ["identity", "sigma"])
@@ -238,6 +240,13 @@ def test_guidance_config_validation():
         GuidanceConfig(covariance_mode="full")
 
 
+def test_guidance_config_refuses_non_finite_guidance_scale():
+    # NaN would skip the score (nan > 0 is False) and run unguided
+    for scale in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="guidance_scale"):
+            GuidanceConfig(guidance_scale=scale)
+
+
 def test_guidance_config_refuses_bad_sigma_l():
     for sigma_l in (-0.01, np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma_l"):
@@ -280,7 +289,7 @@ def test_one_forward_pass_per_step(monkeypatch):
     monkeypatch.setattr(MLPDenoiser, "_forward", counting_forward)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
     run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
-    assert rows == [1] * (2 * 3)  # 2 windows of 41 frames, 3 steps
+    assert rows == [2] * 3  # one forward of both 41-frame windows per step, 3 steps
 
 
 def test_run_guided_inference_deterministic():
@@ -318,11 +327,54 @@ def test_unguided_inference_matches_manual_ddim_loop():
     r = rng.standard_normal((30, 22, 6))
     for i in range(sch.steps, 0, -1):
         t, ab_t, ab_s = sch.timesteps[i], sch.alpha_bars[i], sch.alpha_bars[i - 1]
-        r_hat, _ = oracle.denoise(r, t, None)
+        r_hat = oracle.denoise(r[None], t, None, [0])[0][0]
         eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
         r = np.sqrt(ab_s) * r_hat + np.sqrt(1 - ab_s) * eps
     want = rot6d.to_sixdof(rot6d.batch_from_sixdof(r))
     assert np.abs(got.rotations - want).max() < 1e-12
+
+
+def test_stochastic_windows_keep_their_own_noise_streams():
+    # eta = 1 draws fresh noise every step; on the frames only one window
+    # covers, the batched run equals a per-window DDIM loop on that window's
+    # own generator default_rng([seed, w_idx]).  The estimate shrinks the
+    # state instead of returning the truth, because the last step (ab_s = 1)
+    # would map any noise history onto an oracle's truth.
+    class ShrinkingDenoiser(DenoiserInterface):
+        def denoise(self, r_t, t, cond, starts):
+            return 0.5 * r_t, lambda cot: 0.5 * np.reshape(cot, np.shape(r_t))
+
+    skel, seq, meas, _ = make_case(frames=60)
+    sch = make_schedule(6)
+    cfg = GuidanceConfig(eta=1.0, guidance_scale=0.0)
+    got = run_guided_inference(meas, skel, ShrinkingDenoiser(), sch, cfg, seed=4)
+    starts = _window_starts(60, 41, 21)
+    assert starts == [0, 19]
+    for w_idx, (start, only) in enumerate(zip(starts, (slice(0, 19), slice(41, 60)))):
+        rng = np.random.default_rng([4, w_idx])
+        r = rng.standard_normal((41, 22, 6))
+        for i in range(sch.steps, 0, -1):
+            ab_t, ab_s = sch.alpha_bars[i], sch.alpha_bars[i - 1]
+            r_hat = 0.5 * r
+            eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
+            c1 = np.sqrt((1 - ab_t / ab_s) * (1 - ab_s) / (1 - ab_t))
+            fresh = rng.standard_normal(r.shape) if c1 > 0 else 0.0
+            r = np.sqrt(ab_s) * r_hat + c1 * fresh + np.sqrt(max(1 - ab_s - c1**2, 0.0)) * eps
+        want = rot6d.to_sixdof(rot6d.batch_from_sixdof(r))[only.start - start : only.stop - start]
+        assert np.abs(got.rotations[only] - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(overlap=-5), "overlap must be non-negative, got -5"),
+    (dict(window=0), "window 0 must be between 1 and the 100 frames"),
+    (dict(window=-3), "window -3 must be between 1 and the 100 frames"),
+    (dict(window=101), "window 101 must be between 1 and the 100 frames"),
+])
+def test_bad_window_or_overlap_is_refused(kwargs, match):
+    # a negative overlap used to leave frames uncovered and return NaN
+    skel, seq, meas, oracle = make_case(frames=100)
+    with pytest.raises(ValueError, match=match):
+        run_guided_inference(meas, skel, oracle, make_schedule(3), GuidanceConfig(), **kwargs)
 
 
 def test_oracle_guided_recovery_single_window():
@@ -355,10 +407,9 @@ def test_sampler_divergence_guard():
         def __init__(self, value):
             self.value = value
 
-        def denoise(self, r_t, t, cond, frame_offset=0):
+        def denoise(self, r_t, t, cond, starts):
             r_hat = np.zeros_like(r_t)
-            if frame_offset == 4:
-                r_hat[3, 11, 2] = self.value
+            r_hat[np.asarray(starts) == 4, 3, 11, 2] = self.value
             return r_hat, np.zeros_like
 
     sch = make_schedule(5)
