@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import datagen, metrics, rot6d
+from . import metrics, rot6d
 from .datagen import BenchmarkManifest, load_sequence, save_sequence, write_cells
-from .denoiser import MLPDenoiser, OracleDenoiser, TrainConfig, train_denoiser
+from .denoiser import COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, train_denoiser
 from .measurement import MeasurementSet, build_A, chain_locations
-from .sampler import DEFAULT_TERMINAL, GuidanceConfig, make_schedule, run_guided_inference
+from .sampler import GuidanceConfig, make_schedule, run_guided_inference
 from .skeleton import Skeleton, default_skeleton
 from .uncertainty import random_manifold_points, verify_pushforward
 
@@ -112,9 +111,7 @@ def cmd_infer(args) -> int:
         if not ckpt.exists():
             raise UsageError(f"checkpoint not found: {ckpt}")
         denoiser = MLPDenoiser.load(ckpt)
-    # sample on the horizon the checkpoint was trained on
-    terminal = DEFAULT_TERMINAL if denoiser.terminal is None else denoiser.terminal
-    schedule = make_schedule(args.steps, terminal)
+    schedule = make_schedule(args.steps)
     config = GuidanceConfig(
         eta=args.eta, guidance_scale=args.guidance_scale, sigma_l=args.sigma_l,
         covariance_mode=args.covariance_mode,
@@ -204,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--hidden", type=int, default=80)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cond-spec", default="rotations",
-                   choices=["rotations", "rotations+locations", "locations"])
+    p.add_argument("--cond-spec", default="rotations", choices=list(COND_DIMS))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="guided inference from a measurement file")

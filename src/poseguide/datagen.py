@@ -11,13 +11,13 @@ latent), so the wrist *location* is the only disambiguating signal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import rot6d
-from .measurement import MeasurementSet, extract_measurements
+from .measurement import extract_measurements
 from .skeleton import PoseSequence, Skeleton, scale_skeleton
 
 FRAME_HZ = 60.0
@@ -205,26 +205,22 @@ _MAGIC = b"PGSEQ"
 _VERSION = 1
 
 
-def save_sequence(path, obj) -> None:
-    """Lossless store of a PoseSequence (binary) or MeasurementSet (JSON lines)."""
-    if isinstance(obj, MeasurementSet):
-        obj.save(path)
-        return
-    header = json.dumps({"version": _VERSION, "frames": obj.frames, "joints": obj.joint_count})
+def save_sequence(path, poses: PoseSequence) -> None:
+    """Lossless binary store of a PoseSequence."""
+    header = json.dumps({"version": _VERSION, "frames": poses.frames, "joints": poses.joint_count})
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(len(header).to_bytes(4, "little"))
         fh.write(header.encode())
-        fh.write(np.ascontiguousarray(obj.rotations, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(obj.root_translation, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(poses.rotations, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(poses.root_translation, dtype="<f8").tobytes())
 
 
-def load_sequence(path):
-    """Load whatever :func:`save_sequence` wrote at ``path``."""
+def load_sequence(path) -> PoseSequence:
+    """Load the PoseSequence that :func:`save_sequence` wrote at ``path``."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            return MeasurementSet.load(path)
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ValueError(f"{path} is not a pose sequence: no {_MAGIC.decode()} header")
         hlen = int.from_bytes(fh.read(4), "little")
         header = json.loads(fh.read(hlen).decode())
         if header["version"] != _VERSION:
@@ -317,7 +313,7 @@ def write_cells(manifest: BenchmarkManifest, skeleton: Skeleton, out_dir) -> dic
         cell_dir.mkdir(exist_ok=True)
         poses, cell_skel, meas = expand_cell(cell, skeleton)
         save_sequence(cell_dir / "truth.pgseq", poses)
-        save_sequence(cell_dir / "measurements.jsonl", meas)
+        meas.save(cell_dir / "measurements.jsonl")
         cell_skel.save(cell_dir / "skeleton.json")
         lock["cells"].append(
             {"name": cell.name(), "preset": cell.preset, "sigma_l": cell.sigma_l,

@@ -5,38 +5,40 @@ clean-signal estimates r_hat for a stack of 6DoF windows together with
 their pullback, which maps a cotangent on r_hat back to the noisy input.
 Implementations here: an oracle that denoises to a known ground truth
 exactly (for tests), and a small trainable residual MLP over flattened
-windows with conditioning dropout, so it also has an unconditional path.
+windows, trained with conditioning dropout.
 
-Conditioning is a per-frame vector built from the sensed joints only: the
-three measured 6DoF rotations (18 numbers), optionally followed by the
-three measured locations (9 more) for the location-conditioned baseline
-variant.  Locations are never an input to the default configuration, which
-is what makes the learned prior scale-free.
+Conditioning is a per-frame vector built from the sensed joints only:
+either the three measured 6DoF rotations (18 numbers, the method) or the
+three measured locations (9 numbers, the location-conditioned baseline).
+Locations are never an input to the method's prior, which is what makes it
+scale-free.
 
-The noise schedule is defined once, by :func:`alpha_bar`; training, the
-models and the sampler's :class:`~poseguide.sampler.Schedule` all call it.
+The noise schedule is defined once, by :func:`alpha_bar` on the horizon
+[0, :data:`TERMINAL`]; training, the models and the sampler's
+:class:`~poseguide.sampler.Schedule` all use it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 JOINTS = 22
 STATE_PER_FRAME = JOINTS * 6
 TIME_FEATURES = 8
-
-
-class CapabilityError(RuntimeError):
-    """Requested a prediction path the model was not trained for."""
+BLOCKS = 2  # residual blocks of the MLP
+COND_DIMS = {"rotations": 18, "locations": 9}  # per-frame conditioning width
 
 
 class TrainingError(RuntimeError):
     """Training aborted (empty dataset, non-finite loss, ...)."""
+
+
+TERMINAL = 15.0  # diffusion horizon: t runs over [0, TERMINAL]
 
 
 def alpha_bar(t):
@@ -47,34 +49,16 @@ def alpha_bar(t):
     return 1.0 / (1.0 + t**2)
 
 
-def make_conditioning(measurements, cond_spec: str = "rotations") -> np.ndarray:
-    """Per-frame conditioning vector from a MeasurementSet.
-
-    ``rotations`` uses only the sensed 6DoF (scale-free); the
-    ``rotations+locations`` variant appends raw sensed locations, and
-    ``locations`` conditions on raw sensed locations alone.
-    """
-    rot = measurements.rotations.reshape(measurements.frames, -1)
-    if cond_spec == "rotations":
-        parts = [rot]
-    elif cond_spec == "rotations+locations":
-        parts = [rot, measurements.locations.reshape(measurements.frames, -1)]
-    elif cond_spec == "locations":
-        parts = [measurements.locations.reshape(measurements.frames, -1)]
-    else:
+def make_conditioning(measurements, cond_spec: str) -> np.ndarray:
+    """Per-frame conditioning vector from a MeasurementSet: its sensed 6DoF
+    (``rotations``, scale-free) or its raw sensed locations (``locations``)."""
+    if cond_spec not in COND_DIMS:
         raise ValueError(f"unknown cond_spec {cond_spec!r}")
-    return np.concatenate(parts, axis=1)
+    return getattr(measurements, cond_spec).reshape(measurements.frames, -1)
 
 
-def cond_dim(cond_spec: str) -> int:
-    try:
-        return {"rotations": 18, "rotations+locations": 27, "locations": 9}[cond_spec]
-    except KeyError:
-        raise ValueError(f"unknown cond_spec {cond_spec!r}") from None
-
-
-def _time_features(t, terminal: float) -> np.ndarray:
-    x = 2.0 * np.pi * np.asarray(t, dtype=float)[..., None] / terminal
+def _time_features(t) -> np.ndarray:
+    x = 2.0 * np.pi * np.asarray(t, dtype=float)[..., None] / TERMINAL
     ks = np.arange(1, TIME_FEATURES // 2 + 1)
     return np.concatenate([np.sin(ks * x), np.cos(ks * x)], axis=-1)
 
@@ -83,18 +67,15 @@ class DenoiserInterface:
     """Behavioral contract used by the sampler.
 
     ``window`` is the fixed frame capacity, or None when any length works.
-    ``terminal`` is the diffusion horizon the model was trained on, or None
-    when it works under any schedule.
     """
 
     window: int | None = None
-    terminal: float | None = None
     cond_spec: str = "rotations"
 
-    def denoise(self, r_t: np.ndarray, t: float, cond: np.ndarray | None, starts):
+    def denoise(self, r_t: np.ndarray, t: float, cond: np.ndarray, starts):
         """Estimates for a stack of windows and their pullback: ``(r_hat, pullback)``.
 
-        ``r_t`` is (windows, W, J, 6), ``cond`` (windows, W, C) or None, and
+        ``r_t`` is (windows, W, J, 6), ``cond`` (windows, W, C), and
         ``starts`` the first sequence frame of each window.  ``r_hat`` has the
         shape of ``r_t``; ``pullback(cot)`` takes r_hat's entries in any shape
         (the sampler passes them frame-stacked) and returns (d r_hat / d r_t)^T cot.
@@ -127,45 +108,39 @@ class OracleDenoiser(DenoiserInterface):
 @dataclass
 class TrainConfig:
     window: int = 41
-    terminal: float = 15.0          # diffusion horizon used for training noise
-    dropout_prob: float = 0.1       # conditioning dropout (trains the unconditional path)
+    dropout_prob: float = 0.1       # share of training rows whose conditioning is zeroed
     step_size: float = 1e-3
     steps: int = 4000
     batch: int = 32
     hidden: int = 80
-    blocks: int = 2
     seed: int = 0
-    cond_spec: str = "rotations"
+    cond_spec: str = "rotations"    # a key of COND_DIMS
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
-        if not 0.0 < self.terminal < np.inf:
-            raise ValueError(f"terminal must be positive and finite, got {self.terminal}")
         for name in ("window", "hidden", "batch", "steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.blocks < 0:
-            raise ValueError(f"blocks must be non-negative, got {self.blocks}")
+        if self.cond_spec not in COND_DIMS:
+            raise ValueError(f"cond_spec must be one of {list(COND_DIMS)}, got {self.cond_spec!r}")
 
 
 class MLPDenoiser(DenoiserInterface):
     """Residual MLP over a flattened window, with time and conditioning inputs.
 
     Input layout: [flattened r_t | time features | flattened conditioning |
-    unconditional flag].  Well under 1e6 parameters at the default width.
+    dropped-conditioning flag].  Well under 1e6 parameters at the default width.
     """
 
     def __init__(self, config: TrainConfig, params: dict | None = None):
         self.config = config
         self.window = config.window
         self.cond_spec = config.cond_spec
-        self.terminal = config.terminal
-        self._cdim = cond_dim(config.cond_spec)
+        self._cdim = COND_DIMS[config.cond_spec]
         self.d_state = config.window * STATE_PER_FRAME
         self.d_side = TIME_FEATURES + config.window * self._cdim + 1
         self.d_in = self.d_state + self.d_side
-        self.uncond_available = config.dropout_prob > 0.0
         if params is None:
             rng = np.random.default_rng(config.seed)
             h = config.hidden
@@ -173,7 +148,7 @@ class MLPDenoiser(DenoiserInterface):
                 return rng.standard_normal((m, n)) * np.sqrt(2.0 / (m + n))
             params = {"W0": glorot(self.d_in, h), "b0": np.zeros(h),
                       "Wo": glorot(h, self.d_state) * 0.1, "bo": np.zeros(self.d_state)}
-            for k in range(config.blocks):
+            for k in range(BLOCKS):
                 # side features (time + conditioning) re-enter every block so
                 # the conditioning pathway keeps full gain past the bottleneck
                 params[f"Wr{k}"] = glorot(h, h)
@@ -186,18 +161,16 @@ class MLPDenoiser(DenoiserInterface):
 
     def _pack(self, r_t, t, cond, drop):
         """One input row per window.  ``t`` is one time or one per window; a
-        window marked in ``drop`` gets zeroed conditioning and the flag 1, so
-        ``cond`` may be None when every window is dropped."""
+        window marked in ``drop`` gets zeroed conditioning and the flag 1."""
         n, W = r_t.shape[0], self.window
         if r_t.shape[1:] != (W, JOINTS, 6):
             raise ValueError(f"expected (windows, {W}, {JOINTS}, 6) stack, got {r_t.shape}")
+        if cond.shape != (n, W, self._cdim):
+            raise ValueError(f"conditioning must be ({n}, {W}, {self._cdim}), got {cond.shape}")
         X = np.empty((n, self.d_in))
         X[:, : self.d_state] = r_t.reshape(n, -1)
-        X[:, self.d_state : self.d_state + TIME_FEATURES] = _time_features(t, self.terminal)
-        if cond is not None:
-            if cond.shape != (n, W, self._cdim):
-                raise ValueError(f"conditioning must be ({n}, {W}, {self._cdim}), got {cond.shape}")
-            X[:, self.d_state + TIME_FEATURES : -1] = cond.reshape(n, -1)
+        X[:, self.d_state : self.d_state + TIME_FEATURES] = _time_features(t)
+        X[:, self.d_state + TIME_FEATURES : -1] = cond.reshape(n, -1)
         X[drop, self.d_state + TIME_FEATURES : -1] = 0.0
         X[:, -1] = drop
         return X
@@ -209,7 +182,7 @@ class MLPDenoiser(DenoiserInterface):
         h = np.tanh(z0)
         side = X[:, self.d_state:]
         cache = {"X": X, "h0": h, "acts": []}
-        for k in range(self.config.blocks):
+        for k in range(BLOCKS):
             a = np.tanh(h @ p[f"Wr{k}"] + side @ p[f"Wc{k}"] + p[f"br{k}"])
             cache["acts"].append((h, a))
             h = h + a
@@ -226,7 +199,7 @@ class MLPDenoiser(DenoiserInterface):
             grads["bo"] = d_out.sum(axis=0)
         dh = d_out @ p["Wo"].T
         side = cache["X"][:, self.d_state:]
-        for k in reversed(range(self.config.blocks)):
+        for k in reversed(range(BLOCKS)):
             h_in, a = cache["acts"][k]
             da = dh * (1.0 - a * a)
             if grads is not None:
@@ -250,9 +223,7 @@ class MLPDenoiser(DenoiserInterface):
         having to pass r_t through its bottleneck.
         """
         r_t = np.asarray(r_t, dtype=float)
-        if cond is None and not self.uncond_available:
-            raise CapabilityError("unconditional path was never trained (dropout 0)")
-        out, cache = self._forward(self._pack(r_t, t, cond, np.full(len(r_t), cond is None)))
+        out, cache = self._forward(self._pack(r_t, t, cond, np.zeros(len(r_t), dtype=bool)))
 
         def pullback(cot):
             dz0 = self._backward(cache, np.asarray(cot, dtype=float).reshape(len(r_t), -1))
@@ -301,8 +272,8 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     Samples a window and a diffusion time, noises the clean rotations with
     the matching alpha-bar, and regresses the clean signal (the network's
     output convention; the sampler derives the noise estimate from it).
-    The conditioning is dropped with ``config.dropout_prob`` so the model
-    also learns the unconditional score.
+    Each row's conditioning is dropped (zeroed and flagged) with
+    probability ``config.dropout_prob``; inference always conditions.
     """
     states, conds = _extract_windows(dataset, config)
     if len(states) == 0:
@@ -319,7 +290,7 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
         idx = rng.integers(0, len(states), size=B)
         x0 = states[idx]
         cond = conds[idx]
-        t = rng.uniform(1e-3, config.terminal, size=B)
+        t = rng.uniform(1e-3, TERMINAL, size=B)
         ab = alpha_bar(t)
         noise = rng.standard_normal(x0.shape)
         x_t = np.sqrt(ab)[:, None, None, None] * x0 + np.sqrt(1 - ab)[:, None, None, None] * noise

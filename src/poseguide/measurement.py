@@ -138,10 +138,9 @@ class LinearOperatorA:
         return out.reshape(p9.shape[:-2] + (2, 3))
 
 
-def build_A(skeleton: Skeleton, measured_joints=None) -> LinearOperatorA:
+def build_A(skeleton: Skeleton) -> LinearOperatorA:
     """Assemble the measurement operator for a skeleton (zero root translation)."""
-    if measured_joints is None:
-        measured_joints = skeleton.measured_joints
+    measured_joints = skeleton.measured_joints
     n = skeleton.joint_count
     full = np.zeros((3 * len(measured_joints), n * 9))
     for k, j in enumerate(measured_joints):

@@ -73,12 +73,6 @@ def vec9(R: np.ndarray) -> np.ndarray:
     return np.concatenate([R[..., :, 0], R[..., :, 1], R[..., :, 2]], axis=-1)
 
 
-def unvec9(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec9`."""
-    v = np.asarray(v, dtype=float)
-    return np.stack([v[..., 0:3], v[..., 3:6], v[..., 6:9]], axis=-1)
-
-
 def _skew(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape[:-1] + (3, 3))
     out[..., 0, 1] = -v[..., 2]

@@ -12,19 +12,16 @@ step, joined with a linear cross-fade over the overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rot6d
 from .measurement import LinearOperatorA, MeasurementSet, build_A, differential_transform
-from .skeleton import (
-    PoseSequence, Skeleton, forward_kinematics, recover_root_translation,
-)
+from .skeleton import PoseSequence, Skeleton, recover_root_translation
 from .uncertainty import sigma_matrix
-from .denoiser import DenoiserInterface, alpha_bar, make_conditioning
+from .denoiser import TERMINAL, DenoiserInterface, alpha_bar, make_conditioning
 
-DEFAULT_TERMINAL = 15.0
 WINDOW = 41
 OVERLAP = 20
 DIVERGENCE_NORM = 1e3
@@ -36,24 +33,22 @@ class SamplerDivergence(RuntimeError):
 
 @dataclass
 class Schedule:
-    """Monotone timesteps q_0 = 0 .. q_N = T and their alpha-bars (``denoiser.alpha_bar``)."""
+    """Monotone timesteps q_0 = 0 .. q_N = ``denoiser.TERMINAL`` and their alpha-bars
+    (``denoiser.alpha_bar``)."""
 
     timesteps: np.ndarray
     alpha_bars: np.ndarray
-    terminal: float
 
     @property
     def steps(self) -> int:
         return len(self.timesteps) - 1
 
 
-def make_schedule(n_steps: int, terminal: float = DEFAULT_TERMINAL) -> Schedule:
+def make_schedule(n_steps: int) -> Schedule:
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if not terminal > 0.0:
-        raise ValueError(f"terminal must be positive, got {terminal}")
-    q = np.linspace(0.0, terminal, n_steps + 1)
-    return Schedule(q, alpha_bar(q), float(terminal))
+    q = np.linspace(0.0, TERMINAL, n_steps + 1)
+    return Schedule(q, alpha_bar(q))
 
 
 @dataclass
@@ -83,14 +78,14 @@ def likelihood_score(
     pullback,
     config: GuidanceConfig,
     w_t: float,
-    sigma_l: float,
 ) -> np.ndarray:
     """Gaussian likelihood score pulled back to the noisy state.
 
     Solves (w^2 A Sigma A^T + sigma_l^2 I) u = residual for all frames in
-    one batch, then applies the transposed chain A^T -> decode Jacobian ->
-    denoiser pullback, scaled by ``config.guidance_scale``.  Only A's
-    active joints enter; every other joint's cotangent is exactly zero.
+    one batch, with sigma_l = ``config.sigma_l``, then applies the
+    transposed chain A^T -> decode Jacobian -> denoiser pullback, scaled by
+    ``config.guidance_scale``.  Only A's active joints enter; every other
+    joint's cotangent is exactly zero.
 
     ``l_diff``: (frames, 2, 3) differential measured locations;
     ``r_hat``: (frames, J, 6); ``pullback``: cotangent (frames, J, 6)
@@ -112,7 +107,7 @@ def likelihood_score(
         S = sigma_matrix(rot6d.to_sixdof(R[:, act]), w_t)  # (frames, active, 9, 9)
         GS = G.transpose(1, 0, 2) @ S                       # (frames, active, 6, 9)
         GSG = GS.transpose(0, 2, 1, 3).reshape(frames, 6, -1) @ Gc.T
-    B = w_t**2 * GSG + sigma_l**2 * np.eye(6)
+    B = w_t**2 * GSG + config.sigma_l**2 * np.eye(6)
     u = np.linalg.solve(B, e[..., None])[..., 0]
     cot6 = np.zeros_like(r_hat)
     cot6[:, act] = rot6d.vjp_from_sixdof(r_hat[:, act], (u @ Gc).reshape(frames, len(act), 9))
@@ -170,11 +165,9 @@ def run_guided_inference(
     measured locations only through their per-frame differences, so a
     constant translation of all sensors leaves them unchanged.
     """
-    if denoiser.terminal is not None and denoiser.terminal != schedule.terminal:
-        raise ValueError(
-            f"denoiser terminal {denoiser.terminal} differs from schedule terminal "
-            f"{schedule.terminal}"
-        )
+    if window is not None and denoiser.window not in (None, window):
+        raise ValueError(f"window {window} differs from the denoiser's trained window "
+                         f"{denoiser.window}")
     frames = measurements.frames
     W = (denoiser.window or min(frames, WINDOW)) if window is None else window
     if not 1 <= W <= frames:
@@ -199,8 +192,7 @@ def run_guided_inference(
         if config.guidance_scale > 0.0:
             # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
             w_t = float(np.sqrt(1.0 - ab_t))
-            g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t,
-                                 config.sigma_l)
+            g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t)
         else:
             g = np.zeros_like(r)
         r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rngs)
@@ -235,18 +227,18 @@ def run_guided_inference(
     return PoseSequence(rotations, root)
 
 
-def _smooth_track(track: np.ndarray, sigma_l: float, max_window: int = 161) -> np.ndarray:
+def _smooth_track(track: np.ndarray, sigma_l: float) -> np.ndarray:
     """Noise-aware low-pass filter for the recovered root track.
 
     A least-squares line is removed first (so a stationary or uniformly
     translating root is unbiased, including at the edges), the residual is
-    moving-averaged, and the line is added back.  With sigma_l = 0 this is
-    the identity, so noise-free tracks are passed through untouched (and
-    exact recovery stays exact)."""
+    moving-averaged over at most 161 frames, and the line is added back.
+    With sigma_l = 0 this is the identity, so noise-free tracks are passed
+    through untouched (and exact recovery stays exact)."""
     frames = track.shape[0]
     if sigma_l <= 0.0 or frames < 3:
         return track
-    k = min(max_window, 1 + 2 * int(np.ceil(1600.0 * sigma_l)))
+    k = min(161, 1 + 2 * int(np.ceil(1600.0 * sigma_l)))
     k = min(k, frames if frames % 2 == 1 else frames - 1)
     if k < 3:
         return track

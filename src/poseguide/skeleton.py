@@ -12,7 +12,7 @@ evaluated in one pass down the tree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class Skeleton:
     @staticmethod
     def from_json(text: str) -> "Skeleton":
         doc = json.loads(text)
-        skel = build_skeleton(doc["parents"], doc["bones"])
-        return Skeleton(skel.parents, skel.bone_vectors, tuple(doc.get("measured", MEASURED_JOINTS)))
+        return build_skeleton(doc["parents"], doc["bones"], doc.get("measured", MEASURED_JOINTS))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -103,8 +102,9 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
     """Validate the tree structure and return an immutable Skeleton.
 
     Rejects multiple roots, self/forward parent references (which also
-    covers cycles, given the topological-order requirement) and a nonzero
-    root bone.
+    covers cycles, given the topological-order requirement), a nonzero
+    root bone, and a measured list that is not 3 in-tree joints (head,
+    left wrist, right wrist: the order of ``MeasurementSet``).
     """
     parents = np.asarray(parents, dtype=int)
     bones = np.asarray(bone_vectors, dtype=float)
@@ -125,12 +125,14 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
             raise SkeletonError(f"parent index {parents[j]} >= child index {j}")
     if np.any(bones[ROOT] != 0.0):
         raise SkeletonError("root bone vector must be zero")
-    for j in measured_joints:
-        if not 0 <= j < n:
-            raise SkeletonError(f"measured joint {j} not in tree")
+    measured = np.asarray(measured_joints)
+    if (measured.shape != (3,) or not np.issubdtype(measured.dtype, np.integer)
+            or not np.all((0 <= measured) & (measured < n))):
+        raise SkeletonError(f"measured must be 3 joint indices of the {n}-joint tree "
+                            f"(head, left wrist, right wrist), got {list(measured_joints)}")
     parents.setflags(write=False)
     bones.setflags(write=False)
-    return Skeleton(parents, bones, tuple(measured_joints))
+    return Skeleton(parents, bones, tuple(int(j) for j in measured))
 
 
 def default_skeleton() -> Skeleton:

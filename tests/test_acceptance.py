@@ -145,7 +145,8 @@ def test_likelihood_score_matches_fd_gradient():
         w_t, sig = 0.4, 0.03
         r_hat = den.denoised(r_t)
         score = likelihood_score(l_diff, A, r_hat, lambda c: den.vjp(r_t, c),
-                                 cfg, w_t, sig)
+                                 GuidanceConfig(guidance_scale=1.0, covariance_mode=mode,
+                                                sigma_l=sig), w_t)
         # frozen quadratic-form metric, reproduced from the score definition
         B = _frozen_metric(A, r_hat, cfg, w_t, sig)
 

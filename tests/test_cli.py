@@ -10,9 +10,6 @@ from poseguide.datagen import (
     BenchmarkCell, BenchmarkManifest, MotionSpec, load_sequence,
 )
 from poseguide.denoiser import MLPDenoiser, TrainConfig
-from poseguide.measurement import MeasurementSet
-from poseguide.sampler import GuidanceConfig, make_schedule, run_guided_inference
-from poseguide.skeleton import Skeleton
 
 
 @pytest.fixture(scope="module")
@@ -104,23 +101,6 @@ def test_infer_requires_model_source(data_dir, tmp_path):
     assert rc == EXIT_USAGE
 
 
-def test_infer_samples_on_the_checkpoint_terminal(data_dir, tmp_path):
-    # a model trained on a terminal-5 horizon is sampled on that horizon,
-    # not on the default terminal-15 schedule
-    ckpt = tmp_path / "t5.npz"
-    MLPDenoiser(TrainConfig(window=16, hidden=24, terminal=5.0)).save(ckpt)
-    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
-    pred = tmp_path / "pred.pgseq"
-    rc = main(["infer", "--measurements", str(cell / "measurements.jsonl"),
-               "--skeleton", str(cell / "skeleton.json"), "--out", str(pred),
-               "--checkpoint", str(ckpt), "--steps", "10"])
-    assert rc == EXIT_OK
-    want = run_guided_inference(
-        MeasurementSet.load(cell / "measurements.jsonl"), Skeleton.load(cell / "skeleton.json"),
-        MLPDenoiser.load(ckpt), make_schedule(10, terminal=5.0), GuidanceConfig())
-    assert np.array_equal(load_sequence(pred).rotations, want.rotations)
-
-
 def test_infer_refuses_version_2_checkpoint(data_dir, tmp_path):
     ckpt = tmp_path / "v2.npz"
     MLPDenoiser(TrainConfig(window=16, hidden=24)).save(ckpt)
@@ -134,6 +114,17 @@ def test_infer_refuses_version_2_checkpoint(data_dir, tmp_path):
     rc = main(["infer", "--measurements", str(cell / "measurements.jsonl"),
                "--out", str(tmp_path / "p.pgseq"), "--checkpoint", str(ckpt)])
     assert rc == EXIT_USAGE
+
+
+def test_eval_refuses_a_measurement_file_as_pred(data_dir, tmp_path, capsys):
+    # a measurement file used to be read as one and then crash with an
+    # AttributeError traceback inside the metrics
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    pred = cell / "measurements.jsonl"
+    rc = main(["eval", "--pred", str(pred), "--truth", str(cell / "truth.pgseq"),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == EXIT_USAGE
+    assert f"{pred} is not a pose sequence" in capsys.readouterr().err
 
 
 def test_verify_passes(tmp_path):

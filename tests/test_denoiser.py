@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from poseguide.denoiser import (
-    CapabilityError, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
-    alpha_bar, cond_dim, finite_difference_vjp, make_conditioning, train_denoiser,
+    TERMINAL, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
+    alpha_bar, finite_difference_vjp, make_conditioning, train_denoiser,
 )
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.measurement import extract_measurements
@@ -32,11 +32,7 @@ def test_make_conditioning_shapes():
     ds, _ = small_dataset(1)
     m = ds[0][1]
     assert make_conditioning(m, "rotations").shape == (60, 18)
-    assert make_conditioning(m, "rotations+locations").shape == (60, 27)
     assert make_conditioning(m, "locations").shape == (60, 9)
-    assert cond_dim("rotations") == 18
-    assert cond_dim("rotations+locations") == 27
-    assert cond_dim("locations") == 9
     with pytest.raises(ValueError):
         make_conditioning(m, "velocities")
 
@@ -103,12 +99,10 @@ def test_training_errors():
 
 
 def test_train_config_refuses_bad_fields():
-    for field, value in (("terminal", 0.0), ("terminal", -1.0), ("terminal", np.inf),
-                         ("terminal", np.nan), ("window", 0), ("hidden", 0), ("batch", 0),
-                         ("steps", 0), ("blocks", -1)):
+    for field, value in (("window", 0), ("hidden", 0), ("batch", 0), ("steps", 0),
+                         ("cond_spec", "rotations+locations"), ("cond_spec", "velocities")):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
-    assert TrainConfig(blocks=0).blocks == 0
 
 
 def test_conditioning_affects_prediction():
@@ -121,17 +115,6 @@ def test_conditioning_affects_prediction():
     a = model.denoise(r_t[None], 1.0, c1[None], [0])[0]
     b = model.denoise(r_t[None], 1.0, c2[None], [0])[0]
     assert np.abs(a - b).max() > 0
-
-
-def test_unconditional_path_requires_dropout():
-    ds, _ = small_dataset()
-    model = train_denoiser(ds, small_config(dropout_prob=0.0))
-    rng = np.random.default_rng(3)
-    r_t = rng.standard_normal((12, 22, 6))
-    with pytest.raises(CapabilityError):
-        model.denoise(r_t[None], 1.0, None, [0])
-    model2 = train_denoiser(ds, small_config(dropout_prob=0.2))
-    assert model2.denoise(r_t[None], 1.0, None, [0])[0].shape == (1,) + r_t.shape
 
 
 def test_vjp_matches_finite_differences():
@@ -172,12 +155,12 @@ def test_pack_rows_hold_state_time_and_conditioning():
     d = model.d_state
     assert np.array_equal(X[:, :d], r_t.reshape(2, -1))
     for row in range(2):
-        x = 2.0 * np.pi * t[row] / model.terminal
+        x = 2.0 * np.pi * t[row] / TERMINAL
         want = [np.sin(k * x) for k in range(1, 5)] + [np.cos(k * x) for k in range(1, 5)]
         assert np.allclose(X[row, d : d + 8], want, rtol=0, atol=1e-15)
     assert np.array_equal(X[0, d + 8 : -1], cond[0].reshape(-1))
     assert X[0, -1] == 0.0
-    # a dropped row has zeroed conditioning and the unconditional flag
+    # a dropped row has zeroed conditioning and the flag set
     assert np.all(X[1, d + 8 : -1] == 0.0) and X[1, -1] == 1.0
     # one time for the whole stack matches the same time given per row
     same = model._pack(r_t, 7.0, cond, np.array([False, True]))
@@ -210,8 +193,11 @@ def test_checkpoint_version_guard(tmp_path):
     with np.load(path) as blob:
         header = json.loads(bytes(blob["__header__"]).decode())
         params = {k: blob[k] for k in blob.files if k != "__header__"}
-    header["version"] = 99
-    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-             **params)
-    with pytest.raises(ValueError, match="version"):
-        MLPDenoiser.load(path)
+    # version 3 configs still carry the since-removed terminal and blocks fields
+    for version, extra in ((99, {}), (3, {"terminal": 15.0, "blocks": 2})):
+        header["version"] = version
+        header["config"].update(extra)
+        np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **params)
+        with pytest.raises(ValueError, match=f"version {version} not supported"):
+            MLPDenoiser.load(path)

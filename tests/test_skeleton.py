@@ -1,6 +1,7 @@
 """Forward kinematics against a plain recursive reference, plus invariants."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_skeleton_json_roundtrip(tmp_path):
     assert tuple(back.measured_joints) == tuple(skel.measured_joints)
     blob = json.loads(path.read_text())
     assert set(blob) == {"parents", "bones", "measured"}
+
+
+@pytest.mark.parametrize("measured", [[15, 20], [15, 20, 21, 12], [15, 20, 99]])
+def test_skeleton_file_measured_list_is_validated(tmp_path, measured):
+    # a skeleton file's measured list used to skip validation: two joints
+    # failed inside numpy broadcasting, a fourth was silently ignored, and a
+    # joint outside the tree was refused only later, by build_A
+    doc = json.loads(default_skeleton().to_json())
+    doc["measured"] = measured
+    path = tmp_path / "skel.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SkeletonError, match=r"measured must be 3 joint indices .* got "
+                                            + re.escape(str(measured))):
+        Skeleton.load(path)
 
 
 def test_recover_root_translation_exact():
