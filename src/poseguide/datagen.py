@@ -291,8 +291,12 @@ class BenchmarkManifest:
 
     @staticmethod
     def load(path) -> "BenchmarkManifest":
-        with open(path) as fh:
-            return BenchmarkManifest.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                return BenchmarkManifest.from_json(fh.read())
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} is not a valid benchmark manifest "
+                             f"({type(exc).__name__}: {exc})") from exc
 
 
 def expand_cell(cell: BenchmarkCell, skeleton: Skeleton):

@@ -246,12 +246,18 @@ class MLPDenoiser(DenoiserInterface):
 
     @staticmethod
     def load(path) -> "MLPDenoiser":
-        with np.load(path) as blob:
-            header = json.loads(bytes(blob["__header__"]).decode())
-            if header["version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"checkpoint version {header['version']} not supported")
-            params = {k: blob[k] for k in blob.files if k != "__header__"}
-        return MLPDenoiser(TrainConfig(**header["config"]), params=params)
+        try:
+            with np.load(path) as blob:
+                header = json.loads(bytes(blob["__header__"]).decode())
+                params = {k: blob[k] for k in blob.files if k != "__header__"}
+            version = header["version"]
+            config = TrainConfig(**header["config"]) if version == CHECKPOINT_VERSION else None
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} is not a poseguide checkpoint "
+                             f"({type(exc).__name__}: {exc})") from exc
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: checkpoint version {version} not supported")
+        return MLPDenoiser(config, params=params)
 
 
 def _extract_windows(dataset, config: TrainConfig):

@@ -63,16 +63,18 @@ class MeasurementSet:
 
     @staticmethod
     def load(path) -> "MeasurementSet":
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            locs, rots = [], []
-            for line in fh:
-                doc = json.loads(line)
-                locs.append(doc["loc"])
-                rots.append(doc["rot"])
-        if len(locs) != header["frames"]:
-            raise ValueError(f"truncated file: {len(locs)} of {header['frames']} frames")
-        return MeasurementSet(locs, rots, header["sigma_l"], header["sigma_r"])
+        try:
+            with open(path) as fh:
+                header = json.loads(fh.readline())
+                docs = [json.loads(line) for line in fh]
+            locs, rots = [d["loc"] for d in docs], [d["rot"] for d in docs]
+            frames, sigma_l, sigma_r = header["frames"], header["sigma_l"], header["sigma_r"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} is not a measurement file "
+                             f"({type(exc).__name__}: {exc})") from exc
+        if len(locs) != frames:
+            raise ValueError(f"{path}: truncated file: {len(locs)} of {frames} frames")
+        return MeasurementSet(locs, rots, sigma_l, sigma_r)
 
 
 def extract_measurements(poses, skeleton: Skeleton, sigma_l: float, sigma_r: float,

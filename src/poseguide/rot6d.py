@@ -33,7 +33,7 @@ def _gram_schmidt(r: np.ndarray):
 
     Normalize a, remove its component from b and normalize.  Returns the
     unit columns ``c1, c2`` together with ``|a|``, the norm of the raw
-    second column and ``c1 . b``, which the Jacobian reuses.  A degenerate
+    second column and ``c1 . b``, which the pullback reuses.  A degenerate
     entry is reported with its flat joint index.
     """
     if r.shape[-1] != 6:
@@ -73,54 +73,33 @@ def vec9(R: np.ndarray) -> np.ndarray:
     return np.concatenate([R[..., :, 0], R[..., :, 1], R[..., :, 2]], axis=-1)
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+def decode(r: np.ndarray):
+    """Decode 6DoF vectors ``(..., 6)`` into vec9 ``(..., 9)``, returned with its pullback.
 
-
-def jacobian_from_sixdof(r: np.ndarray) -> np.ndarray:
-    """Jacobian ``(..., 9, 6)`` of vec9(batch_from_sixdof(r)) with respect to r.
-
-    Closed form from differentiating the Gram-Schmidt chain; the cross
-    product row block follows from d(c1 x c2) = c1 x dc2 - c2 x dc1.
+    ``pullback(cot9)`` maps a vec9 cotangent ``(..., 9)`` to ``(..., 6)`` by
+    running the Gram-Schmidt chain backwards on the columns, norms and
+    projection computed here.
     """
     r = np.asarray(r, dtype=float)
-    b = r[..., 3:6]
     c1, c2, na, nc2, proj = _gram_schmidt(r)
 
-    eye = np.broadcast_to(np.eye(3), c1.shape + (3,))
-    # d c1 / d a
-    dc1_da = (eye - c1[..., :, None] * c1[..., None, :]) / na[..., None, None]
-    # c2raw = b - c1 (c1.b):  d/db = I - c1 c1^T, d/da via dc1
-    dc2r_db = eye - c1[..., :, None] * c1[..., None, :]
-    outer = c1[..., :, None] * b[..., None, :] + proj[..., None, None] * eye
-    dc2r_da = -(outer @ dc1_da)
-    dnorm = (eye - c2[..., :, None] * c2[..., None, :]) / nc2[..., None, None]
-    dc2_da = dnorm @ dc2r_da
-    dc2_db = dnorm @ dc2r_db
+    def pullback(cot9):
+        cot9 = np.asarray(cot9, dtype=float)
+        g3 = cot9[..., 6:9]
+        g1 = cot9[..., 0:3] + np.cross(c2, g3)  # c3 = c1 x c2
+        g2 = cot9[..., 3:6] + np.cross(g3, c1)
+        gt = (g2 - c2 * np.sum(c2 * g2, -1, keepdims=True)) / nc2[..., None]  # c2 = c2r / |c2r|
+        s = np.sum(c1 * gt, -1, keepdims=True)  # c2r = b - (c1 . b) c1
+        g1 = g1 - s * r[..., 3:6] - proj[..., None] * gt
+        g_a = (g1 - c1 * np.sum(c1 * g1, -1, keepdims=True)) / na[..., None]  # c1 = a / |a|
+        return np.concatenate([g_a, gt - s * c1], axis=-1)
 
-    s1 = _skew(c1)
-    dc3_da = s1 @ dc2_da - _skew(c2) @ dc1_da
-    dc3_db = s1 @ dc2_db
-
-    zeros = np.zeros_like(dc1_da)
-    top = np.concatenate([dc1_da, zeros], axis=-1)
-    mid = np.concatenate([dc2_da, dc2_db], axis=-1)
-    bot = np.concatenate([dc3_da, dc3_db], axis=-1)
-    return np.concatenate([top, mid, bot], axis=-2)
+    return np.concatenate([c1, c2, np.cross(c1, c2)], axis=-1), pullback
 
 
 def vjp_from_sixdof(r: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     """Pull a vec9 cotangent ``(..., 9)`` back through the decode map: returns ``(..., 6)``."""
-    J = jacobian_from_sixdof(r)
-    cot = np.asarray(cotangent, dtype=float)
-    return np.einsum("...k,...km->...m", cot, J)
+    return decode(r)[1](cotangent)
 
 
 def geodesic_angle(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def likelihood_score(
 
     Solves (w^2 A Sigma A^T + sigma_l^2 I) u = residual for all frames in
     one batch, with sigma_l = ``config.sigma_l``, then applies the
-    transposed chain A^T -> decode Jacobian -> denoiser pullback, scaled by
+    transposed chain A^T -> decode pullback -> denoiser pullback, scaled by
     ``config.guidance_scale``.  Only A's active joints enter; every other
     joint's cotangent is exactly zero.
 
@@ -92,10 +92,9 @@ def likelihood_score(
     on the denoised estimate -> gradient w.r.t. the noisy input.
     """
     r_hat = np.asarray(r_hat, dtype=float)
-    frames = r_hat.shape[0]
-    R = rot6d.batch_from_sixdof(r_hat)
-    pred = A.apply_diff_vec9(rot6d.vec9(R))
-    e = (np.asarray(l_diff, dtype=float) - pred).reshape(frames, 6)
+    frames, J = r_hat.shape[:2]
+    p9, decode_pullback = rot6d.decode(r_hat)
+    e = (np.asarray(l_diff, dtype=float) - A.apply_diff_vec9(p9)).reshape(frames, 6)
 
     act = A.active_joints
     G = A.active_block  # (6, active, 9)
@@ -104,13 +103,12 @@ def likelihood_score(
         GSG = Gc @ Gc.T
     else:
         # Sigma evaluated at the decoded (manifold) point of each active joint
-        S = sigma_matrix(rot6d.to_sixdof(R[:, act]), w_t)  # (frames, active, 9, 9)
-        GS = G.transpose(1, 0, 2) @ S                       # (frames, active, 6, 9)
+        S = sigma_matrix(p9[:, act, :6], w_t)  # (frames, active, 9, 9)
+        GS = G.transpose(1, 0, 2) @ S           # (frames, active, 6, 9)
         GSG = GS.transpose(0, 2, 1, 3).reshape(frames, 6, -1) @ Gc.T
     B = w_t**2 * GSG + config.sigma_l**2 * np.eye(6)
     u = np.linalg.solve(B, e[..., None])[..., 0]
-    cot6 = np.zeros_like(r_hat)
-    cot6[:, act] = rot6d.vjp_from_sixdof(r_hat[:, act], (u @ Gc).reshape(frames, len(act), 9))
+    cot6 = decode_pullback((u @ A.diff_matrix).reshape(frames, J, 9))
     return config.guidance_scale * pullback(cot6)
 
 

@@ -94,8 +94,12 @@ class Skeleton:
 
     @staticmethod
     def load(path) -> "Skeleton":
-        with open(path) as fh:
-            return Skeleton.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                return Skeleton.from_json(fh.read())
+        except (ValueError, KeyError, TypeError) as exc:  # SkeletonError is a ValueError
+            raise SkeletonError(f"{path} is not a valid skeleton file "
+                                f"({type(exc).__name__}: {exc})") from exc
 
 
 def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Skeleton:
@@ -103,8 +107,8 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
 
     Rejects multiple roots, self/forward parent references (which also
     covers cycles, given the topological-order requirement), a nonzero
-    root bone, and a measured list that is not 3 in-tree joints (head,
-    left wrist, right wrist: the order of ``MeasurementSet``).
+    root bone, and a measured list that is not 3 distinct in-tree joints
+    (head, left wrist, right wrist: the order of ``MeasurementSet``).
     """
     parents = np.asarray(parents, dtype=int)
     bones = np.asarray(bone_vectors, dtype=float)
@@ -127,9 +131,10 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
         raise SkeletonError("root bone vector must be zero")
     measured = np.asarray(measured_joints)
     if (measured.shape != (3,) or not np.issubdtype(measured.dtype, np.integer)
-            or not np.all((0 <= measured) & (measured < n))):
-        raise SkeletonError(f"measured must be 3 joint indices of the {n}-joint tree "
-                            f"(head, left wrist, right wrist), got {list(measured_joints)}")
+            or not np.all((0 <= measured) & (measured < n))
+            or len(set(measured.tolist())) != 3):
+        raise SkeletonError(f"measured must be 3 joint indices of the {n}-joint tree (distinct "
+                            f"head, left wrist and right wrist), got {list(measured_joints)}")
     parents.setflags(write=False)
     bones.setflags(write=False)
     return Skeleton(parents, bones, tuple(int(j) for j in measured))

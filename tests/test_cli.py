@@ -127,6 +127,61 @@ def test_eval_refuses_a_measurement_file_as_pred(data_dir, tmp_path, capsys):
     assert f"{pred} is not a pose sequence" in capsys.readouterr().err
 
 
+def _cut_measurements(cell, tmp_path):
+    path = tmp_path / "cut.jsonl"
+    text = (cell / "measurements.jsonl").read_text()
+    path.write_text(text[: len(text) // 2])  # ends inside a frame line
+    return path
+
+
+def _plain_npz(cell, tmp_path):
+    path = tmp_path / "plain.npz"
+    np.savez(path, W0=np.zeros((2, 2)))
+    return path
+
+
+def _checkpoint_with_unknown_field(cell, tmp_path):
+    path = tmp_path / "unknown-field.npz"
+    MLPDenoiser(TrainConfig(window=16, hidden=8)).save(path)
+    with np.load(path) as blob:
+        header = json.loads(bytes(blob["__header__"]).decode())
+        params = {k: blob[k] for k in blob.files if k != "__header__"}
+    header["config"]["dropout"] = 0.1  # not a TrainConfig field
+    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+             **params)
+    return path
+
+
+@pytest.mark.parametrize("option, wrong_file", [
+    ("--measurements", lambda cell, tmp: cell / "skeleton.json"),
+    ("--measurements", lambda cell, tmp: cell / "truth.pgseq"),
+    ("--measurements", _cut_measurements),
+    ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json"),
+    ("--checkpoint", _plain_npz),
+    ("--checkpoint", _checkpoint_with_unknown_field),
+    ("--manifest", lambda cell, tmp: cell / "skeleton.json"),
+], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
+        "manifest-as-skeleton", "plain-npz-as-checkpoint", "unknown-checkpoint-field",
+        "skeleton-as-manifest"])
+def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
+                                                     option, wrong_file):
+    # each of these used to crash with a KeyError or TypeError (exit 1) or
+    # print a decode error that named no file
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    wrong = wrong_file(cell, tmp_path)
+    if option == "--manifest":
+        command, flags = "gen-data", {"--out": tmp_path / "o"}
+    else:
+        command, flags = "infer", {"--measurements": cell / "measurements.jsonl",
+                                   "--out": tmp_path / "p.pgseq", "--steps": 2}
+        if option != "--checkpoint":
+            flags["--oracle-truth"] = cell / "truth.pgseq"
+    flags[option] = wrong
+    argv = [command] + [str(x) for flag_value in flags.items() for x in flag_value]
+    assert main(argv) == EXIT_USAGE
+    assert str(wrong) in capsys.readouterr().err
+
+
 def test_verify_passes(tmp_path):
     out = tmp_path / "verify.json"
     rc = main(["verify", "--points", "2", "--samples", "20000", "--out", str(out)])

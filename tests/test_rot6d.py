@@ -1,4 +1,4 @@
-"""Rotation-representation algebra: roundtrips, Jacobians, geodesic angle."""
+"""Rotation-representation algebra: roundtrips, the decode pullback, geodesic angle."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,50 @@ def random_rotations(n, seed=0):
     det = np.linalg.det(q)
     q[det < 0, :, 2] *= -1.0
     return q
+
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def jacobian_from_sixdof(r: np.ndarray) -> np.ndarray:
+    """Jacobian ``(..., 9, 6)`` of vec9(batch_from_sixdof(r)) with respect to r.
+
+    Closed form from differentiating the Gram-Schmidt chain; the cross
+    product row block follows from d(c1 x c2) = c1 x dc2 - c2 x dc1.  The
+    reference that the decode pullback is checked against.
+    """
+    r = np.asarray(r, dtype=float)
+    b = r[..., 3:6]
+    c1, c2, na, nc2, proj = rot6d._gram_schmidt(r)
+
+    eye = np.broadcast_to(np.eye(3), c1.shape + (3,))
+    # d c1 / d a
+    dc1_da = (eye - c1[..., :, None] * c1[..., None, :]) / na[..., None, None]
+    # c2raw = b - c1 (c1.b):  d/db = I - c1 c1^T, d/da via dc1
+    dc2r_db = eye - c1[..., :, None] * c1[..., None, :]
+    outer = c1[..., :, None] * b[..., None, :] + proj[..., None, None] * eye
+    dc2r_da = -(outer @ dc1_da)
+    dnorm = (eye - c2[..., :, None] * c2[..., None, :]) / nc2[..., None, None]
+    dc2_da = dnorm @ dc2r_da
+    dc2_db = dnorm @ dc2r_db
+
+    s1 = _skew(c1)
+    dc3_da = s1 @ dc2_da - _skew(c2) @ dc1_da
+    dc3_db = s1 @ dc2_db
+
+    zeros = np.zeros_like(dc1_da)
+    top = np.concatenate([dc1_da, zeros], axis=-1)
+    mid = np.concatenate([dc2_da, dc2_db], axis=-1)
+    bot = np.concatenate([dc3_da, dc3_db], axis=-1)
+    return np.concatenate([top, mid, bot], axis=-2)
 
 
 def test_roundtrip_identity():
@@ -48,12 +92,13 @@ def test_vec9_column_stacking_and_inverse():
     assert np.allclose(v[:, 6:9], R[:, :, 2])
 
 
-def test_jacobian_matches_finite_differences():
+def test_pullback_matches_finite_differences():
     rng = np.random.default_rng(5)
     step = 1e-6
     for trial in range(50):
         r = rng.standard_normal(6) * rng.uniform(0.5, 2.0)
-        J = rot6d.jacobian_from_sixdof(r)
+        # row k of the Jacobian is the pullback of the k-th unit cotangent
+        J = np.stack([rot6d.vjp_from_sixdof(r, e) for e in np.eye(9)])
         assert J.shape == (9, 6)
         fd = np.zeros((9, 6))
         for k in range(6):
@@ -72,8 +117,26 @@ def test_vjp_matches_jacobian_transpose():
     got = rot6d.vjp_from_sixdof(r, cot)
     for i in range(4):
         for j in range(3):
-            J = rot6d.jacobian_from_sixdof(r[i, j])
+            J = jacobian_from_sixdof(r[i, j])
             assert np.allclose(got[i, j], J.T @ cot[i, j], atol=1e-12)
+
+
+def test_decode_is_vec9_of_batch_decode():
+    rng = np.random.default_rng(9)
+    r = rng.standard_normal((5, 4, 6))
+    p9, _ = rot6d.decode(r)
+    assert np.array_equal(p9, rot6d.vec9(rot6d.batch_from_sixdof(r)))
+
+
+def test_pullback_is_orthogonal_to_the_decode_invariances():
+    # the decode ignores scaling a and adding multiples of a to b, so the
+    # gradient has no component along [a, 0] or [0, a]
+    rng = np.random.default_rng(10)
+    r = rng.standard_normal((200, 6)) * rng.uniform(0.5, 2.0, (200, 1))
+    g = rot6d.vjp_from_sixdof(r, rng.standard_normal((200, 9)))
+    a = r[:, :3]
+    assert np.abs(np.sum(g[:, :3] * a, axis=-1)).max() < 1e-12
+    assert np.abs(np.sum(g[:, 3:] * a, axis=-1)).max() < 1e-12
 
 
 def test_degenerate_inputs_raise():
@@ -82,10 +145,10 @@ def test_degenerate_inputs_raise():
     # parallel columns
     with pytest.raises(rot6d.DegenerateRotationError):
         rot6d.batch_from_sixdof(np.array([1.0, 0, 0, 2.0, 0, 0]))
-    # decode and Jacobian name the flat joint index of a batch entry
+    # both decodes name the flat joint index of a batch entry
     r = np.tile([1.0, 0, 0, 0, 1.0, 0], (2, 3, 1))
     r[1, 2, :3] = 0.0
-    for fn in (rot6d.batch_from_sixdof, rot6d.jacobian_from_sixdof):
+    for fn in (rot6d.batch_from_sixdof, rot6d.decode):
         with pytest.raises(rot6d.DegenerateRotationError, match="joint 5"):
             fn(r)
 

@@ -198,6 +198,25 @@ def test_sigma_matrix_called_once_per_score(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["identity", "sigma"])
+def test_gram_schmidt_runs_once_per_score(monkeypatch, mode):
+    # the residual, Sigma's input and the decode pullback share one decode
+    calls = []
+    gram_schmidt = rot6d._gram_schmidt
+
+    def counting_gram_schmidt(r):
+        calls.append(np.shape(r))
+        return gram_schmidt(r)
+
+    monkeypatch.setattr(rot6d, "_gram_schmidt", counting_gram_schmidt)
+    A = build_A(default_skeleton())
+    r_hat = random_manifold_points(4 * 22, seed=14).reshape(4, 22, 6)
+    l_diff = np.random.default_rng(15).standard_normal((4, 2, 3))
+    likelihood_score(l_diff, A, r_hat, lambda c: c,
+                     GuidanceConfig(sigma_l=0.01, covariance_mode=mode), 0.3)
+    assert calls == [(4, 22, 6)]
+
+
+@pytest.mark.parametrize("mode", ["identity", "sigma"])
 def test_likelihood_score_is_zero_off_the_active_joints(mode):
     A = build_A(default_skeleton())
     rng = np.random.default_rng(12)

@@ -124,11 +124,12 @@ def test_skeleton_json_roundtrip(tmp_path):
     assert set(blob) == {"parents", "bones", "measured"}
 
 
-@pytest.mark.parametrize("measured", [[15, 20], [15, 20, 21, 12], [15, 20, 99]])
+@pytest.mark.parametrize("measured", [[15, 20], [15, 20, 21, 12], [15, 20, 99], [15, 15, 15]])
 def test_skeleton_file_measured_list_is_validated(tmp_path, measured):
     # a skeleton file's measured list used to skip validation: two joints
     # failed inside numpy broadcasting, a fourth was silently ignored, and a
-    # joint outside the tree was refused only later, by build_A
+    # joint outside the tree was refused only later, by build_A, and a
+    # repeated joint zeroed every differential row, so guidance was off
     doc = json.loads(default_skeleton().to_json())
     doc["measured"] = measured
     path = tmp_path / "skel.json"
