@@ -26,8 +26,7 @@ from .measurement import (
     extract_measurements,
 )
 from .uncertainty import (
-    PushforwardGaussian,
-    covariance_sixdof_pushforward,
+    sigma_matrix,
     monte_carlo_pushforward,
     sylvester_minors,
     verify_pushforward,

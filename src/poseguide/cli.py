@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, infer, eval, verify.  Every run echoes its
 resolved configuration to a JSON file next to the outputs.  Exit codes:
-0 success, 1 verification/acceptance failure, 2 usage or input errors.
+0 success, 1 verification/acceptance failure, 2 usage or input errors,
+including training refused for too little data and a diverged sampler.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import numpy as np
 
 from . import metrics, rot6d
 from .datagen import BenchmarkManifest, load_sequence, save_sequence, write_cells
-from .denoiser import COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, train_denoiser
-from .measurement import MeasurementSet, build_A, chain_locations
-from .sampler import GuidanceConfig, make_schedule, run_guided_inference
-from .skeleton import Skeleton, default_skeleton
+from .denoiser import (
+    COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError, train_denoiser,
+)
+from .measurement import MeasurementSet, build_A
+from .sampler import GuidanceConfig, SamplerDivergence, make_schedule, run_guided_inference
+from .skeleton import Skeleton, default_skeleton, forward_kinematics
 from .uncertainty import random_manifold_points, verify_pushforward
 
 EXIT_OK = 0
@@ -161,9 +164,8 @@ def cmd_verify(args) -> int:
             50, skel.joint_count, 6
         )
     )
-    lin_err = float(
-        np.max(np.abs(A.apply_vec9(rot6d.vec9(rots)) - chain_locations(skel, A, rots)))
-    )
+    fk = forward_kinematics(skel, rots)[..., list(skel.measured_joints), :]
+    lin_err = float(np.max(np.abs(A.apply_vec9(rot6d.vec9(rots)) - fk)))
     report["rot6d_roundtrip_max_err"] = roundtrip
     report["fk_linearization_max_err"] = lin_err
     ok = report["passed"] and roundtrip < 1e-9 and lin_err < 1e-12
@@ -245,10 +247,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, ValueError, TrainingError, SamplerDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

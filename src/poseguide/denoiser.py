@@ -141,19 +141,29 @@ class MLPDenoiser(DenoiserInterface):
         self.d_state = config.window * STATE_PER_FRAME
         self.d_side = TIME_FEATURES + config.window * self._cdim + 1
         self.d_in = self.d_state + self.d_side
+        h = config.hidden
+        shapes = {"W0": (self.d_in, h), "b0": (h,),
+                  "Wo": (h, self.d_state), "bo": (self.d_state,)}
+        for k in range(BLOCKS):
+            # side features (time + conditioning) re-enter every block so
+            # the conditioning pathway keeps full gain past the bottleneck
+            shapes.update({f"Wr{k}": (h, h), f"Wc{k}": (self.d_side, h), f"br{k}": (h,)})
         if params is None:
             rng = np.random.default_rng(config.seed)
-            h = config.hidden
-            def glorot(m, n):
-                return rng.standard_normal((m, n)) * np.sqrt(2.0 / (m + n))
-            params = {"W0": glorot(self.d_in, h), "b0": np.zeros(h),
-                      "Wo": glorot(h, self.d_state) * 0.1, "bo": np.zeros(self.d_state)}
-            for k in range(BLOCKS):
-                # side features (time + conditioning) re-enter every block so
-                # the conditioning pathway keeps full gain past the bottleneck
-                params[f"Wr{k}"] = glorot(h, h)
-                params[f"Wc{k}"] = glorot(self.d_side, h)
-                params[f"br{k}"] = np.zeros(h)
+            # glorot weights, drawn in table order; zero biases
+            params = {name: rng.standard_normal(shape) * np.sqrt(2.0 / sum(shape))
+                      if len(shape) == 2 else np.zeros(shape) for name, shape in shapes.items()}
+            params["Wo"] *= 0.1
+        else:
+            for name, shape in shapes.items():
+                if name not in params:
+                    raise ValueError(f"parameter array {name!r} is missing")
+                if np.shape(params[name]) != shape:
+                    raise ValueError(f"parameter array {name!r} has shape "
+                                     f"{np.shape(params[name])}, expected {shape}")
+            extra = sorted(set(params) - set(shapes))
+            if extra:
+                raise ValueError(f"unexpected parameter array {extra[0]!r}")
         self.params = params
 
     def param_count(self) -> int:
@@ -257,7 +267,10 @@ class MLPDenoiser(DenoiserInterface):
                              f"({type(exc).__name__}: {exc})") from exc
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: checkpoint version {version} not supported")
-        return MLPDenoiser(config, params=params)
+        try:
+            return MLPDenoiser(config, params=params)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _extract_windows(dataset, config: TrainConfig):

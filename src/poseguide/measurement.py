@@ -6,8 +6,9 @@ With zero root translation, the location of a measured joint is
 
 where a_1..a_k are the parents along the root->j chain and b_1..b_k the
 bone vectors they rotate.  This is linear in the rotation entries, so
-``build_A`` assembles it as a dense matrix acting on the per-joint
-column-stacked vec9 layout used by the rest of the package.
+``build_A`` obtains it as a dense matrix acting on the per-joint
+column-stacked vec9 layout used by the rest of the package, by running
+forward kinematics on each vec9 unit vector.
 
 The differential form subtracts the head row block from each wrist block
 so the (unknown) root translation cancels from the guidance residual.
@@ -90,16 +91,6 @@ def extract_measurements(poses, skeleton: Skeleton, sigma_l: float, sigma_r: flo
     return MeasurementSet(locs, rots, sigma_l, sigma_r)
 
 
-def _chain_to_root(skeleton: Skeleton, joint: int) -> list[int]:
-    """Path joint -> ... -> first non-root ancestor (root excluded)."""
-    path = []
-    j = joint
-    while skeleton.parents[j] >= 0:
-        path.append(j)
-        j = skeleton.parents[j]
-    return path[::-1]
-
-
 @dataclass
 class LinearOperatorA:
     """The linear map from stacked rotation entries to measured-joint locations.
@@ -141,21 +132,20 @@ class LinearOperatorA:
 
 
 def build_A(skeleton: Skeleton) -> LinearOperatorA:
-    """Assemble the measurement operator for a skeleton (zero root translation)."""
-    measured_joints = skeleton.measured_joints
+    """Assemble the measurement operator for a skeleton (zero root translation).
+
+    Column k of ``matrix`` is zero-root FK at the measured joints applied to
+    the k-th vec9 unit vector.
+    """
+    measured_joints = list(skeleton.measured_joints)
     n = skeleton.joint_count
-    full = np.zeros((3 * len(measured_joints), n * 9))
-    for k, j in enumerate(measured_joints):
-        if not 0 <= j < n:
+    for j in measured_joints:
+        if not 0 <= j < n:  # a negative index would wrap silently below
             raise ValueError(f"measured joint {j} not in tree")
-        # The location axis i picks row i of each chain rotation, whose entry
-        # in column c sits at vec9 slot 3*c + i of that joint.
-        for child in _chain_to_root(skeleton, j):
-            p = int(skeleton.parents[child])
-            b = skeleton.bone_vectors[child]
-            for i in range(3):
-                for c in range(3):
-                    full[3 * k + i, 9 * p + 3 * c + i] += b[c]
+    # vec9 slot 3*c + i of a joint holds entry (i, c) of its rotation
+    units = np.eye(n * 9).reshape(n * 9, n, 3, 3).swapaxes(-1, -2)
+    # C order keeps the BLAS path of every product with A, and so its rounding, fixed
+    full = forward_kinematics(skeleton, units)[:, measured_joints].reshape(n * 9, -1).T.copy()
     head_rows = full[0:3]
     diff = np.vstack([full[3:6] - head_rows, full[6:9] - head_rows])
     return LinearOperatorA(tuple(measured_joints), full, diff, n)
@@ -172,8 +162,3 @@ def differential_transform(locations: np.ndarray) -> np.ndarray:
     head = loc[..., 0, :]
     return np.stack([loc[..., 1, :] - head, loc[..., 2, :] - head], axis=-2)
 
-
-def chain_locations(skeleton: Skeleton, A: LinearOperatorA, rotations: np.ndarray) -> np.ndarray:
-    """Reference FK at the measured joints with zero root (oracle for the operator)."""
-    locs = forward_kinematics(skeleton, rotations)
-    return locs[..., list(A.measured_joints), :]

@@ -215,9 +215,8 @@ def run_guided_inference(
     np.add.at(weight, win, ramp)
     out /= weight[:, None, None]
     # cross-faded 6DoF vectors are generally off-manifold; re-orthonormalize
-    rotations = rot6d.to_sixdof(rot6d.batch_from_sixdof(out))
-
-    R = rot6d.batch_from_sixdof(rotations)
+    R = rot6d.batch_from_sixdof(out)
+    rotations = rot6d.to_sixdof(R)
     root = recover_root_translation(skeleton, R, measurements.locations[:, 0, :])
     # the root track is smooth even when the head bobs, so sensor noise is
     # filtered on the recovered root rather than on the raw head track

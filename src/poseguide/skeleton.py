@@ -106,9 +106,10 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
     """Validate the tree structure and return an immutable Skeleton.
 
     Rejects multiple roots, self/forward parent references (which also
-    covers cycles, given the topological-order requirement), a nonzero
-    root bone, and a measured list that is not 3 distinct in-tree joints
-    (head, left wrist, right wrist: the order of ``MeasurementSet``).
+    covers cycles, given the topological-order requirement), a non-finite
+    bone, a nonzero root bone, and a measured list that is not 3 distinct
+    in-tree joints (head, left wrist, right wrist: the order of
+    ``MeasurementSet``).
     """
     parents = np.asarray(parents, dtype=int)
     bones = np.asarray(bone_vectors, dtype=float)
@@ -127,6 +128,9 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
             raise SkeletonError(f"cycle detected: joint {j} is its own parent")
         if parents[j] > j:
             raise SkeletonError(f"parent index {parents[j]} >= child index {j}")
+    bad = np.flatnonzero(~np.isfinite(bones).all(axis=1))
+    if bad.size:
+        raise SkeletonError(f"non-finite bone vector at joint {bad[0]}")
     if np.any(bones[ROOT] != 0.0):
         raise SkeletonError("root bone vector must be zero")
     measured = np.asarray(measured_joints)

@@ -5,51 +5,17 @@ orthogonal halves), the decoded rotation's first two columns stay Gaussian
 with covariance w^2 I, while the third column is the cross product of the
 halves.  All first and second moments of the resulting 9-vector
 [r1..r6, x1, x2, x3] (x = r[0:3] x r[3:6]) have exact closed forms in
-r_hat and w; this module assembles them, provides the Monte-Carlo oracle
-for the same moments, and the leading-principal-minor check for positive
+r_hat and w.  The mean is the decoded vec9 itself (``rot6d.decode``); this
+module assembles the covariance w^2 Sigma, provides the Monte-Carlo oracle
+for both moments, and the leading-principal-minor check for positive
 definiteness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# r_hat further off the constraint manifold than this is an error; below
-# it the input is projected back onto the manifold before use.
-HYPOTHESIS_HARD_TOL = 1e-2
-
-
-class HypothesisError(ValueError):
-    """6DoF input too far from the unit/orthogonal constraint manifold."""
-
-
-@dataclass
-class PushforwardGaussian:
-    """Gaussian approximation of the decoded rotation: mean vec9 and covariance w^2 Sigma."""
-
-    mean: np.ndarray        # (9,)
-    covariance: np.ndarray  # (9, 9) = w^2 * sigma
-    sigma: np.ndarray       # (9, 9), the w^2-normalized matrix whose minors are checked
-    w: float
-
-
-def project_to_manifold(r_hat: np.ndarray, hard_tol: float = HYPOTHESIS_HARD_TOL) -> np.ndarray:
-    """Renormalize/re-orthogonalize a near-manifold 6DoF vector.
-
-    Raises :class:`HypothesisError` when the deviation exceeds ``hard_tol``.
-    """
-    r = np.asarray(r_hat, dtype=float)
-    a, b = r[0:3], r[3:6]
-    dev = max(abs(np.linalg.norm(a) - 1.0), abs(np.linalg.norm(b) - 1.0),
-              abs(float(np.dot(a, b))))
-    if dev > hard_tol:
-        raise HypothesisError(f"r_hat deviates from the constraint manifold by {dev:.3g}")
-    a = a / np.linalg.norm(a)
-    b = b - np.dot(a, b) * a
-    b = b / np.linalg.norm(b)
-    return np.concatenate([a, b])
+from . import rot6d
 
 
 def sigma_matrix(r_hat: np.ndarray, w: float) -> np.ndarray:
@@ -82,23 +48,11 @@ def sigma_matrix(r_hat: np.ndarray, w: float) -> np.ndarray:
     return S
 
 
-def covariance_sixdof_pushforward(r_hat: np.ndarray, w: float) -> PushforwardGaussian:
-    """Closed-form mean and covariance of the decoded rotation's vec9.
-
-    ``r_hat`` must satisfy the constraint hypothesis within a loose
-    tolerance; it is projected onto the manifold before evaluation.
-    """
-    r = project_to_manifold(r_hat)
-    mean = np.concatenate([r, np.cross(r[0:3], r[3:6])])
-    S = sigma_matrix(r, w)
-    return PushforwardGaussian(mean=mean, covariance=w**2 * S, sigma=S, w=float(w))
-
-
 def monte_carlo_pushforward(r_hat: np.ndarray, w: float, n: int, seed: int = 0):
     """Empirical mean/covariance of the vec9 under r ~ N(r_hat, w^2 I).
 
-    Independent oracle for :func:`covariance_sixdof_pushforward`: the first
-    six entries are copied linearly, the last three are the raw cross
+    Independent oracle for the decoded mean and ``w**2 * sigma_matrix``: the
+    first six entries are copied linearly, the last three are the raw cross
     product of the sampled halves.  Returns ``(mean, cov, se_mean, se_cov)``
     where the standard errors are empirical (fourth-moment based for cov).
     """
@@ -133,15 +87,7 @@ def sylvester_minors(Sigma: np.ndarray) -> np.ndarray:
 def random_manifold_points(count: int, seed: int = 0) -> np.ndarray:
     """Uniformly random hypothesis-satisfying 6DoF vectors, shape (count, 6)."""
     rng = np.random.default_rng(seed)
-    out = np.empty((count, 6))
-    for i in range(count):
-        a = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        b = rng.standard_normal(3)
-        b -= np.dot(a, b) * a
-        b /= np.linalg.norm(b)
-        out[i] = np.concatenate([a, b])
-    return out
+    return rot6d.decode(rng.standard_normal((count, 6)))[0][:, :6]
 
 
 def verify_pushforward(
@@ -161,14 +107,15 @@ def verify_pushforward(
     r_hats = random_manifold_points(points, seed=seed)
     report = {"points": [], "passed": True, "n_samples": n_samples, "z_max": z_max}
     for idx, r_hat in enumerate(r_hats):
+        decoded = rot6d.decode(r_hat)[0]
         for w in widths:
-            pf = covariance_sixdof_pushforward(r_hat, w)
+            sigma = sigma_matrix(r_hat, w)
             mean, cov, se_mean, se_cov = monte_carlo_pushforward(
                 r_hat, w, n_samples, seed=seed + 1
             )
-            z_mean = np.abs(mean - pf.mean) / np.maximum(se_mean, 1e-300)
-            z_cov = np.abs(cov - pf.covariance) / np.maximum(se_cov, 1e-300)
-            minors = sylvester_minors(pf.sigma)
+            z_mean = np.abs(mean - decoded) / np.maximum(se_mean, 1e-300)
+            z_cov = np.abs(cov - w**2 * sigma) / np.maximum(se_cov, 1e-300)
+            minors = sylvester_minors(sigma)
             expected = np.concatenate([np.ones(6), [2 * w**2, (2 * w**2) ** 2, (2 * w**2) ** 3]])
             minor_err = float(np.max(np.abs(minors - expected) / np.abs(expected)))
             entry = {

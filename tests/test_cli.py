@@ -1,6 +1,7 @@
 """End-to-end command-line workflows and exit-code contracts."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -140,33 +141,57 @@ def _plain_npz(cell, tmp_path):
     return path
 
 
-def _checkpoint_with_unknown_field(cell, tmp_path):
-    path = tmp_path / "unknown-field.npz"
-    MLPDenoiser(TrainConfig(window=16, hidden=8)).save(path)
-    with np.load(path) as blob:
-        header = json.loads(bytes(blob["__header__"]).decode())
-        params = {k: blob[k] for k in blob.files if k != "__header__"}
-    header["config"]["dropout"] = 0.1  # not a TrainConfig field
-    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-             **params)
-    return path
+def _edited_checkpoint(name, edit):
+    """A hidden-8 checkpoint whose header and arrays ``edit`` changes in place."""
+    def make(cell, tmp_path):
+        path = tmp_path / f"{name}.npz"
+        MLPDenoiser(TrainConfig(window=16, hidden=8)).save(path)
+        with np.load(path) as blob:
+            header = json.loads(bytes(blob["__header__"]).decode())
+            params = {k: blob[k] for k in blob.files if k != "__header__"}
+        edit(header, params)
+        np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **params)
+        return path
+    return make
 
 
-@pytest.mark.parametrize("option, wrong_file", [
-    ("--measurements", lambda cell, tmp: cell / "skeleton.json"),
-    ("--measurements", lambda cell, tmp: cell / "truth.pgseq"),
-    ("--measurements", _cut_measurements),
-    ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json"),
-    ("--checkpoint", _plain_npz),
-    ("--checkpoint", _checkpoint_with_unknown_field),
-    ("--manifest", lambda cell, tmp: cell / "skeleton.json"),
+def _skeleton_with_bone(value):
+    def make(cell, tmp_path):
+        doc = json.loads((cell / "skeleton.json").read_text())
+        doc["bones"][18][1] = value
+        path = tmp_path / "bad-bone.json"
+        path.write_text(json.dumps(doc))
+        return path
+    return make
+
+
+@pytest.mark.parametrize("option, wrong_file, also_named", [
+    ("--measurements", lambda cell, tmp: cell / "skeleton.json", ""),
+    ("--measurements", lambda cell, tmp: cell / "truth.pgseq", ""),
+    ("--measurements", _cut_measurements, ""),
+    ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json", ""),
+    ("--skeleton", _skeleton_with_bone(float("nan")), "joint 18"),
+    ("--skeleton", _skeleton_with_bone(float("inf")), "joint 18"),
+    ("--checkpoint", _plain_npz, ""),
+    # "dropout" is not a TrainConfig field
+    ("--checkpoint", _edited_checkpoint(
+        "unknown-field", lambda header, params: header["config"].update(dropout=0.1)), ""),
+    ("--checkpoint", _edited_checkpoint(
+        "ckpt", lambda header, params: params.pop("Wo")), "'Wo'"),
+    ("--checkpoint", _edited_checkpoint(
+        "ckpt", lambda header, params: params.update(W0=params["W0"][:, :4])), "'W0'"),
+    ("--checkpoint", _edited_checkpoint(
+        "ckpt", lambda header, params: params.update(W9=np.zeros(3))), "'W9'"),
+    ("--manifest", lambda cell, tmp: cell / "skeleton.json", ""),
 ], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
-        "manifest-as-skeleton", "plain-npz-as-checkpoint", "unknown-checkpoint-field",
-        "skeleton-as-manifest"])
+        "manifest-as-skeleton", "nan-bone", "inf-bone", "plain-npz-as-checkpoint",
+        "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
+        "checkpoint-extra-array", "skeleton-as-manifest"])
 def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
-                                                     option, wrong_file):
-    # each of these used to crash with a KeyError or TypeError (exit 1) or
-    # print a decode error that named no file
+                                                     option, wrong_file, also_named):
+    # each of these used to crash with a KeyError or TypeError (exit 1), print
+    # an error that named no file, or be accepted and give NaN or a traceback later
     cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
     wrong = wrong_file(cell, tmp_path)
     if option == "--manifest":
@@ -179,7 +204,22 @@ def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
     flags[option] = wrong
     argv = [command] + [str(x) for flag_value in flags.items() for x in flag_value]
     assert main(argv) == EXIT_USAGE
-    assert str(wrong) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(wrong) in err
+    assert also_named in err
+
+
+def test_train_on_too_little_data_is_an_error_line(data_dir, tmp_path, capsys):
+    # one 48-frame cell gives 9 windows of 16 frames, under the 10 training
+    # needs; the TrainingError used to escape main as a traceback (exit 1)
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    shutil.copytree(cell, tmp_path / "one" / cell.name)
+    rc = main(["train", "--data", str(tmp_path / "one"), "--out", str(tmp_path / "m.npz"),
+               "--window", "16", "--steps", "2", "--hidden", "8"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "need at least 10 windows, got 9" in err
+    assert "Traceback" not in err
 
 
 def test_verify_passes(tmp_path):

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_rotation_representation.py",
+                                  "02_covariance_pushforward.py",
                                   "03_oracle_guided_recovery.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

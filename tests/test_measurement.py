@@ -5,11 +5,10 @@ import pytest
 
 from poseguide import rot6d
 from poseguide.measurement import (
-    MeasurementSet, _chain_to_root, build_A, chain_locations, differential_transform,
-    extract_measurements,
+    MeasurementSet, build_A, differential_transform, extract_measurements,
 )
 from poseguide.skeleton import (
-    PoseSequence, build_skeleton, default_skeleton, forward_kinematics,
+    PoseSequence, Skeleton, build_skeleton, default_skeleton, forward_kinematics,
 )
 from tests.test_rot6d import random_rotations
 from tests.test_skeleton import random_pose_matrices
@@ -29,7 +28,7 @@ def test_operator_matches_fk_default_skeleton():
     A = build_A(skel)
     R = random_pose_matrices(200, seed=0)
     got = A.apply_vec9(rot6d.vec9(R))
-    ref = chain_locations(skel, A, R)
+    ref = forward_kinematics(skel, R)[:, list(skel.measured_joints)]
     assert np.abs(got - ref).max() < 1e-12
 
 
@@ -40,7 +39,7 @@ def test_operator_matches_fk_random_skeletons():
         R = random_rotations(100 * skel.joint_count, seed=seed + 50).reshape(
             100, skel.joint_count, 3, 3)
         got = A.apply_vec9(rot6d.vec9(R))
-        ref = chain_locations(skel, A, R)
+        ref = forward_kinematics(skel, R)[:, list(skel.measured_joints)]
         assert np.abs(got - ref).max() < 1e-12
 
 
@@ -79,7 +78,11 @@ def test_active_joints_are_the_unshared_chain_parents():
     # differential rows, so only the parents of the unshared chain edges
     # have a nonzero column block
     def chain_edges(skel, joint):
-        return {(int(skel.parents[c]), c) for c in _chain_to_root(skel, joint)}
+        edges = set()
+        while skel.parents[joint] >= 0:
+            edges.add((int(skel.parents[joint]), joint))
+            joint = int(skel.parents[joint])
+        return edges
 
     for skel in [default_skeleton()] + [random_skeleton(seed) for seed in range(10)]:
         A = build_A(skel)
@@ -90,6 +93,25 @@ def test_active_joints_are_the_unshared_chain_parents():
         assert np.array_equal(A.active_block, blocks[:, want])
         assert not np.delete(blocks, want, axis=1).any()
     assert build_A(default_skeleton()).active_joints.tolist() == [9, 12, 13, 14, 16, 17, 18, 19]
+
+
+def test_operator_matrices_are_c_contiguous():
+    # a transposed (F-ordered) matrix holds the same values but sends every
+    # product with A down another BLAS path; the rounding then differs in the
+    # last bit, and a trained prior amplifies that over the DDIM steps
+    for skel in [default_skeleton()] + [random_skeleton(seed) for seed in range(3)]:
+        A = build_A(skel)
+        assert A.matrix.flags.c_contiguous
+        assert A.diff_matrix.flags.c_contiguous
+
+
+def test_measured_joint_outside_the_tree_is_refused():
+    # a Skeleton built without build_skeleton can hold a negative index,
+    # which numpy indexing would wrap round silently
+    skel = default_skeleton()
+    bad = Skeleton(skel.parents, skel.bone_vectors, (15, 20, -1))
+    with pytest.raises(ValueError, match="measured joint -1 not in tree"):
+        build_A(bad)
 
 
 def test_operator_accepts_nested_lists():

@@ -207,9 +207,10 @@ def test_gram_schmidt_runs_once_per_score(monkeypatch, mode):
         calls.append(np.shape(r))
         return gram_schmidt(r)
 
+    # random_manifold_points decodes too, so its points are drawn before counting starts
+    r_hat = random_manifold_points(4 * 22, seed=14).reshape(4, 22, 6)
     monkeypatch.setattr(rot6d, "_gram_schmidt", counting_gram_schmidt)
     A = build_A(default_skeleton())
-    r_hat = random_manifold_points(4 * 22, seed=14).reshape(4, 22, 6)
     l_diff = np.random.default_rng(15).standard_normal((4, 2, 3))
     likelihood_score(l_diff, A, r_hat, lambda c: c,
                      GuidanceConfig(sigma_l=0.01, covariance_mode=mode), 0.3)
