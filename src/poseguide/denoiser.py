@@ -122,6 +122,10 @@ class TrainConfig:
         for name in ("window", "hidden", "batch", "steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.cond_spec not in COND_DIMS:
             raise ValueError(f"cond_spec must be one of {list(COND_DIMS)}, got {self.cond_spec!r}")
 
@@ -285,6 +289,43 @@ def _extract_windows(dataset, config: TrainConfig):
     return np.array(states), np.array(conds)
 
 
+_ADAM_CHUNK = 32768  # elements per block: two 256 KB scratch buffers stay in cache
+
+
+def _adam_update(params, grads, m, v, step, step_size) -> None:
+    """One Adam step (Kingma & Ba, 2015) on every array of ``grads``, in place.
+
+    Walks the flat view of each (C-contiguous) array in blocks of
+    ``_ADAM_CHUNK`` through two scratch buffers that stay in cache.  The
+    operations and their order are those of the whole-array expressions
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g and
+    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), so the result is bit-identical.
+    """
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    c1, c2 = 1 - b1**step, 1 - b2**step
+    scratch_a, scratch_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
+    for k, g in grads.items():
+        g, mk, vk, pk = (x.reshape(-1) for x in (g, m[k], v[k], params[k]))
+        for lo in range(0, g.size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, g.size)
+            gs, ms, vs, ps = g[lo:hi], mk[lo:hi], vk[lo:hi], pk[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            ms *= b1
+            np.multiply(gs, 1 - b1, out=a)
+            ms += a
+            vs *= b2
+            np.multiply(gs, 1 - b2, out=a)
+            a *= gs
+            vs += a
+            np.divide(ms, c1, out=a)
+            a *= step_size
+            np.divide(vs, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            ps -= a
+
+
 def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoiser:
     """Denoising training, deterministic per seed.
 
@@ -303,7 +344,6 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     rng = np.random.default_rng(config.seed + 1)
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
-    beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
     B = config.batch
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(states), size=B)
@@ -325,12 +365,7 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
         d_out = 2.0 * resid / resid.size
         grads = {}
         model._backward(cache, d_out, grads)
-        for k, g in grads.items():
-            adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
-            adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
-            mhat = adam_m[k] / (1 - beta1**step)
-            vhat = adam_v[k] / (1 - beta2**step)
-            model.params[k] -= config.step_size * mhat / (np.sqrt(vhat) + eps_adam)
+        _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size)
     return model
 
 

@@ -139,9 +139,6 @@ def build_A(skeleton: Skeleton) -> LinearOperatorA:
     """
     measured_joints = list(skeleton.measured_joints)
     n = skeleton.joint_count
-    for j in measured_joints:
-        if not 0 <= j < n:  # a negative index would wrap silently below
-            raise ValueError(f"measured joint {j} not in tree")
     # vec9 slot 3*c + i of a joint holds entry (i, c) of its rotation
     units = np.eye(n * 9).reshape(n * 9, n, 3, 3).swapaxes(-1, -2)
     # C order keeps the BLAS path of every product with A, and so its rounding, fixed

@@ -70,6 +70,19 @@ class Skeleton:
     bone_vectors: np.ndarray
     measured_joints: tuple[int, ...] = MEASURED_JOINTS
 
+    def __post_init__(self):
+        # measurement, FK readout and A all index with this list, where a
+        # negative index would wrap round silently, so every Skeleton checks it
+        n = len(self.parents)
+        measured = np.asarray(self.measured_joints)
+        if (measured.shape != (3,) or not np.issubdtype(measured.dtype, np.integer)
+                or not np.all((0 <= measured) & (measured < n))
+                or len(set(measured.tolist())) != 3):
+            raise SkeletonError(f"measured must be 3 joint indices of the {n}-joint tree "
+                                f"(distinct head, left wrist and right wrist), "
+                                f"got {measured.tolist()}")
+        object.__setattr__(self, "measured_joints", tuple(int(j) for j in measured))
+
     @property
     def joint_count(self) -> int:
         return len(self.parents)
@@ -107,9 +120,9 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
 
     Rejects multiple roots, self/forward parent references (which also
     covers cycles, given the topological-order requirement), a non-finite
-    bone, a nonzero root bone, and a measured list that is not 3 distinct
-    in-tree joints (head, left wrist, right wrist: the order of
-    ``MeasurementSet``).
+    bone and a nonzero root bone.  ``Skeleton`` itself rejects a measured
+    list that is not 3 distinct in-tree joints (head, left wrist, right
+    wrist: the order of ``MeasurementSet``).
     """
     parents = np.asarray(parents, dtype=int)
     bones = np.asarray(bone_vectors, dtype=float)
@@ -133,15 +146,9 @@ def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Sk
         raise SkeletonError(f"non-finite bone vector at joint {bad[0]}")
     if np.any(bones[ROOT] != 0.0):
         raise SkeletonError("root bone vector must be zero")
-    measured = np.asarray(measured_joints)
-    if (measured.shape != (3,) or not np.issubdtype(measured.dtype, np.integer)
-            or not np.all((0 <= measured) & (measured < n))
-            or len(set(measured.tolist())) != 3):
-        raise SkeletonError(f"measured must be 3 joint indices of the {n}-joint tree (distinct "
-                            f"head, left wrist and right wrist), got {list(measured_joints)}")
     parents.setflags(write=False)
     bones.setflags(write=False)
-    return Skeleton(parents, bones, tuple(int(j) for j in measured))
+    return Skeleton(parents, bones, measured_joints)
 
 
 def default_skeleton() -> Skeleton:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from poseguide.denoiser import (
-    TERMINAL, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
-    alpha_bar, finite_difference_vjp, make_conditioning, train_denoiser,
+    _ADAM_CHUNK, TERMINAL, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
+    _adam_update, alpha_bar, finite_difference_vjp, make_conditioning, train_denoiser,
 )
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.measurement import extract_measurements
@@ -89,6 +89,36 @@ def test_training_reduces_loss():
     assert tail < 0.25 * head
 
 
+def test_adam_update_matches_textbook_adam():
+    # the blocked in-place update against the per-array expressions, bit for bit,
+    # on arrays smaller than one block, exactly one block, and past a block edge
+    def textbook(params, grads, m, v, step, lr):
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        for k, g in grads.items():
+            m[k] = beta1 * m[k] + (1 - beta1) * g
+            v[k] = beta2 * v[k] + (1 - beta2) * g * g
+            mhat = m[k] / (1 - beta1**step)
+            vhat = v[k] / (1 - beta2**step)
+            params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+    rng = np.random.default_rng(16)
+    shapes = {"bias": (7,), "small": (30, 41), "block": (_ADAM_CHUNK,),
+              "ragged": (3, _ADAM_CHUNK // 2 + 5)}
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    start = {k: p.copy() for k, p in params.items()}
+    m, v, m_ref, v_ref = ({k: np.zeros(s) for k, s in shapes.items()} for _ in range(4))
+    for step in range(1, 6):
+        grads = {k: rng.standard_normal(s) * 10.0**-step for k, s in shapes.items()}
+        _adam_update(params, grads, m, v, step, 3e-3)
+        textbook(ref, grads, m_ref, v_ref, step, 3e-3)
+    for k in shapes:
+        assert np.array_equal(params[k], ref[k])
+        assert np.array_equal(m[k], m_ref[k])
+        assert np.array_equal(v[k], v_ref[k])
+        assert np.all(params[k] != start[k])  # every block, the last partial one too
+
+
 def test_training_errors():
     ds, _ = small_dataset()
     with pytest.raises(TrainingError):
@@ -100,7 +130,9 @@ def test_training_errors():
 
 def test_train_config_refuses_bad_fields():
     for field, value in (("window", 0), ("hidden", 0), ("batch", 0), ("steps", 0),
-                         ("cond_spec", "rotations+locations"), ("cond_spec", "velocities")):
+                         ("cond_spec", "rotations+locations"), ("cond_spec", "velocities"),
+                         ("step_size", -1e-3), ("step_size", 0.0), ("step_size", float("nan")),
+                         ("step_size", float("inf")), ("seed", -5)):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 

@@ -139,6 +139,20 @@ def test_skeleton_file_measured_list_is_validated(tmp_path, measured):
         Skeleton.load(path)
 
 
+def test_directly_built_skeleton_checks_its_measured_joints():
+    # numpy wraps -7 round to joint 15, so this skeleton once measured the
+    # head without a word; the check now runs in Skeleton itself
+    skel = default_skeleton()
+    for measured in ((-7, 20, 21), (15, 20, 22), (15, 20, 20), (15.0, 20.0, 21.0)):
+        with pytest.raises(SkeletonError, match=r"measured must be 3 joint indices .* got "
+                                                + re.escape(str(list(measured)))):
+            Skeleton(skel.parents, skel.bone_vectors, measured)
+    # numpy integers are accepted and stored as plain ints
+    direct = Skeleton(skel.parents, skel.bone_vectors, np.array(MEASURED_JOINTS))
+    assert direct.measured_joints == MEASURED_JOINTS
+    assert all(type(j) is int for j in direct.measured_joints)
+
+
 def test_recover_root_translation_exact():
     skel = default_skeleton()
     rng = np.random.default_rng(6)
