@@ -105,6 +105,14 @@ class OracleDenoiser(DenoiserInterface):
         return truth, lambda cot: np.zeros(truth.shape)
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Refuse, by ``name``, a ``value`` that is not an integer (a bool is not) or is below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 @dataclass
 class TrainConfig:
     window: int = 41
@@ -119,13 +127,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
-        for name in ("window", "hidden", "batch", "steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in (("window", 1), ("hidden", 1), ("batch", 1), ("steps", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), low)
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.cond_spec not in COND_DIMS:
             raise ValueError(f"cond_spec must be one of {list(COND_DIMS)}, got {self.cond_spec!r}")
 

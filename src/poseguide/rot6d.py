@@ -7,7 +7,11 @@ the two 3-vectors and completes the frame with a cross product, so any
 
 Throughout this module a "vec9" is the column-stacked 9-vector
 ``[c1; c2; c1 x c2]`` of a rotation matrix, i.e. the 6DoF entries followed
-by the third column.  All functions broadcast over leading axes.
+by the third column.  All functions broadcast over leading axes.  Inside,
+the decode and its pullback work on component planes (one contiguous array
+per coordinate) with dot and cross products in numpy's own order, so they are
+bit-identical to ``(..., 3)`` code.  Their outputs are C-contiguous: the FK
+and root-recovery matmuls downstream round differently on strided input.
 """
 
 from __future__ import annotations
@@ -28,26 +32,34 @@ def to_sixdof(R: np.ndarray) -> np.ndarray:
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
+def _dot(u, v):
+    # numpy sums a length-3 axis left to right onto 0.0, which turns a -0.0 total into +0.0
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + 0.0
+
+
+def _cross(u, v):
+    return np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]])
+
+
 def _gram_schmidt(r: np.ndarray):
     """Gram-Schmidt on the halves a, b of 6DoF vectors ``(..., 6)``.
 
-    Normalize a, remove its component from b and normalize.  Returns the
-    unit columns ``c1, c2`` together with ``|a|``, the norm of the raw
-    second column and ``c1 . b``, which the pullback reuses.  A degenerate
-    entry is reported with its flat joint index.
+    Normalize a, remove its component from b and normalize.  Returns c1, c2
+    and b as planes ``(3, ...)`` with |a|, |c2r| and c1 . b, which the pullback
+    reuses.  A degenerate entry is reported with its flat joint index.
     """
     if r.shape[-1] != 6:
         raise ValueError(f"expected trailing dimension 6, got {r.shape}")
-    a = r[..., 0:3]
-    b = r[..., 3:6]
-    na = np.linalg.norm(a, axis=-1)
+    p = np.moveaxis(r, -1, 0).copy()  # component planes (6, ...)
+    a, b = p[0:3], p[3:6]
+    na = np.sqrt(_dot(a, a))
     _refuse_degenerate(na, "zero first column")
-    c1 = a / na[..., None]
-    proj = np.sum(c1 * b, axis=-1)
-    c2r = b - proj[..., None] * c1
-    nc2 = np.linalg.norm(c2r, axis=-1)
+    c1 = np.divide(a, na, out=a)
+    proj = _dot(c1, b)
+    c2 = b - proj * c1
+    nc2 = np.sqrt(_dot(c2, c2))
     _refuse_degenerate(nc2, "columns (near) parallel")
-    return c1, c2r / nc2[..., None], na, nc2, proj
+    return c1, np.divide(c2, nc2, out=c2), na, nc2, proj, b
 
 
 def _refuse_degenerate(norms: np.ndarray, what: str) -> None:
@@ -64,7 +76,7 @@ def batch_from_sixdof(rs: np.ndarray) -> np.ndarray:
     adding multiples of the first half to the second.
     """
     c1, c2, *_ = _gram_schmidt(np.asarray(rs, dtype=float))
-    return np.stack([c1, c2, np.cross(c1, c2)], axis=-1)
+    return np.stack([np.stack(row, axis=-1) for row in zip(c1, c2, _cross(c1, c2))], axis=-2)
 
 
 def vec9(R: np.ndarray) -> np.ndarray:
@@ -76,25 +88,31 @@ def vec9(R: np.ndarray) -> np.ndarray:
 def decode(r: np.ndarray):
     """Decode 6DoF vectors ``(..., 6)`` into vec9 ``(..., 9)``, returned with its pullback.
 
-    ``pullback(cot9)`` maps a vec9 cotangent ``(..., 9)`` to ``(..., 6)`` by
-    running the Gram-Schmidt chain backwards on the columns, norms and
-    projection computed here.
+    ``pullback(cot9)`` maps a vec9 cotangent ``(..., 9)`` to ``(..., 6)``: the
+    Gram-Schmidt chain run backwards on the columns, norms and projection.
     """
-    r = np.asarray(r, dtype=float)
-    c1, c2, na, nc2, proj = _gram_schmidt(r)
+    c1, c2, na, nc2, proj, b = _gram_schmidt(np.asarray(r, dtype=float))
+    p9 = np.stack([*c1, *c2, *_cross(c1, c2)], axis=-1)
 
     def pullback(cot9):
         cot9 = np.asarray(cot9, dtype=float)
-        g3 = cot9[..., 6:9]
-        g1 = cot9[..., 0:3] + np.cross(c2, g3)  # c3 = c1 x c2
-        g2 = cot9[..., 3:6] + np.cross(g3, c1)
-        gt = (g2 - c2 * np.sum(c2 * g2, -1, keepdims=True)) / nc2[..., None]  # c2 = c2r / |c2r|
-        s = np.sum(c1 * gt, -1, keepdims=True)  # c2r = b - (c1 . b) c1
-        g1 = g1 - s * r[..., 3:6] - proj[..., None] * gt
-        g_a = (g1 - c1 * np.sum(c1 * g1, -1, keepdims=True)) / na[..., None]  # c1 = a / |a|
-        return np.concatenate([g_a, gt - s * c1], axis=-1)
+        if cot9.shape != p9.shape:  # planes would broadcast the wrong axes
+            raise ValueError(f"cotangent shape {cot9.shape} differs from the vec9 shape {p9.shape}")
+        g = np.moveaxis(cot9, -1, 0).copy()
+        g1, g2, g3 = g[0:3], g[3:6], g[6:9]
+        g1 += _cross(c2, g3)  # c3 = c1 x c2
+        g2 += _cross(g3, c1)
+        g2 -= c2 * _dot(c2, g2)  # c2 = c2r / |c2r|
+        g2 /= nc2
+        s = _dot(c1, g2)  # c2r = b - (c1 . b) c1
+        g1 -= s * b
+        g1 -= proj * g2
+        g1 -= c1 * _dot(c1, g1)  # c1 = a / |a|
+        g1 /= na
+        g2 -= s * c1
+        return np.stack([*g1, *g2], axis=-1)
 
-    return np.concatenate([c1, c2, np.cross(c1, c2)], axis=-1), pullback
+    return p9, pullback
 
 
 def vjp_from_sixdof(r: np.ndarray, cotangent: np.ndarray) -> np.ndarray:

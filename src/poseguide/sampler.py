@@ -20,7 +20,7 @@ from . import rot6d
 from .measurement import LinearOperatorA, MeasurementSet, build_A, differential_transform
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
 from .uncertainty import sigma_matrix
-from .denoiser import TERMINAL, DenoiserInterface, alpha_bar, make_conditioning
+from .denoiser import TERMINAL, DenoiserInterface, alpha_bar, check_count, make_conditioning
 
 WINDOW = 41
 OVERLAP = 20
@@ -45,8 +45,7 @@ class Schedule:
 
 
 def make_schedule(n_steps: int) -> Schedule:
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    check_count("n_steps", n_steps, 1)
     q = np.linspace(0.0, TERMINAL, n_steps + 1)
     return Schedule(q, alpha_bar(q))
 
@@ -163,6 +162,7 @@ def run_guided_inference(
     measured locations only through their per-frame differences, so a
     constant translation of all sensors leaves them unchanged.
     """
+    check_count("seed", seed, 0)
     if window is not None and denoiser.window not in (None, window):
         raise ValueError(f"window {window} differs from the denoiser's trained window "
                          f"{denoiser.window}")

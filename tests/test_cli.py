@@ -102,6 +102,16 @@ def test_infer_requires_model_source(data_dir, tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_infer_refuses_a_negative_seed_by_name(data_dir, tmp_path, capsys):
+    # used to print numpy's "expected non-negative integer", naming no option
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    rc = main(["infer", "--measurements", str(cell / "measurements.jsonl"),
+               "--skeleton", str(cell / "skeleton.json"), "--out", str(tmp_path / "p.pgseq"),
+               "--oracle-truth", str(cell / "truth.pgseq"), "--steps", "2", "--seed", "-1"])
+    assert rc == EXIT_USAGE
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
+
+
 def test_infer_refuses_version_2_checkpoint(data_dir, tmp_path):
     ckpt = tmp_path / "v2.npz"
     MLPDenoiser(TrainConfig(window=16, hidden=24)).save(ckpt)

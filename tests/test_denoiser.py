@@ -132,7 +132,10 @@ def test_train_config_refuses_bad_fields():
     for field, value in (("window", 0), ("hidden", 0), ("batch", 0), ("steps", 0),
                          ("cond_spec", "rotations+locations"), ("cond_spec", "velocities"),
                          ("step_size", -1e-3), ("step_size", 0.0), ("step_size", float("nan")),
-                         ("step_size", float("inf")), ("seed", -5)):
+                         ("step_size", float("inf")), ("seed", -5),
+                         # non-integer sizes and seeds used to fail inside numpy, unnamed
+                         ("hidden", 24.5), ("window", 12.5), ("batch", 8.5), ("steps", 3.5),
+                         ("seed", 1.5), ("seed", True), ("hidden", "8")):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 

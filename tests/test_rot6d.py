@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poseguide import rot6d
 
@@ -37,7 +39,8 @@ def jacobian_from_sixdof(r: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     b = r[..., 3:6]
-    c1, c2, na, nc2, proj = rot6d._gram_schmidt(r)
+    c1, c2, na, nc2, proj, _ = rot6d._gram_schmidt(r)
+    c1, c2 = np.moveaxis(c1, 0, -1), np.moveaxis(c2, 0, -1)  # planes (3, ...) -> (..., 3)
 
     eye = np.broadcast_to(np.eye(3), c1.shape + (3,))
     # d c1 / d a
@@ -121,6 +124,95 @@ def test_vjp_matches_jacobian_transpose():
             assert np.allclose(got[i, j], J.T @ cot[i, j], atol=1e-12)
 
 
+def vector_decode(r):
+    """Reference decode on ``(..., 3)`` slices: ``np.linalg.norm``, ``np.sum(..., -1)``, ``np.cross``.
+
+    Returns vec9, its pullback and the rotation matrices, which the
+    component-plane code in the module must reproduce bit for bit.
+    """
+    a, b = r[..., 0:3], r[..., 3:6]
+    na = np.linalg.norm(a, axis=-1)
+    c1 = a / na[..., None]
+    proj = np.sum(c1 * b, axis=-1)
+    c2r = b - proj[..., None] * c1
+    nc2 = np.linalg.norm(c2r, axis=-1)
+    c2 = c2r / nc2[..., None]
+
+    def pullback(cot9):
+        g3 = cot9[..., 6:9]
+        g1 = cot9[..., 0:3] + np.cross(c2, g3)
+        g2 = cot9[..., 3:6] + np.cross(g3, c1)
+        gt = (g2 - c2 * np.sum(c2 * g2, -1, keepdims=True)) / nc2[..., None]
+        s = np.sum(c1 * gt, -1, keepdims=True)
+        g1 = g1 - s * r[..., 3:6] - proj[..., None] * gt
+        g_a = (g1 - c1 * np.sum(c1 * g1, -1, keepdims=True)) / na[..., None]
+        return np.concatenate([g_a, gt - s * c1], axis=-1)
+
+    c3 = np.cross(c1, c2)
+    return np.concatenate([c1, c2, c3], axis=-1), pullback, np.stack([c1, c2, c3], axis=-1)
+
+
+def _signed_zero_rows(n, seed):
+    # entries from a small set with both zeros, so that whole products are -0.0;
+    # rows with a (near) degenerate decode are dropped
+    rng = np.random.default_rng(seed)
+    r = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0], (n, 6))
+    keep = (np.abs(r[:, :3]).max(-1) > 0) & (np.abs(np.cross(r[:, :3], r[:, 3:])).max(-1) > 0.1)
+    return r[keep]
+
+
+@pytest.mark.parametrize("case", ["frames-joints", "windows-frames-joints", "single", "strided",
+                                  "signed-zeros"])
+def test_component_planes_match_the_vector_decode_bit_for_bit(case):
+    rng = np.random.default_rng(11)
+    r = {
+        "frames-joints": lambda: rng.standard_normal((287, 22, 6)),
+        "windows-frames-joints": lambda: rng.standard_normal((7, 41, 22, 6)) * 3.0,
+        "single": lambda: rng.standard_normal(6),
+        "strided": lambda: rng.standard_normal((40, 22, 12))[::2, :, 1::2],
+        "signed-zeros": lambda: _signed_zero_rows(4000, seed=12),
+    }[case]()
+    cot = rng.standard_normal(r.shape[:-1] + (9,))
+    if case == "signed-zeros":
+        cot = rng.choice([0.0, -0.0, 1.0, -1.5], cot.shape)
+    want_p9, want_pullback, want_R = vector_decode(r)
+    p9, pullback = rot6d.decode(r)
+    got = {"vec9": p9, "pullback": pullback(cot), "batch": rot6d.batch_from_sixdof(r)}
+    want = {"vec9": want_p9, "pullback": want_pullback(cot), "batch": want_R}
+    for name in got:
+        assert np.array_equal(got[name], want[name]), name
+        assert got[name].tobytes() == want[name].tobytes(), f"{name}: signs of zeros differ"
+        assert got[name].shape == want[name].shape and got[name].flags.c_contiguous, name
+
+
+def _away_from_degeneracy(r):
+    # |a| and |c2r| = |a x b| / |a| both at least 0.5, far above DEGENERACY_EPS
+    na = np.linalg.norm(r[:3])
+    return na > 0.5 and np.linalg.norm(np.cross(r[:3], r[3:])) > 0.5 * na
+
+
+sixdof = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6).map(np.array)
+property_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@property_settings
+@given(r=sixdof, lam=st.floats(0.1, 10.0), mu=st.floats(-3.0, 3.0))
+def test_decode_is_invariant_to_scaling_a_and_shearing_b_along_a(r, lam, mu):
+    assume(_away_from_degeneracy(r))
+    moved = np.concatenate([lam * r[:3], r[3:] + mu * r[:3]])
+    assert np.abs(rot6d.decode(moved)[0] - rot6d.decode(r)[0]).max() < 1e-12
+
+
+@property_settings
+@given(r=sixdof, cot=st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9).map(np.array))
+def test_pullback_has_no_component_along_the_invariant_directions(r, cot):
+    assume(_away_from_degeneracy(r))
+    g = rot6d.decode(r)[1](cot)
+    a = r[:3]
+    assert abs(g[:3] @ a) < 1e-12  # along [a, 0]: scaling a
+    assert abs(g[3:] @ a) < 1e-12  # along [0, a]: adding multiples of a to b
+
+
 def test_decode_is_vec9_of_batch_decode():
     rng = np.random.default_rng(9)
     r = rng.standard_normal((5, 4, 6))
@@ -151,6 +243,15 @@ def test_degenerate_inputs_raise():
     for fn in (rot6d.batch_from_sixdof, rot6d.decode):
         with pytest.raises(rot6d.DegenerateRotationError, match="joint 5"):
             fn(r)
+
+
+def test_pullback_refuses_a_cotangent_of_another_shape():
+    # component planes of a (6,) decode against a (3, 9) cotangent would pair
+    # the three coordinates with the three cotangents instead of raising
+    _, pullback = rot6d.decode(np.array([1.0, 0.2, 0.0, 0.1, 1.0, 0.3]))
+    for cot in (np.ones((3, 9)), np.ones(6)):
+        with pytest.raises(ValueError, match=r"cotangent shape .* differs from the vec9 shape \(9,\)"):
+            pullback(cot)
 
 
 def test_decode_invariant_to_column_scaling():

@@ -39,6 +39,10 @@ def test_schedule_alpha_bar_values():
 def test_make_schedule_validation():
     with pytest.raises(ValueError):
         make_schedule(0)
+    # a fractional step count used to fail inside np.linspace with a bare TypeError
+    for n_steps in (2.5, True):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            make_schedule(n_steps)
 
 
 def test_ddim_constants_known_values():
@@ -394,6 +398,9 @@ def test_stochastic_windows_keep_their_own_noise_streams():
     (dict(window=0), "window 0 must be between 1 and the 100 frames"),
     (dict(window=-3), "window -3 must be between 1 and the 100 frames"),
     (dict(window=101), "window 101 must be between 1 and the 100 frames"),
+    # a negative seed used to fail inside np.random.default_rng, unnamed
+    (dict(seed=-1), "seed must be at least 0, got -1"),
+    (dict(seed=2.5), "seed must be an integer, got 2.5"),
 ])
 def test_bad_window_or_overlap_is_refused(kwargs, match):
     # a negative overlap used to leave frames uncovered and return NaN
