@@ -41,20 +41,19 @@ def _echo_config(out_path: Path, args: argparse.Namespace) -> None:
         json.dump(doc, fh, indent=2)
 
 
-def _load_skeleton(path) -> Skeleton:
-    if path is None:
-        return default_skeleton()
+def _existing(path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
-        raise UsageError(f"skeleton file not found: {p}")
-    return Skeleton.load(p)
+        raise UsageError(f"{what} not found: {p}")
+    return p
+
+
+def _load_skeleton(path) -> Skeleton:
+    return default_skeleton() if path is None else Skeleton.load(_existing(path, "skeleton file"))
 
 
 def cmd_gen_data(args) -> int:
-    manifest_path = Path(args.manifest)
-    if not manifest_path.exists():
-        raise UsageError(f"manifest not found: {manifest_path}")
-    manifest = BenchmarkManifest.load(manifest_path)
+    manifest = BenchmarkManifest.load(_existing(args.manifest, "manifest"))
     skeleton = _load_skeleton(args.skeleton)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -65,9 +64,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data_dir = Path(args.data)
-    if not data_dir.exists():
-        raise UsageError(f"data directory not found: {data_dir}")
+    data_dir = _existing(args.data, "data directory")
     dataset = []
     for cell_dir in sorted(data_dir.iterdir()):
         truth = cell_dir / "truth.pgseq"
@@ -100,20 +97,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    meas_path = Path(args.measurements)
-    if not meas_path.exists():
-        raise UsageError(f"measurements not found: {meas_path}")
-    measurements = MeasurementSet.load(meas_path)
+    measurements = MeasurementSet.load(_existing(args.measurements, "measurements"))
     skeleton = _load_skeleton(args.skeleton)
     if args.oracle_truth is not None:
         denoiser = OracleDenoiser(load_sequence(Path(args.oracle_truth)).rotations)
     else:
         if args.checkpoint is None:
             raise UsageError("need --checkpoint or --oracle-truth")
-        ckpt = Path(args.checkpoint)
-        if not ckpt.exists():
-            raise UsageError(f"checkpoint not found: {ckpt}")
-        denoiser = MLPDenoiser.load(ckpt)
+        denoiser = MLPDenoiser.load(_existing(args.checkpoint, "checkpoint"))
     schedule = make_schedule(args.steps)
     config = GuidanceConfig(
         eta=args.eta, guidance_scale=args.guidance_scale, sigma_l=args.sigma_l,
@@ -131,10 +122,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred_path, truth_path = Path(args.pred), Path(args.truth)
-    for p in (pred_path, truth_path):
-        if not p.exists():
-            raise UsageError(f"input not found: {p}")
+    pred_path, truth_path = (_existing(p, "input") for p in (args.pred, args.truth))
     pred = load_sequence(pred_path)
     truth = load_sequence(truth_path)
     pred_skel = _load_skeleton(args.skeleton)
@@ -159,11 +147,8 @@ def cmd_verify(args) -> int:
     roundtrip = float(np.max(np.abs(rot6d.to_sixdof(R) - pts)))
     skel = default_skeleton()
     A = build_A(skel)
-    rots = rot6d.batch_from_sixdof(
-        random_manifold_points(50 * skel.joint_count, seed=args.seed + 1).reshape(
-            50, skel.joint_count, 6
-        )
-    )
+    points = random_manifold_points(50 * skel.joint_count, seed=args.seed + 1)
+    rots = rot6d.batch_from_sixdof(points.reshape(50, skel.joint_count, 6))
     fk = forward_kinematics(skel, rots)[..., list(skel.measured_joints), :]
     lin_err = float(np.max(np.abs(A.apply_vec9(rot6d.vec9(rots)) - fk)))
     report["rot6d_roundtrip_max_err"] = roundtrip

@@ -268,26 +268,14 @@ class BenchmarkManifest:
 
     @staticmethod
     def from_json(text: str) -> "BenchmarkManifest":
-        doc = json.loads(text)
-        cells = []
-        for c in doc["cells"]:
-            cells.append(
-                BenchmarkCell(
-                    motion=MotionSpec(**c["motion"]),
-                    preset=c.get("preset", "uniform:1.0"),
-                    sigma_l=c.get("sigma_l", 0.0),
-                    sigma_r=c.get("sigma_r", 0.0),
-                    seed=c.get("seed", 0),
-                )
-            )
-        return BenchmarkManifest(cells)
+        # a missing field takes the BenchmarkCell default; unknown fields are ignored
+        fields = ("preset", "sigma_l", "sigma_r", "seed")
+        return BenchmarkManifest([
+            BenchmarkCell(MotionSpec(**c["motion"]), **{k: c[k] for k in fields if k in c})
+            for c in json.loads(text)["cells"]])
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"cells": [{"motion": asdict(c.motion), "preset": c.preset, "sigma_l": c.sigma_l,
-                        "sigma_r": c.sigma_r, "seed": c.seed} for c in self.cells]},
-            indent=2,
-        )
+        return json.dumps({"cells": [asdict(c) for c in self.cells]}, indent=2)
 
     @staticmethod
     def load(path) -> "BenchmarkManifest":
@@ -319,10 +307,7 @@ def write_cells(manifest: BenchmarkManifest, skeleton: Skeleton, out_dir) -> dic
         save_sequence(cell_dir / "truth.pgseq", poses)
         meas.save(cell_dir / "measurements.jsonl")
         cell_skel.save(cell_dir / "skeleton.json")
-        lock["cells"].append(
-            {"name": cell.name(), "preset": cell.preset, "sigma_l": cell.sigma_l,
-             "sigma_r": cell.sigma_r, "seed": cell.seed, "motion": asdict(cell.motion)}
-        )
+        lock["cells"].append({"name": cell.name(), **asdict(cell)})
     with open(out / "manifest-lock.json", "w") as fh:
         json.dump(lock, fh, indent=2)
     return lock

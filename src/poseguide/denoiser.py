@@ -105,11 +105,11 @@ class OracleDenoiser(DenoiserInterface):
         return truth, lambda cot: np.zeros(truth.shape)
 
 
-def check_count(name: str, value, low: int) -> None:
+def check_count(name: str, value, low: int | None = None) -> None:
     """Refuse, by ``name``, a ``value`` that is not an integer (a bool is not) or is below ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
@@ -372,30 +372,3 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
         model._backward(cache, d_out, grads)
         _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size)
     return model
-
-
-def finite_difference_vjp(denoiser: DenoiserInterface, r_t, t, cond, starts, cotangent,
-                          step: float = 1e-4) -> np.ndarray:
-    """Central-difference reference for a denoiser's analytic pullback.
-
-    Differentiates <cotangent, r_hat(r_t)> one input coordinate at a time,
-    so cost scales with the state size; intended for small windows.
-    """
-    r_t = np.asarray(r_t, dtype=float)
-    cot = np.asarray(cotangent, dtype=float)
-
-    def denoised(x):
-        return denoiser.denoise(x, t, cond, starts)[0]
-
-    grad = np.zeros_like(r_t)
-    flat = r_t.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + step
-        hi = float(np.sum(cot * denoised(r_t)))
-        flat[i] = saved - step
-        lo = float(np.sum(cot * denoised(r_t)))
-        flat[i] = saved
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return grad

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .skeleton import Skeleton, forward_kinematics
+from .uncertainty import projected_sigma
 
 
 @dataclass
@@ -117,6 +119,11 @@ class LinearOperatorA:
     def active_block(self) -> np.ndarray:
         """``diff_matrix`` on the active joints only: ``(6, active, 9)``."""
         return self.diff_matrix.reshape(-1, self.joint_count, 9)[:, self.active_joints]
+
+    @cached_property
+    def sigma_projection(self):
+        """``uncertainty.projected_sigma`` of ``active_block``, built once per operator."""
+        return projected_sigma(self.active_block)
 
     def apply_vec9(self, p9: np.ndarray) -> np.ndarray:
         """Measured-joint locations from vec9 rotations ``(..., J, 9)`` -> ``(..., |m|, 3)``."""

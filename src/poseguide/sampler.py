@@ -19,7 +19,6 @@ import numpy as np
 from . import rot6d
 from .measurement import LinearOperatorA, MeasurementSet, build_A, differential_transform
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
-from .uncertainty import sigma_matrix
 from .denoiser import TERMINAL, DenoiserInterface, alpha_bar, check_count, make_conditioning
 
 WINDOW = 41
@@ -83,8 +82,10 @@ def likelihood_score(
     Solves (w^2 A Sigma A^T + sigma_l^2 I) u = residual for all frames in
     one batch, with sigma_l = ``config.sigma_l``, then applies the
     transposed chain A^T -> decode pullback -> denoiser pullback, scaled by
-    ``config.guidance_scale``.  Only A's active joints enter; every other
-    joint's cotangent is exactly zero.
+    ``config.guidance_scale``.  One Gram-Schmidt covers all joints, so a
+    degenerate estimate is refused anywhere; after it only A's active joints
+    enter (their vec9s, A Sigma A^T by ``A.sigma_projection``, the decode
+    pullback), and every other joint's cotangent is exactly zero.
 
     ``l_diff``: (frames, 2, 3) differential measured locations;
     ``r_hat``: (frames, J, 6); ``pullback``: cotangent (frames, J, 6)
@@ -92,22 +93,24 @@ def likelihood_score(
     """
     r_hat = np.asarray(r_hat, dtype=float)
     frames, J = r_hat.shape[:2]
-    p9, decode_pullback = rot6d.decode(r_hat)
-    e = (np.asarray(l_diff, dtype=float) - A.apply_diff_vec9(p9)).reshape(frames, 6)
-
     act = A.active_joints
-    G = A.active_block  # (6, active, 9)
-    Gc = G.reshape(6, -1)
+    p9, decode_pullback = rot6d.decode(r_hat, act)  # (frames, active, 9)
+    # the residual reads the full vec9 layout, zero off the active joints:
+    # for small batches BLAS rounds the product without those columns differently
+    full = np.zeros((frames, J, 9))
+    full[:, act] = p9
+    e = (np.asarray(l_diff, dtype=float) - A.apply_diff_vec9(full)).reshape(frames, 6)
+
+    Gc = A.active_block.reshape(6, -1)
     if config.covariance_mode == "identity":
         GSG = Gc @ Gc.T
     else:
         # Sigma evaluated at the decoded (manifold) point of each active joint
-        S = sigma_matrix(p9[:, act, :6], w_t)  # (frames, active, 9, 9)
-        GS = G.transpose(1, 0, 2) @ S           # (frames, active, 6, 9)
-        GSG = GS.transpose(0, 2, 1, 3).reshape(frames, 6, -1) @ Gc.T
+        GSG = A.sigma_projection(p9, w_t)
     B = w_t**2 * GSG + config.sigma_l**2 * np.eye(6)
     u = np.linalg.solve(B, e[..., None])[..., 0]
-    cot6 = decode_pullback((u @ A.diff_matrix).reshape(frames, J, 9))
+    cot6 = np.zeros_like(r_hat)
+    cot6[:, act] = decode_pullback((u @ Gc).reshape(p9.shape))
     return config.guidance_scale * pullback(cot6)
 
 
@@ -163,6 +166,10 @@ def run_guided_inference(
     constant translation of all sensors leaves them unchanged.
     """
     check_count("seed", seed, 0)
+    # only the integer tests here; the ranges below keep their own messages
+    if window is not None:
+        check_count("window", window)
+    check_count("overlap", overlap)
     if window is not None and denoiser.window not in (None, window):
         raise ValueError(f"window {window} differs from the denoiser's trained window "
                          f"{denoiser.window}")

@@ -9,6 +9,12 @@ r_hat and w.  The mean is the decoded vec9 itself (``rot6d.decode``); this
 module assembles the covariance w^2 Sigma, provides the Monte-Carlo oracle
 for both moments, and the leading-principal-minor check for positive
 definiteness.
+
+Sigma factors exactly as J J^T + 2 w^2 E3, with J = d[a; b; a x b]/d[a; b]
+at the halves a, b and E3 the projector onto the cross-product block.
+``sigma_matrix`` assembles the 9 x 9 closed form for the Monte-Carlo check;
+the sampler needs only A Sigma A^T, which ``projected_sigma`` builds from
+G J without any 9 x 9 matrix.
 """
 
 from __future__ import annotations
@@ -46,6 +52,37 @@ def sigma_matrix(r_hat: np.ndarray, w: float) -> np.ndarray:
     S[..., 7, 8] = S[..., 8, 7] = -(r2 * r3 + r5 * r6)
     S[..., 8, 6] = S[..., 6, 8] = -(r1 * r3 + r4 * r6)
     return S
+
+
+def projected_sigma(G: np.ndarray):
+    """``sum_j G_j Sigma_j G_j^T`` for operator blocks ``G`` (rows, n, 9), without Sigma.
+
+    Returns ``project(p9, w)``: decoded vec9s ``(..., n, 9)`` -> ``(..., rows, rows)``.
+    G J = [G1 - G3 [b]x, G2 + G3 [a]x] and, on the manifold,
+    [a]x [a]x^T + [b]x [b]x^T = I + c c^T with c = a x b, so G Sigma G^T =
+    G G^T + 2 w^2 G3 G3^T + (G3 c)(G3 c)^T + sym(G3 [a]x G2^T - G3 [b]x G1^T):
+    constants plus one product linear in (a, b, c c^T), coefficients built here once.
+    """
+    G = np.asarray(G, dtype=float)
+    rows, n, _ = G.shape
+    G1, G2, G3 = (np.moveaxis(G[..., k : k + 3], 1, 0) for k in (0, 3, 6))  # (n, rows, 3)
+    # (G3 [v]x H^T)_il = v . (H_l x G3_i)
+    lin = np.concatenate([np.cross(G2[:, None], G3[:, :, None]),
+                          -np.cross(G1[:, None], G3[:, :, None])], axis=-1)
+    lin = lin + lin.swapaxes(1, 2)
+    quad = (G3[:, :, None, :, None] * G3[:, None, :, None, :]).reshape(n, rows, rows, 9)
+    # row k * n + j holds the coefficient of feature k of joint j
+    coef = np.concatenate([lin, quad], axis=-1).transpose(3, 0, 1, 2).reshape(15 * n, -1)
+    Gc, G3c = G.reshape(rows, -1), G[..., 6:].reshape(rows, -1)
+    base, cross_block = Gc @ Gc.T, G3c @ G3c.T
+
+    def project(p9, w):
+        c = [p9[..., k] for k in (6, 7, 8)]
+        feats = np.stack([p9[..., k] for k in range(6)] + [u * v for u in c for v in c], axis=-2)
+        out = feats.reshape(feats.shape[:-2] + (-1,)) @ coef
+        return base + 2 * w**2 * cross_block + out.reshape(out.shape[:-1] + (rows, rows))
+
+    return project
 
 
 def monte_carlo_pushforward(r_hat: np.ndarray, w: float, n: int, seed: int = 0):

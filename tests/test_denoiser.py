@@ -6,7 +6,7 @@ import pytest
 
 from poseguide.denoiser import (
     _ADAM_CHUNK, TERMINAL, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
-    _adam_update, alpha_bar, finite_difference_vjp, make_conditioning, train_denoiser,
+    _adam_update, alpha_bar, make_conditioning, train_denoiser,
 )
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.measurement import extract_measurements
@@ -150,6 +150,22 @@ def test_conditioning_affects_prediction():
     a = model.denoise(r_t[None], 1.0, c1[None], [0])[0]
     b = model.denoise(r_t[None], 1.0, c2[None], [0])[0]
     assert np.abs(a - b).max() > 0
+
+
+def finite_difference_vjp(denoiser, r_t, t, cond, starts, cotangent, step=1e-4):
+    """Central differences of <cotangent, r_hat(r_t)>, one input coordinate at a time."""
+    r_t = np.asarray(r_t, dtype=float)
+    grad = np.zeros_like(r_t)
+    flat, gflat = r_t.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        saved = flat[i]
+        sides = []
+        for x in (saved + step, saved - step):
+            flat[i] = x
+            sides.append(float(np.sum(cotangent * denoiser.denoise(r_t, t, cond, starts)[0])))
+        flat[i] = saved
+        gflat[i] = (sides[0] - sides[1]) / (2.0 * step)
+    return grad
 
 
 def test_vjp_matches_finite_differences():

@@ -220,6 +220,22 @@ def test_decode_is_vec9_of_batch_decode():
     assert np.array_equal(p9, rot6d.vec9(rot6d.batch_from_sixdof(r)))
 
 
+def test_decode_of_chosen_joints_is_the_full_decode_sliced():
+    # a joint subset keeps the full decode's values bit for bit and its
+    # degeneracy check, which reports the index in the full layout
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal((5, 7, 6))
+    cot = rng.standard_normal((5, 7, 9))
+    joints = np.array([1, 2, 5])
+    p9, pullback = rot6d.decode(r)
+    sub9, sub_pullback = rot6d.decode(r, joints)
+    assert np.array_equal(sub9, p9[:, joints])
+    assert np.array_equal(sub_pullback(cot[:, joints]), pullback(cot)[:, joints])
+    r[1, 3, :3] = 0.0
+    with pytest.raises(rot6d.DegenerateRotationError, match="joint 10"):
+        rot6d.decode(r, joints)
+
+
 def test_pullback_is_orthogonal_to_the_decode_invariances():
     # the decode ignores scaling a and adding multiples of a to b, so the
     # gradient has no component along [a, 0] or [0, a]

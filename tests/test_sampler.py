@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poseguide import rot6d, sampler
+from poseguide import rot6d, uncertainty
 from poseguide.denoiser import (
     TERMINAL, DenoiserInterface, MLPDenoiser, OracleDenoiser, TrainConfig, alpha_bar,
     make_conditioning,
@@ -177,28 +177,49 @@ def test_likelihood_score_is_frozen_metric_gradient_sigma_multiframe():
     _assert_frozen_metric_gradient(g, A, r_hat, l_diff, Bs)
 
 
-def test_sigma_matrix_called_once_per_score(monkeypatch):
-    calls = []
-
-    def counting_sigma_matrix(r_hat, w):
-        calls.append(np.shape(r_hat))
-        return sigma_matrix(r_hat, w)
-
-    monkeypatch.setattr(sampler, "sigma_matrix", counting_sigma_matrix)
+def test_sigma_projection_matches_sigma_matrix(monkeypatch):
+    # the sampler's A Sigma A^T, built from the factor J without Sigma, equals
+    # the sum over active joints of G_j sigma_matrix(p_j, w) G_j^T
     A = build_A(default_skeleton())
-    r_hat = random_manifold_points(4 * 22, seed=10).reshape(4, 22, 6)
-    l_diff = np.random.default_rng(11).standard_normal((4, 2, 3))
-    for mode in ("identity", "sigma"):
-        likelihood_score(l_diff, A, r_hat, lambda c: c,
-                         GuidanceConfig(sigma_l=0.01, covariance_mode=mode), 0.3)
-    assert len(calls) == 1
-    assert calls[0] == (4, 8, 6)  # frames, active joints, 6DoF
-    # one call per step of a whole sigma-mode run, on all windows' frames
+    G = A.active_block
+    frames = 5
+    p6 = random_manifold_points(frames * len(A.active_joints), seed=16).reshape(frames, -1, 6)
+    p9 = rot6d.decode(p6)[0]
+    for w in (0.05, 0.3, 1.0):
+        want = sum(G[:, j] @ sigma_matrix(p6[:, j], w) @ G[:, j].T
+                   for j in range(len(A.active_joints)))
+        got = A.sigma_projection(p9, w)
+        assert got.shape == (frames, 6, 6)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    # sigma-mode guidance never calls the closed form itself
+    def refuse(*args):
+        raise AssertionError("sigma_matrix called on the sampling path")
+
+    monkeypatch.setattr(uncertainty, "sigma_matrix", refuse)
     skel, seq, meas, oracle = make_case(frames=60)
-    calls.clear()
     run_guided_inference(meas, skel, oracle, make_schedule(3),
                          GuidanceConfig(covariance_mode="sigma"), seed=0)
-    assert calls == [(2 * 41, 8, 6)] * 3  # 2 windows of 41 frames, 3 steps
+
+
+def test_identity_score_equals_full_joint_reference():
+    # the score on the active joints is bit-identical to the chain over all
+    # 22 joints: full decode, full diff_matrix, full decode pullback
+    A = build_A(default_skeleton())
+    rng = np.random.default_rng(17)
+    cfg = GuidanceConfig(sigma_l=0.02)
+    for frames in (1, 3, 41, 82, 287):
+        r_hat = rng.standard_normal((frames, 22, 6))
+        l_diff = 0.3 * rng.standard_normal((frames, 2, 3))
+        w_t = rng.uniform(0.05, 1.0)
+        p9, decode_pullback = rot6d.decode(r_hat)
+        e = (l_diff - A.apply_diff_vec9(p9)).reshape(frames, 6)
+        Gc = A.active_block.reshape(6, -1)
+        B = w_t**2 * (Gc @ Gc.T) + cfg.sigma_l**2 * np.eye(6)
+        u = np.linalg.solve(B, e[..., None])[..., 0]
+        want = decode_pullback((u @ A.diff_matrix).reshape(frames, 22, 9))
+        got = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, w_t)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("mode", ["identity", "sigma"])
@@ -401,6 +422,10 @@ def test_stochastic_windows_keep_their_own_noise_streams():
     # a negative seed used to fail inside np.random.default_rng, unnamed
     (dict(seed=-1), "seed must be at least 0, got -1"),
     (dict(seed=2.5), "seed must be an integer, got 2.5"),
+    # fractional or bool sizes used to fail inside numpy with an unnamed TypeError
+    (dict(window=20.5), "window must be an integer, got 20.5"),
+    (dict(overlap=2.5), "overlap must be an integer, got 2.5"),
+    (dict(window=True), "window must be an integer, got True"),
 ])
 def test_bad_window_or_overlap_is_refused(kwargs, match):
     # a negative overlap used to leave frames uncovered and return NaN
