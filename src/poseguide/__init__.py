@@ -14,7 +14,6 @@ from .skeleton import (
 from .rot6d import (
     to_sixdof,
     batch_from_sixdof,
-    vjp_from_sixdof,
     geodesic_angle,
     DegenerateRotationError,
 )

@@ -77,8 +77,9 @@ class DenoiserInterface:
 
         ``r_t`` is (windows, W, J, 6), ``cond`` (windows, W, C), and
         ``starts`` the first sequence frame of each window.  ``r_hat`` has the
-        shape of ``r_t``; ``pullback(cot)`` takes r_hat's entries in any shape
-        (the sampler passes them frame-stacked) and returns (d r_hat / d r_t)^T cot.
+        shape of ``r_t``; ``pullback(cot, joints=None)`` returns (d r_hat / d r_t)^T cot
+        for r_hat's entries ``cot`` in any shape (the sampler passes them frame-stacked):
+        all of them, or with ``joints`` only those joints' entries, the rest being zero.
         """
         raise NotImplementedError
 
@@ -102,7 +103,7 @@ class OracleDenoiser(DenoiserInterface):
         truth = self.truth[np.asarray(starts, dtype=int)[:, None] + np.arange(W)]
         if truth.shape != np.shape(r_t):
             raise ValueError("window does not match the stored ground truth")
-        return truth, lambda cot: np.zeros(truth.shape)
+        return truth, lambda cot, joints=None: np.zeros(truth.shape)
 
 
 def check_count(name: str, value, low: int | None = None) -> None:
@@ -174,6 +175,7 @@ class MLPDenoiser(DenoiserInterface):
             if extra:
                 raise ValueError(f"unexpected parameter array {extra[0]!r}")
         self.params = params
+        self._wo_rows_cache = (None, None, None)  # (joints, Wo, block) of _wo_rows
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -208,15 +210,15 @@ class MLPDenoiser(DenoiserInterface):
         cache["hout"] = h
         return h @ p["Wo"] + p["bo"], cache
 
-    def _backward(self, cache, d_out, grads=None):
+    def _backward(self, cache, d_out, grads=None, wo_rows=None):
         """Backward pass of <d_out, output>; returns the gradient at the
-        first pre-activation, and fills ``grads`` with the parameter
-        gradients when a dict is given."""
+        first pre-activation, and fills ``grads`` with the parameter gradients
+        when a dict is given.  ``wo_rows``: the rows of Wo.T for d_out's columns."""
         p = self.params
         if grads is not None:
             grads["Wo"] = cache["hout"].T @ d_out
             grads["bo"] = d_out.sum(axis=0)
-        dh = d_out @ p["Wo"].T
+        dh = d_out @ (p["Wo"].T if wo_rows is None else wo_rows)
         side = cache["X"][:, self.d_state:]
         for k in reversed(range(BLOCKS)):
             h_in, a = cache["acts"][k]
@@ -244,11 +246,26 @@ class MLPDenoiser(DenoiserInterface):
         r_t = np.asarray(r_t, dtype=float)
         out, cache = self._forward(self._pack(r_t, t, cond, np.zeros(len(r_t), dtype=bool)))
 
-        def pullback(cot):
-            dz0 = self._backward(cache, np.asarray(cot, dtype=float).reshape(len(r_t), -1))
+        def pullback(cot, joints=None):
+            want = (len(r_t) * self.window, JOINTS if joints is None else len(joints), 6)
+            if np.size(cot) != np.prod(want):
+                raise ValueError(f"cotangent shape {np.shape(cot)} does not match {want}")
+            wo_rows = None if joints is None else self._wo_rows(tuple(joints))
+            dz0 = self._backward(cache, np.reshape(cot, (len(r_t), -1)), wo_rows=wo_rows)
             return (dz0 @ self.params["W0"][: self.d_state].T).reshape(r_t.shape)
 
         return out.reshape(r_t.shape), pullback
+
+    def _wo_rows(self, joints: tuple):
+        """C-ordered rows of Wo.T for ``joints``' outputs in every frame, one gather per joint
+        tuple.  It makes Wo read-only, so an in-place edit raises instead of going stale."""
+        Wo = self.params["Wo"]
+        if self._wo_rows_cache[0] != joints or self._wo_rows_cache[1] is not Wo:
+            frame = np.arange(STATE_PER_FRAME).reshape(JOINTS, 6)[list(joints)]  # checks joints
+            cols = (np.arange(self.window)[:, None, None] * STATE_PER_FRAME + frame).reshape(-1)
+            Wo.flags.writeable = False
+            self._wo_rows_cache = (joints, Wo, Wo.T.take(cols, axis=0))
+        return self._wo_rows_cache[2]
 
     # -- persistence -------------------------------------------------------
 

@@ -121,11 +121,6 @@ def decode(r: np.ndarray, joints=None):
     return p9, pullback
 
 
-def vjp_from_sixdof(r: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-    """Pull a vec9 cotangent ``(..., 9)`` back through the decode map: returns ``(..., 6)``."""
-    return decode(r)[1](cotangent)
-
-
 def geodesic_angle(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     """Geodesic distance between rotations in degrees, in [0, 180]."""
     R1 = np.asarray(R1, dtype=float)

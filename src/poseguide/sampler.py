@@ -85,11 +85,12 @@ def likelihood_score(
     ``config.guidance_scale``.  One Gram-Schmidt covers all joints, so a
     degenerate estimate is refused anywhere; after it only A's active joints
     enter (their vec9s, A Sigma A^T by ``A.sigma_projection``, the decode
-    pullback), and every other joint's cotangent is exactly zero.
+    pullback), and the cotangent stays on them: every other joint's is zero.
 
     ``l_diff``: (frames, 2, 3) differential measured locations;
-    ``r_hat``: (frames, J, 6); ``pullback``: cotangent (frames, J, 6)
-    on the denoised estimate -> gradient w.r.t. the noisy input.
+    ``r_hat``: (frames, J, 6); ``pullback(cot, joints)``: cotangent
+    (frames, |joints|, 6) on those joints of the denoised estimate, here
+    ``A.active_joints`` -> gradient w.r.t. the noisy input.
     """
     r_hat = np.asarray(r_hat, dtype=float)
     frames, J = r_hat.shape[:2]
@@ -109,9 +110,7 @@ def likelihood_score(
         GSG = A.sigma_projection(p9, w_t)
     B = w_t**2 * GSG + config.sigma_l**2 * np.eye(6)
     u = np.linalg.solve(B, e[..., None])[..., 0]
-    cot6 = np.zeros_like(r_hat)
-    cot6[:, act] = decode_pullback((u @ Gc).reshape(p9.shape))
-    return config.guidance_scale * pullback(cot6)
+    return config.guidance_scale * pullback(decode_pullback((u @ Gc).reshape(p9.shape)), act)
 
 
 def ddim_step(
@@ -162,8 +161,8 @@ def run_guided_inference(
     """Full inference: guided sampling of all joint rotations plus root recovery.
 
     Deterministic given (inputs, seed).  Output rotations depend on the
-    measured locations only through their per-frame differences, so a
-    constant translation of all sensors leaves them unchanged.
+    measured locations only through their per-frame differences, so a constant
+    sensor translation that rounds no location leaves them bit-identical.
     """
     check_count("seed", seed, 0)
     # only the integer tests here; the ranges below keep their own messages

@@ -27,6 +27,7 @@ from poseguide.uncertainty import random_manifold_points, verify_pushforward
 from tests.conftest import ACCEPTANCE_LINES
 from tests.test_measurement import random_skeleton
 from tests.test_rot6d import random_rotations
+from tests.test_sampler import scatter_pullback
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -90,7 +91,7 @@ def test_rotation_algebra():
     step = 1e-6
     for r in rng.standard_normal((20, 6)):
         cot = rng.standard_normal(9)
-        got = rot6d.vjp_from_sixdof(r, cot)
+        got = rot6d.decode(r)[1](cot)
         fd = np.empty(6)
         for i in range(6):
             hi, lo = r.copy(), r.copy()
@@ -144,7 +145,9 @@ def test_likelihood_score_matches_fd_gradient():
         l_diff = 0.2 * rng.standard_normal((1, 2, 3))
         w_t, sig = 0.4, 0.03
         r_hat = den.denoised(r_t)
-        score = likelihood_score(l_diff, A, r_hat, lambda c: den.vjp(r_t, c),
+        scatter = scatter_pullback(r_hat.shape)  # the score's cotangent is on A's active joints
+        score = likelihood_score(l_diff, A, r_hat,
+                                 lambda c, joints: den.vjp(r_t, scatter(c, joints)),
                                  GuidanceConfig(guidance_scale=1.0, covariance_mode=mode,
                                                 sigma_l=sig), w_t)
         # frozen quadratic-form metric, reproduced from the score definition
@@ -204,6 +207,7 @@ def test_oracle_exact_recovery_across_scales():
         oracle = OracleDenoiser(truth.rotations)
         pred = run_guided_inference(meas, sk, oracle, schedule, cfg, seed=1,
                                     window=60, overlap=0)
+        # geodesic_angle already returns degrees, so the checked value is degrees x 180/pi
         geo = np.degrees(rot6d.geodesic_angle(
             rot6d.batch_from_sixdof(pred.rotations),
             rot6d.batch_from_sixdof(truth.rotations))).max()
@@ -212,7 +216,7 @@ def test_oracle_exact_recovery_across_scales():
     elapsed = time.time() - t0
     ok = worst_geo < 0.5 and worst_root < 1e-6 and elapsed < 60.0
     _report("oracle-exact-recovery", ok,
-            f"scales {{0.6,1.0,1.4}}: max geodesic {worst_geo:.3e} deg (limit 0.5), "
+            f"scales {{0.6,1.0,1.4}}: max geodesic {worst_geo:.3e} (deg x 180/pi, limit 0.5), "
             f"max root err {worst_root:.2e} m (limit 1e-6), {elapsed:.1f}s")
 
 

@@ -9,7 +9,7 @@ from poseguide.denoiser import (
     _adam_update, alpha_bar, make_conditioning, train_denoiser,
 )
 from poseguide.datagen import MotionSpec, generate_motion
-from poseguide.measurement import extract_measurements
+from poseguide.measurement import build_A, extract_measurements
 from poseguide.skeleton import default_skeleton
 
 
@@ -193,6 +193,56 @@ def test_denoise_stack_equals_one_window_stacks():
         r_hat_w, pullback_w = model.denoise(r_t[w : w + 1], 2.0, cond[w : w + 1], [20 * w])
         assert np.abs(r_hat[w] - r_hat_w[0]).max() < 1e-12
         assert np.abs(grad[w] - pullback_w(cot[w : w + 1])[0]).max() < 1e-12
+
+
+def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
+    # with joints named, the pullback reads a cached gather of Wo's columns for
+    # them; it matches the full-layout pullback of the zero-padded cotangent
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    active = build_A(default_skeleton()).active_joints
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 7):
+        r_t = rng.standard_normal((n, 41, 22, 6))
+        cond = rng.standard_normal((n, 41, 18))
+        pullback = model.denoise(r_t, 2.0, cond, 20 * np.arange(n))[1]
+        for joints in (active, (0, 5, -1)):  # -1 is joint 21, as in numpy indexing
+            cot = rng.standard_normal((n * 41, len(joints), 6))
+            full = np.zeros((n * 41, 22, 6))
+            full[:, joints] = cot
+            want = pullback(full)
+            assert np.abs(pullback(cot, joints) - want).max() <= 1e-12 * np.abs(want).max()
+            assert model._wo_rows_cache[0] == tuple(joints)  # rebuilt when the joints change
+
+
+def test_guided_pullback_makes_wo_read_only():
+    # the gathered columns would go stale under an in-place edit of Wo
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    rng = np.random.default_rng(17)
+    pullback = model.denoise(rng.standard_normal((1, 41, 22, 6)), 2.0,
+                             rng.standard_normal((1, 41, 18)), [0])[1]
+    pullback(np.ones((41, 22, 6)))
+    model.params["Wo"][0, 0] = 0.5  # the full-layout pullback gathers nothing
+    pullback(np.ones((41, 8, 6)), build_A(default_skeleton()).active_joints)
+    with pytest.raises(ValueError, match="read-only"):
+        model.params["Wo"][0, 0] = 0.0
+
+
+def test_pullback_refuses_a_cotangent_that_does_not_match_its_joints():
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    rng = np.random.default_rng(18)
+    pullback = model.denoise(rng.standard_normal((2, 41, 22, 6)), 2.0,
+                             rng.standard_normal((2, 41, 18)), [0, 41])[1]
+    active = build_A(default_skeleton()).active_joints
+    for cot, joints, want in ((np.ones((82, 9, 6)), active, (82, 8, 6)),
+                              (np.ones((41, 8, 6)), active, (82, 8, 6)),
+                              (np.ones((82, 8, 6)), None, (82, 22, 6))):
+        match = rf"cotangent shape \({cot.shape[0]}, {cot.shape[1]}, 6\) does not match " \
+                rf"\({want[0]}, {want[1]}, 6\)"
+        with pytest.raises(ValueError, match=match):
+            pullback(cot, joints)
+    # a joint past the layout used to read the next frame's columns
+    with pytest.raises(IndexError, match="index 22 is out of bounds"):
+        pullback(np.ones((82, 2, 6)), (0, 22))
 
 
 def test_pack_rows_hold_state_time_and_conditioning():

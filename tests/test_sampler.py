@@ -1,7 +1,12 @@
 """Schedule algebra, guidance score, DDIM update, and full inference."""
 
+import copy
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poseguide import rot6d, uncertainty
 from poseguide.denoiser import (
@@ -94,6 +99,16 @@ def test_ddim_rejects_clean_start():
         ddim_step(z, z, z, z, 1.0, 0.5, 0.0, [np.random.default_rng(0)])
 
 
+def scatter_pullback(shape):
+    """The identity as a denoiser pullback for an estimate of ``shape`` (frames, J, 6):
+    a cotangent on ``joints`` is placed at those joints, with zeros elsewhere."""
+    def pullback(cot, joints):
+        full = np.zeros(shape)
+        full[:, joints] = cot
+        return full
+    return pullback
+
+
 def test_likelihood_score_zero_at_exact_residual():
     skel = default_skeleton()
     A = build_A(skel)
@@ -101,13 +116,7 @@ def test_likelihood_score_zero_at_exact_residual():
     r_hat = rot6d.to_sixdof(R)
     l_diff = A.apply_diff_vec9(rot6d.vec9(R))
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=0.01)
-    calls = []
-
-    def vjp(cot):
-        calls.append(cot)
-        return cot.copy()
-
-    g = likelihood_score(l_diff, A, r_hat, vjp, cfg, 0.3)
+    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, 0.3)
     assert np.abs(g).max() < 1e-10
 
 
@@ -145,7 +154,7 @@ def test_likelihood_score_is_frozen_metric_gradient():
     l_diff = rng.standard_normal((2, 2, 3)) * 0.2
     w_t, sig = 0.4, 0.03
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=sig, covariance_mode="identity")
-    g = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, w_t)
+    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, w_t)
     Gd = A.diff_matrix
     B = w_t**2 * (Gd @ Gd.T) + sig**2 * np.eye(6)
     _assert_frozen_metric_gradient(g, A, r_hat, l_diff, [B, B])
@@ -163,7 +172,7 @@ def test_likelihood_score_is_frozen_metric_gradient_sigma_multiframe():
     l_diff = rng.standard_normal((frames, 2, 3)) * 0.2
     w_t, sig = 0.4, 0.03
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=sig, covariance_mode="sigma")
-    g = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, w_t)
+    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, w_t)
     r_proj = rot6d.to_sixdof(rot6d.batch_from_sixdof(r_hat))
     blocks = A.diff_matrix.reshape(6, 22, 9)
     Bs = []
@@ -218,7 +227,7 @@ def test_identity_score_equals_full_joint_reference():
         B = w_t**2 * (Gc @ Gc.T) + cfg.sigma_l**2 * np.eye(6)
         u = np.linalg.solve(B, e[..., None])[..., 0]
         want = decode_pullback((u @ A.diff_matrix).reshape(frames, 22, 9))
-        got = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, w_t)
+        got = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, w_t)
         assert np.array_equal(got, want)
 
 
@@ -237,21 +246,31 @@ def test_gram_schmidt_runs_once_per_score(monkeypatch, mode):
     monkeypatch.setattr(rot6d, "_gram_schmidt", counting_gram_schmidt)
     A = build_A(default_skeleton())
     l_diff = np.random.default_rng(15).standard_normal((4, 2, 3))
-    likelihood_score(l_diff, A, r_hat, lambda c: c,
+    likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape),
                      GuidanceConfig(sigma_l=0.01, covariance_mode=mode), 0.3)
     assert calls == [(4, 22, 6)]
 
 
 @pytest.mark.parametrize("mode", ["identity", "sigma"])
-def test_likelihood_score_is_zero_off_the_active_joints(mode):
+def test_likelihood_score_pulls_back_on_the_active_joints(mode):
+    # the denoiser pullback gets the cotangent on A's 8 active joints only,
+    # with no zero-padded full layout
     A = build_A(default_skeleton())
     rng = np.random.default_rng(12)
     r_hat = random_manifold_points(3 * 22, seed=13).reshape(3, 22, 6)
     r_hat = r_hat + 0.05 * rng.standard_normal(r_hat.shape)
     l_diff = rng.standard_normal((3, 2, 3)) * 0.2
     cfg = GuidanceConfig(sigma_l=0.03, covariance_mode=mode)
-    g = likelihood_score(l_diff, A, r_hat, lambda c: c, cfg, 0.4)
-    assert np.all(np.delete(g, A.active_joints, axis=1) == 0.0)
+    handed = []
+
+    def pullback(cot, joints):
+        handed.append((np.shape(cot), joints))
+        return scatter_pullback(r_hat.shape)(cot, joints)
+
+    g = likelihood_score(l_diff, A, r_hat, pullback, cfg, 0.4)
+    [(shape, joints)] = handed
+    assert shape == (3, 8, 6)
+    assert joints is A.active_joints and len(joints) == 8
     assert np.all(np.abs(g[:, A.active_joints]).max(axis=-1) > 0.0)
     # a degenerate estimate is refused with its flat (frame, joint) index,
     # on or off the active joints
@@ -259,7 +278,7 @@ def test_likelihood_score_is_zero_off_the_active_joints(mode):
         bad = r_hat.copy()
         bad[f, j, 3:] = 2.0 * bad[f, j, :3]
         with pytest.raises(rot6d.DegenerateRotationError, match=f"at joint {flat}:"):
-            likelihood_score(l_diff, A, bad, lambda c: c, cfg, 0.4)
+            likelihood_score(l_diff, A, bad, scatter_pullback(r_hat.shape), cfg, 0.4)
 
 
 def test_likelihood_score_scales_linearly():
@@ -268,9 +287,9 @@ def test_likelihood_score_scales_linearly():
     rng = np.random.default_rng(6)
     r_hat = random_manifold_points(22, seed=7).reshape(1, 22, 6)
     l_diff = rng.standard_normal((1, 2, 3))
-    a = likelihood_score(l_diff, A, r_hat, lambda c: c,
+    a = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape),
                          GuidanceConfig(guidance_scale=1.0, sigma_l=0.01), 0.3)
-    b = likelihood_score(l_diff, A, r_hat, lambda c: c,
+    b = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape),
                          GuidanceConfig(guidance_scale=2.5, sigma_l=0.01), 0.3)
     assert np.allclose(b, 2.5 * a, atol=1e-12)
 
@@ -360,6 +379,33 @@ def test_rotations_invariant_to_sensor_translation():
     # the recovered root absorbs the translation instead
     assert np.allclose(b.root_translation - a.root_translation,
                        np.array([0.7, -1.3, 2.0]), atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def grid_case():
+    """A 60-frame case with its sensor locations on a 2^-24 m grid, the untrained
+    hidden-8 MLP and the oracle, and each one's guided rotations before any shift."""
+    skel, seq, meas, oracle = make_case(frames=60)
+    meas.locations = np.round(meas.locations * 2**24) / 2**24
+    denoisers = (oracle, MLPDenoiser(TrainConfig(hidden=8)))
+    before = [run_guided_inference(meas, skel, d, make_schedule(5), GuidanceConfig(), seed=2)
+              for d in denoisers]
+    return skel, meas, denoisers, before
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.integers(-2**13, 2**13)] * 3))
+def test_rotations_invariant_to_any_constant_sensor_translation(shift):
+    # a translation on a 2^-10 m grid, up to 8 m, adds to grid locations without
+    # rounding, so the differences the sampler reads are exactly the same and the
+    # guided rotations must be too: on the oracle, and through the MLP's pullback
+    skel, meas, denoisers, before = grid_case()
+    shifted = copy.deepcopy(meas)
+    shifted.locations = shifted.locations + np.array(shift) / 2**10
+    for denoiser, want in zip(denoisers, before):
+        got = run_guided_inference(shifted, skel, denoiser, make_schedule(5),
+                                   GuidanceConfig(), seed=2)
+        assert np.array_equal(got.rotations, want.rotations)
 
 
 def test_unguided_inference_matches_manual_ddim_loop():
