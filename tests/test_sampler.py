@@ -1,7 +1,6 @@
 """Schedule algebra, guidance score, DDIM update, and full inference."""
 
 import copy
-import functools
 
 import numpy as np
 import pytest
@@ -381,7 +380,7 @@ def test_rotations_invariant_to_sensor_translation():
                        np.array([0.7, -1.3, 2.0]), atol=1e-12)
 
 
-@functools.lru_cache(maxsize=None)
+@pytest.fixture(scope="module")
 def grid_case():
     """A 60-frame case with its sensor locations on a 2^-24 m grid, the untrained
     hidden-8 MLP and the oracle, and each one's guided rotations before any shift."""
@@ -394,12 +393,12 @@ def grid_case():
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.tuples(*[st.integers(-2**13, 2**13)] * 3))
-def test_rotations_invariant_to_any_constant_sensor_translation(shift):
+@given(shift=st.tuples(*[st.integers(-2**13, 2**13)] * 3))
+def test_rotations_invariant_to_any_constant_sensor_translation(grid_case, shift):
     # a translation on a 2^-10 m grid, up to 8 m, adds to grid locations without
     # rounding, so the differences the sampler reads are exactly the same and the
     # guided rotations must be too: on the oracle, and through the MLP's pullback
-    skel, meas, denoisers, before = grid_case()
+    skel, meas, denoisers, before = grid_case
     shifted = copy.deepcopy(meas)
     shifted.locations = shifted.locations + np.array(shift) / 2**10
     for denoiser, want in zip(denoisers, before):
