@@ -176,18 +176,25 @@ class MLPDenoiser(DenoiserInterface):
                 raise ValueError(f"unexpected parameter array {extra[0]!r}")
         self.params = params
         self._wo_rows_cache = (None, None, None)  # (joints, Wo, block) of _wo_rows
+        # of _infer: (W0, W0[:d_state].T) and (arrays read, cond copy, conditioning shares)
+        self._state_T, self._cond_cache = (None, None), ((), None, None)
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def _pack(self, r_t, t, cond, drop):
-        """One input row per window.  ``t`` is one time or one per window; a
-        window marked in ``drop`` gets zeroed conditioning and the flag 1."""
+    def _check(self, r_t, cond) -> int:
+        """The window count of a well-shaped stack and its conditioning."""
         n, W = r_t.shape[0], self.window
         if r_t.shape[1:] != (W, JOINTS, 6):
             raise ValueError(f"expected (windows, {W}, {JOINTS}, 6) stack, got {r_t.shape}")
         if cond.shape != (n, W, self._cdim):
             raise ValueError(f"conditioning must be ({n}, {W}, {self._cdim}), got {cond.shape}")
+        return n
+
+    def _pack(self, r_t, t, cond, drop):
+        """One input row per window.  ``t`` is one time or one per window; a
+        window marked in ``drop`` gets zeroed conditioning and the flag 1."""
+        n = self._check(r_t, cond)
         X = np.empty((n, self.d_in))
         X[:, : self.d_state] = r_t.reshape(n, -1)
         X[:, self.d_state : self.d_state + TIME_FEATURES] = _time_features(t)
@@ -219,13 +226,12 @@ class MLPDenoiser(DenoiserInterface):
             grads["Wo"] = cache["hout"].T @ d_out
             grads["bo"] = d_out.sum(axis=0)
         dh = d_out @ (p["Wo"].T if wo_rows is None else wo_rows)
-        side = cache["X"][:, self.d_state:]
         for k in reversed(range(BLOCKS)):
             h_in, a = cache["acts"][k]
             da = dh * (1.0 - a * a)
             if grads is not None:
                 grads[f"Wr{k}"] = h_in.T @ da
-                grads[f"Wc{k}"] = side.T @ da
+                grads[f"Wc{k}"] = cache["X"][:, self.d_state:].T @ da
                 grads[f"br{k}"] = da.sum(axis=0)
             dh = dh + da @ p[f"Wr{k}"].T
         dz0 = dh * (1.0 - cache["h0"] * cache["h0"])
@@ -235,16 +241,21 @@ class MLPDenoiser(DenoiserInterface):
         return dz0
 
     def denoise(self, r_t, t, cond, starts):
-        """The network output is r_hat, one row per window; the pullback reuses
-        this call's activations and returns only the state slice of the input gradient.
+        """The network output is r_hat, one row per window, from ``_infer`` (which
+        says what it caches); the pullback reuses this call's activations and returns
+        only the state slice of the input gradient.  Every parameter array is made
+        read-only, so an in-place edit raises instead of reading a stale cache.
 
         The network regresses the clean signal rather than the noise: the
         noise estimate the sampler derives from r_t = sqrt(ab) r0 +
         sqrt(1-ab) eps then tends to r_t at high noise without the network
         having to pass r_t through its bottleneck.
         """
-        r_t = np.asarray(r_t, dtype=float)
-        out, cache = self._forward(self._pack(r_t, t, cond, np.zeros(len(r_t), dtype=bool)))
+        r_t, cond = np.asarray(r_t, dtype=float), np.asarray(cond, dtype=float)
+        self._check(r_t, cond)
+        for array in self.params.values():
+            array.flags.writeable = False
+        out, cache = self._infer(r_t, t, cond)
 
         def pullback(cot, joints=None):
             want = (len(r_t) * self.window, JOINTS if joints is None else len(joints), 6)
@@ -252,18 +263,41 @@ class MLPDenoiser(DenoiserInterface):
                 raise ValueError(f"cotangent shape {np.shape(cot)} does not match {want}")
             wo_rows = None if joints is None else self._wo_rows(tuple(joints))
             dz0 = self._backward(cache, np.reshape(cot, (len(r_t), -1)), wo_rows=wo_rows)
-            return (dz0 @ self.params["W0"][: self.d_state].T).reshape(r_t.shape)
+            return (dz0 @ cache["W0_state_T"]).reshape(r_t.shape)
 
         return out.reshape(r_t.shape), pullback
 
+    def _infer(self, r_t, t, cond):
+        """``_forward`` of the unpacked rows, conditioning kept.  Cached: a C-ordered copy of
+        W0's state rows transposed, per W0; the share of the side rows (time | conditioning |
+        flag 0) of W0 and Wc{k} that reads ``cond``, plus b0 and br{k}, per cond and arrays."""
+        p, n = self.params, len(r_t)
+        if self._state_T[0] is not p["W0"]:
+            self._state_T = (p["W0"], p["W0"][: self.d_state].T.copy())
+        side_w = [p["W0"][self.d_state :]] + [p[f"Wc{k}"] for k in range(BLOCKS)]
+        biases = [p["b0"]] + [p[f"br{k}"] for k in range(BLOCKS)]
+        read = (p["W0"], *side_w[1:], *biases)
+        kept, kept_cond, shares = self._cond_cache
+        if any(x is not y for x, y in zip(kept, read)) or not np.array_equal(kept_cond, cond):
+            c = cond.reshape(n, -1)
+            shares = [c @ w[TIME_FEATURES:-1] + b for w, b in zip(side_w, biases)]
+            self._cond_cache = (read, cond.copy(), shares)
+        tf = _time_features(t)
+        pre = [tf @ w[:TIME_FEATURES] + share for w, share in zip(side_w, shares)]
+        cache = {"W0_state_T": self._state_T[1], "acts": []}
+        h = cache["h0"] = np.tanh(r_t.reshape(n, -1) @ cache["W0_state_T"].T + pre[0])
+        for k in range(BLOCKS):
+            a = np.tanh(h @ p[f"Wr{k}"] + pre[k + 1])
+            cache["acts"].append((h, a))
+            h = h + a
+        return h @ p["Wo"] + p["bo"], cache
+
     def _wo_rows(self, joints: tuple):
-        """C-ordered rows of Wo.T for ``joints``' outputs in every frame, one gather per joint
-        tuple.  It makes Wo read-only, so an in-place edit raises instead of going stale."""
+        """C-ordered rows of Wo.T for ``joints``' outputs in every frame, per joint tuple and Wo."""
         Wo = self.params["Wo"]
         if self._wo_rows_cache[0] != joints or self._wo_rows_cache[1] is not Wo:
             frame = np.arange(STATE_PER_FRAME).reshape(JOINTS, 6)[list(joints)]  # checks joints
             cols = (np.arange(self.window)[:, None, None] * STATE_PER_FRAME + frame).reshape(-1)
-            Wo.flags.writeable = False
             self._wo_rows_cache = (joints, Wo, Wo.T.take(cols, axis=0))
         return self._wo_rows_cache[2]
 

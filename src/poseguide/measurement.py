@@ -45,8 +45,9 @@ class MeasurementSet:
             raise ValueError(f"locations must be (frames, 3, 3), got {self.locations.shape}")
         if self.rotations.shape != self.locations.shape[:1] + (3, 6):
             raise ValueError(f"rotations must be (frames, 3, 6), got {self.rotations.shape}")
-        if not (self.sigma_l >= 0 and self.sigma_r >= 0):  # also refuses NaN
-            raise ValueError("sigma values must be non-negative")
+        for name, sigma in (("sigma_l", self.sigma_l), ("sigma_r", self.sigma_r)):
+            if not 0.0 <= sigma < np.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
         for name, values in (("locations", self.locations), ("rotations", self.rotations)):
             bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
             if bad.size:

@@ -219,6 +219,24 @@ def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
     assert also_named in err
 
 
+def test_infer_refuses_an_infinite_sigma_by_name(data_dir, tmp_path, capsys):
+    # json reads "Infinity"; the set used to accept it and infer then died in the
+    # root smoothing with an OverflowError traceback that main did not catch
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    header, *frames = (cell / "measurements.jsonl").read_text().splitlines()
+    doc = json.loads(header)
+    doc["sigma_l"] = float("inf")
+    path = tmp_path / "inf-sigma.jsonl"
+    path.write_text("\n".join([json.dumps(doc)] + frames) + "\n")
+    assert "Infinity" in path.read_text()
+    rc = main(["infer", "--measurements", str(path), "--skeleton", str(cell / "skeleton.json"),
+               "--out", str(tmp_path / "p.pgseq"), "--oracle-truth", str(cell / "truth.pgseq"),
+               "--steps", "3"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: sigma_l must be finite and non-negative, got inf\n"
+
+
 def test_train_on_too_little_data_is_an_error_line(data_dir, tmp_path, capsys):
     # one 48-frame cell gives 9 windows of 16 frames, under the 10 training
     # needs; the TrainingError used to escape main as a traceback (exit 1)

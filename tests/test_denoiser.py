@@ -215,16 +215,103 @@ def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
 
 
 def test_guided_pullback_makes_wo_read_only():
-    # the gathered columns would go stale under an in-place edit of Wo
+    # denoise caches W0's state rows and the conditioning's share, and the first
+    # pullback that names joints a gather of Wo's columns: from the first denoise
+    # every parameter array is read-only, so an in-place edit raises instead of going stale
     model = MLPDenoiser(TrainConfig(hidden=8))
+    assert all(array.flags.writeable for array in model.params.values())
     rng = np.random.default_rng(17)
     pullback = model.denoise(rng.standard_normal((1, 41, 22, 6)), 2.0,
                              rng.standard_normal((1, 41, 18)), [0])[1]
-    pullback(np.ones((41, 22, 6)))
-    model.params["Wo"][0, 0] = 0.5  # the full-layout pullback gathers nothing
     pullback(np.ones((41, 8, 6)), build_A(default_skeleton()).active_joints)
-    with pytest.raises(ValueError, match="read-only"):
-        model.params["Wo"][0, 0] = 0.0
+    for name, array in model.params.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.5
+
+
+def biased_model(seed):
+    """An untrained hidden-8 MLP with random biases, so the cached shares' biases show."""
+    model = MLPDenoiser(TrainConfig(hidden=8, seed=seed))
+    rng = np.random.default_rng(seed)
+    for name in ("b0", "br0", "br1", "bo"):
+        model.params[name] = rng.standard_normal(model.params[name].shape)
+    return model
+
+
+def packed_reference(model, r_t, t, cond, cot):
+    """Estimate and full-layout pullback through training's path: ``_pack`` with no
+    conditioning dropped, ``_forward``, ``_backward`` and W0's state rows."""
+    n = len(r_t)
+    out, cache = model._forward(model._pack(r_t, t, cond, np.zeros(n, dtype=bool)))
+    dz0 = model._backward(cache, cot.reshape(n, -1))
+    return out.reshape(r_t.shape), (dz0 @ model.params["W0"][: model.d_state].T).reshape(r_t.shape)
+
+
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_inference_forward_and_pullback_match_the_packed_training_path():
+    # denoise packs no input row: it splits the first layer into state, time and
+    # conditioning parts and caches the last, so it agrees with the packed rows to rounding
+    model = biased_model(19)
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 7):
+        for t in (2.0, rng.uniform(0.0, TERMINAL, n)):  # one time, or one per window
+            r_t = rng.standard_normal((n, 41, 22, 6))
+            cond = rng.standard_normal((n, 41, 18))
+            cot = rng.standard_normal(r_t.shape)
+            want_out, want_grad = packed_reference(model, r_t, t, cond, cot)
+            out, pullback = model.denoise(r_t, t, cond, 20 * np.arange(n))
+            assert_close(out, want_out)
+            assert_close(pullback(cot), want_grad)
+
+
+def test_conditioning_cache_follows_the_conditioning_and_the_arrays():
+    model = biased_model(20)
+    rng = np.random.default_rng(20)
+    r_t = rng.standard_normal((2, 41, 22, 6))
+    cond = rng.standard_normal((2, 41, 18))
+    cot = rng.standard_normal(r_t.shape)
+
+    def check(r_t, cond, rebuilt):
+        shares = model._cond_cache[2]
+        out, pullback = model.denoise(r_t, 3.0, cond, 41 * np.arange(len(r_t)))
+        want_out, want_grad = packed_reference(model, r_t, 3.0, cond, cot[: len(r_t)])
+        assert_close(out, want_out)
+        assert_close(pullback(cot[: len(r_t)]), want_grad)
+        assert (model._cond_cache[2] is not shares) == rebuilt
+
+    check(r_t, cond, rebuilt=True)
+    check(r_t, cond, rebuilt=False)
+    check(r_t, cond.copy(), rebuilt=False)  # the contents are the key, not the array
+    check(r_t, rng.standard_normal(cond.shape), rebuilt=True)
+    check(r_t[:1], cond[:1], rebuilt=True)  # another window count
+    check(r_t, cond, rebuilt=True)
+    cond[1, 7, 3] += 0.5  # an in-place edit of the array the cache was built from
+    check(r_t, cond, rebuilt=True)
+    # a replaced parameter array is another key
+    model.params["br1"] = model.params["br1"] + 1.0
+    check(r_t, cond, rebuilt=True)
+    state_T = model._state_T[1]
+    model.params["W0"] = 2.0 * model.params["W0"]
+    check(r_t, cond, rebuilt=True)
+    assert model._state_T[1] is not state_T
+
+
+def test_denoise_refuses_misshapen_inputs_with_the_packing_message():
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    r_t = np.zeros((2, 41, 22, 6))
+    for r, cond, match in (
+            (r_t, np.zeros((2, 40, 18)), r"conditioning must be \(2, 41, 18\), got \(2, 40, 18\)"),
+            (r_t, np.zeros((1, 41, 18)), r"conditioning must be \(2, 41, 18\), got \(1, 41, 18\)"),
+            (r_t, np.zeros((2, 41, 9)), r"conditioning must be \(2, 41, 18\), got \(2, 41, 9\)"),
+            (r_t[:, :30], np.zeros((2, 30, 18)),
+             r"expected \(windows, 41, 22, 6\) stack, got \(2, 30, 22, 6\)")):
+        with pytest.raises(ValueError, match=match):
+            model.denoise(r, 1.0, cond, [0, 41])
+        with pytest.raises(ValueError, match=match):
+            model._pack(r, 1.0, cond, np.zeros(2, dtype=bool))
 
 
 def test_pullback_refuses_a_cotangent_that_does_not_match_its_joints():

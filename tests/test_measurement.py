@@ -167,6 +167,19 @@ def test_measurement_set_refuses_non_finite_values():
         MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), np.nan, 0.0)
 
 
+@pytest.mark.parametrize("sigma_l, sigma_r, message", [
+    (np.inf, 0.0, "sigma_l must be finite and non-negative, got inf"),
+    (0.0, np.inf, "sigma_r must be finite and non-negative, got inf"),
+    (-0.5, 0.0, "sigma_l must be finite and non-negative, got -0.5"),
+    (0.0, np.nan, "sigma_r must be finite and non-negative, got nan"),
+])
+def test_measurement_set_refuses_a_bad_sigma_by_name(sigma_l, sigma_r, message):
+    # an infinite sigma_l used to be accepted; guided inference then died in
+    # the root smoothing with "OverflowError: cannot convert float infinity to integer"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), sigma_l, sigma_r)
+
+
 def test_measurement_jsonl_roundtrip(tmp_path):
     skel = default_skeleton()
     R = random_pose_matrices(9, seed=8)

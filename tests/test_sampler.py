@@ -340,17 +340,23 @@ def test_window_other_than_the_denoisers_is_refused():
 
 
 def test_one_forward_pass_per_step(monkeypatch):
-    # the estimate and the guidance pullback share one forward pass
+    # the estimate and the guidance pullback share one inference forward, which
+    # neither packs an input row nor runs training's forward
     skel, seq, meas, _ = make_case(frames=60)
     model = MLPDenoiser(TrainConfig(hidden=8))
-    forward = MLPDenoiser._forward
+    infer = MLPDenoiser._infer
     rows = []
 
-    def counting_forward(self, X):
-        rows.append(X.shape[0])
-        return forward(self, X)
+    def counting_infer(self, r_t, t, cond):
+        rows.append(r_t.shape[0])
+        return infer(self, r_t, t, cond)
 
-    monkeypatch.setattr(MLPDenoiser, "_forward", counting_forward)
+    def training_only(self, *args):
+        raise AssertionError("denoise called a training-path method")
+
+    monkeypatch.setattr(MLPDenoiser, "_infer", counting_infer)
+    monkeypatch.setattr(MLPDenoiser, "_pack", training_only)
+    monkeypatch.setattr(MLPDenoiser, "_forward", training_only)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
     run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
     assert rows == [2] * 3  # one forward of both 41-frame windows per step, 3 steps
