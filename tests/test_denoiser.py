@@ -224,7 +224,7 @@ def test_guided_pullback_makes_wo_read_only():
     pullback = model.denoise(rng.standard_normal((1, 41, 22, 6)), 2.0,
                              rng.standard_normal((1, 41, 18)), [0])[1]
     pullback(np.ones((41, 8, 6)), build_A(default_skeleton()).active_joints)
-    for name, array in model.params.items():
+    for array in model.params.values():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0.5
 
