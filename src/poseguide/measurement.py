@@ -78,7 +78,10 @@ class MeasurementSet:
                              f"({type(exc).__name__}: {exc})") from exc
         if len(locs) != frames:
             raise ValueError(f"{path}: truncated file: {len(locs)} of {frames} frames")
-        return MeasurementSet(locs, rots, sigma_l, sigma_r)
+        try:
+            return MeasurementSet(locs, rots, sigma_l, sigma_r)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def extract_measurements(poses, skeleton: Skeleton, sigma_l: float, sigma_r: float,

@@ -1,13 +1,14 @@
 """Guided DDIM sampling over 6DoF pose windows.
 
-The reverse loop follows the modified pseudoinverse-guided scheme: at each
-step one conditional denoiser call gives the clean-signal estimate r_hat and
-its pullback, the noise estimate follows from r_hat, the measured location
-differences contribute a Gaussian likelihood score through the linear
-measurement operator and that pullback, and the DDIM update combines
-estimate, fresh noise, noise estimate and the guidance term.  Long
-sequences run as one stack of fixed-size windows, one denoiser call per
-step, joined with a linear cross-fade over the overlap.
+The reverse loop follows the modified pseudoinverse-guided scheme: the
+denoiser is bound to the sequence's conditioning once; at each step one call
+gives the clean-signal estimate r_hat and its pullback, the noise estimate
+follows from r_hat, the measured location differences contribute a
+Gaussian likelihood score through the linear measurement operator and that
+pullback, and the DDIM update combines estimate, fresh noise, noise
+estimate and the guidance term.  Long sequences run as one stack of
+fixed-size windows, one denoiser call per step, joined with a linear
+cross-fade over the overlap.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def likelihood_score(
     pullback), and the cotangent stays on them: every other joint's is zero.
 
     ``l_diff``: (frames, 2, 3) differential measured locations;
-    ``r_hat``: (frames, J, 6); ``pullback(cot, joints)``: cotangent
-    (frames, |joints|, 6) on those joints of the denoised estimate, here
-    ``A.active_joints`` -> gradient w.r.t. the noisy input.
+    ``r_hat``: (frames, J, 6); ``pullback(cot)``: cotangent (frames,
+    |active|, 6) on ``A.active_joints`` of the denoised estimate, the joints
+    the denoiser was bound to -> gradient w.r.t. the noisy input.
     """
     r_hat = np.asarray(r_hat, dtype=float)
     frames, J = r_hat.shape[:2]
@@ -110,7 +111,7 @@ def likelihood_score(
         GSG = A.sigma_projection(p9, w_t)
     B = w_t**2 * GSG + config.sigma_l**2 * np.eye(6)
     u = np.linalg.solve(B, e[..., None])[..., 0]
-    return config.guidance_scale * pullback(decode_pullback((u @ Gc).reshape(p9.shape)), act)
+    return config.guidance_scale * pullback(decode_pullback((u @ Gc).reshape(p9.shape)))
 
 
 def ddim_step(
@@ -160,9 +161,11 @@ def run_guided_inference(
 ) -> PoseSequence:
     """Full inference: guided sampling of all joint rotations plus root recovery.
 
-    Deterministic given (inputs, seed).  Output rotations depend on the
-    measured locations only through their per-frame differences, so a constant
-    sensor translation that rounds no location leaves them bit-identical.
+    The denoiser is conditioned once, on every window's measured rotations
+    and ``A.active_joints``.  Deterministic given (inputs, seed).  Output
+    rotations depend on the measured locations only through their per-frame
+    differences, so a constant sensor translation that rounds no location
+    leaves them bit-identical.
     """
     check_count("seed", seed, 0)
     # only the integer tests here; the ranges below keep their own messages
@@ -184,14 +187,15 @@ def run_guided_inference(
     starts = np.array(_window_starts(frames, W, max(1, W - overlap)))
     win = starts[:, None] + np.arange(W)  # (windows, W) sequence frames
     l_diff = differential_transform(measurements.locations)[win].reshape(-1, 2, 3)
-    cond = make_conditioning(measurements, denoiser.cond_spec)[win]
+    denoise = denoiser.condition(make_conditioning(measurements, denoiser.cond_spec)[win],
+                                 starts, A.active_joints)
 
     rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(len(starts))]
     r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
     q, abars = schedule.timesteps, schedule.alpha_bars
     for i in range(schedule.steps, 0, -1):
         t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
-        r_hat, pullback = denoiser.denoise(r, t, cond, starts)
+        r_hat, pullback = denoise(r, t)
         eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
         if config.guidance_scale > 0.0:
             # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)

@@ -145,9 +145,9 @@ def test_likelihood_score_matches_fd_gradient():
         l_diff = 0.2 * rng.standard_normal((1, 2, 3))
         w_t, sig = 0.4, 0.03
         r_hat = den.denoised(r_t)
-        scatter = scatter_pullback(r_hat.shape)  # the score's cotangent is on A's active joints
-        score = likelihood_score(l_diff, A, r_hat,
-                                 lambda c, joints: den.vjp(r_t, scatter(c, joints)),
+        # the score's cotangent is on A's active joints
+        scatter = scatter_pullback(r_hat.shape, A.active_joints)
+        score = likelihood_score(l_diff, A, r_hat, lambda c: den.vjp(r_t, scatter(c)),
                                  GuidanceConfig(guidance_scale=1.0, covariance_mode=mode,
                                                 sigma_l=sig), w_t)
         # frozen quadratic-form metric, reproduced from the score definition

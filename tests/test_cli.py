@@ -234,7 +234,7 @@ def test_infer_refuses_an_infinite_sigma_by_name(data_dir, tmp_path, capsys):
                "--steps", "3"])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == "error: sigma_l must be finite and non-negative, got inf\n"
+    assert err == f"error: {path}: sigma_l must be finite and non-negative, got inf\n"
 
 
 def test_train_on_too_little_data_is_an_error_line(data_dir, tmp_path, capsys):

@@ -48,10 +48,11 @@ def test_oracle_denoiser_identities():
     ab = alpha_bar(t)
     noise = rng.standard_normal(truth.rotations.shape)
     r_t = np.sqrt(ab) * truth.rotations + np.sqrt(1 - ab) * noise
-    r_hat, pullback = oracle.denoise(r_t[None], t, None, [0])
+    denoise = oracle.condition(np.zeros((1, 20, 18)), [0], range(22))
+    r_hat, pullback = denoise(r_t[None], t)
     assert np.array_equal(r_hat, truth.rotations[None])
     cot = rng.standard_normal(r_t.shape)
-    assert np.array_equal(pullback(cot[None]), np.zeros_like(cot[None]))
+    assert np.array_equal(pullback(cot), np.zeros_like(cot[None]))
 
 
 def test_oracle_denoiser_gathers_by_starts():
@@ -60,16 +61,20 @@ def test_oracle_denoiser_gathers_by_starts():
     oracle = OracleDenoiser(truth.rotations)
     rng = np.random.default_rng(1)
     r_t = rng.standard_normal((2, 5, 22, 6))
-    r_hat, _ = oracle.denoise(r_t, 1.0, None, [7, 2])
+    cond = np.zeros((2, 5, 18))
+    denoise = oracle.condition(cond, [7, 2], range(22))
+    r_hat, _ = denoise(r_t, 1.0)
     assert np.array_equal(r_hat, np.stack([truth.rotations[7:12], truth.rotations[2:7]]))
-    # a window running past either end of the truth is refused by its index
+    # a window running past either end of the truth is refused by its index, once
     with pytest.raises(ValueError, match=r"window 1 \(frames 17 to 21\) runs past the stored "
                                          r"ground truth of 20 frames"):
-        oracle.denoise(r_t, 1.0, None, [7, 17])
+        oracle.condition(cond, [7, 17], range(22))
     with pytest.raises(ValueError, match=r"window 0 \(frames -1 to 3\)"):
-        oracle.denoise(r_t, 1.0, None, [-1, 2])
-    with pytest.raises(ValueError, match="does not match the stored ground truth"):
-        oracle.denoise(r_t[:, :, :21], 1.0, None, [0, 2])
+        oracle.condition(cond, [-1, 2], range(22))
+    # a step on another stack than the bound windows is refused at that step
+    for other in (r_t[:, :, :21], r_t[:1]):
+        with pytest.raises(ValueError, match="does not match the stored ground truth"):
+            denoise(other, 1.0)
 
 
 def test_training_is_deterministic():
@@ -147,13 +152,14 @@ def test_conditioning_affects_prediction():
     r_t = rng.standard_normal((12, 22, 6))
     c1 = make_conditioning(ds[0][1], "rotations")[:12]
     c2 = make_conditioning(ds[1][1], "rotations")[:12]
-    a = model.denoise(r_t[None], 1.0, c1[None], [0])[0]
-    b = model.denoise(r_t[None], 1.0, c2[None], [0])[0]
+    a = model.condition(c1[None], [0], range(22))(r_t[None], 1.0)[0]
+    b = model.condition(c2[None], [0], range(22))(r_t[None], 1.0)[0]
     assert np.abs(a - b).max() > 0
 
 
-def finite_difference_vjp(denoiser, r_t, t, cond, starts, cotangent, step=1e-4):
-    """Central differences of <cotangent, r_hat(r_t)>, one input coordinate at a time."""
+def finite_difference_vjp(denoise, r_t, t, cotangent, step=1e-4):
+    """Central differences of <cotangent, r_hat(r_t)> for a bound ``denoise``, one
+    input coordinate at a time."""
     r_t = np.asarray(r_t, dtype=float)
     grad = np.zeros_like(r_t)
     flat, gflat = r_t.reshape(-1), grad.reshape(-1)
@@ -162,7 +168,7 @@ def finite_difference_vjp(denoiser, r_t, t, cond, starts, cotangent, step=1e-4):
         sides = []
         for x in (saved + step, saved - step):
             flat[i] = x
-            sides.append(float(np.sum(cotangent * denoiser.denoise(r_t, t, cond, starts)[0])))
+            sides.append(float(np.sum(cotangent * denoise(r_t, t)[0])))
         flat[i] = saved
         gflat[i] = (sides[0] - sides[1]) / (2.0 * step)
     return grad
@@ -176,8 +182,9 @@ def test_vjp_matches_finite_differences():
     r_t = rng.standard_normal((2, 12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[:24].reshape(2, 12, -1)
     cot = rng.standard_normal(r_t.shape)
-    got = model.denoise(r_t, 1.5, cond, [0, 12])[1](cot)
-    ref = finite_difference_vjp(model, r_t, 1.5, cond, [0, 12], cot)
+    denoise = model.condition(cond, [0, 12], range(22))
+    got = denoise(r_t, 1.5)[1](cot)
+    ref = finite_difference_vjp(denoise, r_t, 1.5, cot)
     assert np.abs(got - ref).max() < 1e-5
 
 
@@ -187,46 +194,33 @@ def test_denoise_stack_equals_one_window_stacks():
     r_t = rng.standard_normal((3, 41, 22, 6))
     cond = rng.standard_normal((3, 41, 18))
     cot = rng.standard_normal(r_t.shape)
-    r_hat, pullback = model.denoise(r_t, 2.0, cond, [0, 20, 40])
+    r_hat, pullback = model.condition(cond, [0, 20, 40], range(22))(r_t, 2.0)
     grad = pullback(cot)
     for w in range(3):
-        r_hat_w, pullback_w = model.denoise(r_t[w : w + 1], 2.0, cond[w : w + 1], [20 * w])
+        denoise_w = model.condition(cond[w : w + 1], [20 * w], range(22))
+        r_hat_w, pullback_w = denoise_w(r_t[w : w + 1], 2.0)
         assert np.abs(r_hat[w] - r_hat_w[0]).max() < 1e-12
         assert np.abs(grad[w] - pullback_w(cot[w : w + 1])[0]).max() < 1e-12
 
 
 def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
-    # with joints named, the pullback reads a cached gather of Wo's columns for
-    # them; it matches the full-layout pullback of the zero-padded cotangent
+    # bound to some joints, the pullback reads a gather of Wo's columns for them;
+    # it matches the pullback bound to all 22 joints on the zero-padded cotangent
     model = MLPDenoiser(TrainConfig(hidden=8))
     active = build_A(default_skeleton()).active_joints
     rng = np.random.default_rng(16)
     for n in (1, 2, 7):
         r_t = rng.standard_normal((n, 41, 22, 6))
         cond = rng.standard_normal((n, 41, 18))
-        pullback = model.denoise(r_t, 2.0, cond, 20 * np.arange(n))[1]
+        starts = 20 * np.arange(n)
+        pullback = model.condition(cond, starts, range(22))(r_t, 2.0)[1]
         for joints in (active, (0, 5, -1)):  # -1 is joint 21, as in numpy indexing
             cot = rng.standard_normal((n * 41, len(joints), 6))
             full = np.zeros((n * 41, 22, 6))
             full[:, joints] = cot
             want = pullback(full)
-            assert np.abs(pullback(cot, joints) - want).max() <= 1e-12 * np.abs(want).max()
-            assert model._wo_rows_cache[0] == tuple(joints)  # rebuilt when the joints change
-
-
-def test_guided_pullback_makes_wo_read_only():
-    # denoise caches W0's state rows and the conditioning's share, and the first
-    # pullback that names joints a gather of Wo's columns: from the first denoise
-    # every parameter array is read-only, so an in-place edit raises instead of going stale
-    model = MLPDenoiser(TrainConfig(hidden=8))
-    assert all(array.flags.writeable for array in model.params.values())
-    rng = np.random.default_rng(17)
-    pullback = model.denoise(rng.standard_normal((1, 41, 22, 6)), 2.0,
-                             rng.standard_normal((1, 41, 18)), [0])[1]
-    pullback(np.ones((41, 8, 6)), build_A(default_skeleton()).active_joints)
-    for array in model.params.values():
-        with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] = 0.5
+            got = model.condition(cond, starts, joints)(r_t, 2.0)[1](cot)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def biased_model(seed):
@@ -243,7 +237,7 @@ def packed_reference(model, r_t, t, cond, cot):
     conditioning dropped, ``_forward``, ``_backward`` and W0's state rows."""
     n = len(r_t)
     out, cache = model._forward(model._pack(r_t, t, cond, np.zeros(n, dtype=bool)))
-    dz0 = model._backward(cache, cot.reshape(n, -1))
+    dz0 = model._backward(cache, cot.reshape(n, -1), {})
     return out.reshape(r_t.shape), (dz0 @ model.params["W0"][: model.d_state].T).reshape(r_t.shape)
 
 
@@ -252,8 +246,8 @@ def assert_close(got, want):
 
 
 def test_inference_forward_and_pullback_match_the_packed_training_path():
-    # denoise packs no input row: it splits the first layer into state, time and
-    # conditioning parts and caches the last, so it agrees with the packed rows to rounding
+    # the bound step packs no input row: it splits the first layer into state, time and
+    # conditioning parts, the last built once, so it agrees with the packed rows to rounding
     model = biased_model(19)
     rng = np.random.default_rng(19)
     for n in (1, 2, 7):
@@ -262,74 +256,52 @@ def test_inference_forward_and_pullback_match_the_packed_training_path():
             cond = rng.standard_normal((n, 41, 18))
             cot = rng.standard_normal(r_t.shape)
             want_out, want_grad = packed_reference(model, r_t, t, cond, cot)
-            out, pullback = model.denoise(r_t, t, cond, 20 * np.arange(n))
+            out, pullback = model.condition(cond, 20 * np.arange(n), range(22))(r_t, t)
             assert_close(out, want_out)
             assert_close(pullback(cot), want_grad)
 
 
-def test_conditioning_cache_follows_the_conditioning_and_the_arrays():
-    model = biased_model(20)
-    rng = np.random.default_rng(20)
-    r_t = rng.standard_normal((2, 41, 22, 6))
-    cond = rng.standard_normal((2, 41, 18))
-    cot = rng.standard_normal(r_t.shape)
-
-    def check(r_t, cond, rebuilt):
-        shares = model._cond_cache[2]
-        out, pullback = model.denoise(r_t, 3.0, cond, 41 * np.arange(len(r_t)))
-        want_out, want_grad = packed_reference(model, r_t, 3.0, cond, cot[: len(r_t)])
-        assert_close(out, want_out)
-        assert_close(pullback(cot[: len(r_t)]), want_grad)
-        assert (model._cond_cache[2] is not shares) == rebuilt
-
-    check(r_t, cond, rebuilt=True)
-    check(r_t, cond, rebuilt=False)
-    check(r_t, cond.copy(), rebuilt=False)  # the contents are the key, not the array
-    check(r_t, rng.standard_normal(cond.shape), rebuilt=True)
-    check(r_t[:1], cond[:1], rebuilt=True)  # another window count
-    check(r_t, cond, rebuilt=True)
-    cond[1, 7, 3] += 0.5  # an in-place edit of the array the cache was built from
-    check(r_t, cond, rebuilt=True)
-    # a replaced parameter array is another key
-    model.params["br1"] = model.params["br1"] + 1.0
-    check(r_t, cond, rebuilt=True)
-    state_T = model._state_T[1]
-    model.params["W0"] = 2.0 * model.params["W0"]
-    check(r_t, cond, rebuilt=True)
-    assert model._state_T[1] is not state_T
-
-
 def test_denoise_refuses_misshapen_inputs_with_the_packing_message():
+    # the conditioning is refused when the model is bound to it, in the words of
+    # training's packing; a step's stack is refused against the bound window count
     model = MLPDenoiser(TrainConfig(hidden=8))
     r_t = np.zeros((2, 41, 22, 6))
-    for r, cond, match in (
-            (r_t, np.zeros((2, 40, 18)), r"conditioning must be \(2, 41, 18\), got \(2, 40, 18\)"),
-            (r_t, np.zeros((1, 41, 18)), r"conditioning must be \(2, 41, 18\), got \(1, 41, 18\)"),
-            (r_t, np.zeros((2, 41, 9)), r"conditioning must be \(2, 41, 18\), got \(2, 41, 9\)"),
-            (r_t[:, :30], np.zeros((2, 30, 18)),
-             r"expected \(windows, 41, 22, 6\) stack, got \(2, 30, 22, 6\)")):
+    for cond, match in (
+            (np.zeros((2, 40, 18)), r"conditioning must be \(2, 41, 18\), got \(2, 40, 18\)"),
+            (np.zeros((2, 41, 9)), r"conditioning must be \(2, 41, 18\), got \(2, 41, 9\)")):
         with pytest.raises(ValueError, match=match):
-            model.denoise(r, 1.0, cond, [0, 41])
+            model.condition(cond, [0, 41], range(22))
         with pytest.raises(ValueError, match=match):
-            model._pack(r, 1.0, cond, np.zeros(2, dtype=bool))
+            model._pack(r_t, 1.0, cond, np.zeros(2, dtype=bool))
+    denoise = model.condition(np.zeros((2, 41, 18)), [0, 41], range(22))
+    for r in (r_t[:1], np.zeros((3, 41, 22, 6)), r_t[:, :30]):
+        with pytest.raises(ValueError, match=rf"expected \(2, 41, 22, 6\) stack, got "
+                                             rf"\({r.shape[0]}, {r.shape[1]}, 22, 6\)"):
+            denoise(r, 1.0)
+    with pytest.raises(ValueError, match=r"expected \(windows, 41, 22, 6\) stack, "
+                                         r"got \(2, 30, 22, 6\)"):
+        model._pack(r_t[:, :30], 1.0, np.zeros((2, 30, 18)), np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError, match=r"conditioning must be \(2, 41, 18\), "
+                                         r"got \(1, 41, 18\)"):
+        model._pack(r_t, 1.0, np.zeros((1, 41, 18)), np.zeros(2, dtype=bool))
 
 
 def test_pullback_refuses_a_cotangent_that_does_not_match_its_joints():
     model = MLPDenoiser(TrainConfig(hidden=8))
     rng = np.random.default_rng(18)
-    pullback = model.denoise(rng.standard_normal((2, 41, 22, 6)), 2.0,
-                             rng.standard_normal((2, 41, 18)), [0, 41])[1]
+    cond, r_t = rng.standard_normal((2, 41, 18)), rng.standard_normal((2, 41, 22, 6))
     active = build_A(default_skeleton()).active_joints
     for cot, joints, want in ((np.ones((82, 9, 6)), active, (82, 8, 6)),
                               (np.ones((41, 8, 6)), active, (82, 8, 6)),
-                              (np.ones((82, 8, 6)), None, (82, 22, 6))):
+                              (np.ones((82, 8, 6)), range(22), (82, 22, 6))):
+        pullback = model.condition(cond, [0, 41], joints)(r_t, 2.0)[1]
         match = rf"cotangent shape \({cot.shape[0]}, {cot.shape[1]}, 6\) does not match " \
                 rf"\({want[0]}, {want[1]}, 6\)"
         with pytest.raises(ValueError, match=match):
-            pullback(cot, joints)
+            pullback(cot)
     # a joint past the layout used to read the next frame's columns
     with pytest.raises(IndexError, match="index 22 is out of bounds"):
-        pullback(np.ones((82, 2, 6)), (0, 22))
+        model.condition(cond, [0, 41], (0, 22))
 
 
 def test_pack_rows_hold_state_time_and_conditioning():
@@ -367,8 +339,8 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     r_t = rng.standard_normal((1, 12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[None, :12]
-    assert np.array_equal(back.denoise(r_t, 0.7, cond, [0])[0],
-                          model.denoise(r_t, 0.7, cond, [0])[0])
+    assert np.array_equal(back.condition(cond, [0], range(22))(r_t, 0.7)[0],
+                          model.condition(cond, [0], range(22))(r_t, 0.7)[0])
     assert model.param_count() == back.param_count()
 
 

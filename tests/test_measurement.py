@@ -1,5 +1,8 @@
 """Measurement operator vs forward kinematics, sensor sim, serialization."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -201,14 +204,19 @@ def test_measurement_load_errors(tmp_path):
     m = extract_measurements(seq, skel, 0.0, 0.0, seed=1)
     path = tmp_path / "m.jsonl"
     m.save(path)
-    lines = path.read_text().splitlines()
-    (tmp_path / "trunc.jsonl").write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError, match="truncated"):
-        MeasurementSet.load(tmp_path / "trunc.jsonl")
-    import json
-    doc = json.loads(lines[2])
-    doc["loc"][0][0] = float("nan")
-    bad = lines[:2] + [json.dumps(doc)] + lines[3:]
-    (tmp_path / "nan.jsonl").write_text("\n".join(bad) + "\n")
-    with pytest.raises(ValueError, match="non-finite"):
-        MeasurementSet.load(tmp_path / "nan.jsonl")
+    header, *frames = path.read_text().splitlines()
+    two = json.loads(frames[1])
+    two["loc"][2] = two["loc"][2][:2]  # a 2-component location
+    nan = json.loads(frames[2])
+    nan["loc"][0][0] = float("nan")
+    # every refusal names the file; the set's own used to reach the caller without it
+    for name, head, rows, match in (
+            ("trunc", header, frames[:-2], "truncated"),
+            ("nan", header, [*frames[:2], json.dumps(nan), *frames[3:]], "non-finite"),
+            ("two", header, [frames[0], json.dumps(two), *frames[2:]], "with a sequence"),
+            ("sigma", json.dumps({**json.loads(header), "sigma_l": np.inf}), frames,
+             "sigma_l must be finite")):
+        bad = tmp_path / f"{name}.jsonl"
+        bad.write_text("\n".join([head, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*{match}"):
+            MeasurementSet.load(bad)

@@ -98,12 +98,13 @@ def test_ddim_rejects_clean_start():
         ddim_step(z, z, z, z, 1.0, 0.5, 0.0, [np.random.default_rng(0)])
 
 
-def scatter_pullback(shape):
-    """The identity as a denoiser pullback for an estimate of ``shape`` (frames, J, 6):
-    a cotangent on ``joints`` is placed at those joints, with zeros elsewhere."""
-    def pullback(cot, joints):
+def scatter_pullback(shape, joints):
+    """The identity as a denoiser pullback bound to ``joints``, for an estimate of
+    ``shape`` (..., J, 6): a frame-stacked cotangent on those joints is placed at
+    them, with zeros elsewhere."""
+    def pullback(cot):
         full = np.zeros(shape)
-        full[:, joints] = cot
+        full.reshape(-1, *shape[-2:])[:, joints] = cot
         return full
     return pullback
 
@@ -115,7 +116,7 @@ def test_likelihood_score_zero_at_exact_residual():
     r_hat = rot6d.to_sixdof(R)
     l_diff = A.apply_diff_vec9(rot6d.vec9(R))
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=0.01)
-    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, 0.3)
+    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints), cfg, 0.3)
     assert np.abs(g).max() < 1e-10
 
 
@@ -153,7 +154,7 @@ def test_likelihood_score_is_frozen_metric_gradient():
     l_diff = rng.standard_normal((2, 2, 3)) * 0.2
     w_t, sig = 0.4, 0.03
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=sig, covariance_mode="identity")
-    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, w_t)
+    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints), cfg, w_t)
     Gd = A.diff_matrix
     B = w_t**2 * (Gd @ Gd.T) + sig**2 * np.eye(6)
     _assert_frozen_metric_gradient(g, A, r_hat, l_diff, [B, B])
@@ -171,7 +172,7 @@ def test_likelihood_score_is_frozen_metric_gradient_sigma_multiframe():
     l_diff = rng.standard_normal((frames, 2, 3)) * 0.2
     w_t, sig = 0.4, 0.03
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=sig, covariance_mode="sigma")
-    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, w_t)
+    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints), cfg, w_t)
     r_proj = rot6d.to_sixdof(rot6d.batch_from_sixdof(r_hat))
     blocks = A.diff_matrix.reshape(6, 22, 9)
     Bs = []
@@ -226,7 +227,8 @@ def test_identity_score_equals_full_joint_reference():
         B = w_t**2 * (Gc @ Gc.T) + cfg.sigma_l**2 * np.eye(6)
         u = np.linalg.solve(B, e[..., None])[..., 0]
         want = decode_pullback((u @ A.diff_matrix).reshape(frames, 22, 9))
-        got = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape), cfg, w_t)
+        got = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
+                               cfg, w_t)
         assert np.array_equal(got, want)
 
 
@@ -245,7 +247,7 @@ def test_gram_schmidt_runs_once_per_score(monkeypatch, mode):
     monkeypatch.setattr(rot6d, "_gram_schmidt", counting_gram_schmidt)
     A = build_A(default_skeleton())
     l_diff = np.random.default_rng(15).standard_normal((4, 2, 3))
-    likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape),
+    likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
                      GuidanceConfig(sigma_l=0.01, covariance_mode=mode), 0.3)
     assert calls == [(4, 22, 6)]
 
@@ -262,14 +264,12 @@ def test_likelihood_score_pulls_back_on_the_active_joints(mode):
     cfg = GuidanceConfig(sigma_l=0.03, covariance_mode=mode)
     handed = []
 
-    def pullback(cot, joints):
-        handed.append((np.shape(cot), joints))
-        return scatter_pullback(r_hat.shape)(cot, joints)
+    def pullback(cot):
+        handed.append(np.shape(cot))
+        return scatter_pullback(r_hat.shape, A.active_joints)(cot)
 
     g = likelihood_score(l_diff, A, r_hat, pullback, cfg, 0.4)
-    [(shape, joints)] = handed
-    assert shape == (3, 8, 6)
-    assert joints is A.active_joints and len(joints) == 8
+    assert handed == [(3, 8, 6)] and len(A.active_joints) == 8
     assert np.all(np.abs(g[:, A.active_joints]).max(axis=-1) > 0.0)
     # a degenerate estimate is refused with its flat (frame, joint) index,
     # on or off the active joints
@@ -277,7 +277,8 @@ def test_likelihood_score_pulls_back_on_the_active_joints(mode):
         bad = r_hat.copy()
         bad[f, j, 3:] = 2.0 * bad[f, j, :3]
         with pytest.raises(rot6d.DegenerateRotationError, match=f"at joint {flat}:"):
-            likelihood_score(l_diff, A, bad, scatter_pullback(r_hat.shape), cfg, 0.4)
+            likelihood_score(l_diff, A, bad, scatter_pullback(r_hat.shape, A.active_joints),
+                             cfg, 0.4)
 
 
 def test_likelihood_score_scales_linearly():
@@ -286,9 +287,9 @@ def test_likelihood_score_scales_linearly():
     rng = np.random.default_rng(6)
     r_hat = random_manifold_points(22, seed=7).reshape(1, 22, 6)
     l_diff = rng.standard_normal((1, 2, 3))
-    a = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape),
+    a = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
                          GuidanceConfig(guidance_scale=1.0, sigma_l=0.01), 0.3)
-    b = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape),
+    b = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
                          GuidanceConfig(guidance_scale=2.5, sigma_l=0.01), 0.3)
     assert np.allclose(b, 2.5 * a, atol=1e-12)
 
@@ -340,26 +341,52 @@ def test_window_other_than_the_denoisers_is_refused():
 
 
 def test_one_forward_pass_per_step(monkeypatch):
-    # the estimate and the guidance pullback share one inference forward, which
-    # neither packs an input row nor runs training's forward
+    # one binding per run; the estimate and the guidance pullback share one
+    # forward per step, which neither packs an input row nor runs training's forward
     skel, seq, meas, _ = make_case(frames=60)
     model = MLPDenoiser(TrainConfig(hidden=8))
-    infer = MLPDenoiser._infer
-    rows = []
+    condition = MLPDenoiser.condition
+    bound, rows = [], []
 
-    def counting_infer(self, r_t, t, cond):
-        rows.append(r_t.shape[0])
-        return infer(self, r_t, t, cond)
+    def counting_condition(self, cond, starts, joints):
+        bound.append((len(cond), tuple(joints)))
+        denoise = condition(self, cond, starts, joints)
+
+        def counting_denoise(r_t, t):
+            rows.append(r_t.shape[0])
+            return denoise(r_t, t)
+
+        return counting_denoise
 
     def training_only(self, *args):
         raise AssertionError("denoise called a training-path method")
 
-    monkeypatch.setattr(MLPDenoiser, "_infer", counting_infer)
+    monkeypatch.setattr(MLPDenoiser, "condition", counting_condition)
     monkeypatch.setattr(MLPDenoiser, "_pack", training_only)
     monkeypatch.setattr(MLPDenoiser, "_forward", training_only)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
     run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
-    assert rows == [2] * 3  # one forward of both 41-frame windows per step, 3 steps
+    # both 41-frame windows, bound to A's active joints once; one forward per step
+    assert bound == [(2, tuple(build_A(skel).active_joints))]
+    assert rows == [2] * 3
+
+
+def test_parameter_edits_between_runs_are_seen():
+    # each run binds the model afresh, so an in-place edit of a parameter and a
+    # replaced parameter array both reach the next run; the arrays stay writable
+    skel, seq, meas, _ = make_case(frames=60)
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    first = run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
+    model.params["Wo"][:, :132] += 0.5  # in place; the pullback gathers Wo's rows
+    model.params["W0"][:132] *= 2.0     # in place; the forward reads W0's state rows
+    model.params["Wc1"] = model.params["Wc1"] + 0.3  # replaced; the conditioning reads it
+    got = run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
+    fresh = MLPDenoiser(model.config, params={k: v.copy() for k, v in model.params.items()})
+    want = run_guided_inference(meas, skel, fresh, make_schedule(3), cfg, seed=0)
+    assert np.array_equal(got.rotations, want.rotations)
+    assert np.array_equal(got.root_translation, want.root_translation)
+    assert not np.array_equal(got.rotations, first.rotations)
 
 
 def test_run_guided_inference_deterministic():
@@ -420,7 +447,7 @@ def test_unguided_inference_matches_manual_ddim_loop():
     # carries any difference in those through to the last step.
     skel, seq, meas, _ = make_case(frames=30)
     model = MLPDenoiser(TrainConfig(window=30, hidden=8))
-    cond = make_conditioning(meas, "rotations")[None]
+    denoise = model.condition(make_conditioning(meas, "rotations")[None], [0], range(22))
     sch = make_schedule(15)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
     got = run_guided_inference(meas, skel, model, sch, cfg, seed=9)
@@ -428,7 +455,7 @@ def test_unguided_inference_matches_manual_ddim_loop():
     r = rng.standard_normal((30, 22, 6))
     for i in range(sch.steps, 0, -1):
         t, ab_t, ab_s = sch.timesteps[i], sch.alpha_bars[i], sch.alpha_bars[i - 1]
-        r_hat = model.denoise(r[None], t, cond, [0])[0][0]
+        r_hat = denoise(r[None], t)[0][0]
         eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
         r = np.sqrt(ab_s) * r_hat + np.sqrt(1 - ab_s) * eps
     want = rot6d.to_sixdof(rot6d.batch_from_sixdof(r))
@@ -442,8 +469,9 @@ def test_stochastic_windows_keep_their_own_noise_streams():
     # state instead of returning the truth, because the last step (ab_s = 1)
     # would map any noise history onto an oracle's truth.
     class ShrinkingDenoiser(DenoiserInterface):
-        def denoise(self, r_t, t, cond, starts):
-            return 0.5 * r_t, lambda cot: 0.5 * np.reshape(cot, np.shape(r_t))
+        def condition(self, cond, starts, joints):
+            return lambda r_t, t: (0.5 * r_t,
+                                   lambda cot: 0.5 * scatter_pullback(r_t.shape, joints)(cot))
 
     skel, seq, meas, _ = make_case(frames=60)
     sch = make_schedule(6)
@@ -515,10 +543,13 @@ def test_sampler_divergence_guard():
         def __init__(self, value):
             self.value = value
 
-        def denoise(self, r_t, t, cond, starts):
-            r_hat = np.zeros_like(r_t)
-            r_hat[np.asarray(starts) == 4, 3, 11, 2] = self.value
-            return r_hat, np.zeros_like
+        def condition(self, cond, starts, joints):
+            def denoise(r_t, t):
+                r_hat = np.zeros_like(r_t)
+                r_hat[np.asarray(starts) == 4, 3, 11, 2] = self.value
+                return r_hat, scatter_pullback(r_t.shape, joints)
+
+            return denoise
 
     sch = make_schedule(5)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
