@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import rot6d
+from .denoiser import check_count
 from .measurement import extract_measurements
-from .skeleton import PoseSequence, Skeleton, scale_skeleton
+from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, scale_skeleton
 
 FRAME_HZ = 60.0
 MOTION_KINDS = ("idle-sway", "walk", "arm-swing", "squat", "reach")
@@ -37,18 +38,23 @@ class PresetError(ValueError):
 
 @dataclass
 class MotionSpec:
+    """One synthetic motion: ``frames`` frames of ``kind`` at ``FRAME_HZ``, one
+    cycle per second, its joint angles scaled by ``amplitude``.
+
+    Only ``reach`` reads ``seed`` (its latent flexion walk).  The other kinds are
+    fixed curves, so two specs that differ only in ``seed`` give the same motion.
+    """
+
     kind: str
     frames: int
-    hz: float = FRAME_HZ
     amplitude: float = 1.0
-    frequency: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in MOTION_KINDS:
             raise ValueError(f"unknown motion kind {self.kind!r}")
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+        check_count("frames", self.frames, 1)
+        check_count("seed", self.seed, 0)
         if not 0.0 <= self.amplitude <= MAX_AMPLITUDE:
             raise ValueError(f"amplitude out of safe range [0, {MAX_AMPLITUDE}]")
 
@@ -68,11 +74,14 @@ def _rot(axis: str, angle):
 
 
 def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
-    """Deterministic smooth pose sequence for a motion spec."""
+    """Deterministic smooth pose sequence for a motion spec.
+
+    ``spec.seed`` drives only the ``reach`` latent; every other kind ignores it.
+    """
     rng = np.random.default_rng(spec.seed)
     F = spec.frames
-    tau = np.arange(F) / spec.hz
-    phi = 2.0 * np.pi * spec.frequency * tau
+    tau = np.arange(F) / FRAME_HZ
+    phi = 2.0 * np.pi * tau
     a = spec.amplitude
     n = skeleton.joint_count
 
@@ -155,7 +164,7 @@ def parse_preset(preset: str) -> tuple[np.ndarray, bool]:
     Vocabulary: ``uniform:<s>``, ``upper:<s>``, ``arms:<s>``, ``torso:<s>``,
     and comma-combinations such as ``arms:1.4,torso:0.7``.
     """
-    factors = np.ones(22)
+    factors = np.ones(JOINT_COUNT)
     uniform = False
     for part in preset.split(","):
         name, _, value = part.strip().partition(":")
@@ -217,30 +226,38 @@ def save_sequence(path, poses: PoseSequence) -> None:
 
 
 def load_sequence(path) -> PoseSequence:
-    """Load the PoseSequence that :func:`save_sequence` wrote at ``path``."""
+    """Load the PoseSequence that :func:`save_sequence` wrote at ``path``; every
+    refusal is a ValueError that names ``path``."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path} is not a pose sequence: no {_MAGIC.decode()} header")
         hlen = int.from_bytes(fh.read(4), "little")
-        header = json.loads(fh.read(hlen).decode())
-        if header["version"] != _VERSION:
-            raise ValueError(f"unsupported sequence version {header['version']}")
-        F, J = header["frames"], header["joints"]
-        if F < 1:
-            raise ValueError("empty sequence")
-        body = fh.read()
-    need = F * J * 6 * 8 + F * 3 * 8
-    if len(body) != need:
-        raise ValueError(f"truncated file: {len(body)} bytes, expected {need}")
-    rot = np.frombuffer(body[: F * J * 6 * 8], dtype="<f8").reshape(F, J, 6)
-    root = np.frombuffer(body[F * J * 6 * 8 :], dtype="<f8").reshape(F, 3)
-    bad = np.argwhere(~np.isfinite(rot))
-    if len(bad):
-        f, j = bad[0][0], bad[0][1]
-        raise ValueError(f"non-finite rotation at frame {f}, joint {j}")
-    if not np.isfinite(root).all():
-        f = int(np.argwhere(~np.isfinite(root))[0][0])
-        raise ValueError(f"non-finite root translation at frame {f}")
+        header, body = fh.read(hlen), fh.read()
+    try:
+        header = json.loads(header.decode())
+        version, F, J = header["version"], header["frames"], header["joints"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a pose sequence "
+                         f"({type(exc).__name__}: {exc})") from exc
+    try:
+        if version != _VERSION:
+            raise ValueError(f"unsupported sequence version {version!r}")
+        check_count("frames", F, 1)
+        check_count("joints", J, 0)
+        need = F * J * 6 * 8 + F * 3 * 8
+        if len(body) != need:
+            raise ValueError(f"truncated file: {len(body)} bytes, expected {need}")
+        rot = np.frombuffer(body[: F * J * 6 * 8], dtype="<f8").reshape(F, J, 6)
+        root = np.frombuffer(body[F * J * 6 * 8 :], dtype="<f8").reshape(F, 3)
+        bad = np.argwhere(~np.isfinite(rot))
+        if len(bad):
+            f, j = bad[0][0], bad[0][1]
+            raise ValueError(f"non-finite rotation at frame {f}, joint {j}")
+        if not np.isfinite(root).all():
+            f = int(np.argwhere(~np.isfinite(root))[0][0])
+            raise ValueError(f"non-finite root translation at frame {f}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return PoseSequence(rot.copy(), root.copy())
 
 

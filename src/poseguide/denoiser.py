@@ -15,21 +15,20 @@ Locations are never an input to the method's prior, which is what makes it
 scale-free.
 
 The noise schedule is defined once, by :func:`alpha_bar` on the horizon
-[0, :data:`TERMINAL`]; training, the models and the sampler's
-:class:`~poseguide.sampler.Schedule` all use it.
+[0, :data:`TERMINAL`]; training, the models and the sampler all use it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .skeleton import JOINT_COUNT
+
 CHECKPOINT_VERSION = 4
-JOINTS = 22
-STATE_PER_FRAME = JOINTS * 6
+STATE_PER_FRAME = JOINT_COUNT * 6
 TIME_FEATURES = 8
 BLOCKS = 2  # residual blocks of the MLP
 COND_DIMS = {"rotations": 18, "locations": 9}  # per-frame conditioning width
@@ -190,8 +189,8 @@ class MLPDenoiser(DenoiserInterface):
         """One input row per window.  ``t`` is one time or one per window; a
         window marked in ``drop`` gets zeroed conditioning and the flag 1."""
         n, W = r_t.shape[0], self.window
-        if r_t.shape[1:] != (W, JOINTS, 6):
-            raise ValueError(f"expected (windows, {W}, {JOINTS}, 6) stack, got {r_t.shape}")
+        if r_t.shape[1:] != (W, JOINT_COUNT, 6):
+            raise ValueError(f"expected (windows, {W}, {JOINT_COUNT}, 6) stack, got {r_t.shape}")
         if cond.shape != (n, W, self._cdim):
             raise ValueError(f"conditioning must be ({n}, {W}, {self._cdim}), got {cond.shape}")
         X = np.empty((n, self.d_in))
@@ -259,15 +258,15 @@ class MLPDenoiser(DenoiserInterface):
         biases = [p["b0"]] + [p[f"br{k}"] for k in range(BLOCKS)]
         c = cond.reshape(n, -1)
         shares = [c @ w[TIME_FEATURES:-1] + b for w, b in zip(side_w, biases)]
-        frame = np.arange(STATE_PER_FRAME).reshape(JOINTS, 6)[list(joints)]  # checks joints
+        frame = np.arange(STATE_PER_FRAME).reshape(JOINT_COUNT, 6)[list(joints)]  # checks joints
         cols = (np.arange(W)[:, None, None] * STATE_PER_FRAME + frame).reshape(-1)
         wo_rows = p["Wo"].T.take(cols, axis=0)
         Wr, Wo, bo = [p[f"Wr{k}"] for k in range(BLOCKS)], p["Wo"], p["bo"]
 
         def denoise(r_t, t):
             r_t = np.asarray(r_t, dtype=float)
-            if r_t.shape != (n, W, JOINTS, 6):
-                raise ValueError(f"expected ({n}, {W}, {JOINTS}, 6) stack, got {r_t.shape}")
+            if r_t.shape != (n, W, JOINT_COUNT, 6):
+                raise ValueError(f"expected ({n}, {W}, {JOINT_COUNT}, 6) stack, got {r_t.shape}")
             tf = _time_features(t)
             pre = [tf @ w[:TIME_FEATURES] + share for w, share in zip(side_w, shares)]
             h0 = h = np.tanh(r_t.reshape(n, -1) @ state_T.T + pre[0])
@@ -294,13 +293,7 @@ class MLPDenoiser(DenoiserInterface):
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
-        header = {
-            "version": CHECKPOINT_VERSION,
-            "config": asdict(self.config),
-            "config_hash": hashlib.sha256(
-                json.dumps(asdict(self.config), sort_keys=True).encode()
-            ).hexdigest()[:16],
-        }
+        header = {"version": CHECKPOINT_VERSION, "config": asdict(self.config)}
         np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
                  **self.params)
 

@@ -72,10 +72,14 @@ class MeasurementSet:
                 header = json.loads(fh.readline())
                 docs = [json.loads(line) for line in fh]
             locs, rots = [d["loc"] for d in docs], [d["rot"] for d in docs]
+            times = [d["t"] for d in docs]
             frames, sigma_l, sigma_r = header["frames"], header["sigma_l"], header["sigma_r"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path} is not a measurement file "
                              f"({type(exc).__name__}: {exc})") from exc
+        for i, t in enumerate(times):
+            if t != i:  # the header is line 1, frame i is line i + 2
+                raise ValueError(f"{path} line {i + 2}: t is {t!r}, expected frame {i}")
         if len(locs) != frames:
             raise ValueError(f"{path}: truncated file: {len(locs)} of {frames} frames")
         try:

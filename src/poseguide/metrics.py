@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rot6d
-from .skeleton import PoseSequence, Skeleton
+from .skeleton import JOINT_COUNT, PoseSequence, Skeleton
 
 M_TO_CM = 100.0
 
 # Joint partition for UPE/LPE: pelvis, hips, knees, ankles, feet are the
 # lower body (9 joints); everything else is upper (13).
 LOWER_JOINTS = (0, 1, 2, 4, 5, 7, 8, 10, 11)
-UPPER_JOINTS = tuple(j for j in range(22) if j not in LOWER_JOINTS)
+UPPER_JOINTS = tuple(j for j in range(JOINT_COUNT) if j not in LOWER_JOINTS)
 
 
 def _paired_locations(pred: PoseSequence, pred_skel: Skeleton,

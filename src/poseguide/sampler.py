@@ -31,23 +31,10 @@ class SamplerDivergence(RuntimeError):
     """State norm exceeded the divergence threshold during sampling."""
 
 
-@dataclass
-class Schedule:
-    """Monotone timesteps q_0 = 0 .. q_N = ``denoiser.TERMINAL`` and their alpha-bars
-    (``denoiser.alpha_bar``)."""
-
-    timesteps: np.ndarray
-    alpha_bars: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.timesteps) - 1
-
-
-def make_schedule(n_steps: int) -> Schedule:
+def make_schedule(n_steps: int) -> np.ndarray:
+    """Monotone DDIM timesteps q_0 = 0 .. q_N = ``denoiser.TERMINAL``, N = ``n_steps``."""
     check_count("n_steps", n_steps, 1)
-    q = np.linspace(0.0, TERMINAL, n_steps + 1)
-    return Schedule(q, alpha_bar(q))
+    return np.linspace(0.0, TERMINAL, n_steps + 1)
 
 
 @dataclass
@@ -153,13 +140,16 @@ def run_guided_inference(
     measurements: MeasurementSet,
     skeleton: Skeleton,
     denoiser: DenoiserInterface,
-    schedule: Schedule,
+    timesteps: np.ndarray,
     config: GuidanceConfig,
     seed: int = 0,
     window: int | None = None,
     overlap: int = OVERLAP,
 ) -> PoseSequence:
     """Full inference: guided sampling of all joint rotations plus root recovery.
+
+    ``timesteps`` are increasing DDIM times q_0 = 0 .. q_N (:func:`make_schedule`);
+    sampling starts at q_N and takes one step per interval down to q_0.
 
     The denoiser is conditioned once, on every window's measured rotations
     and ``A.active_joints``.  Deterministic given (inputs, seed).  Output
@@ -192,9 +182,9 @@ def run_guided_inference(
 
     rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(len(starts))]
     r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
-    q, abars = schedule.timesteps, schedule.alpha_bars
-    for i in range(schedule.steps, 0, -1):
-        t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
+    abars = alpha_bar(timesteps)
+    for i in range(len(timesteps) - 1, 0, -1):
+        t, ab_t, ab_s = timesteps[i], abars[i], abars[i - 1]
         r_hat, pullback = denoise(r, t)
         eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
         if config.guidance_scale > 0.0:

@@ -11,6 +11,7 @@ from poseguide.datagen import (
     BenchmarkCell, BenchmarkManifest, MotionSpec, load_sequence,
 )
 from poseguide.denoiser import MLPDenoiser, TrainConfig
+from tests.test_datagen import edit_header
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,18 @@ def test_eval_refuses_a_measurement_file_as_pred(data_dir, tmp_path, capsys):
     assert f"{pred} is not a pose sequence" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_sequence_header_without_a_version(data_dir, tmp_path, capsys):
+    # a header missing "version" used to escape main as a KeyError traceback
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    pred = tmp_path / "no-version.pgseq"
+    pred.write_bytes(edit_header((cell / "truth.pgseq").read_bytes(), lambda h: h.pop("version")))
+    rc = main(["eval", "--pred", str(pred), "--truth", str(cell / "truth.pgseq"),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {pred} is not a pose sequence (KeyError: 'version')\n"
+
+
 def _cut_measurements(cell, tmp_path):
     path = tmp_path / "cut.jsonl"
     text = (cell / "measurements.jsonl").read_text()
@@ -176,6 +189,14 @@ def _skeleton_with_bone(value):
     return make
 
 
+def _manifest_with_frames(value):
+    def make(cell, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"cells": [{"motion": {"kind": "walk", "frames": value}}]}))
+        return path
+    return make
+
+
 @pytest.mark.parametrize("option, wrong_file, also_named", [
     ("--measurements", lambda cell, tmp: cell / "skeleton.json", ""),
     ("--measurements", lambda cell, tmp: cell / "truth.pgseq", ""),
@@ -194,10 +215,11 @@ def _skeleton_with_bone(value):
     ("--checkpoint", _edited_checkpoint(
         "ckpt", lambda header, params: params.update(W9=np.zeros(3))), "'W9'"),
     ("--manifest", lambda cell, tmp: cell / "skeleton.json", ""),
+    ("--manifest", _manifest_with_frames(2.5), "frames must be an integer, got 2.5"),
 ], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
         "manifest-as-skeleton", "nan-bone", "inf-bone", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
-        "checkpoint-extra-array", "skeleton-as-manifest"])
+        "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest"])
 def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
                                                      option, wrong_file, also_named):
     # each of these used to crash with a KeyError or TypeError (exit 1), print

@@ -1,5 +1,9 @@
 """Synthetic motion generation, body presets, and sequence serialization."""
 
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,7 @@ from poseguide.datagen import (
     expand_cell, generate_motion, load_sequence, parse_preset,
     save_sequence, scale_ground_truth, write_cells,
 )
-from poseguide.skeleton import default_skeleton, forward_kinematics
+from poseguide.skeleton import PoseSequence, default_skeleton, forward_kinematics
 
 
 def test_motion_spec_validation():
@@ -18,6 +22,55 @@ def test_motion_spec_validation():
         MotionSpec(kind="walk", frames=0)
     with pytest.raises(ValueError):
         MotionSpec(kind="walk", frames=10, amplitude=3.0)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    # a fractional frame count used to escape gen-data as a TypeError traceback
+    ("frames", 2.5, "frames must be an integer, got 2.5"),
+    ("frames", True, "frames must be an integer, got True"),
+    ("frames", -3, "frames must be at least 1, got -3"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+])
+def test_motion_spec_refuses_bad_sizes_by_name(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        MotionSpec(**{"kind": "reach", "frames": 10, field: value})
+
+
+@pytest.mark.parametrize("motion, match", [
+    ({"kind": "walk", "frames": 2.5}, "frames must be an integer"),
+    # the frame rate and frequency are fixed; a manifest that sets them is refused
+    ({"kind": "walk", "frames": 10, "hz": 0}, "hz"),
+    ({"kind": "walk", "frames": 10, "frequency": 2.0}, "frequency"),
+])
+def test_manifest_with_a_bad_motion_is_refused_by_name(tmp_path, motion, match):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"cells": [{"motion": motion}]}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} .*{match}"):
+        BenchmarkManifest.load(path)
+
+
+# sha256 over rotations and root translation of 97 frames at seeds 0, 1, 900 and
+# amplitudes 0, 0.5, 1, 1.5: the trend contract's data must not move
+MOTION_DIGESTS = {
+    "idle-sway": "96b361781b67f7a09e7555a4f2855242ab9cc415f26c3abbf96604d36cae4623",
+    "walk": "65c0b55221c8ed955070b337fde0308ac7dc1a21e6f16be7256bfb9f29786e5a",
+    "arm-swing": "a26cdb97784bb2957ec3d5396a404fa5d9125cb205e82c2a4faa461496872af0",
+    "squat": "02dc310c44f276f3d578fc0d5f00d48b536cfe0e09c2a691330662b313243617",
+    "reach": "a85eb42fb91f777febfda7c791ed8e89af46ac77d9d1b77950fca58034e69bb2",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MOTION_DIGESTS))
+def test_generate_motion_is_byte_stable(kind):
+    skel = default_skeleton()
+    h = hashlib.sha256()
+    for seed in (0, 1, 900):
+        for amplitude in (0.0, 0.5, 1.0, 1.5):
+            seq = generate_motion(MotionSpec(kind, 97, amplitude=amplitude, seed=seed), skel)
+            h.update(seq.rotations.tobytes())
+            h.update(seq.root_translation.tobytes())
+    assert h.hexdigest() == MOTION_DIGESTS[kind]
 
 
 def test_generate_motion_deterministic_and_valid():
@@ -109,14 +162,17 @@ def test_sequence_load_errors(tmp_path):
     path = tmp_path / "seq.pgseq"
     save_sequence(path, seq)
     raw = path.read_bytes()
+
+    def refused(name, match):  # every refusal names the file; these used to name none
+        return pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}: {match}")
+
     (tmp_path / "trunc.pgseq").write_bytes(raw[:-16])
-    with pytest.raises(ValueError, match="truncated"):
+    with refused("trunc.pgseq", "truncated"):
         load_sequence(tmp_path / "trunc.pgseq")
     bad = seq.rotations.copy()
     bad[7, 3, 2] = np.nan
-    from poseguide.skeleton import PoseSequence
     save_sequence(tmp_path / "nan.pgseq", PoseSequence(bad, seq.root_translation))
-    with pytest.raises(ValueError, match="frame 7, joint 3"):
+    with refused("nan.pgseq", "non-finite rotation at frame 7, joint 3"):
         load_sequence(tmp_path / "nan.pgseq")
     vraw = bytearray(raw)
     # bump the version field inside the json header
@@ -124,8 +180,50 @@ def test_sequence_load_errors(tmp_path):
     hdr_fix = len(b'"version": 9') - len(b'"version": 1')
     assert hdr_fix == 0
     (tmp_path / "ver.pgseq").write_bytes(vraw)
-    with pytest.raises(ValueError, match="version"):
+    with refused("ver.pgseq", "unsupported sequence version 9"):
         load_sequence(tmp_path / "ver.pgseq")
+
+
+def edit_header(raw: bytes, edit) -> bytes:
+    """Pose-sequence bytes ``raw`` with ``edit`` applied to their json header."""
+    hlen = int.from_bytes(raw[5:9], "little")
+    header = json.loads(raw[9 : 9 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    return raw[:5] + len(text).to_bytes(4, "little") + text + raw[9 + hlen :]
+
+
+def _saved(seq, path, edit=None) -> bytes:
+    """The bytes ``save_sequence`` writes for ``seq`` at ``path``, header edited by ``edit``."""
+    save_sequence(path, seq)
+    return path.read_bytes() if edit is None else edit_header(path.read_bytes(), edit)
+
+
+def _infinite_root(seq, path):
+    root = seq.root_translation.copy()
+    root[4, 1] = np.inf
+    return _saved(PoseSequence(seq.rotations, root), path)
+
+
+@pytest.mark.parametrize("make, match", [
+    # a header without one of these keys used to escape as a bare KeyError
+    (lambda seq, p: _saved(seq, p, lambda h: h.pop("version")), "KeyError: 'version'"),
+    (lambda seq, p: _saved(seq, p, lambda h: h.pop("frames")), "KeyError: 'frames'"),
+    (lambda seq, p: _saved(seq, p, lambda h: h.pop("joints")), "KeyError: 'joints'"),
+    # a fractional count used to escape as a TypeError or read as truncated
+    (lambda seq, p: _saved(seq, p, lambda h: h.update(frames=2.5)),
+     "frames must be an integer, got 2.5"),
+    # these used to name no file
+    (lambda seq, p: _saved(seq, p, lambda h: h.update(frames=0)),
+     "frames must be at least 1, got 0"),
+    (_infinite_root, "non-finite root translation at frame 4"),
+], ids=["no-version", "no-frames", "no-joints", "fractional-frames", "empty", "infinite-root"])
+def test_sequence_load_refusals_name_the_file(tmp_path, make, match):
+    seq = generate_motion(MotionSpec(kind="squat", frames=25, seed=4), default_skeleton())
+    path = tmp_path / "bad.pgseq"
+    path.write_bytes(make(seq, path))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}.*{match}"):
+        load_sequence(path)
 
 
 def test_benchmark_manifest_roundtrip_and_write(tmp_path):

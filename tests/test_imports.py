@@ -1,5 +1,5 @@
 """Every module of the package uses each name it imports, and the package reads
-every private function, method and class it defines."""
+every private function, method and class and every module-level name it defines."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,7 @@ import pytest
 
 import poseguide
 
-MODULES = sorted(p for p in Path(poseguide.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(poseguide.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,20 +37,31 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _read_names(trees) -> set[str]:
+    """Every name the trees read, as a bare name or as an attribute."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unread_private(sources: dict[str, str]) -> list[str]:
     """Private (``_name``, not dunder) functions, methods and classes defined in
     ``sources`` (module name -> source) that no module reads, by name or attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    defined, read = [], set()
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.append((module, node.lineno, node.name))
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    defined = [(module, node.lineno, node.name) for module, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not _is_dunder(node.name)]
+    read = _read_names(trees.values())
     return [f"{module} line {line}: {name}" for module, line, name in sorted(defined)
             if name not in read]
 
@@ -66,5 +76,39 @@ def test_unread_private_definition_is_found():
 
 
 def test_package_reads_every_private_definition():
-    sources = {p.name: p.read_text() for p in Path(poseguide.__file__).parent.glob("*.py")}
+    sources = {p.name: p.read_text() for p in MODULES}
     assert unread_private(sources) == []
+
+
+def unread_module_names(sources: dict[str, str]) -> list[str]:
+    """Names (not dunders) that a module of ``sources`` (module name -> source)
+    assigns at its top level and that no module reads, by name or attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            defined += [(module, node.lineno, n.id) for target in targets
+                        for n in ast.walk(target)
+                        if isinstance(n, ast.Name) and not _is_dunder(n.id)]
+    read = _read_names(trees.values())
+    return [f"{module} line {line}: {name}" for module, line, name in sorted(defined)
+            if name not in read]
+
+
+def test_unread_module_name_is_found():
+    a = ("LIMIT = 3\nWIDTH: int = 4\nLO, HI = 0, 1\n__version__ = '1'\n"
+         "def f():\n    local = 5\n    return LIMIT + HI\n")
+    b = "from a import WIDTH\nimport a\nprint(a.LO)\nUNUSED = WIDTH\n"
+    assert unread_module_names({"a": a, "b": b}) == ["b line 4: UNUSED"]
+    assert unread_module_names({"a": a}) == ["a line 2: WIDTH", "a line 3: LO"]
+
+
+def test_package_reads_every_module_level_name():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unread_module_names(sources) == []

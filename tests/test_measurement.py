@@ -220,3 +220,16 @@ def test_measurement_load_errors(tmp_path):
         bad.write_text("\n".join([head, *rows]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: .*{match}"):
             MeasurementSet.load(bad)
+
+
+def test_measurement_frames_out_of_order_are_refused(tmp_path):
+    # the "t" of each frame line used to be ignored, so a file with its frame
+    # lines reversed loaded silently, with its frames reversed
+    seq = PoseSequence(rot6d.to_sixdof(random_pose_matrices(5, seed=3)), np.zeros((5, 3)))
+    path = tmp_path / "m.jsonl"
+    extract_measurements(seq, default_skeleton(), 0.0, 0.0, seed=1).save(path)
+    header, *frames = path.read_text().splitlines()
+    path.write_text("\n".join([header, *frames[::-1]]) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))} line 2: t is 4, expected frame 0$"):
+        MeasurementSet.load(path)

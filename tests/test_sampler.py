@@ -24,20 +24,18 @@ from tests.test_skeleton import random_pose_matrices
 
 
 def test_make_schedule_shape_and_endpoints():
-    sch = make_schedule(50)
-    assert sch.steps == 50
-    assert len(sch.timesteps) == 51
-    assert sch.timesteps[0] == 0.0
-    assert sch.timesteps[-1] == TERMINAL
-    assert sch.alpha_bars[0] == 1.0
-    assert np.all(np.diff(sch.alpha_bars) < 0)
+    q = make_schedule(50)
+    assert len(q) == 51
+    assert q[0] == 0.0
+    assert q[-1] == TERMINAL
+    assert alpha_bar(q)[0] == 1.0
+    assert np.all(np.diff(alpha_bar(q)) < 0)
 
 
 def test_schedule_alpha_bar_values():
-    sch = make_schedule(10)
+    q = make_schedule(10)
     assert alpha_bar(1.0) == pytest.approx(0.5, abs=1e-15)
-    assert sch.alpha_bars[-1] == pytest.approx(1 / 226, abs=1e-15)  # t = 15
-    assert np.array_equal(sch.alpha_bars, alpha_bar(sch.timesteps))
+    assert alpha_bar(q)[-1] == pytest.approx(1 / 226, abs=1e-15)  # t = 15
 
 
 def test_make_schedule_validation():
@@ -448,13 +446,14 @@ def test_unguided_inference_matches_manual_ddim_loop():
     skel, seq, meas, _ = make_case(frames=30)
     model = MLPDenoiser(TrainConfig(window=30, hidden=8))
     denoise = model.condition(make_conditioning(meas, "rotations")[None], [0], range(22))
-    sch = make_schedule(15)
+    q = make_schedule(15)
+    abars = alpha_bar(q)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
-    got = run_guided_inference(meas, skel, model, sch, cfg, seed=9)
+    got = run_guided_inference(meas, skel, model, q, cfg, seed=9)
     rng = np.random.default_rng([9, 0])
     r = rng.standard_normal((30, 22, 6))
-    for i in range(sch.steps, 0, -1):
-        t, ab_t, ab_s = sch.timesteps[i], sch.alpha_bars[i], sch.alpha_bars[i - 1]
+    for i in range(len(q) - 1, 0, -1):
+        t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
         r_hat = denoise(r[None], t)[0][0]
         eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
         r = np.sqrt(ab_s) * r_hat + np.sqrt(1 - ab_s) * eps
@@ -474,16 +473,17 @@ def test_stochastic_windows_keep_their_own_noise_streams():
                                    lambda cot: 0.5 * scatter_pullback(r_t.shape, joints)(cot))
 
     skel, seq, meas, _ = make_case(frames=60)
-    sch = make_schedule(6)
+    q = make_schedule(6)
+    abars = alpha_bar(q)
     cfg = GuidanceConfig(eta=1.0, guidance_scale=0.0)
-    got = run_guided_inference(meas, skel, ShrinkingDenoiser(), sch, cfg, seed=4)
+    got = run_guided_inference(meas, skel, ShrinkingDenoiser(), q, cfg, seed=4)
     starts = _window_starts(60, 41, 21)
     assert starts == [0, 19]
     for w_idx, (start, only) in enumerate(zip(starts, (slice(0, 19), slice(41, 60)))):
         rng = np.random.default_rng([4, w_idx])
         r = rng.standard_normal((41, 22, 6))
-        for i in range(sch.steps, 0, -1):
-            ab_t, ab_s = sch.alpha_bars[i], sch.alpha_bars[i - 1]
+        for i in range(len(q) - 1, 0, -1):
+            ab_t, ab_s = abars[i], abars[i - 1]
             r_hat = 0.5 * r
             eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
             c1 = np.sqrt((1 - ab_t / ab_s) * (1 - ab_s) / (1 - ab_t))
