@@ -22,7 +22,9 @@ from .denoiser import (
 )
 from .measurement import MeasurementSet, build_A
 from .sampler import GuidanceConfig, SamplerDivergence, make_schedule, run_guided_inference
-from .skeleton import Skeleton, default_skeleton, forward_kinematics
+from .skeleton import (
+    MEASURED_JOINTS, SMPL_PARENTS, Skeleton, default_skeleton, forward_kinematics,
+)
 from .uncertainty import random_manifold_points, verify_pushforward
 
 EXIT_OK = 0
@@ -49,7 +51,18 @@ def _existing(path, what: str) -> Path:
 
 
 def _load_skeleton(path) -> Skeleton:
-    return default_skeleton() if path is None else Skeleton.load(_existing(path, "skeleton file"))
+    if path is None:
+        return default_skeleton()
+    skeleton = Skeleton.load(_existing(path, "skeleton file"))
+    # motion generation, the prior's conditioning and the measurement files
+    # all assume the SMPL tree and its head/wrist sensors
+    if skeleton.parents.tolist() != list(SMPL_PARENTS):
+        raise UsageError(f"{path}: parents must be the {len(SMPL_PARENTS)}-joint SMPL tree "
+                         f"{list(SMPL_PARENTS)}, got {skeleton.parents.tolist()}")
+    if skeleton.measured_joints != MEASURED_JOINTS:
+        raise UsageError(f"{path}: measured must be {list(MEASURED_JOINTS)} (head, left wrist, "
+                         f"right wrist), got {list(skeleton.measured_joints)}")
+    return skeleton
 
 
 def cmd_gen_data(args) -> int:
@@ -125,14 +138,11 @@ def cmd_eval(args) -> int:
     pred_path, truth_path = (_existing(p, "input") for p in (args.pred, args.truth))
     pred = load_sequence(pred_path)
     truth = load_sequence(truth_path)
-    pred_skel = _load_skeleton(args.skeleton)
-    truth_skel = _load_skeleton(args.truth_skeleton) if args.truth_skeleton else pred_skel
-    cell = metrics.evaluate_cell(pred, pred_skel, truth, truth_skel,
-                                 scale=args.scale, name=pred_path.stem)
-    report = metrics.make_report([cell])
+    skeleton = _load_skeleton(args.skeleton)
+    cell = metrics.evaluate_cell(pred, skeleton, truth, scale=args.scale, name=pred_path.stem)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    report.write(out, out.with_suffix(".csv"))
+    metrics.write_report([cell], out, out.with_suffix(".csv"))
     _echo_config(out.with_suffix(".config-echo.json"), args)
     print(json.dumps(cell, indent=2))
     return EXIT_OK
@@ -210,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--skeleton", default=None)
-    p.add_argument("--truth-skeleton", default=None)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

@@ -271,6 +271,16 @@ class BenchmarkCell:
     sigma_r: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        check_count("seed", self.seed, 0)
+        if not isinstance(self.preset, str):
+            raise PresetError(f"preset must be a string, got {self.preset!r}")
+        parse_preset(self.preset)
+        for name in ("sigma_l", "sigma_r"):
+            sigma = getattr(self, name)
+            if not 0.0 <= sigma < np.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
+
     def name(self) -> str:
         preset = self.preset.replace(":", "").replace(",", "_").replace(".", "p")
         return (

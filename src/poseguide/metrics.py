@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import rot6d
-from .skeleton import JOINT_COUNT, PoseSequence, Skeleton
+from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, forward_kinematics
 
 M_TO_CM = 100.0
 
@@ -22,13 +21,6 @@ M_TO_CM = 100.0
 # lower body (9 joints); everything else is upper (13).
 LOWER_JOINTS = (0, 1, 2, 4, 5, 7, 8, 10, 11)
 UPPER_JOINTS = tuple(j for j in range(JOINT_COUNT) if j not in LOWER_JOINTS)
-
-
-def _paired_locations(pred: PoseSequence, pred_skel: Skeleton,
-                      truth: PoseSequence, truth_skel: Skeleton):
-    if pred.frames != truth.frames:
-        raise ValueError(f"frame mismatch: {pred.frames} vs {truth.frames}")
-    return pred.joint_locations(pred_skel), truth.joint_locations(truth_skel)
 
 
 def mpjpe_from_locations(pred_locs: np.ndarray, true_locs: np.ndarray, joints=None) -> float:
@@ -41,8 +33,9 @@ def mpjpe_from_locations(pred_locs: np.ndarray, true_locs: np.ndarray, joints=No
 def mpjpe(pred: PoseSequence, pred_skel: Skeleton, truth: PoseSequence,
           truth_skel: Skeleton) -> float:
     """Mean joint location error over all frames and joints, in cm."""
-    p, q = _paired_locations(pred, pred_skel, truth, truth_skel)
-    return mpjpe_from_locations(p, q)
+    if pred.frames != truth.frames:
+        raise ValueError(f"frame mismatch: {pred.frames} vs {truth.frames}")
+    return mpjpe_from_locations(pred.joint_locations(pred_skel), truth.joint_locations(truth_skel))
 
 
 def mpjre(pred: PoseSequence, truth: PoseSequence) -> float:
@@ -54,79 +47,52 @@ def mpjre(pred: PoseSequence, truth: PoseSequence) -> float:
     )
 
 
-def upe_lpe(pred: PoseSequence, pred_skel: Skeleton, truth: PoseSequence,
-            truth_skel: Skeleton) -> tuple[float, float]:
-    """Position error restricted to the upper / lower joint sets, in cm."""
-    p, q = _paired_locations(pred, pred_skel, truth, truth_skel)
-    return (
-        mpjpe_from_locations(p, q, UPPER_JOINTS),
-        mpjpe_from_locations(p, q, LOWER_JOINTS),
-    )
+def evaluate_cell(pred: PoseSequence, skeleton: Skeleton, truth: PoseSequence,
+                  scale: float = 1.0, name: str = "") -> dict:
+    """Every metric of one cell, with both sequences posed through ``skeleton``.
 
-
-def scaled_mpjpe(pred: PoseSequence, pred_skel: Skeleton, truth: PoseSequence,
-                 truth_skel: Skeleton, scale: float) -> float:
-    """MPJPE divided by the body scaling factor (body-size sweeps)."""
+    Each sequence is decoded and posed once, with its own root translation.
+    ``upe``/``lpe`` are MPJPE over ``UPPER_JOINTS``/``LOWER_JOINTS``;
+    ``scaled_mpjpe`` is MPJPE divided by the body ``scale``; ``jitter`` is
+    the prediction's mean per-joint frame-to-frame step in cm/frame, None
+    below two frames.
+    """
     if not 0.0 < scale < np.inf:  # also refuses NaN
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    return mpjpe(pred, pred_skel, truth, truth_skel) / scale
-
-
-def jitter(pred: PoseSequence, skeleton: Skeleton) -> float:
-    """Mean per-joint frame-to-frame location delta, cm/frame."""
-    if pred.frames < 2:
-        raise ValueError("jitter requires at least two frames")
-    locs = pred.joint_locations(skeleton)
-    delta = np.linalg.norm(np.diff(locs, axis=0), axis=-1)
-    return float(delta.mean() * M_TO_CM)
-
-
-@dataclass
-class EvalReport:
-    """Per-cell metrics plus aggregates; serializable as JSON and CSV."""
-
-    cells: list
-    partition: dict
-
-    def aggregate(self) -> dict:
-        keys = ("mpjpe", "mpjre", "upe", "lpe", "scaled_mpjpe", "jitter")
-        agg = {}
-        for k in keys:
-            vals = [c[k] for c in self.cells if c.get(k) is not None]
-            agg[k] = float(np.mean(vals)) if vals else None
-        return agg
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"partition": self.partition, "cells": self.cells, "aggregate": self.aggregate()},
-            indent=2,
-        )
-
-    def write(self, json_path, csv_path=None) -> None:
-        with open(json_path, "w") as fh:
-            fh.write(self.to_json())
-        if csv_path is not None and self.cells:
-            with open(csv_path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(self.cells[0].keys()))
-                writer.writeheader()
-                writer.writerows(self.cells)
-
-
-def evaluate_cell(pred: PoseSequence, pred_skel: Skeleton, truth: PoseSequence,
-                  truth_skel: Skeleton, scale: float = 1.0, name: str = "") -> dict:
-    upe, lpe = upe_lpe(pred, pred_skel, truth, truth_skel)
+    if pred.frames != truth.frames:
+        raise ValueError(f"frame mismatch: {pred.frames} vs {truth.frames}")
+    R, R_true = pred.rotation_matrices(), truth.rotation_matrices()
+    p = forward_kinematics(skeleton, R, pred.root_translation)
+    q = forward_kinematics(skeleton, R_true, truth.root_translation)
+    err = mpjpe_from_locations(p, q)
+    jitter = None
+    if pred.frames >= 2:
+        jitter = float(np.linalg.norm(np.diff(p, axis=0), axis=-1).mean() * M_TO_CM)
     return {
         "name": name,
         "scale": scale,
-        "mpjpe": mpjpe(pred, pred_skel, truth, truth_skel),
-        "mpjre": mpjre(pred, truth),
-        "upe": upe,
-        "lpe": lpe,
-        "scaled_mpjpe": scaled_mpjpe(pred, pred_skel, truth, truth_skel, scale),
-        "jitter": jitter(pred, pred_skel) if pred.frames >= 2 else None,
+        "mpjpe": err,
+        "mpjre": float(rot6d.geodesic_angle(R, R_true).mean()),
+        "upe": mpjpe_from_locations(p, q, UPPER_JOINTS),
+        "lpe": mpjpe_from_locations(p, q, LOWER_JOINTS),
+        "scaled_mpjpe": err / scale,
+        "jitter": jitter,
     }
 
 
-def make_report(cells: list) -> EvalReport:
-    return EvalReport(cells=cells, partition={"upper": list(UPPER_JOINTS),
-                                              "lower": list(LOWER_JOINTS)})
+def write_report(cells: list, json_path, csv_path=None) -> None:
+    """Write the cells, the mean of each metric over them and the UPE/LPE
+    partition as JSON; with ``csv_path``, also one CSV row per cell."""
+    aggregate = {}
+    for k in ("mpjpe", "mpjre", "upe", "lpe", "scaled_mpjpe", "jitter"):
+        vals = [c[k] for c in cells if c.get(k) is not None]
+        aggregate[k] = float(np.mean(vals)) if vals else None
+    doc = {"partition": {"upper": list(UPPER_JOINTS), "lower": list(LOWER_JOINTS)},
+           "cells": cells, "aggregate": aggregate}
+    with open(json_path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+    if csv_path is not None and cells:
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(cells[0].keys()))
+            writer.writeheader()
+            writer.writerows(cells)

@@ -13,7 +13,7 @@ cross-fade over the overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class GuidanceConfig:
 
     eta: float = 0.0
     guidance_scale: float = 1.0
-    sigma_l: float = 0.01            # score-side measurement noise (meters)
+    sigma_l: float = 0.01            # floor under the measurements' sigma_l in the score (meters)
     covariance_mode: str = "identity"  # "identity" | "sigma"
 
     def __post_init__(self):
@@ -148,8 +148,11 @@ def run_guided_inference(
 ) -> PoseSequence:
     """Full inference: guided sampling of all joint rotations plus root recovery.
 
-    ``timesteps`` are increasing DDIM times q_0 = 0 .. q_N (:func:`make_schedule`);
-    sampling starts at q_N and takes one step per interval down to q_0.
+    ``timesteps`` are increasing DDIM times q_0 = 0 .. q_N <= ``TERMINAL``
+    (:func:`make_schedule`); sampling starts at q_N and takes one step per
+    interval down to q_0.  The score whitens with the larger of
+    ``config.sigma_l`` and ``measurements.sigma_l``; the root smoothing reads
+    ``measurements.sigma_l`` alone, so it stays off for noise-free files.
 
     The denoiser is conditioned once, on every window's measured rotations
     and ``A.active_joints``.  Deterministic given (inputs, seed).  Output
@@ -162,6 +165,13 @@ def run_guided_inference(
     if window is not None:
         check_count("window", window)
     check_count("overlap", overlap)
+    if not (isinstance(timesteps, np.ndarray) and timesteps.ndim == 1 and len(timesteps) >= 2):
+        raise ValueError(f"timesteps must be a 1-D array of at least 2 times, got {timesteps!r}")
+    # the denoiser's time features are trained on [0, TERMINAL] only
+    if not (timesteps[0] == 0.0 and np.all(np.diff(timesteps) > 0.0)
+            and timesteps[-1] <= TERMINAL):
+        raise ValueError(f"timesteps must increase strictly from 0 to at most {TERMINAL}, "
+                         f"got {timesteps.tolist()}")
     if window is not None and denoiser.window not in (None, window):
         raise ValueError(f"window {window} differs from the denoiser's trained window "
                          f"{denoiser.window}")
@@ -171,6 +181,7 @@ def run_guided_inference(
         raise ValueError(f"window {W} must be between 1 and the {frames} frames of the sequence")
     if overlap < 0:
         raise ValueError(f"overlap must be non-negative, got {overlap}")
+    config = replace(config, sigma_l=max(config.sigma_l, measurements.sigma_l))
     A = build_A(skeleton)
     J = skeleton.joint_count
     overlap = min(overlap, W - 1)

@@ -189,10 +189,26 @@ def _skeleton_with_bone(value):
     return make
 
 
-def _manifest_with_frames(value):
+def _edited_skeleton(edit):
+    def make(cell, tmp_path):
+        doc = json.loads((cell / "skeleton.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited-skeleton.json"
+        path.write_text(json.dumps(doc))
+        return path
+    return make
+
+
+def _twelve_joints(doc):
+    # a valid tree, with its sensors on its own last three joints
+    doc.update(parents=doc["parents"][:12], bones=doc["bones"][:12], measured=[9, 10, 11])
+
+
+def _one_cell_manifest(motion=None, **fields):
     def make(cell, tmp_path):
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"cells": [{"motion": {"kind": "walk", "frames": value}}]}))
+        doc = {"motion": motion or {"kind": "walk", "frames": 10}, **fields}
+        path.write_text(json.dumps({"cells": [doc]}))
         return path
     return make
 
@@ -204,6 +220,11 @@ def _manifest_with_frames(value):
     ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json", ""),
     ("--skeleton", _skeleton_with_bone(float("nan")), "joint 18"),
     ("--skeleton", _skeleton_with_bone(float("inf")), "joint 18"),
+    # a 12-joint tree used to fail later with a shape error naming no file
+    ("--skeleton", _edited_skeleton(_twelve_joints), "parents must be the 22-joint SMPL tree"),
+    # sensors on other joints used to run against head/wrist files, silently
+    ("--skeleton", _edited_skeleton(lambda doc: doc.update(measured=[12, 18, 19])),
+     "measured must be [15, 20, 21]"),
     ("--checkpoint", _plain_npz, ""),
     # "dropout" is not a TrainConfig field
     ("--checkpoint", _edited_checkpoint(
@@ -215,11 +236,19 @@ def _manifest_with_frames(value):
     ("--checkpoint", _edited_checkpoint(
         "ckpt", lambda header, params: params.update(W9=np.zeros(3))), "'W9'"),
     ("--manifest", lambda cell, tmp: cell / "skeleton.json", ""),
-    ("--manifest", _manifest_with_frames(2.5), "frames must be an integer, got 2.5"),
+    ("--manifest", _one_cell_manifest(motion={"kind": "walk", "frames": 2.5}),
+     "frames must be an integer, got 2.5"),
+    # these three used to escape as a TypeError or AttributeError traceback, or name no file
+    ("--manifest", _one_cell_manifest(seed=2.5), "seed must be an integer, got 2.5"),
+    ("--manifest", _one_cell_manifest(preset=5), "preset must be a string, got 5"),
+    ("--manifest", _one_cell_manifest(sigma_l=-1),
+     "sigma_l must be finite and non-negative, got -1"),
 ], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
-        "manifest-as-skeleton", "nan-bone", "inf-bone", "plain-npz-as-checkpoint",
+        "manifest-as-skeleton", "nan-bone", "inf-bone", "twelve-joint-skeleton",
+        "rewired-sensors-skeleton", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
-        "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest"])
+        "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest",
+        "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest"])
 def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
                                                      option, wrong_file, also_named):
     # each of these used to crash with a KeyError or TypeError (exit 1), print
@@ -239,6 +268,22 @@ def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(wrong) in err
     assert also_named in err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+def test_gen_data_and_eval_refuse_a_skeleton_they_cannot_run(data_dir, tmp_path, capsys,
+                                                             command):
+    # gen-data used to die with an IndexError traceback (exit 1) on a valid
+    # 12-joint tree, and eval printed a shape error that named no file
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    skeleton = _edited_skeleton(_twelve_joints)(cell, tmp_path)
+    if command == "gen-data":
+        flags = ["--manifest", data_dir / "manifest.json", "--out", tmp_path / "o"]
+    else:
+        flags = ["--pred", cell / "truth.pgseq", "--truth", cell / "truth.pgseq",
+                 "--out", tmp_path / "report.json"]
+    assert main([command, "--skeleton", str(skeleton)] + [str(f) for f in flags]) == EXIT_USAGE
+    assert f"{skeleton}: parents must be the 22-joint SMPL tree" in capsys.readouterr().err
 
 
 def test_infer_refuses_an_infinite_sigma_by_name(data_dir, tmp_path, capsys):

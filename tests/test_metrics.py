@@ -1,15 +1,17 @@
 """Error metrics: closed-form unit examples and statistical checks."""
 
+import csv
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from poseguide import rot6d
+from poseguide import metrics, rot6d, skeleton
 from poseguide.metrics import (
-    LOWER_JOINTS, UPPER_JOINTS, EvalReport, evaluate_cell, jitter, make_report,
-    mpjpe, mpjpe_from_locations, mpjre, scaled_mpjpe, upe_lpe,
+    LOWER_JOINTS, UPPER_JOINTS, evaluate_cell, mpjpe, mpjpe_from_locations, mpjre, write_report,
 )
-from poseguide.skeleton import PoseSequence, default_skeleton
-from tests.test_rot6d import random_rotations
+from poseguide.skeleton import PoseSequence, default_skeleton, scale_skeleton
 from tests.test_skeleton import random_pose_matrices
 
 
@@ -25,8 +27,9 @@ def test_zero_on_identical_inputs():
     seq = make_seq(seed=1)
     assert mpjpe(seq, skel, seq, skel) == 0.0
     assert mpjre(seq, seq) == pytest.approx(0.0, abs=1e-5)  # arccos precision
-    u, l = upe_lpe(seq, skel, seq, skel)
-    assert u == 0.0 and l == 0.0
+    cell = evaluate_cell(seq, skel, seq)
+    assert cell["mpjpe"] == cell["upe"] == cell["lpe"] == cell["scaled_mpjpe"] == 0.0
+    assert cell["mpjre"] == pytest.approx(0.0, abs=1e-5)
 
 
 def test_joint_partition_covers_all_joints():
@@ -52,6 +55,7 @@ def test_mpjre_unit_example():
     R2[0, 5] = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     seq_b = PoseSequence(rot6d.to_sixdof(R2), np.zeros((1, 3)))
     assert mpjre(seq_a, seq_b) == pytest.approx(90.0 / 22.0, abs=1e-12)
+    assert evaluate_cell(seq_a, skel, seq_b)["mpjre"] == pytest.approx(90.0 / 22.0, abs=1e-12)
 
 
 def test_mpjpe_uniform_offset_and_root():
@@ -61,6 +65,9 @@ def test_mpjpe_uniform_offset_and_root():
     moved = PoseSequence(seq.rotations.copy(),
                          seq.root_translation + np.array([0.0, 0.03, 0.0]))
     assert mpjpe(moved, skel, seq, skel) == pytest.approx(3.0, abs=1e-12)
+    cell = evaluate_cell(moved, skel, seq)
+    for key in ("mpjpe", "upe", "lpe"):
+        assert cell[key] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_scaled_mpjpe_homogeneity():
@@ -68,27 +75,33 @@ def test_scaled_mpjpe_homogeneity():
     seq = make_seq(seed=3)
     moved = PoseSequence(seq.rotations.copy(),
                          seq.root_translation + np.array([0.0, 0.05, 0.0]))
-    base = mpjpe(moved, skel, seq, skel)
-    assert scaled_mpjpe(moved, skel, seq, skel, 2.0) == pytest.approx(base / 2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        scaled_mpjpe(moved, skel, seq, skel, 0.0)
+    base = evaluate_cell(moved, skel, seq)["mpjpe"]
+    cell = evaluate_cell(moved, skel, seq, scale=2.0)
+    assert cell["mpjpe"] == base
+    assert cell["scaled_mpjpe"] == pytest.approx(base / 2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="scale"):
+        evaluate_cell(moved, skel, seq, scale=0.0)
 
 
 def test_scaled_mpjpe_refuses_non_finite_scale():
     seq = make_seq(seed=3)
     for scale in (np.nan, np.inf):
         with pytest.raises(ValueError, match="scale"):
-            scaled_mpjpe(seq, default_skeleton(), seq, default_skeleton(), scale)
+            evaluate_cell(seq, default_skeleton(), seq, scale=scale)
+
+
+def test_evaluate_cell_refuses_a_frame_mismatch():
+    skel = default_skeleton()
+    with pytest.raises(ValueError, match="frame mismatch: 4 vs 5"):
+        evaluate_cell(make_seq(frames=4), skel, make_seq(frames=5))
 
 
 def test_upe_lpe_partition_identity():
     # weighted recombination of the partition means recovers the full mean
     skel = default_skeleton()
-    a, b = make_seq(seed=4), make_seq(seed=5)
-    full = mpjpe(a, skel, b, skel)
-    u, l = upe_lpe(a, skel, b, skel)
-    recombined = (len(UPPER_JOINTS) * u + len(LOWER_JOINTS) * l) / 22.0
-    assert recombined == pytest.approx(full, abs=1e-12)
+    cell = evaluate_cell(make_seq(seed=4), skel, make_seq(seed=5))
+    recombined = (len(UPPER_JOINTS) * cell["upe"] + len(LOWER_JOINTS) * cell["lpe"]) / 22.0
+    assert recombined == pytest.approx(cell["mpjpe"], abs=1e-12)
 
 
 def test_jitter_statistics():
@@ -101,19 +114,72 @@ def test_jitter_statistics():
     steps = sigma * rng.standard_normal((F, 3))
     root = np.cumsum(steps, axis=0)
     seq = PoseSequence(rot6d.to_sixdof(R), root)
+    still = PoseSequence(seq.rotations, np.zeros((F, 3)))
     expected = 100.0 * sigma * np.sqrt(2.0) * 1.0 / (np.sqrt(np.pi) / 2.0)
-    assert jitter(seq, skel) == pytest.approx(expected, rel=0.02)
-    with pytest.raises(ValueError):
-        jitter(make_seq(frames=1, seed=8), skel)
+    # jitter reads the prediction alone
+    assert evaluate_cell(seq, skel, still)["jitter"] == pytest.approx(expected, rel=0.02)
+    assert evaluate_cell(still, skel, seq)["jitter"] == 0.0
+    one = make_seq(frames=1, seed=8)
+    assert evaluate_cell(one, skel, one)["jitter"] is None
+
+
+def test_evaluate_cell_poses_each_sequence_once(monkeypatch):
+    # one decode and one forward-kinematics pass per sequence, whatever the metric
+    calls = {"fk": 0, "decode": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fk = counted("fk", skeleton.forward_kinematics)
+    monkeypatch.setattr(skeleton, "forward_kinematics", fk)
+    monkeypatch.setattr(metrics, "forward_kinematics", fk)
+    monkeypatch.setattr(rot6d, "batch_from_sixdof", counted("decode", rot6d.batch_from_sixdof))
+    evaluate_cell(make_seq(frames=6, seed=11), default_skeleton(), make_seq(frames=6, seed=12))
+    assert calls == {"fk": 2, "decode": 2}
+
+
+def _random_seq(frames, seed):
+    rng = np.random.default_rng(seed)
+    return PoseSequence(rng.standard_normal((frames, 22, 6)), rng.standard_normal((frames, 3)))
+
+
+@pytest.mark.parametrize("frames, pred_seed, truth_seed, scale, body, name, digest", [
+    (7, 1, 2, 1.0, None, "a", "9df222580009b3183adc60a4b948056415048311aa68b6d9cee8bad34e4fb9de"),
+    (1, 3, 4, 1.3, 1.3, "b", "de02dbc741c876e5152b33ea215660d5f7acf7cec2244ead357ed12305249751"),
+    (40, 5, 6, 0.7, "ramp", "c", "156ab520a6bb491d39aefa60e8877c166c1fc779c8aea99520d838621b907be3"),
+], ids=["default-body", "one-frame-uniform-body", "per-bone-body"])
+def test_evaluate_cell_values_are_pinned(frames, pred_seed, truth_seed, scale, body, name,
+                                        digest):
+    # sha256 of every value evaluate_cell returns, taken when each metric
+    # still posed the sequences on its own; off-manifold 6DoF inputs also pin the decode
+    skel = default_skeleton()
+    if body == "ramp":
+        skel = scale_skeleton(skel, np.linspace(0.8, 1.3, 22))
+    elif body is not None:
+        skel = scale_skeleton(skel, np.full(22, body))
+    cell = evaluate_cell(_random_seq(frames, pred_seed), skel, _random_seq(frames, truth_seed),
+                         scale, name)
+    assert hashlib.sha256(json.dumps(cell, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_eval_report_roundtrip(tmp_path):
     skel = default_skeleton()
-    a, b = make_seq(seed=9), make_seq(seed=10)
-    cell = evaluate_cell(a, skel, b, skel, scale=1.0, name="demo")
-    report = make_report([cell])
-    agg = report.aggregate()
-    assert agg["mpjpe"] == pytest.approx(cell["mpjpe"])
-    report.write(tmp_path / "report.json", tmp_path / "report.csv")
-    assert (tmp_path / "report.json").exists()
-    assert (tmp_path / "report.csv").exists()
+    cells = [evaluate_cell(make_seq(seed=9), skel, make_seq(seed=10), scale=1.0, name="demo"),
+             evaluate_cell(make_seq(frames=1, seed=11), skel, make_seq(frames=1, seed=12),
+                           scale=1.5, name="still")]
+    write_report(cells, tmp_path / "report.json", tmp_path / "report.csv")
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["partition"] == {"upper": list(UPPER_JOINTS), "lower": list(LOWER_JOINTS)}
+    assert doc["cells"] == cells
+    assert doc["aggregate"]["mpjpe"] == pytest.approx((cells[0]["mpjpe"] + cells[1]["mpjpe"]) / 2)
+    assert doc["aggregate"]["jitter"] == cells[0]["jitter"]  # None cells are left out
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["name"] for r in rows] == ["demo", "still"]
+    assert float(rows[0]["mpjpe"]) == cells[0]["mpjpe"]
+    assert rows[1]["jitter"] == ""
+    write_report(cells, tmp_path / "alone.json")
+    assert (tmp_path / "alone.json").read_bytes() == (tmp_path / "report.json").read_bytes()

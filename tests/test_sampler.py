@@ -513,6 +513,41 @@ def test_bad_window_or_overlap_is_refused(kwargs, match):
         run_guided_inference(meas, skel, oracle, make_schedule(3), GuidanceConfig(), **kwargs)
 
 
+@pytest.mark.parametrize("timesteps, match", [
+    # a list used to escape as a bare TypeError from alpha_bar
+    ([0.0, 15.0], "timesteps must be a 1-D array of at least 2 times"),
+    (np.array([[0.0, 15.0]]), "timesteps must be a 1-D array of at least 2 times"),
+    (np.array([0.0]), "timesteps must be a 1-D array of at least 2 times"),
+    # decreasing times used to run a step at t = 0, then fail naming no argument
+    (np.array([15.0, 0.0]), r"timesteps must increase strictly from 0 to at most 15\.0"),
+    (np.array([0.0, 5.0, 5.0, 15.0]), "timesteps must increase strictly"),
+    (np.array([0.0, 10.0, 5.0, 15.0]), "timesteps must increase strictly"),
+    (np.array([1.0, 15.0]), "timesteps must increase strictly from 0"),
+    (np.array([0.0, np.nan, 15.0]), "timesteps must increase strictly"),
+    # times past the trained horizon used to be accepted silently
+    (np.array([0.0, 99.0]), r"at most 15\.0, got \[0\.0, 99\.0\]"),
+], ids=["list", "2-d", "one-entry", "decreasing", "repeated", "not-monotone",
+        "nonzero-start", "nan", "past-terminal"])
+def test_bad_timesteps_are_refused_by_name(timesteps, match):
+    skel, seq, meas, oracle = make_case(frames=41)
+    with pytest.raises(ValueError, match=match):
+        run_guided_inference(meas, skel, oracle, timesteps, GuidanceConfig())
+
+
+def test_sigma_l_flag_is_a_floor_under_the_files():
+    # on a 5 cm file the score whitens with 5 cm for any flag up to 5 cm, and
+    # the root smoothing reads the file's value either way.  An untrained MLP's
+    # estimate carries any change of the score through to the output.
+    skel, seq, meas, _ = make_case(frames=60, sigma_l=0.05)
+    model = MLPDenoiser(TrainConfig(window=30, hidden=8))
+    runs = [run_guided_inference(meas, skel, model, make_schedule(5),
+                                 GuidanceConfig(sigma_l=flag), seed=0)
+            for flag in (0.01, 0.05, 0.2)]
+    for field in ("rotations", "root_translation"):
+        assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+    assert runs[2].rotations.tobytes() != runs[1].rotations.tobytes()
+
+
 def test_oracle_guided_recovery_single_window():
     skel, seq, meas, oracle = make_case(frames=41, seed=2)
     sch = make_schedule(50)
