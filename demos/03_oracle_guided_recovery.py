@@ -15,11 +15,10 @@ from poseguide import rot6d
 from poseguide.datagen import MotionSpec, generate_motion, scale_ground_truth
 from poseguide.denoiser import OracleDenoiser
 from poseguide.measurement import extract_measurements
-from poseguide.sampler import GuidanceConfig, make_schedule, run_guided_inference
+from poseguide.sampler import GuidanceConfig, run_guided_inference
 from poseguide.skeleton import default_skeleton
 
 skel = default_skeleton()
-schedule = make_schedule(50)
 cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
 
 for scale in (0.6, 1.0, 1.4):
@@ -27,8 +26,7 @@ for scale in (0.6, 1.0, 1.4):
     truth, sk = scale_ground_truth(base, skel, f"uniform:{scale}")
     meas = extract_measurements(truth, sk, 0.0, 0.0, seed=0)
     oracle = OracleDenoiser(truth.rotations)
-    pred = run_guided_inference(meas, sk, oracle, schedule, cfg, seed=1,
-                                window=60, overlap=0)
+    pred = run_guided_inference(meas, sk, oracle, 50, cfg, seed=1)
     geo = rot6d.geodesic_angle(
         rot6d.batch_from_sixdof(pred.rotations),
         rot6d.batch_from_sixdof(truth.rotations)).max()
@@ -40,11 +38,9 @@ for scale in (0.6, 1.0, 1.4):
 truth = generate_motion(MotionSpec(kind="arm-swing", frames=60, seed=9), skel)
 meas = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
 oracle = OracleDenoiser(truth.rotations)
-a = run_guided_inference(meas, skel, oracle, schedule, cfg, seed=1,
-                         window=60, overlap=0)
+a = run_guided_inference(meas, skel, oracle, 50, cfg, seed=1)
 meas.locations = meas.locations + np.array([2.0, 0.5, -1.0])
-b = run_guided_inference(meas, skel, oracle, schedule, cfg, seed=1,
-                         window=60, overlap=0)
+b = run_guided_inference(meas, skel, oracle, 50, cfg, seed=1)
 print("\nconstant sensor translation:")
 print("  rotations bit-identical:", np.array_equal(a.rotations, b.rotations))
 print("  root absorbed the shift:",

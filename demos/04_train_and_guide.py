@@ -15,7 +15,7 @@ from poseguide.datagen import MotionSpec, generate_motion, scale_ground_truth
 from poseguide.denoiser import TrainConfig, train_denoiser
 from poseguide.measurement import extract_measurements
 from poseguide.metrics import evaluate_cell
-from poseguide.sampler import GuidanceConfig, make_schedule, run_guided_inference
+from poseguide.sampler import GuidanceConfig, run_guided_inference
 from poseguide.skeleton import default_skeleton
 
 t0 = time.time()
@@ -38,14 +38,13 @@ prior = train_denoiser(
 print(f"trained 400 steps in {time.time() - t0:.0f}s; "
       f"loss {losses[0]:.3f} -> {np.mean(losses[-20:]):.3f}")
 
-schedule = make_schedule(50)
 cells = []
 for scale in (0.8, 1.0, 1.2):
     seq0 = generate_motion(MotionSpec(kind="reach", frames=82, seed=900), skel)
     truth, sk = scale_ground_truth(seq0, skel, f"uniform:{scale}")
     meas = extract_measurements(truth, sk, 0.0, 0.0, seed=1)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
-    pred = run_guided_inference(meas, sk, prior, schedule, cfg, seed=3)
+    pred = run_guided_inference(meas, sk, prior, 50, cfg, seed=3)
     cells.append(evaluate_cell(pred, sk, truth, scale, f"reach_uniform{scale}"))
 
 for cell in cells:

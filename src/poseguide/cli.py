@@ -21,7 +21,7 @@ from .denoiser import (
     COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError, train_denoiser,
 )
 from .measurement import MeasurementSet, build_A
-from .sampler import GuidanceConfig, SamplerDivergence, make_schedule, run_guided_inference
+from .sampler import GuidanceConfig, SamplerDivergence, run_guided_inference
 from .skeleton import (
     MEASURED_JOINTS, SMPL_PARENTS, Skeleton, default_skeleton, forward_kinematics,
 )
@@ -37,23 +37,24 @@ class UsageError(Exception):
 
 
 def _echo_config(out_path: Path, args: argparse.Namespace) -> None:
-    doc = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
-    doc = {k: (str(v) if isinstance(v, Path) else v) for k, v in doc.items()}
+    doc = {k: v for k, v in vars(args).items() if not callable(v)}
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=2)
 
 
-def _existing(path, what: str) -> Path:
+def _existing(path, what: str, directory: bool = False) -> Path:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"{what} not found: {p}")
+    if p.is_dir() != directory:
+        raise UsageError(f"{what} must be a {'directory' if directory else 'file'}, got {p}")
     return p
 
 
 def _load_skeleton(path) -> Skeleton:
     if path is None:
         return default_skeleton()
-    skeleton = Skeleton.load(_existing(path, "skeleton file"))
+    skeleton = Skeleton.load(_existing(path, "skeleton"))
     # motion generation, the prior's conditioning and the measurement files
     # all assume the SMPL tree and its head/wrist sensors
     if skeleton.parents.tolist() != list(SMPL_PARENTS):
@@ -77,7 +78,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data_dir = _existing(args.data, "data directory")
+    data_dir = _existing(args.data, "data", directory=True)
     dataset = []
     for cell_dir in sorted(data_dir.iterdir()):
         truth = cell_dir / "truth.pgseq"
@@ -113,19 +114,18 @@ def cmd_infer(args) -> int:
     measurements = MeasurementSet.load(_existing(args.measurements, "measurements"))
     skeleton = _load_skeleton(args.skeleton)
     if args.oracle_truth is not None:
-        denoiser = OracleDenoiser(load_sequence(Path(args.oracle_truth)).rotations)
+        truth = load_sequence(_existing(args.oracle_truth, "oracle truth"))
+        denoiser = OracleDenoiser(truth.rotations)
     else:
         if args.checkpoint is None:
             raise UsageError("need --checkpoint or --oracle-truth")
         denoiser = MLPDenoiser.load(_existing(args.checkpoint, "checkpoint"))
-    schedule = make_schedule(args.steps)
     config = GuidanceConfig(
         eta=args.eta, guidance_scale=args.guidance_scale, sigma_l=args.sigma_l,
         covariance_mode=args.covariance_mode,
     )
-    poses = run_guided_inference(
-        measurements, skeleton, denoiser, schedule, config, seed=args.seed
-    )
+    poses = run_guided_inference(measurements, skeleton, denoiser, args.steps, config,
+                                 seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_sequence(out, poses)
@@ -135,9 +135,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred_path, truth_path = (_existing(p, "input") for p in (args.pred, args.truth))
+    pred_path, truth_path = _existing(args.pred, "--pred"), _existing(args.truth, "--truth")
     pred = load_sequence(pred_path)
     truth = load_sequence(truth_path)
+    if pred.frames != truth.frames:
+        raise UsageError(f"--pred {pred_path} has {pred.frames} frames but --truth "
+                         f"{truth_path} has {truth.frames} frames")
     skeleton = _load_skeleton(args.skeleton)
     cell = metrics.evaluate_cell(pred, skeleton, truth, scale=args.scale, name=pred_path.stem)
     out = Path(args.out)

@@ -21,6 +21,7 @@ The noise schedule is defined once, by :func:`alpha_bar` on the horizon
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -305,7 +306,7 @@ class MLPDenoiser(DenoiserInterface):
                 params = {k: blob[k] for k in blob.files if k != "__header__"}
             version = header["version"]
             config = TrainConfig(**header["config"]) if version == CHECKPOINT_VERSION else None
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path} is not a poseguide checkpoint "
                              f"({type(exc).__name__}: {exc})") from exc
         if version != CHECKPOINT_VERSION:

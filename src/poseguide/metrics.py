@@ -30,23 +30,6 @@ def mpjpe_from_locations(pred_locs: np.ndarray, true_locs: np.ndarray, joints=No
     return float(err.mean() * M_TO_CM)
 
 
-def mpjpe(pred: PoseSequence, pred_skel: Skeleton, truth: PoseSequence,
-          truth_skel: Skeleton) -> float:
-    """Mean joint location error over all frames and joints, in cm."""
-    if pred.frames != truth.frames:
-        raise ValueError(f"frame mismatch: {pred.frames} vs {truth.frames}")
-    return mpjpe_from_locations(pred.joint_locations(pred_skel), truth.joint_locations(truth_skel))
-
-
-def mpjre(pred: PoseSequence, truth: PoseSequence) -> float:
-    """Mean geodesic angle between global joint rotations, in degrees."""
-    if pred.frames != truth.frames:
-        raise ValueError(f"frame mismatch: {pred.frames} vs {truth.frames}")
-    return float(
-        rot6d.geodesic_angle(pred.rotation_matrices(), truth.rotation_matrices()).mean()
-    )
-
-
 def evaluate_cell(pred: PoseSequence, skeleton: Skeleton, truth: PoseSequence,
                   scale: float = 1.0, name: str = "") -> dict:
     """Every metric of one cell, with both sequences posed through ``skeleton``.

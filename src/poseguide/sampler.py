@@ -6,9 +6,9 @@ gives the clean-signal estimate r_hat and its pullback, the noise estimate
 follows from r_hat, the measured location differences contribute a
 Gaussian likelihood score through the linear measurement operator and that
 pullback, and the DDIM update combines estimate, fresh noise, noise
-estimate and the guidance term.  Long sequences run as one stack of
-fixed-size windows, one denoiser call per step, joined with a linear
-cross-fade over the overlap.
+estimate and the guidance term.  A sequence longer than the denoiser's
+trained window runs as one stack of such windows, one denoiser call per
+step, joined with a linear cross-fade over the overlap.
 """
 
 from __future__ import annotations
@@ -22,19 +22,12 @@ from .measurement import LinearOperatorA, MeasurementSet, build_A, differential_
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
 from .denoiser import TERMINAL, DenoiserInterface, alpha_bar, check_count, make_conditioning
 
-WINDOW = 41
 OVERLAP = 20
 DIVERGENCE_NORM = 1e3
 
 
 class SamplerDivergence(RuntimeError):
     """State norm exceeded the divergence threshold during sampling."""
-
-
-def make_schedule(n_steps: int) -> np.ndarray:
-    """Monotone DDIM timesteps q_0 = 0 .. q_N = ``denoiser.TERMINAL``, N = ``n_steps``."""
-    check_count("n_steps", n_steps, 1)
-    return np.linspace(0.0, TERMINAL, n_steps + 1)
 
 
 @dataclass
@@ -140,17 +133,16 @@ def run_guided_inference(
     measurements: MeasurementSet,
     skeleton: Skeleton,
     denoiser: DenoiserInterface,
-    timesteps: np.ndarray,
+    steps: int,
     config: GuidanceConfig,
     seed: int = 0,
-    window: int | None = None,
-    overlap: int = OVERLAP,
 ) -> PoseSequence:
     """Full inference: guided sampling of all joint rotations plus root recovery.
 
-    ``timesteps`` are increasing DDIM times q_0 = 0 .. q_N <= ``TERMINAL``
-    (:func:`make_schedule`); sampling starts at q_N and takes one step per
-    interval down to q_0.  The score whitens with the larger of
+    DDIM runs ``steps`` equal steps from t = ``TERMINAL`` down to 0.  The
+    windows are the denoiser's trained ``window``, overlapping by up to
+    ``OVERLAP`` frames; a denoiser that takes any length gets the whole
+    sequence as one window.  The score whitens with the larger of
     ``config.sigma_l`` and ``measurements.sigma_l``; the root smoothing reads
     ``measurements.sigma_l`` alone, so it stays off for noise-free files.
 
@@ -160,32 +152,19 @@ def run_guided_inference(
     differences, so a constant sensor translation that rounds no location
     leaves them bit-identical.
     """
+    check_count("steps", steps, 1)
     check_count("seed", seed, 0)
-    # only the integer tests here; the ranges below keep their own messages
-    if window is not None:
-        check_count("window", window)
-    check_count("overlap", overlap)
-    if not (isinstance(timesteps, np.ndarray) and timesteps.ndim == 1 and len(timesteps) >= 2):
-        raise ValueError(f"timesteps must be a 1-D array of at least 2 times, got {timesteps!r}")
-    # the denoiser's time features are trained on [0, TERMINAL] only
-    if not (timesteps[0] == 0.0 and np.all(np.diff(timesteps) > 0.0)
-            and timesteps[-1] <= TERMINAL):
-        raise ValueError(f"timesteps must increase strictly from 0 to at most {TERMINAL}, "
-                         f"got {timesteps.tolist()}")
-    if window is not None and denoiser.window not in (None, window):
-        raise ValueError(f"window {window} differs from the denoiser's trained window "
-                         f"{denoiser.window}")
     frames = measurements.frames
-    W = (denoiser.window or min(frames, WINDOW)) if window is None else window
-    if not 1 <= W <= frames:
-        raise ValueError(f"window {W} must be between 1 and the {frames} frames of the sequence")
-    if overlap < 0:
-        raise ValueError(f"overlap must be non-negative, got {overlap}")
+    W = denoiser.window or frames
+    if W > frames:
+        raise ValueError(f"the denoiser's trained window of {W} frames is longer than the "
+                         f"{frames} frames of the sequence")
+    timesteps = np.linspace(0.0, TERMINAL, steps + 1)
     config = replace(config, sigma_l=max(config.sigma_l, measurements.sigma_l))
     A = build_A(skeleton)
     J = skeleton.joint_count
-    overlap = min(overlap, W - 1)
-    starts = np.array(_window_starts(frames, W, max(1, W - overlap)))
+    overlap = min(OVERLAP, W - 1)
+    starts = np.array(_window_starts(frames, W, W - overlap))
     win = starts[:, None] + np.arange(W)  # (windows, W) sequence frames
     l_diff = differential_transform(measurements.locations)[win].reshape(-1, 2, 3)
     denoise = denoiser.condition(make_conditioning(measurements, denoiser.cond_spec)[win],
@@ -194,7 +173,7 @@ def run_guided_inference(
     rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(len(starts))]
     r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
     abars = alpha_bar(timesteps)
-    for i in range(len(timesteps) - 1, 0, -1):
+    for i in range(steps, 0, -1):
         t, ab_t, ab_s = timesteps[i], abars[i], abars[i - 1]
         r_hat, pullback = denoise(r, t)
         eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)

@@ -7,8 +7,11 @@ models trained in a session fixture; everything else is closed-form or
 oracle-driven and runs in seconds.
 """
 
+import multiprocessing
+import os
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +20,8 @@ from poseguide import rot6d
 from poseguide.datagen import MotionSpec, generate_motion, scale_ground_truth
 from poseguide.denoiser import OracleDenoiser, TrainConfig, train_denoiser
 from poseguide.measurement import build_A, differential_transform, extract_measurements
-from poseguide.metrics import mpjpe, mpjre, mpjpe_from_locations
-from poseguide.sampler import (
-    GuidanceConfig, likelihood_score, make_schedule, run_guided_inference,
-)
+from poseguide.metrics import evaluate_cell, mpjpe_from_locations
+from poseguide.sampler import GuidanceConfig, likelihood_score, run_guided_inference
 from poseguide.skeleton import PoseSequence, default_skeleton, forward_kinematics
 from poseguide.uncertainty import random_manifold_points, verify_pushforward
 
@@ -197,7 +198,6 @@ def _frozen_metric(A, r_hat, cfg, w_t, sig):
 def test_oracle_exact_recovery_across_scales():
     t0 = time.time()
     skel = default_skeleton()
-    schedule = make_schedule(50)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
     worst_geo, worst_root = 0.0, 0.0
     for scale in (0.6, 1.0, 1.4):
@@ -205,8 +205,7 @@ def test_oracle_exact_recovery_across_scales():
         truth, sk = scale_ground_truth(base, skel, f"uniform:{scale}")
         meas = extract_measurements(truth, sk, 0.0, 0.0, seed=0)
         oracle = OracleDenoiser(truth.rotations)
-        pred = run_guided_inference(meas, sk, oracle, schedule, cfg, seed=1,
-                                    window=60, overlap=0)
+        pred = run_guided_inference(meas, sk, oracle, 50, cfg, seed=1)
         # geodesic_angle already returns degrees, so the checked value is degrees x 180/pi
         geo = np.degrees(rot6d.geodesic_angle(
             rot6d.batch_from_sixdof(pred.rotations),
@@ -228,15 +227,12 @@ def test_root_cancellation_invariance():
     skel = default_skeleton()
     truth = generate_motion(MotionSpec(kind="arm-swing", frames=50, seed=3), skel)
     meas = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
-    schedule = make_schedule(50)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
     oracle = OracleDenoiser(truth.rotations)
-    a = run_guided_inference(meas, skel, oracle, schedule, cfg, seed=5,
-                             window=50, overlap=0)
+    a = run_guided_inference(meas, skel, oracle, 50, cfg, seed=5)
     shifted = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
     shifted.locations = shifted.locations + np.array([3.2, -1.5, 0.7])
-    b = run_guided_inference(shifted, skel, oracle, schedule, cfg, seed=5,
-                             window=50, overlap=0)
+    b = run_guided_inference(shifted, skel, oracle, 50, cfg, seed=5)
     identical = np.array_equal(a.rotations, b.rotations)
     _report("root-cancellation-invariance", identical,
             "output rotations bit-identical under constant sensor translation")
@@ -261,10 +257,18 @@ def trend_models():
             seqs.append(generate_motion(MotionSpec(kind=kind, frames=164, seed=100 + s), skel))
     dataset = [(s, extract_measurements(s, skel, 0.0, 0.0, seed=i))
                for i, s in enumerate(seqs)]
-    prior = train_denoiser(dataset, TrainConfig(steps=1500, seed=0, hidden=160,
-                                                cond_spec="rotations", dropout_prob=0.1))
-    baseline = train_denoiser(dataset, TrainConfig(steps=1500, seed=0, hidden=160,
-                                                   cond_spec="locations", dropout_prob=0.0))
+    configs = [TrainConfig(steps=1500, seed=0, hidden=160, cond_spec="rotations",
+                           dropout_prob=0.1),
+               TrainConfig(steps=1500, seed=0, hidden=160, cond_spec="locations",
+                           dropout_prob=0.0)]
+    # the two models train side by side, one core each: the workers read a BLAS
+    # thread count of 1 when they start, and this process's BLAS is already loaded
+    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
+        pool = multiprocessing.get_context("spawn").Pool(2)
+    with pool:
+        # a pool whose worker died would wait for it forever
+        trained = pool.starmap_async(train_denoiser, [(dataset, c) for c in configs])
+        prior, baseline = trained.get(timeout=1800.0)
     train_time = time.time() - t0
     assert train_time < 1800.0, f"toy training exceeded 30 min ({train_time:.0f}s)"
     return skel, prior, baseline, train_time
@@ -272,7 +276,6 @@ def trend_models():
 
 def _eval_cell(skel, prior, baseline, scale, sigma_l, n_test=3):
     """Mean scaled MPJPE (cm) for the guided method and the baseline variant."""
-    schedule = make_schedule(50)
     guided_errs, base_errs = [], []
     for s in range(n_test):
         seq0 = generate_motion(MotionSpec(kind="reach", frames=164, seed=900 + s),
@@ -280,13 +283,11 @@ def _eval_cell(skel, prior, baseline, scale, sigma_l, n_test=3):
         truth, sk = scale_ground_truth(seq0, default_skeleton(), f"uniform:{scale}")
         meas = extract_measurements(truth, sk, sigma_l, 0.0, seed=50 + s)
         gcfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=max(sigma_l, 0.01))
-        guided_errs.append(mpjpe(
-            run_guided_inference(meas, sk, prior, schedule, gcfg, seed=3),
-            sk, truth, sk))
+        guided = run_guided_inference(meas, sk, prior, 50, gcfg, seed=3)
+        guided_errs.append(evaluate_cell(guided, sk, truth)["mpjpe"])
         bcfg = GuidanceConfig(eta=0.0, guidance_scale=0.0, sigma_l=max(sigma_l, 0.01))
-        base_errs.append(mpjpe(
-            run_guided_inference(meas, sk, baseline, schedule, bcfg, seed=3),
-            sk, truth, sk))
+        base = run_guided_inference(meas, sk, baseline, 50, bcfg, seed=3)
+        base_errs.append(evaluate_cell(base, sk, truth)["mpjpe"])
     return float(np.mean(guided_errs)) / scale, float(np.mean(base_errs)) / scale
 
 
@@ -337,8 +338,8 @@ def test_noise_robustness_trend(trend_results):
 def test_metric_sanity():
     skel = default_skeleton()
     seq = generate_motion(MotionSpec(kind="walk", frames=40, seed=2), skel)
-    self_pos = mpjpe(seq, skel, seq, skel)
-    self_rot = mpjre(seq, seq)
+    own = evaluate_cell(seq, skel, seq)
+    self_pos, self_rot = own["mpjpe"], own["mpjre"]
 
     # every joint displaced 5 cm along x -> MPJPE exactly 5 cm; one joint of
     # 22 displaced 22 cm in one frame of one -> exactly 1 cm
@@ -355,7 +356,7 @@ def test_metric_sanity():
     rot90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     Rr[:, 7] = Rr[:, 7] @ rot90
     rotated = PoseSequence(rot6d.to_sixdof(Rr), seq.root_translation)
-    err_rot = abs(mpjre(rotated, seq) - 90.0 / 22.0)
+    err_rot = abs(evaluate_cell(rotated, skel, seq)["mpjre"] - 90.0 / 22.0)
 
     ok = (self_pos == 0.0 and self_rot < 1e-5 and err_all < 1e-12
           and err_single < 1e-12 and err_rot < 1e-12)

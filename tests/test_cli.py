@@ -8,9 +8,10 @@ import pytest
 
 from poseguide.cli import EXIT_OK, EXIT_USAGE, main
 from poseguide.datagen import (
-    BenchmarkCell, BenchmarkManifest, MotionSpec, load_sequence,
+    BenchmarkCell, BenchmarkManifest, MotionSpec, load_sequence, save_sequence,
 )
 from poseguide.denoiser import MLPDenoiser, TrainConfig
+from poseguide.skeleton import PoseSequence
 from tests.test_datagen import edit_header
 
 
@@ -179,6 +180,17 @@ def _edited_checkpoint(name, edit):
     return make
 
 
+def _cut_checkpoint(keep):
+    """A hidden-8 checkpoint cut to the share ``keep`` of its bytes."""
+    def make(cell, tmp_path):
+        path = tmp_path / "cut.npz"
+        MLPDenoiser(TrainConfig(window=16, hidden=8)).save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(len(blob) * keep)])
+        return path
+    return make
+
+
 def _skeleton_with_bone(value):
     def make(cell, tmp_path):
         doc = json.loads((cell / "skeleton.json").read_text())
@@ -243,12 +255,27 @@ def _one_cell_manifest(motion=None, **fields):
     ("--manifest", _one_cell_manifest(preset=5), "preset must be a string, got 5"),
     ("--manifest", _one_cell_manifest(sigma_l=-1),
      "sigma_l must be finite and non-negative, got -1"),
+    # a directory used to escape as an IsADirectoryError traceback (exit 1)
+    ("--measurements", lambda cell, tmp: cell, "must be a file"),
+    ("--skeleton", lambda cell, tmp: cell, "must be a file"),
+    ("--checkpoint", lambda cell, tmp: cell, "must be a file"),
+    ("--oracle-truth", lambda cell, tmp: cell, "must be a file"),
+    ("--manifest", lambda cell, tmp: cell, "must be a file"),
+    ("--pred", lambda cell, tmp: cell, "must be a file"),
+    # and a file given as training data, as a NotADirectoryError traceback
+    ("--data", lambda cell, tmp: cell / "truth.pgseq", "must be a directory"),
+    # a cut or empty checkpoint used to escape as BadZipFile or EOFError (exit 1)
+    ("--checkpoint", _cut_checkpoint(0.5), "BadZipFile"),
+    ("--checkpoint", _cut_checkpoint(0.0), "EOFError"),
 ], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
         "manifest-as-skeleton", "nan-bone", "inf-bone", "twelve-joint-skeleton",
         "rewired-sensors-skeleton", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
         "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest",
-        "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest"])
+        "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest",
+        "directory-as-measurements", "directory-as-skeleton", "directory-as-checkpoint",
+        "directory-as-oracle-truth", "directory-as-manifest", "directory-as-pred",
+        "file-as-data", "cut-checkpoint", "empty-checkpoint"])
 def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
                                                      option, wrong_file, also_named):
     # each of these used to crash with a KeyError or TypeError (exit 1), print
@@ -257,6 +284,11 @@ def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
     wrong = wrong_file(cell, tmp_path)
     if option == "--manifest":
         command, flags = "gen-data", {"--out": tmp_path / "o"}
+    elif option == "--pred":
+        command, flags = "eval", {"--truth": cell / "truth.pgseq",
+                                  "--out": tmp_path / "report.json"}
+    elif option == "--data":
+        command, flags = "train", {"--out": tmp_path / "m.npz", "--steps": 2}
     else:
         command, flags = "infer", {"--measurements": cell / "measurements.jsonl",
                                    "--out": tmp_path / "p.pgseq", "--steps": 2}
@@ -284,6 +316,20 @@ def test_gen_data_and_eval_refuse_a_skeleton_they_cannot_run(data_dir, tmp_path,
                  "--out", tmp_path / "report.json"]
     assert main([command, "--skeleton", str(skeleton)] + [str(f) for f in flags]) == EXIT_USAGE
     assert f"{skeleton}: parents must be the 22-joint SMPL tree" in capsys.readouterr().err
+
+
+def test_eval_names_both_files_on_a_frame_mismatch(data_dir, tmp_path, capsys):
+    # used to print only "frame mismatch: 20 vs 48", naming neither file
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    truth_path = cell / "truth.pgseq"
+    truth = load_sequence(truth_path)
+    pred = tmp_path / "short.pgseq"
+    save_sequence(pred, PoseSequence(truth.rotations[:20], truth.root_translation[:20]))
+    rc = main(["eval", "--pred", str(pred), "--truth", str(truth_path),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: --pred {pred} has 20 frames but --truth "
+                                       f"{truth_path} has 48 frames\n")
 
 
 def test_infer_refuses_an_infinite_sigma_by_name(data_dir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Schedule algebra, guidance score, DDIM update, and full inference."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,41 +11,25 @@ from hypothesis import strategies as st
 from poseguide import rot6d, uncertainty
 from poseguide.denoiser import (
     TERMINAL, DenoiserInterface, MLPDenoiser, OracleDenoiser, TrainConfig, alpha_bar,
-    make_conditioning,
+    make_conditioning, train_denoiser,
 )
 from poseguide.measurement import build_A, differential_transform, extract_measurements
 from poseguide.sampler import (
-    GuidanceConfig, SamplerDivergence, ddim_step, likelihood_score,
-    make_schedule, run_guided_inference, _window_starts,
+    GuidanceConfig, SamplerDivergence, ddim_step, likelihood_score, run_guided_inference,
+    _window_starts,
 )
 from poseguide.skeleton import default_skeleton, PoseSequence
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.uncertainty import random_manifold_points, sigma_matrix
+from tests.test_denoiser import small_config, small_dataset
 from tests.test_skeleton import random_pose_matrices
 
 
-def test_make_schedule_shape_and_endpoints():
-    q = make_schedule(50)
-    assert len(q) == 51
-    assert q[0] == 0.0
-    assert q[-1] == TERMINAL
-    assert alpha_bar(q)[0] == 1.0
-    assert np.all(np.diff(alpha_bar(q)) < 0)
-
-
 def test_schedule_alpha_bar_values():
-    q = make_schedule(10)
+    assert alpha_bar(0.0) == 1.0
     assert alpha_bar(1.0) == pytest.approx(0.5, abs=1e-15)
-    assert alpha_bar(q)[-1] == pytest.approx(1 / 226, abs=1e-15)  # t = 15
-
-
-def test_make_schedule_validation():
-    with pytest.raises(ValueError):
-        make_schedule(0)
-    # a fractional step count used to fail inside np.linspace with a bare TypeError
-    for n_steps in (2.5, True):
-        with pytest.raises(ValueError, match="n_steps must be an integer"):
-            make_schedule(n_steps)
+    assert alpha_bar(TERMINAL) == pytest.approx(1 / 226, abs=1e-15)  # t = 15
+    assert np.all(np.diff(alpha_bar(np.linspace(0.0, TERMINAL, 51))) < 0)
 
 
 def test_ddim_constants_known_values():
@@ -205,8 +190,7 @@ def test_sigma_projection_matches_sigma_matrix(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "sigma_matrix", refuse)
     skel, seq, meas, oracle = make_case(frames=60)
-    run_guided_inference(meas, skel, oracle, make_schedule(3),
-                         GuidanceConfig(covariance_mode="sigma"), seed=0)
+    run_guided_inference(meas, skel, oracle, 3, GuidanceConfig(covariance_mode="sigma"), seed=0)
 
 
 def test_identity_score_equals_full_joint_reference():
@@ -329,13 +313,58 @@ def make_case(frames=41, seed=0, sigma_l=0.0):
     return skel, seq, meas, oracle
 
 
-def test_window_other_than_the_denoisers_is_refused():
-    # used to fail inside the denoiser's input packing, naming neither window
-    skel, seq, meas, _ = make_case(frames=60)
+class RecordingDenoiser(DenoiserInterface):
+    """Records each binding's window starts and conditioning shape and each
+    step's time and state shape; its estimate halves the state."""
+
+    def __init__(self, window=None):
+        self.window = window
+        self.bound, self.steps = [], []
+
+    def condition(self, cond, starts, joints):
+        self.bound.append((list(starts), np.shape(cond)))
+
+        def denoise(r_t, t):
+            self.steps.append((t, r_t.shape))
+            return 0.5 * r_t, lambda cot: 0.5 * scatter_pullback(r_t.shape, joints)(cot)
+
+        return denoise
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_sampler_steps_down_from_terminal_in_equal_steps(n):
+    skel, seq, meas, _ = make_case(frames=12)
+    denoiser = RecordingDenoiser()
+    run_guided_inference(meas, skel, denoiser, n, GuidanceConfig(), seed=0)
+    times = [t for t, _ in denoiser.steps]
+    assert times[0] == TERMINAL
+    assert np.allclose(times, TERMINAL * np.arange(n, 0, -1) / n, rtol=1e-15, atol=0.0)
+
+
+# an array, such as a list of times, is not a step count
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True, np.array([10])],
+                         ids=["zero", "negative", "fractional", "bool", "array"])
+def test_bad_steps_are_refused_by_name(steps):
+    skel, seq, meas, oracle = make_case(frames=12)
+    with pytest.raises(ValueError, match="^steps must be"):
+        run_guided_inference(meas, skel, oracle, steps, GuidanceConfig())
+
+
+def test_a_denoiser_of_any_length_gets_the_whole_sequence_as_one_window():
+    skel, seq, meas, _ = make_case(frames=100)
+    denoiser = RecordingDenoiser()
+    pred = run_guided_inference(meas, skel, denoiser, 4, GuidanceConfig(), seed=0)
+    assert denoiser.bound == [([0], (1, 100, 18))]
+    assert [shape for _, shape in denoiser.steps] == [(1, 100, 22, 6)] * 4
+    assert pred.frames == 100
+
+
+def test_a_trained_window_longer_than_the_sequence_is_refused():
+    skel, seq, meas, _ = make_case(frames=30)
     model = MLPDenoiser(TrainConfig(hidden=8))
-    with pytest.raises(ValueError,
-                       match="window 30 differs from the denoiser's trained window 41"):
-        run_guided_inference(meas, skel, model, make_schedule(3), GuidanceConfig(), window=30)
+    with pytest.raises(ValueError, match="trained window of 41 frames is longer than the "
+                                         "30 frames of the sequence"):
+        run_guided_inference(meas, skel, model, 3, GuidanceConfig())
 
 
 def test_one_forward_pass_per_step(monkeypatch):
@@ -363,7 +392,7 @@ def test_one_forward_pass_per_step(monkeypatch):
     monkeypatch.setattr(MLPDenoiser, "_pack", training_only)
     monkeypatch.setattr(MLPDenoiser, "_forward", training_only)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
-    run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
+    run_guided_inference(meas, skel, model, 3, cfg, seed=0)
     # both 41-frame windows, bound to A's active joints once; one forward per step
     assert bound == [(2, tuple(build_A(skel).active_joints))]
     assert rows == [2] * 3
@@ -375,13 +404,13 @@ def test_parameter_edits_between_runs_are_seen():
     skel, seq, meas, _ = make_case(frames=60)
     model = MLPDenoiser(TrainConfig(hidden=8))
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
-    first = run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
+    first = run_guided_inference(meas, skel, model, 3, cfg, seed=0)
     model.params["Wo"][:, :132] += 0.5  # in place; the pullback gathers Wo's rows
     model.params["W0"][:132] *= 2.0     # in place; the forward reads W0's state rows
     model.params["Wc1"] = model.params["Wc1"] + 0.3  # replaced; the conditioning reads it
-    got = run_guided_inference(meas, skel, model, make_schedule(3), cfg, seed=0)
+    got = run_guided_inference(meas, skel, model, 3, cfg, seed=0)
     fresh = MLPDenoiser(model.config, params={k: v.copy() for k, v in model.params.items()})
-    want = run_guided_inference(meas, skel, fresh, make_schedule(3), cfg, seed=0)
+    want = run_guided_inference(meas, skel, fresh, 3, cfg, seed=0)
     assert np.array_equal(got.rotations, want.rotations)
     assert np.array_equal(got.root_translation, want.root_translation)
     assert not np.array_equal(got.rotations, first.rotations)
@@ -389,22 +418,20 @@ def test_parameter_edits_between_runs_are_seen():
 
 def test_run_guided_inference_deterministic():
     skel, seq, meas, oracle = make_case()
-    sch = make_schedule(20)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
-    a = run_guided_inference(meas, skel, oracle, sch, cfg, seed=5)
-    b = run_guided_inference(meas, skel, oracle, sch, cfg, seed=5)
+    a = run_guided_inference(meas, skel, oracle, 20, cfg, seed=5)
+    b = run_guided_inference(meas, skel, oracle, 20, cfg, seed=5)
     assert np.array_equal(a.rotations, b.rotations)
     assert np.array_equal(a.root_translation, b.root_translation)
 
 
 def test_rotations_invariant_to_sensor_translation():
     skel, seq, meas, oracle = make_case()
-    sch = make_schedule(20)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
-    a = run_guided_inference(meas, skel, oracle, sch, cfg, seed=5)
+    a = run_guided_inference(meas, skel, oracle, 20, cfg, seed=5)
     shifted = extract_measurements(seq, skel, 0.0, 0.0, seed=1)
     shifted.locations = shifted.locations + np.array([0.7, -1.3, 2.0])
-    b = run_guided_inference(shifted, skel, oracle, sch, cfg, seed=5)
+    b = run_guided_inference(shifted, skel, oracle, 20, cfg, seed=5)
     assert np.array_equal(a.rotations, b.rotations)
     # the recovered root absorbs the translation instead
     assert np.allclose(b.root_translation - a.root_translation,
@@ -418,7 +445,7 @@ def grid_case():
     skel, seq, meas, oracle = make_case(frames=60)
     meas.locations = np.round(meas.locations * 2**24) / 2**24
     denoisers = (oracle, MLPDenoiser(TrainConfig(hidden=8)))
-    before = [run_guided_inference(meas, skel, d, make_schedule(5), GuidanceConfig(), seed=2)
+    before = [run_guided_inference(meas, skel, d, 5, GuidanceConfig(), seed=2)
               for d in denoisers]
     return skel, meas, denoisers, before
 
@@ -433,8 +460,7 @@ def test_rotations_invariant_to_any_constant_sensor_translation(grid_case, shift
     shifted = copy.deepcopy(meas)
     shifted.locations = shifted.locations + np.array(shift) / 2**10
     for denoiser, want in zip(denoisers, before):
-        got = run_guided_inference(shifted, skel, denoiser, make_schedule(5),
-                                   GuidanceConfig(), seed=2)
+        got = run_guided_inference(shifted, skel, denoiser, 5, GuidanceConfig(), seed=2)
         assert np.array_equal(got.rotations, want.rotations)
 
 
@@ -446,10 +472,10 @@ def test_unguided_inference_matches_manual_ddim_loop():
     skel, seq, meas, _ = make_case(frames=30)
     model = MLPDenoiser(TrainConfig(window=30, hidden=8))
     denoise = model.condition(make_conditioning(meas, "rotations")[None], [0], range(22))
-    q = make_schedule(15)
+    q = np.linspace(0.0, TERMINAL, 16)
     abars = alpha_bar(q)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
-    got = run_guided_inference(meas, skel, model, q, cfg, seed=9)
+    got = run_guided_inference(meas, skel, model, 15, cfg, seed=9)
     rng = np.random.default_rng([9, 0])
     r = rng.standard_normal((30, 22, 6))
     for i in range(len(q) - 1, 0, -1):
@@ -467,16 +493,11 @@ def test_stochastic_windows_keep_their_own_noise_streams():
     # own generator default_rng([seed, w_idx]).  The estimate shrinks the
     # state instead of returning the truth, because the last step (ab_s = 1)
     # would map any noise history onto an oracle's truth.
-    class ShrinkingDenoiser(DenoiserInterface):
-        def condition(self, cond, starts, joints):
-            return lambda r_t, t: (0.5 * r_t,
-                                   lambda cot: 0.5 * scatter_pullback(r_t.shape, joints)(cot))
-
     skel, seq, meas, _ = make_case(frames=60)
-    q = make_schedule(6)
+    q = np.linspace(0.0, TERMINAL, 7)
     abars = alpha_bar(q)
     cfg = GuidanceConfig(eta=1.0, guidance_scale=0.0)
-    got = run_guided_inference(meas, skel, ShrinkingDenoiser(), q, cfg, seed=4)
+    got = run_guided_inference(meas, skel, RecordingDenoiser(window=41), 6, cfg, seed=4)
     starts = _window_starts(60, 41, 21)
     assert starts == [0, 19]
     for w_idx, (start, only) in enumerate(zip(starts, (slice(0, 19), slice(41, 60)))):
@@ -493,45 +514,15 @@ def test_stochastic_windows_keep_their_own_noise_streams():
         assert np.abs(got.rotations[only] - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("kwargs, match", [
-    (dict(overlap=-5), "overlap must be non-negative, got -5"),
-    (dict(window=0), "window 0 must be between 1 and the 100 frames"),
-    (dict(window=-3), "window -3 must be between 1 and the 100 frames"),
-    (dict(window=101), "window 101 must be between 1 and the 100 frames"),
+@pytest.mark.parametrize("seed, match", [
     # a negative seed used to fail inside np.random.default_rng, unnamed
-    (dict(seed=-1), "seed must be at least 0, got -1"),
-    (dict(seed=2.5), "seed must be an integer, got 2.5"),
-    # fractional or bool sizes used to fail inside numpy with an unnamed TypeError
-    (dict(window=20.5), "window must be an integer, got 20.5"),
-    (dict(overlap=2.5), "overlap must be an integer, got 2.5"),
-    (dict(window=True), "window must be an integer, got True"),
-])
-def test_bad_window_or_overlap_is_refused(kwargs, match):
-    # a negative overlap used to leave frames uncovered and return NaN
-    skel, seq, meas, oracle = make_case(frames=100)
+    (-1, "seed must be at least 0, got -1"),
+    (2.5, "seed must be an integer, got 2.5"),
+], ids=["negative", "fractional"])
+def test_bad_seed_is_refused(seed, match):
+    skel, seq, meas, oracle = make_case(frames=12)
     with pytest.raises(ValueError, match=match):
-        run_guided_inference(meas, skel, oracle, make_schedule(3), GuidanceConfig(), **kwargs)
-
-
-@pytest.mark.parametrize("timesteps, match", [
-    # a list used to escape as a bare TypeError from alpha_bar
-    ([0.0, 15.0], "timesteps must be a 1-D array of at least 2 times"),
-    (np.array([[0.0, 15.0]]), "timesteps must be a 1-D array of at least 2 times"),
-    (np.array([0.0]), "timesteps must be a 1-D array of at least 2 times"),
-    # decreasing times used to run a step at t = 0, then fail naming no argument
-    (np.array([15.0, 0.0]), r"timesteps must increase strictly from 0 to at most 15\.0"),
-    (np.array([0.0, 5.0, 5.0, 15.0]), "timesteps must increase strictly"),
-    (np.array([0.0, 10.0, 5.0, 15.0]), "timesteps must increase strictly"),
-    (np.array([1.0, 15.0]), "timesteps must increase strictly from 0"),
-    (np.array([0.0, np.nan, 15.0]), "timesteps must increase strictly"),
-    # times past the trained horizon used to be accepted silently
-    (np.array([0.0, 99.0]), r"at most 15\.0, got \[0\.0, 99\.0\]"),
-], ids=["list", "2-d", "one-entry", "decreasing", "repeated", "not-monotone",
-        "nonzero-start", "nan", "past-terminal"])
-def test_bad_timesteps_are_refused_by_name(timesteps, match):
-    skel, seq, meas, oracle = make_case(frames=41)
-    with pytest.raises(ValueError, match=match):
-        run_guided_inference(meas, skel, oracle, timesteps, GuidanceConfig())
+        run_guided_inference(meas, skel, oracle, 3, GuidanceConfig(), seed=seed)
 
 
 def test_sigma_l_flag_is_a_floor_under_the_files():
@@ -540,8 +531,7 @@ def test_sigma_l_flag_is_a_floor_under_the_files():
     # estimate carries any change of the score through to the output.
     skel, seq, meas, _ = make_case(frames=60, sigma_l=0.05)
     model = MLPDenoiser(TrainConfig(window=30, hidden=8))
-    runs = [run_guided_inference(meas, skel, model, make_schedule(5),
-                                 GuidanceConfig(sigma_l=flag), seed=0)
+    runs = [run_guided_inference(meas, skel, model, 5, GuidanceConfig(sigma_l=flag), seed=0)
             for flag in (0.01, 0.05, 0.2)]
     for field in ("rotations", "root_translation"):
         assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
@@ -550,19 +540,19 @@ def test_sigma_l_flag_is_a_floor_under_the_files():
 
 def test_oracle_guided_recovery_single_window():
     skel, seq, meas, oracle = make_case(frames=41, seed=2)
-    sch = make_schedule(50)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
-    pred = run_guided_inference(meas, skel, oracle, sch, cfg, seed=0)
+    pred = run_guided_inference(meas, skel, oracle, 50, cfg, seed=0)
     err = rot6d.geodesic_angle(pred.rotation_matrices(), seq.rotation_matrices())
     assert err.max() < 0.5
     assert np.abs(pred.root_translation - seq.root_translation).max() < 1e-6
 
 
 def test_windowed_inference_covers_long_sequences():
+    # an oracle that takes 41 frames at a time, so the 100 frames run as 4 windows
     skel, seq, meas, oracle = make_case(frames=100, seed=3)
-    sch = make_schedule(25)
+    oracle.window = 41
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
-    pred = run_guided_inference(meas, skel, oracle, sch, cfg, seed=0, window=41)
+    pred = run_guided_inference(meas, skel, oracle, 25, cfg, seed=0)
     assert pred.frames == 100
     assert pred.is_valid(tol=1e-9)
     err = rot6d.geodesic_angle(pred.rotation_matrices(), seq.rotation_matrices())
@@ -575,6 +565,8 @@ def test_sampler_divergence_guard():
     class ExplodingDenoiser(DenoiserInterface):
         """Estimates zero, except one entry of the window starting at frame 4."""
 
+        window = 6
+
         def __init__(self, value):
             self.value = value
 
@@ -586,12 +578,35 @@ def test_sampler_divergence_guard():
 
             return denoise
 
-    sch = make_schedule(5)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
     # a huge state and a NaN state (for which "> bound" is False) both stop,
     # and the message names the absolute frame and the joint
     for value in (-1e6, np.nan):
         with pytest.raises(SamplerDivergence,
                            match="window at frame 4: .* at step 5 .* frame 7, joint 11"):
-            run_guided_inference(meas, skel, ExplodingDenoiser(value), sch, cfg, seed=0,
-                                 window=6, overlap=1)
+            run_guided_inference(meas, skel, ExplodingDenoiser(value), 5, cfg, seed=0)
+
+
+@pytest.fixture(scope="module")
+def tiny_prior():
+    """A window-12, hidden-24 MLP trained for 60 steps on three 60-frame motions."""
+    dataset, _ = small_dataset()
+    return train_denoiser(dataset, small_config())
+
+
+@pytest.mark.parametrize("mode, sigma_l, digest", [
+    ("identity", 0.0, "4868d4c843879b3679c45962430e9dfd2596b7b2b5a2f365dc8689485a2bc0ac"),
+    ("sigma", 0.0, "bee29a97be12a890163ed83266ab235a0a71ce25e01ad6e47f83cbe6e314a757"),
+    ("identity", 0.05, "5f275dade40424c8bb96f7894157dfebb435f7c58dbd100e5afa826d7b9b80a1"),
+    ("sigma", 0.05, "df7bb6b47b69c7c365ca110281b5509c75bbe3eb34c8e6995ad0b7f0b06c7e94"),
+], ids=["identity-clean", "sigma-clean", "identity-5cm", "sigma-5cm"])
+def test_guided_outputs_are_pinned(tiny_prior, mode, sigma_l, digest):
+    # sha256 of the rotations and root of 19 overlapping windows over 30 frames,
+    # taken when the sampler still took a timesteps array and a window and overlap
+    skel = default_skeleton()
+    truth = generate_motion(MotionSpec(kind="reach", frames=30, seed=900), skel)
+    meas = extract_measurements(truth, skel, sigma_l, 0.0, seed=1)
+    pred = run_guided_inference(meas, skel, tiny_prior, 10,
+                                GuidanceConfig(covariance_mode=mode), seed=3)
+    got = hashlib.sha256(pred.rotations.tobytes() + pred.root_translation.tobytes())
+    assert got.hexdigest() == digest
