@@ -111,10 +111,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    measurements = MeasurementSet.load(_existing(args.measurements, "measurements"))
+    meas_path = _existing(args.measurements, "measurements")
+    measurements = MeasurementSet.load(meas_path)
     skeleton = _load_skeleton(args.skeleton)
     if args.oracle_truth is not None:
-        truth = load_sequence(_existing(args.oracle_truth, "oracle truth"))
+        truth_path = _existing(args.oracle_truth, "oracle truth")
+        truth = load_sequence(truth_path)
+        if truth.frames != measurements.frames:
+            raise UsageError(f"--oracle-truth {truth_path} has {truth.frames} frames but "
+                             f"--measurements {meas_path} has {measurements.frames} frames")
         denoiser = OracleDenoiser(truth.rotations)
     else:
         if args.checkpoint is None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rot6d
 from .denoiser import check_count
-from .measurement import extract_measurements
+from .measurement import check_sigma, extract_measurements
 from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, scale_skeleton
 
 FRAME_HZ = 60.0
@@ -276,10 +276,8 @@ class BenchmarkCell:
         if not isinstance(self.preset, str):
             raise PresetError(f"preset must be a string, got {self.preset!r}")
         parse_preset(self.preset)
-        for name in ("sigma_l", "sigma_r"):
-            sigma = getattr(self, name)
-            if not 0.0 <= sigma < np.inf:  # also refuses NaN
-                raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
+        check_sigma("sigma_l", self.sigma_l)
+        check_sigma("sigma_r", self.sigma_r)
 
     def name(self) -> str:
         preset = self.preset.replace(":", "").replace(",", "_").replace(".", "p")

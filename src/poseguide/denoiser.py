@@ -20,8 +20,11 @@ The noise schedule is defined once, by :func:`alpha_bar` on the horizon
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -329,27 +332,33 @@ def _extract_windows(dataset, config: TrainConfig):
     return np.array(states), np.array(conds)
 
 
-_ADAM_CHUNK = 32768  # elements per block: two 256 KB scratch buffers stay in cache
+_ADAM_CHUNK = 32768  # elements per block: a thread's two 256 KB scratch buffers stay in cache
 
 
-def _adam_update(params, grads, m, v, step, step_size) -> None:
+def _adam_update(params, grads, m, v, step, step_size, pool=None) -> None:
     """One Adam step (Kingma & Ba, 2015) on every array of ``grads``, in place.
 
-    Walks the flat view of each (C-contiguous) array in blocks of
-    ``_ADAM_CHUNK`` through two scratch buffers that stay in cache.  The
-    operations and their order are those of the whole-array expressions
+    Cuts the flat view of each (C-contiguous) array into blocks of
+    ``_ADAM_CHUNK`` elements and deals all blocks round-robin into one part
+    per thread: the caller's, plus each worker of the ``ThreadPoolExecutor``
+    ``pool`` (no parts beyond the block count).  A thread walks its part
+    through two scratch buffers of its own.  Every element goes through the
+    operations, in the order, of the whole-array expressions
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g and
-    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), so the result is bit-identical.
+    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), so the result is
+    bit-identical at any worker count; numpy releases the GIL inside them.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1, c2 = 1 - b1**step, 1 - b2**step
-    scratch_a, scratch_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
+    blocks = []
     for k, g in grads.items():
-        g, mk, vk, pk = (x.reshape(-1) for x in (g, m[k], v[k], params[k]))
-        for lo in range(0, g.size, _ADAM_CHUNK):
-            hi = min(lo + _ADAM_CHUNK, g.size)
-            gs, ms, vs, ps = g[lo:hi], mk[lo:hi], vk[lo:hi], pk[lo:hi]
-            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+        flat = [x.reshape(-1) for x in (g, m[k], v[k], params[k])]
+        blocks += [[x[lo : lo + _ADAM_CHUNK] for x in flat] for lo in range(0, g.size, _ADAM_CHUNK)]
+
+    def run(part):
+        scratch_a, scratch_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
+        for gs, ms, vs, ps in part:
+            a, b = scratch_a[: gs.size], scratch_b[: gs.size]
             ms *= b1
             np.multiply(gs, 1 - b1, out=a)
             ms += a
@@ -364,6 +373,14 @@ def _adam_update(params, grads, m, v, step, step_size) -> None:
             b += eps
             a /= b
             ps -= a
+
+    # _max_workers is the executor's own record of the count it was built with
+    threads = 1 if pool is None else min(pool._max_workers + 1, len(blocks))
+    parts = [blocks[i::threads] for i in range(threads)]
+    futures = [pool.submit(run, part) for part in parts[1:]]
+    run(parts[0])
+    for future in futures:
+        future.result()
 
 
 def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoiser:
@@ -385,25 +402,30 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
     B = config.batch
-    for step in range(1, config.steps + 1):
-        idx = rng.integers(0, len(states), size=B)
-        x0 = states[idx]
-        cond = conds[idx]
-        t = rng.uniform(1e-3, TERMINAL, size=B)
-        ab = alpha_bar(t)
-        noise = rng.standard_normal(x0.shape)
-        x_t = np.sqrt(ab)[:, None, None, None] * x0 + np.sqrt(1 - ab)[:, None, None, None] * noise
-        drop = rng.random(B) < config.dropout_prob
-        target = x0.reshape(B, -1)
-        out, cache = model._forward(model._pack(x_t, t, cond, drop))
-        resid = out - target
-        loss = float(np.mean(resid**2))
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at step {step}")
-        if loss_callback is not None:
-            loss_callback(step, loss)
-        d_out = 2.0 * resid / resid.size
-        grads = {}
-        model._backward(cache, d_out, grads)
-        _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size)
+    # the CPUs this process may run on; the caller's thread takes one part of each update
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = (cpus or 1) - 1
+    with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+        for step in range(1, config.steps + 1):
+            idx = rng.integers(0, len(states), size=B)
+            x0 = states[idx]
+            cond = conds[idx]
+            t = rng.uniform(1e-3, TERMINAL, size=B)
+            ab = alpha_bar(t)
+            noise = rng.standard_normal(x0.shape)
+            x_t = (np.sqrt(ab)[:, None, None, None] * x0
+                   + np.sqrt(1 - ab)[:, None, None, None] * noise)
+            drop = rng.random(B) < config.dropout_prob
+            target = x0.reshape(B, -1)
+            out, cache = model._forward(model._pack(x_t, t, cond, drop))
+            resid = out - target
+            loss = float(np.mean(resid**2))
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at step {step}")
+            if loss_callback is not None:
+                loss_callback(step, loss)
+            d_out = 2.0 * resid / resid.size
+            grads = {}
+            model._backward(cache, d_out, grads)
+            _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size, pool)
     return model

@@ -17,13 +17,23 @@ so the (unknown) root translation cancels from the guidance residual.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .denoiser import check_count
 from .skeleton import Skeleton, forward_kinematics
 from .uncertainty import projected_sigma
+
+
+def check_sigma(name: str, value) -> None:
+    """Refuse, by ``name``, a noise level that is not a finite non-negative real (a bool is not)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value < np.inf:  # also refuses NaN
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass
@@ -45,9 +55,8 @@ class MeasurementSet:
             raise ValueError(f"locations must be (frames, 3, 3), got {self.locations.shape}")
         if self.rotations.shape != self.locations.shape[:1] + (3, 6):
             raise ValueError(f"rotations must be (frames, 3, 6), got {self.rotations.shape}")
-        for name, sigma in (("sigma_l", self.sigma_l), ("sigma_r", self.sigma_r)):
-            if not 0.0 <= sigma < np.inf:  # also refuses NaN
-                raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
+        check_sigma("sigma_l", self.sigma_l)
+        check_sigma("sigma_r", self.sigma_r)
         for name, values in (("locations", self.locations), ("rotations", self.rotations)):
             bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
             if bad.size:
@@ -80,9 +89,10 @@ class MeasurementSet:
         for i, t in enumerate(times):
             if t != i:  # the header is line 1, frame i is line i + 2
                 raise ValueError(f"{path} line {i + 2}: t is {t!r}, expected frame {i}")
-        if len(locs) != frames:
-            raise ValueError(f"{path}: truncated file: {len(locs)} of {frames} frames")
         try:
+            check_count("frames", frames, 1)
+            if len(locs) != frames:
+                raise ValueError(f"truncated file: {len(locs)} of {frames} frames")
             return MeasurementSet(locs, rots, sigma_l, sigma_r)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc

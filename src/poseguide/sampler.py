@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rot6d
-from .measurement import LinearOperatorA, MeasurementSet, build_A, differential_transform
+from .measurement import LinearOperatorA, MeasurementSet, build_A, check_sigma, differential_transform
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
 from .denoiser import TERMINAL, DenoiserInterface, alpha_bar, check_count, make_conditioning
 
@@ -44,8 +44,7 @@ class GuidanceConfig:
             raise ValueError("eta must be in [0, 1]")
         if not 0.0 <= self.guidance_scale < np.inf:
             raise ValueError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
-        if not 0.0 <= self.sigma_l < np.inf:
-            raise ValueError(f"sigma_l must be finite and non-negative, got {self.sigma_l}")
+        check_sigma("sigma_l", self.sigma_l)
         if self.covariance_mode not in ("identity", "sigma"):
             raise ValueError(f"unknown covariance_mode {self.covariance_mode!r}")
 

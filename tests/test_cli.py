@@ -159,6 +159,17 @@ def _cut_measurements(cell, tmp_path):
     return path
 
 
+def _edited_measurements(keep=None, **header):
+    """The cell's measurement file with ``header`` merged in and its first ``keep`` frames."""
+    def make(cell, tmp_path):
+        first, *lines = (cell / "measurements.jsonl").read_text().splitlines()
+        path = tmp_path / "edited.jsonl"
+        doc = {**json.loads(first), **header}
+        path.write_text("\n".join([json.dumps(doc)] + lines[:keep]) + "\n")
+        return path
+    return make
+
+
 def _plain_npz(cell, tmp_path):
     path = tmp_path / "plain.npz"
     np.savez(path, W0=np.zeros((2, 2)))
@@ -229,6 +240,17 @@ def _one_cell_manifest(motion=None, **fields):
     ("--measurements", lambda cell, tmp: cell / "skeleton.json", ""),
     ("--measurements", lambda cell, tmp: cell / "truth.pgseq", ""),
     ("--measurements", _cut_measurements, ""),
+    # a sigma that is not a number used to escape as a TypeError traceback (exit 1),
+    # and true to read as 1 m of sensor noise
+    ("--measurements", _edited_measurements(sigma_l="0.01"),
+     "sigma_l must be a real number, got '0.01'"),
+    ("--measurements", _edited_measurements(sigma_l=None), "sigma_l must be a real number, got None"),
+    ("--measurements", _edited_measurements(sigma_r=[0]), "sigma_r must be a real number, got [0]"),
+    ("--measurements", _edited_measurements(sigma_l=True), "sigma_l must be a real number, got True"),
+    # "41" frames used to be refused as "truncated file: 41 of 41 frames", and true
+    # frames with one frame line to be accepted
+    ("--measurements", _edited_measurements(41, frames="41"), "frames must be an integer, got '41'"),
+    ("--measurements", _edited_measurements(1, frames=True), "frames must be an integer, got True"),
     ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json", ""),
     ("--skeleton", _skeleton_with_bone(float("nan")), "joint 18"),
     ("--skeleton", _skeleton_with_bone(float("inf")), "joint 18"),
@@ -255,6 +277,10 @@ def _one_cell_manifest(motion=None, **fields):
     ("--manifest", _one_cell_manifest(preset=5), "preset must be a string, got 5"),
     ("--manifest", _one_cell_manifest(sigma_l=-1),
      "sigma_l must be finite and non-negative, got -1"),
+    # a cell's sigma that is not a number used to be refused as a TypeError from a
+    # comparison, naming no field, and true to pass
+    ("--manifest", _one_cell_manifest(sigma_r="0.01"), "sigma_r must be a real number, got '0.01'"),
+    ("--manifest", _one_cell_manifest(sigma_l=True), "sigma_l must be a real number, got True"),
     # a directory used to escape as an IsADirectoryError traceback (exit 1)
     ("--measurements", lambda cell, tmp: cell, "must be a file"),
     ("--skeleton", lambda cell, tmp: cell, "must be a file"),
@@ -268,11 +294,14 @@ def _one_cell_manifest(motion=None, **fields):
     ("--checkpoint", _cut_checkpoint(0.5), "BadZipFile"),
     ("--checkpoint", _cut_checkpoint(0.0), "EOFError"),
 ], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
+        "string-sigma-measurements", "null-sigma-measurements", "list-sigma-measurements",
+        "bool-sigma-measurements", "string-frames-measurements", "bool-frames-measurements",
         "manifest-as-skeleton", "nan-bone", "inf-bone", "twelve-joint-skeleton",
         "rewired-sensors-skeleton", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
         "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest",
         "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest",
+        "string-sigma-manifest", "bool-sigma-manifest",
         "directory-as-measurements", "directory-as-skeleton", "directory-as-checkpoint",
         "directory-as-oracle-truth", "directory-as-manifest", "directory-as-pred",
         "file-as-data", "cut-checkpoint", "empty-checkpoint"])
@@ -336,11 +365,7 @@ def test_infer_refuses_an_infinite_sigma_by_name(data_dir, tmp_path, capsys):
     # json reads "Infinity"; the set used to accept it and infer then died in the
     # root smoothing with an OverflowError traceback that main did not catch
     cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
-    header, *frames = (cell / "measurements.jsonl").read_text().splitlines()
-    doc = json.loads(header)
-    doc["sigma_l"] = float("inf")
-    path = tmp_path / "inf-sigma.jsonl"
-    path.write_text("\n".join([json.dumps(doc)] + frames) + "\n")
+    path = _edited_measurements(sigma_l=float("inf"))(cell, tmp_path)
     assert "Infinity" in path.read_text()
     rc = main(["infer", "--measurements", str(path), "--skeleton", str(cell / "skeleton.json"),
                "--out", str(tmp_path / "p.pgseq"), "--oracle-truth", str(cell / "truth.pgseq"),
@@ -348,6 +373,33 @@ def test_infer_refuses_an_infinite_sigma_by_name(data_dir, tmp_path, capsys):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"error: {path}: sigma_l must be finite and non-negative, got inf\n"
+
+
+def test_infer_names_both_files_when_the_oracle_truth_is_longer(data_dir, tmp_path, capsys):
+    # a 48-frame truth against 41 frames used to run and write the truth's first 41 frames
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    meas = _edited_measurements(41, frames=41)(cell, tmp_path)
+    truth = cell / "truth.pgseq"
+    rc = main(["infer", "--measurements", str(meas), "--out", str(tmp_path / "p.pgseq"),
+               "--oracle-truth", str(truth), "--steps", "2"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: --oracle-truth {truth} has 48 frames but "
+                                       f"--measurements {meas} has 41 frames\n")
+    assert not (tmp_path / "p.pgseq").exists()
+
+
+def test_infer_names_both_files_when_the_oracle_truth_is_shorter(data_dir, tmp_path, capsys):
+    # used to print "window 0 (frames 0 to 47) runs past the stored ground truth of
+    # 41 frames", naming neither file
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    meas, truth = cell / "measurements.jsonl", tmp_path / "short.pgseq"
+    full = load_sequence(cell / "truth.pgseq")
+    save_sequence(truth, PoseSequence(full.rotations[:41], full.root_translation[:41]))
+    rc = main(["infer", "--measurements", str(meas), "--out", str(tmp_path / "p.pgseq"),
+               "--oracle-truth", str(truth), "--steps", "2"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: --oracle-truth {truth} has 41 frames but "
+                                       f"--measurements {meas} has 48 frames\n")
 
 
 def test_train_on_too_little_data_is_an_error_line(data_dir, tmp_path, capsys):

@@ -1,6 +1,12 @@
 """Denoiser contracts: oracle identities, window stacks, training, config validation,
 pullback, persistence."""
 
+import contextlib
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -94,9 +100,11 @@ def test_training_reduces_loss():
     assert tail < 0.25 * head
 
 
-def test_adam_update_matches_textbook_adam():
+@pytest.mark.parametrize("workers", [0, 1, 3], ids=["no-pool", "1-worker", "3-workers"])
+def test_adam_update_matches_textbook_adam(workers):
     # the blocked in-place update against the per-array expressions, bit for bit,
-    # on arrays smaller than one block, exactly one block, and past a block edge
+    # on arrays smaller than one block, exactly one block, and past a block edge,
+    # with its blocks run by the caller alone or split across a pool's workers
     def textbook(params, grads, m, v, step, lr):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for k, g in grads.items():
@@ -113,15 +121,53 @@ def test_adam_update_matches_textbook_adam():
     ref = {k: p.copy() for k, p in params.items()}
     start = {k: p.copy() for k, p in params.items()}
     m, v, m_ref, v_ref = ({k: np.zeros(s) for k, s in shapes.items()} for _ in range(4))
-    for step in range(1, 6):
-        grads = {k: rng.standard_normal(s) * 10.0**-step for k, s in shapes.items()}
-        _adam_update(params, grads, m, v, step, 3e-3)
-        textbook(ref, grads, m_ref, v_ref, step, 3e-3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter lock as often as they can
+    try:
+        with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+            for step in range(1, 6):
+                grads = {k: rng.standard_normal(s) * 10.0**-step for k, s in shapes.items()}
+                _adam_update(params, grads, m, v, step, 3e-3, pool)
+                textbook(ref, grads, m_ref, v_ref, step, 3e-3)
+    finally:
+        sys.setswitchinterval(switch)
     for k in shapes:
         assert np.array_equal(params[k], ref[k])
         assert np.array_equal(m[k], m_ref[k])
         assert np.array_equal(v[k], v_ref[k])
         assert np.all(params[k] != start[k])  # every block, the last partial one too
+
+
+def _train_on_cpus(monkeypatch, cpus, loss_callback=None):
+    """``train_denoiser`` on the small set, as a process allowed to run on ``cpus``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    ds, _ = small_dataset()
+    return train_denoiser(ds, small_config(steps=20, hidden=96), loss_callback=loss_callback)
+
+
+def test_trained_bits_do_not_depend_on_the_cpu_count(monkeypatch):
+    # hidden 96 gives W0 and Wo more than one _ADAM_CHUNK block each
+    start = threading.active_count()
+    seen = {1: set(), 4: set()}  # thread counts at each step's loss
+    one = _train_on_cpus(monkeypatch, {0}, lambda s, l: seen[1].add(threading.active_count()))
+    four = _train_on_cpus(monkeypatch, {0, 1, 2, 3},
+                          lambda s, l: seen[4].add(threading.active_count()))
+    assert seen[1] == {start} and max(seen[4]) > start  # no pool on one CPU, a pool on four
+    for k in one.params:
+        assert one.params[k].tobytes() == four.params[k].tobytes()
+
+
+def test_training_leaves_no_thread_behind(monkeypatch):
+    start = threading.active_count()
+    _train_on_cpus(monkeypatch, {0, 1, 2, 3})
+    assert threading.active_count() == start
+
+    def fail(step, loss):
+        if step == 5:
+            raise RuntimeError("stopped by the loss callback")
+    with pytest.raises(RuntimeError, match="stopped by the loss callback"):
+        _train_on_cpus(monkeypatch, {0, 1, 2, 3}, fail)
+    assert threading.active_count() == start
 
 
 def test_training_errors():
