@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -123,6 +123,12 @@ def check_count(name: str, value, low: int | None = None) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """Refuse, by ``name``, a ``value`` that is not a real number (a bool is not)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     window: int = 41
@@ -135,10 +141,12 @@ class TrainConfig:
     cond_spec: str = "rotations"    # a key of COND_DIMS
 
     def __post_init__(self):
+        check_real("dropout_prob", self.dropout_prob)
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
         for name, low in (("window", 1), ("hidden", 1), ("batch", 1), ("steps", 1), ("seed", 0)):
             check_count(name, getattr(self, name), low)
+        check_real("step_size", self.step_size)
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.cond_spec not in COND_DIMS:
@@ -391,7 +399,15 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     output convention; the sampler derives the noise estimate from it).
     Each row's conditioning is dropped (zeroed and flagged) with
     probability ``config.dropout_prob``; inference always conditions.
+
+    With a pool (more than one CPU), a pool worker draws and packs the next
+    batch while the caller runs the step, and the Adam update splits its
+    blocks across the pool.  The draws run one at a time, in step order, and
+    only the drawing thread touches the training RNG, so every batch, and
+    the trained bits, are the same at any CPU count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only training opens a pool
+
     states, conds = _extract_windows(dataset, config)
     if len(states) == 0:
         raise TrainingError("empty dataset: no training windows")
@@ -402,22 +418,29 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
     B = config.batch
+
+    def draw():
+        """One batch: the packed input rows and the clean targets."""
+        idx = rng.integers(0, len(states), size=B)
+        x0 = states[idx]
+        t = rng.uniform(1e-3, TERMINAL, size=B)
+        ab = alpha_bar(t)
+        noise = rng.standard_normal(x0.shape)
+        x_t = (np.sqrt(ab)[:, None, None, None] * x0
+               + np.sqrt(1 - ab)[:, None, None, None] * noise)
+        drop = rng.random(B) < config.dropout_prob
+        return model._pack(x_t, t, conds[idx], drop), x0.reshape(B, -1)
+
     # the CPUs this process may run on; the caller's thread takes one part of each update
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = (cpus or 1) - 1
     with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+        batch = pool.submit(draw) if pool else None
         for step in range(1, config.steps + 1):
-            idx = rng.integers(0, len(states), size=B)
-            x0 = states[idx]
-            cond = conds[idx]
-            t = rng.uniform(1e-3, TERMINAL, size=B)
-            ab = alpha_bar(t)
-            noise = rng.standard_normal(x0.shape)
-            x_t = (np.sqrt(ab)[:, None, None, None] * x0
-                   + np.sqrt(1 - ab)[:, None, None, None] * noise)
-            drop = rng.random(B) < config.dropout_prob
-            target = x0.reshape(B, -1)
-            out, cache = model._forward(model._pack(x_t, t, cond, drop))
+            X, target = batch.result() if pool else draw()
+            if pool and step < config.steps:
+                batch = pool.submit(draw)
+            out, cache = model._forward(X)
             resid = out - target
             loss = float(np.mean(resid**2))
             if not np.isfinite(loss):

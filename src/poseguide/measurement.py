@@ -17,21 +17,19 @@ so the (unknown) root translation cancels from the guidance residual.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .denoiser import check_count
+from .denoiser import check_count, check_real
 from .skeleton import Skeleton, forward_kinematics
 from .uncertainty import projected_sigma
 
 
 def check_sigma(name: str, value) -> None:
     """Refuse, by ``name``, a noise level that is not a finite non-negative real (a bool is not)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    check_real(name, value)
     if not 0.0 <= value < np.inf:  # also refuses NaN
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import rot6d
 from .measurement import LinearOperatorA, MeasurementSet, build_A, check_sigma, differential_transform
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
-from .denoiser import TERMINAL, DenoiserInterface, alpha_bar, check_count, make_conditioning
+from .denoiser import (TERMINAL, DenoiserInterface, alpha_bar, check_count, check_real,
+                       make_conditioning)
 
 OVERLAP = 20
 DIVERGENCE_NORM = 1e3
@@ -40,8 +41,10 @@ class GuidanceConfig:
     covariance_mode: str = "identity"  # "identity" | "sigma"
 
     def __post_init__(self):
+        check_real("eta", self.eta)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must be in [0, 1]")
+        check_real("guidance_scale", self.guidance_scale)
         if not 0.0 <= self.guidance_scale < np.inf:
             raise ValueError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
         check_sigma("sigma_l", self.sigma_l)

@@ -5,6 +5,7 @@ import contextlib
 import os
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -138,23 +139,69 @@ def test_adam_update_matches_textbook_adam(workers):
         assert np.all(params[k] != start[k])  # every block, the last partial one too
 
 
-def _train_on_cpus(monkeypatch, cpus, loss_callback=None):
+def _train_on_cpus(monkeypatch, cpus, loss_callback=None, steps=20):
     """``train_denoiser`` on the small set, as a process allowed to run on ``cpus``."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     ds, _ = small_dataset()
-    return train_denoiser(ds, small_config(steps=20, hidden=96), loss_callback=loss_callback)
+    return train_denoiser(ds, small_config(steps=steps, hidden=96), loss_callback=loss_callback)
 
 
-def test_trained_bits_do_not_depend_on_the_cpu_count(monkeypatch):
-    # hidden 96 gives W0 and Wo more than one _ADAM_CHUNK block each
+@pytest.mark.parametrize("steps", [1, 2, 20], ids=lambda n: f"{n}-steps")
+def test_trained_bits_do_not_depend_on_the_cpu_count(monkeypatch, steps):
+    # hidden 96 gives W0 and Wo more than one _ADAM_CHUNK block each; one and two
+    # steps cover the pool's first and last draw, twenty its steady state
     start = threading.active_count()
     seen = {1: set(), 4: set()}  # thread counts at each step's loss
-    one = _train_on_cpus(monkeypatch, {0}, lambda s, l: seen[1].add(threading.active_count()))
+    packs, pack = [], MLPDenoiser._pack
+    monkeypatch.setattr(MLPDenoiser, "_pack", lambda self, *a: packs.append(1) or pack(self, *a))
+    one = _train_on_cpus(monkeypatch, {0}, lambda s, l: seen[1].add(threading.active_count()),
+                         steps)
     four = _train_on_cpus(monkeypatch, {0, 1, 2, 3},
-                          lambda s, l: seen[4].add(threading.active_count()))
+                          lambda s, l: seen[4].add(threading.active_count()), steps)
     assert seen[1] == {start} and max(seen[4]) > start  # no pool on one CPU, a pool on four
+    assert len(packs) == 2 * steps  # no batch is drawn past the last step
     for k in one.params:
         assert one.params[k].tobytes() == four.params[k].tobytes()
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["1-cpu", "4-cpus"])
+def test_a_non_finite_loss_names_its_step_with_a_draw_in_flight(monkeypatch, cpus):
+    # step 3's forward turns to NaN; with a pool, step 4's batch is being packed
+    # on a worker when the error leaves the caller, and the pool still closes
+    start = threading.active_count()
+    forward, pack = MLPDenoiser._forward, MLPDenoiser._pack
+    packs, forwards, in_flight = [], [], []
+    packing, packed = threading.Event(), threading.Event()
+
+    def slow_pack(self, *args):
+        packs.append(len(packs) + 1)
+        if len(packs) != 4:
+            return pack(self, *args)
+        packing.set()  # step 4's batch: drawn only with a pool, during step 3
+        time.sleep(0.2)
+        X = pack(self, *args)
+        packed.set()
+        return X
+
+    def nan_forward(self, X):
+        forwards.append(len(forwards) + 1)
+        out, cache = forward(self, X)
+        if len(forwards) == 3:
+            if len(cpus) > 1:
+                assert packing.wait(10.0)
+                in_flight.append(not packed.is_set())
+            out[0, 0] = np.nan
+        return out, cache
+
+    monkeypatch.setattr(MLPDenoiser, "_pack", slow_pack)
+    monkeypatch.setattr(MLPDenoiser, "_forward", nan_forward)
+    with pytest.raises(TrainingError, match="non-finite loss at step 3$"):
+        _train_on_cpus(monkeypatch, cpus)
+    assert forwards == [1, 2, 3]
+    assert in_flight == ([True] if len(cpus) > 1 else [])
+    assert len(packs) == (4 if len(cpus) > 1 else 3)
+    assert packed.is_set() == (len(cpus) > 1)  # the pool waited for the draw to finish
+    assert threading.active_count() == start
 
 
 def test_training_leaves_no_thread_behind(monkeypatch):
@@ -186,7 +233,10 @@ def test_train_config_refuses_bad_fields():
                          ("step_size", float("inf")), ("seed", -5),
                          # non-integer sizes and seeds used to fail inside numpy, unnamed
                          ("hidden", 24.5), ("window", 12.5), ("batch", 8.5), ("steps", 3.5),
-                         ("seed", 1.5), ("seed", True), ("hidden", "8")):
+                         ("seed", 1.5), ("seed", True), ("hidden", "8"),
+                         # a bool or a string used to pass as 1.0 / 0.0 or escape as TypeError
+                         ("step_size", True), ("step_size", "0.001"), ("step_size", None),
+                         ("dropout_prob", False), ("dropout_prob", "0.1")):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 

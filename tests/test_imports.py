@@ -1,7 +1,11 @@
-"""Every module of the package uses each name it imports, and the package reads
-every private function, method and class and every module-level name it defines."""
+"""Every module of the package uses each name it imports, the package reads
+every private function, method and class and every module-level name it defines,
+and the CLI loads no thread pool until training opens one."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +116,13 @@ def test_unread_module_name_is_found():
 def test_package_reads_every_module_level_name():
     sources = {p.name: p.read_text() for p in MODULES}
     assert unread_module_names(sources) == []
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # infer and eval never open a pool, so they should not pay for its import
+    src = str(Path(poseguide.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, poseguide.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"

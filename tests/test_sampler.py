@@ -285,6 +285,15 @@ def test_guidance_config_validation():
         GuidanceConfig(covariance_mode="full")
 
 
+def test_guidance_config_refuses_bad_fields():
+    # a bool used to pass as 1.0 / 0.0, and a string or None escaped as a bare TypeError
+    for field, value in (("eta", True), ("eta", "0"), ("eta", None), ("eta", -0.5),
+                         ("guidance_scale", True), ("guidance_scale", None),
+                         ("guidance_scale", "1"), ("guidance_scale", -1.0)):
+        with pytest.raises(ValueError, match=field):
+            GuidanceConfig(**{field: value})
+
+
 def test_guidance_config_refuses_non_finite_guidance_scale():
     # NaN would skip the score (nan > 0 is False) and run unguided
     for scale in (np.nan, np.inf):
