@@ -20,10 +20,12 @@ The noise schedule is defined once, by :func:`alpha_bar` on the horizon
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import numbers
 import os
+import threading
 import zipfile
 from dataclasses import dataclass, asdict
 
@@ -143,7 +145,7 @@ class TrainConfig:
     def __post_init__(self):
         check_real("dropout_prob", self.dropout_prob)
         if not 0.0 <= self.dropout_prob < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
+            raise ValueError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
         for name, low in (("window", 1), ("hidden", 1), ("batch", 1), ("steps", 1), ("seed", 0)):
             check_count(name, getattr(self, name), low)
         check_real("step_size", self.step_size)
@@ -227,13 +229,22 @@ class MLPDenoiser(DenoiserInterface):
         cache["hout"] = h
         return h @ p["Wo"] + p["bo"], cache
 
-    def _backward(self, cache, d_out, grads):
+    def _backward(self, cache, d_out, grads, release=None, pool=None):
         """Backward pass of <d_out, output>: fills ``grads`` with the parameter
-        gradients and returns the gradient at the first pre-activation."""
-        p = self.params
-        grads["Wo"] = cache["hout"].T @ d_out
+        gradients and returns the gradient at the first pre-activation.
+
+        ``release(names)``, when given, is called once per parameter name, as
+        soon as that gradient is final and the pass will not read the parameter
+        again: Wo and bo after the first product, each block's three after its
+        own, W0 and b0 at the end.  With a ``pool``, a worker computes Wo's
+        gradient while the caller computes the gradient at the hidden layer.
+        """
+        p, release = self.params, release or (lambda names: None)
+        wo = pool.submit(np.matmul, cache["hout"].T, d_out) if pool else None
         grads["bo"] = d_out.sum(axis=0)
         dh = d_out @ p["Wo"].T
+        grads["Wo"] = wo.result() if pool else cache["hout"].T @ d_out
+        release(("Wo", "bo"))
         for k in reversed(range(BLOCKS)):
             h_in, a = cache["acts"][k]
             da = dh * (1.0 - a * a)
@@ -241,9 +252,11 @@ class MLPDenoiser(DenoiserInterface):
             grads[f"Wc{k}"] = cache["X"][:, self.d_state:].T @ da
             grads[f"br{k}"] = da.sum(axis=0)
             dh = dh + da @ p[f"Wr{k}"].T
+            release((f"Wr{k}", f"Wc{k}", f"br{k}"))
         dz0 = dh * (1.0 - cache["h0"] * cache["h0"])
         grads["W0"] = cache["X"].T @ dz0
         grads["b0"] = dz0.sum(axis=0)
+        release(("W0", "b0"))
         return dz0
 
     def condition(self, cond, starts, joints):
@@ -343,29 +356,49 @@ def _extract_windows(dataset, config: TrainConfig):
 _ADAM_CHUNK = 32768  # elements per block: a thread's two 256 KB scratch buffers stay in cache
 
 
-def _adam_update(params, grads, m, v, step, step_size, pool=None) -> None:
-    """One Adam step (Kingma & Ba, 2015) on every array of ``grads``, in place.
+@contextlib.contextmanager
+def _adam_update(params, grads, m, v, step, step_size, pool=None, workers=0):
+    """One Adam step (Kingma & Ba, 2015), in place, on the arrays released into it.
 
-    Cuts the flat view of each (C-contiguous) array into blocks of
-    ``_ADAM_CHUNK`` elements and deals all blocks round-robin into one part
-    per thread: the caller's, plus each worker of the ``ThreadPoolExecutor``
-    ``pool`` (no parts beyond the block count).  A thread walks its part
-    through two scratch buffers of its own.  Every element goes through the
-    operations, in the order, of the whole-array expressions
-    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g and
+    A context manager yielding ``release(names)``, which queues the flat view of
+    each named (C-contiguous) array in blocks of ``_ADAM_CHUNK`` elements.  On
+    the first release, ``workers`` tasks of the ``ThreadPoolExecutor`` ``pool``
+    start taking blocks off the queue; on leaving the block the queue closes and
+    the caller takes blocks too, until none is left and every worker has
+    returned.  The queue also closes when the block raises, so no worker is
+    left waiting.  A thread walks its blocks through two scratch buffers of its
+    own.  Every element goes through the operations, in the order, of the
+    whole-array expressions m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g and
     p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), so the result is
-    bit-identical at any worker count; numpy releases the GIL inside them.
+    bit-identical whatever the release order or worker count; numpy releases
+    the GIL inside them.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1, c2 = 1 - b1**step, 1 - b2**step
-    blocks = []
-    for k, g in grads.items():
-        flat = [x.reshape(-1) for x in (g, m[k], v[k], params[k])]
-        blocks += [[x[lo : lo + _ADAM_CHUNK] for x in flat] for lo in range(0, g.size, _ADAM_CHUNK)]
+    queue, ready = collections.deque(), threading.Condition()
+    closed, drains = False, []
 
-    def run(part):
+    def release(names):
+        with ready:
+            for k in names:
+                flat = [x.reshape(-1) for x in (grads[k], m[k], v[k], params[k])]
+                queue.extend([x[lo : lo + _ADAM_CHUNK] for x in flat]
+                             for lo in range(0, flat[0].size, _ADAM_CHUNK))
+            ready.notify_all()
+        # started here, not on entry, so no drain queues ahead of a task the caller
+        # waits on before its first release (the backward's Wo product)
+        if pool and not drains:
+            drains.extend(pool.submit(drain) for _ in range(workers))
+
+    def drain():
         scratch_a, scratch_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
-        for gs, ms, vs, ps in part:
+        while True:
+            with ready:
+                while not (queue or closed):
+                    ready.wait()
+                if not queue:
+                    return
+                gs, ms, vs, ps = queue.popleft()
             a, b = scratch_a[: gs.size], scratch_b[: gs.size]
             ms *= b1
             np.multiply(gs, 1 - b1, out=a)
@@ -382,12 +415,14 @@ def _adam_update(params, grads, m, v, step, step_size, pool=None) -> None:
             a /= b
             ps -= a
 
-    # _max_workers is the executor's own record of the count it was built with
-    threads = 1 if pool is None else min(pool._max_workers + 1, len(blocks))
-    parts = [blocks[i::threads] for i in range(threads)]
-    futures = [pool.submit(run, part) for part in parts[1:]]
-    run(parts[0])
-    for future in futures:
+    try:
+        yield release
+    finally:
+        with ready:
+            closed = True
+            ready.notify_all()
+    drain()
+    for future in drains:
         future.result()
 
 
@@ -401,10 +436,12 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     probability ``config.dropout_prob``; inference always conditions.
 
     With a pool (more than one CPU), a pool worker draws and packs the next
-    batch while the caller runs the step, and the Adam update splits its
-    blocks across the pool.  The draws run one at a time, in step order, and
-    only the drawing thread touches the training RNG, so every batch, and
-    the trained bits, are the same at any CPU count.
+    batch while the caller runs the step, a worker computes Wo's gradient
+    beside the caller's first backward product, and each parameter's Adam
+    blocks start on the pool as soon as the backward has last read it.  The
+    draws run one at a time, in step order, and only the drawing thread
+    touches the training RNG, so every batch, and the trained bits, are the
+    same at any CPU count.
     """
     from concurrent.futures import ThreadPoolExecutor  # only training opens a pool
 
@@ -449,6 +486,7 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
                 loss_callback(step, loss)
             d_out = 2.0 * resid / resid.size
             grads = {}
-            model._backward(cache, d_out, grads)
-            _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size, pool)
+            with _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size,
+                              pool, workers) as release:
+                model._backward(cache, d_out, grads, release, pool)
     return model

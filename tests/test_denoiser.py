@@ -105,7 +105,9 @@ def test_training_reduces_loss():
 def test_adam_update_matches_textbook_adam(workers):
     # the blocked in-place update against the per-array expressions, bit for bit,
     # on arrays smaller than one block, exactly one block, and past a block edge,
-    # with its blocks run by the caller alone or split across a pool's workers
+    # released in two batches out of dict order; with a pool, its workers update
+    # the first batch before the second is released, and with none the caller
+    # updates every block once the queue closes
     def textbook(params, grads, m, v, step, lr):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for k, g in grads.items():
@@ -128,7 +130,15 @@ def test_adam_update_matches_textbook_adam(workers):
         with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
             for step in range(1, 6):
                 grads = {k: rng.standard_normal(s) * 10.0**-step for k, s in shapes.items()}
-                _adam_update(params, grads, m, v, step, 3e-3, pool)
+                before = params["bias"].copy()
+                with _adam_update(params, grads, m, v, step, 3e-3, pool, workers) as release:
+                    release(["ragged", "bias"])
+                    deadline = time.monotonic() + 10.0
+                    while (workers and np.array_equal(params["bias"], before)
+                           and time.monotonic() < deadline):
+                        time.sleep(1e-3)
+                    assert np.array_equal(params["bias"], before) == (workers == 0)
+                    release(["block", "small"])
                 textbook(ref, grads, m_ref, v_ref, step, 3e-3)
     finally:
         sys.setswitchinterval(switch)
@@ -137,6 +147,44 @@ def test_adam_update_matches_textbook_adam(workers):
         assert np.array_equal(m[k], m_ref[k])
         assert np.array_equal(v[k], v_ref[k])
         assert np.all(params[k] != start[k])  # every block, the last partial one too
+
+
+def test_backward_releases_each_parameter_once_after_its_last_read(monkeypatch):
+    # each released array is overwritten with NaN at once, as if its Adam update
+    # ran right then: a pass that read it again would not match the plain pass
+    model = MLPDenoiser(small_config())
+    rng = np.random.default_rng(3)
+    out, cache = model._forward(rng.standard_normal((5, model.d_in)))
+    d_out = rng.standard_normal(out.shape)
+    want = {}
+    want_dz0 = model._backward(cache, d_out, want)
+    grads, released = {}, []
+
+    def release(names):
+        for k in names:
+            released.append((k, set(grads), grads[k].copy()))
+            model.params[k][...] = np.nan
+
+    dz0 = model._backward(cache, d_out, grads, release)
+    assert dz0.tobytes() == want_dz0.tobytes()
+    assert sorted(k for k, _, _ in released) == sorted(model.params)  # each name once
+    assert {k for k, _, _ in released[:2]} == {"Wo", "bo"} == released[0][1]
+    for k, _, g in released:
+        assert g.tobytes() == grads[k].tobytes() == want[k].tobytes()  # final when released
+
+    # training releases every name once per step, at one CPU and with a pool
+    backward, calls = MLPDenoiser._backward, []
+
+    def recording(self, cache, d_out, grads, release=None, pool=None):
+        calls.append([])
+        return backward(self, cache, d_out, grads,
+                        lambda names: calls[-1].extend(names) or release(names), pool)
+
+    monkeypatch.setattr(MLPDenoiser, "_backward", recording)
+    for cpus in ({0}, {0, 1, 2, 3}):
+        calls.clear()
+        trained = _train_on_cpus(monkeypatch, cpus, steps=3)
+        assert [sorted(names) for names in calls] == [sorted(trained.params)] * 3
 
 
 def _train_on_cpus(monkeypatch, cpus, loss_callback=None, steps=20):
@@ -204,6 +252,47 @@ def test_a_non_finite_loss_names_its_step_with_a_draw_in_flight(monkeypatch, cpu
     assert threading.active_count() == start
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["1-cpu", "4-cpus"])
+def test_a_backward_that_raises_leaves_no_worker_waiting(monkeypatch, cpus):
+    # step 3's Wr1 weight product raises after Wo's blocks were released (and, with
+    # a pool, handed to its workers): the error leaves training, and the pool closes
+    start = threading.active_count()
+    forward, backward = MLPDenoiser._forward, MLPDenoiser._backward
+    forwards, released, errors = [], [], []
+
+    class FailingProduct(np.ndarray):
+        def __matmul__(self, other):
+            raise RuntimeError("the Wr1 product failed")
+
+    def failing_forward(self, X):
+        forwards.append(len(forwards) + 1)
+        out, cache = forward(self, X)
+        if len(forwards) == 3:
+            h_in, a = cache["acts"][1]
+            cache["acts"][1] = (h_in.view(FailingProduct), a)
+        return out, cache
+
+    def recording(self, cache, d_out, grads, release=None, pool=None):
+        return backward(self, cache, d_out, grads,
+                        lambda names: released.append(names) or release(names), pool)
+
+    def train():
+        try:
+            _train_on_cpus(monkeypatch, cpus, steps=5)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(MLPDenoiser, "_forward", failing_forward)
+    monkeypatch.setattr(MLPDenoiser, "_backward", recording)
+    runner = threading.Thread(target=train, daemon=True)
+    runner.start()
+    runner.join(60.0)
+    assert not runner.is_alive(), "training did not return after its backward raised"
+    assert [str(exc) for exc in errors] == ["the Wr1 product failed"]
+    assert forwards == [1, 2, 3] and released[-1] == ("Wo", "bo")
+    assert threading.active_count() == start
+
+
 def test_training_leaves_no_thread_behind(monkeypatch):
     start = threading.active_count()
     _train_on_cpus(monkeypatch, {0, 1, 2, 3})
@@ -236,7 +325,9 @@ def test_train_config_refuses_bad_fields():
                          ("seed", 1.5), ("seed", True), ("hidden", "8"),
                          # a bool or a string used to pass as 1.0 / 0.0 or escape as TypeError
                          ("step_size", True), ("step_size", "0.001"), ("step_size", None),
-                         ("dropout_prob", False), ("dropout_prob", "0.1")):
+                         ("dropout_prob", False), ("dropout_prob", "0.1"),
+                         # an out-of-range dropout_prob used to be refused without its name
+                         ("dropout_prob", 1.5), ("dropout_prob", -0.1), ("dropout_prob", 1.0)):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
