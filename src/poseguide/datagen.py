@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rot6d
-from .denoiser import check_count
+from .denoiser import check_count, check_real
 from .measurement import check_sigma, extract_measurements
 from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, scale_skeleton
 
@@ -55,8 +55,9 @@ class MotionSpec:
             raise ValueError(f"unknown motion kind {self.kind!r}")
         check_count("frames", self.frames, 1)
         check_count("seed", self.seed, 0)
+        check_real("amplitude", self.amplitude)
         if not 0.0 <= self.amplitude <= MAX_AMPLITUDE:
-            raise ValueError(f"amplitude out of safe range [0, {MAX_AMPLITUDE}]")
+            raise ValueError(f"amplitude must be in [0, {MAX_AMPLITUDE}], got {self.amplitude}")
 
 
 def _rot(axis: str, angle):
@@ -166,14 +167,14 @@ def parse_preset(preset: str) -> tuple[np.ndarray, bool]:
     """
     factors = np.ones(JOINT_COUNT)
     uniform = False
-    for part in preset.split(","):
-        name, _, value = part.strip().partition(":")
+    for part in map(str.strip, preset.split(",")):
+        name, _, value = part.partition(":")
         try:
             s = float(value)
         except ValueError:
             raise PresetError(f"bad preset component {part!r}")
-        if s <= 0.0:
-            raise PresetError("scale factors must be positive")
+        if not (np.isfinite(s) and s > 0.0):
+            raise PresetError(f"preset component {part!r}: scale must be finite and positive")
         if name == "uniform":
             factors[:] = s
             uniform = True

@@ -25,7 +25,6 @@ import contextlib
 import json
 import numbers
 import os
-import threading
 import zipfile
 from dataclasses import dataclass, asdict
 
@@ -229,21 +228,20 @@ class MLPDenoiser(DenoiserInterface):
         cache["hout"] = h
         return h @ p["Wo"] + p["bo"], cache
 
-    def _backward(self, cache, d_out, grads, release=None, pool=None):
+    def _backward(self, cache, d_out, grads, release, pool):
         """Backward pass of <d_out, output>: fills ``grads`` with the parameter
         gradients and returns the gradient at the first pre-activation.
 
-        ``release(names)``, when given, is called once per parameter name, as
-        soon as that gradient is final and the pass will not read the parameter
-        again: Wo and bo after the first product, each block's three after its
-        own, W0 and b0 at the end.  With a ``pool``, a worker computes Wo's
-        gradient while the caller computes the gradient at the hidden layer.
+        ``release(names)`` is called once per parameter name, as soon as that
+        gradient is final and the pass will not read the parameter again: Wo and
+        bo after the first product, each block's three after its own, W0 and b0
+        at the end.  A worker of ``pool`` computes Wo's gradient while the caller
+        computes the gradient at the hidden layer.
         """
-        p, release = self.params, release or (lambda names: None)
-        wo = pool.submit(np.matmul, cache["hout"].T, d_out) if pool else None
+        wo = pool.submit(np.matmul, cache["hout"].T, d_out)
         grads["bo"] = d_out.sum(axis=0)
-        dh = d_out @ p["Wo"].T
-        grads["Wo"] = wo.result() if pool else cache["hout"].T @ d_out
+        dh = d_out @ self.params["Wo"].T
+        grads["Wo"] = wo.result()
         release(("Wo", "bo"))
         for k in reversed(range(BLOCKS)):
             h_in, a = cache["acts"][k]
@@ -251,7 +249,7 @@ class MLPDenoiser(DenoiserInterface):
             grads[f"Wr{k}"] = h_in.T @ da
             grads[f"Wc{k}"] = cache["X"][:, self.d_state:].T @ da
             grads[f"br{k}"] = da.sum(axis=0)
-            dh = dh + da @ p[f"Wr{k}"].T
+            dh = dh + da @ self.params[f"Wr{k}"].T
             release((f"Wr{k}", f"Wc{k}", f"br{k}"))
         dz0 = dh * (1.0 - cache["h0"] * cache["h0"])
         grads["W0"] = cache["X"].T @ dz0
@@ -357,48 +355,39 @@ _ADAM_CHUNK = 32768  # elements per block: a thread's two 256 KB scratch buffers
 
 
 @contextlib.contextmanager
-def _adam_update(params, grads, m, v, step, step_size, pool=None, workers=0):
+def _adam_update(params, grads, m, v, step, step_size, pool, workers):
     """One Adam step (Kingma & Ba, 2015), in place, on the arrays released into it.
 
     A context manager yielding ``release(names)``, which queues the flat view of
-    each named (C-contiguous) array in blocks of ``_ADAM_CHUNK`` elements.  On
-    the first release, ``workers`` tasks of the ``ThreadPoolExecutor`` ``pool``
-    start taking blocks off the queue; on leaving the block the queue closes and
-    the caller takes blocks too, until none is left and every worker has
-    returned.  The queue also closes when the block raises, so no worker is
-    left waiting.  A thread walks its blocks through two scratch buffers of its
-    own.  Every element goes through the operations, in the order, of the
-    whole-array expressions m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g and
-    p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), so the result is
+    each named (C-contiguous) array in blocks of ``_ADAM_CHUNK`` elements, then
+    submits ``workers`` drain tasks to the ``ThreadPoolExecutor`` ``pool``.  A
+    drain takes blocks off the queue until it is empty, then returns: no thread
+    ever waits for a block, even when the block raises.  On leaving the block
+    the caller drains too, then waits for every drain.  Each thread walks its
+    blocks through two scratch buffers of its own.  Every element goes through
+    the operations, in the order, of m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g
+    and p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), so the result is
     bit-identical whatever the release order or worker count; numpy releases
     the GIL inside them.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1, c2 = 1 - b1**step, 1 - b2**step
-    queue, ready = collections.deque(), threading.Condition()
-    closed, drains = False, []
+    queue, drains = collections.deque(), []
 
     def release(names):
-        with ready:
-            for k in names:
-                flat = [x.reshape(-1) for x in (grads[k], m[k], v[k], params[k])]
-                queue.extend([x[lo : lo + _ADAM_CHUNK] for x in flat]
-                             for lo in range(0, flat[0].size, _ADAM_CHUNK))
-            ready.notify_all()
-        # started here, not on entry, so no drain queues ahead of a task the caller
-        # waits on before its first release (the backward's Wo product)
-        if pool and not drains:
-            drains.extend(pool.submit(drain) for _ in range(workers))
+        for k in names:
+            flat = [x.reshape(-1) for x in (grads[k], m[k], v[k], params[k])]
+            queue.extend([x[lo : lo + _ADAM_CHUNK] for x in flat]
+                         for lo in range(0, flat[0].size, _ADAM_CHUNK))
+        drains.extend(pool.submit(drain) for _ in range(workers))
 
     def drain():
         scratch_a, scratch_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
         while True:
-            with ready:
-                while not (queue or closed):
-                    ready.wait()
-                if not queue:
-                    return
-                gs, ms, vs, ps = queue.popleft()
+            try:
+                gs, ms, vs, ps = queue.popleft()  # thread-safe: each block goes to one thread
+            except IndexError:
+                return
             a, b = scratch_a[: gs.size], scratch_b[: gs.size]
             ms *= b1
             np.multiply(gs, 1 - b1, out=a)
@@ -415,12 +404,7 @@ def _adam_update(params, grads, m, v, step, step_size, pool=None, workers=0):
             a /= b
             ps -= a
 
-    try:
-        yield release
-    finally:
-        with ready:
-            closed = True
-            ready.notify_all()
+    yield release
     drain()
     for future in drains:
         future.result()
@@ -435,13 +419,13 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     Each row's conditioning is dropped (zeroed and flagged) with
     probability ``config.dropout_prob``; inference always conditions.
 
-    With a pool (more than one CPU), a pool worker draws and packs the next
-    batch while the caller runs the step, a worker computes Wo's gradient
-    beside the caller's first backward product, and each parameter's Adam
-    blocks start on the pool as soon as the backward has last read it.  The
-    draws run one at a time, in step order, and only the drawing thread
-    touches the training RNG, so every batch, and the trained bits, are the
-    same at any CPU count.
+    A pool of at least one worker, one per CPU beyond the first, draws and packs
+    the next batch while the caller runs the step; a worker computes Wo's
+    gradient beside the caller's first backward product, and each parameter's
+    Adam blocks start on the pool as soon as the backward has last read it.  On
+    one CPU the single worker shares it with the caller.  The draws run one at a
+    time, in step order, and only the drawing thread touches the training RNG,
+    so every batch, and the trained bits, are the same at any CPU count.
     """
     from concurrent.futures import ThreadPoolExecutor  # only training opens a pool
 
@@ -470,12 +454,12 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
 
     # the CPUs this process may run on; the caller's thread takes one part of each update
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = (cpus or 1) - 1
-    with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
-        batch = pool.submit(draw) if pool else None
+    workers = max(1, (cpus or 1) - 1)
+    with ThreadPoolExecutor(workers) as pool:
+        batch = pool.submit(draw)
         for step in range(1, config.steps + 1):
-            X, target = batch.result() if pool else draw()
-            if pool and step < config.steps:
+            X, target = batch.result()
+            if step < config.steps:
                 batch = pool.submit(draw)
             out, cache = model._forward(X)
             resid = out - target

@@ -23,7 +23,11 @@ DEGENERACY_EPS = 1e-8
 
 
 class DegenerateRotationError(ValueError):
-    """Raised when a 6DoF vector cannot be decoded into a rotation."""
+    """A 6DoF vector that cannot be decoded: at flat joint ``index``, for ``reason``."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"degenerate 6DoF at joint {index}: {reason}")
+        self.index, self.reason = index, reason
 
 
 def to_sixdof(R: np.ndarray) -> np.ndarray:
@@ -65,7 +69,7 @@ def _gram_schmidt(r: np.ndarray):
 def _refuse_degenerate(norms: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(norms < DEGENERACY_EPS)
     if bad.size:
-        raise DegenerateRotationError(f"degenerate 6DoF at joint {bad[0]}: {what}")
+        raise DegenerateRotationError(int(bad[0]), what)
 
 
 def batch_from_sixdof(rs: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ DIVERGENCE_NORM = 1e3
 
 
 class SamplerDivergence(RuntimeError):
-    """State norm exceeded the divergence threshold during sampling."""
+    """Sampling failed: the state diverged, or an estimate or the output did not decode."""
 
 
 @dataclass
@@ -182,7 +182,13 @@ def run_guided_inference(
         if config.guidance_scale > 0.0:
             # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
             w_t = float(np.sqrt(1.0 - ab_t))
-            g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t)
+            try:
+                g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t)
+            except rot6d.DegenerateRotationError as exc:  # its index runs over (windows, W, J)
+                w, (f, j) = exc.index // J // W, divmod(exc.index, J)
+                raise SamplerDivergence(
+                    f"window at frame {starts[w]}: degenerate 6DoF estimate at step {i} (t={t:.3g}) "
+                    f"at frame {win.flat[f]}, joint {j}: {exc.reason}") from exc
         else:
             g = np.zeros_like(r)
         r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rngs)
@@ -207,7 +213,11 @@ def run_guided_inference(
     np.add.at(weight, win, ramp)
     out /= weight[:, None, None]
     # cross-faded 6DoF vectors are generally off-manifold; re-orthonormalize
-    R = rot6d.batch_from_sixdof(out)
+    try:
+        R = rot6d.batch_from_sixdof(out)
+    except rot6d.DegenerateRotationError as exc:
+        raise SamplerDivergence(f"cross-faded output: degenerate 6DoF at frame {exc.index // J}, "
+                                f"joint {exc.index % J}: {exc.reason}") from exc
     rotations = rot6d.to_sixdof(R)
     root = recover_root_translation(skeleton, R, measurements.locations[:, 0, :])
     # the root track is smooth even when the head bobs, so sensor noise is

@@ -281,6 +281,14 @@ def _one_cell_manifest(motion=None, **fields):
     # comparison, naming no field, and true to pass
     ("--manifest", _one_cell_manifest(sigma_r="0.01"), "sigma_r must be a real number, got '0.01'"),
     ("--manifest", _one_cell_manifest(sigma_l=True), "sigma_l must be a real number, got True"),
+    # a NaN or infinite preset scale used to fail later at a bone vector, naming no
+    # preset, and a string amplitude to escape as a TypeError naming no field
+    ("--manifest", _one_cell_manifest(preset="uniform:nan"),
+     "preset component 'uniform:nan': scale must be finite and positive"),
+    ("--manifest", _one_cell_manifest(preset="arms:1.2,torso:inf"),
+     "preset component 'torso:inf': scale must be finite and positive"),
+    ("--manifest", _one_cell_manifest(motion={"kind": "walk", "frames": 10, "amplitude": "1.0"}),
+     "amplitude must be a real number, got '1.0'"),
     # a directory used to escape as an IsADirectoryError traceback (exit 1)
     ("--measurements", lambda cell, tmp: cell, "must be a file"),
     ("--skeleton", lambda cell, tmp: cell, "must be a file"),
@@ -301,7 +309,8 @@ def _one_cell_manifest(motion=None, **fields):
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
         "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest",
         "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest",
-        "string-sigma-manifest", "bool-sigma-manifest",
+        "string-sigma-manifest", "bool-sigma-manifest", "nan-preset-manifest",
+        "inf-preset-manifest", "string-amplitude-manifest",
         "directory-as-measurements", "directory-as-skeleton", "directory-as-checkpoint",
         "directory-as-oracle-truth", "directory-as-manifest", "directory-as-pred",
         "file-as-data", "cut-checkpoint", "empty-checkpoint"])

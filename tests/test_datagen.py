@@ -31,6 +31,12 @@ def test_motion_spec_validation():
     ("frames", -3, "frames must be at least 1, got -3"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("seed", -1, "seed must be at least 0, got -1"),
+    # a string or None used to escape as a TypeError naming no field, and True to pass
+    ("amplitude", "1.0", "amplitude must be a real number, got '1.0'"),
+    ("amplitude", True, "amplitude must be a real number, got True"),
+    ("amplitude", None, "amplitude must be a real number, got None"),
+    ("amplitude", 2.0, r"amplitude must be in \[0, 1\.5\], got 2\.0"),
+    ("amplitude", float("nan"), r"amplitude must be in \[0, 1\.5\], got nan"),
 ])
 def test_motion_spec_refuses_bad_sizes_by_name(field, value, match):
     with pytest.raises(ValueError, match=match):
@@ -42,6 +48,11 @@ def test_motion_spec_refuses_bad_sizes_by_name(field, value, match):
     # the frame rate and frequency are fixed; a manifest that sets them is refused
     ({"kind": "walk", "frames": 10, "hz": 0}, "hz"),
     ({"kind": "walk", "frames": 10, "frequency": 2.0}, "frequency"),
+    ({"kind": "walk", "frames": 10, "amplitude": "1.0"}, "amplitude must be a real number"),
+    ({"kind": "walk", "frames": 10, "amplitude": True}, "amplitude must be a real number"),
+    ({"kind": "walk", "frames": 10, "amplitude": None}, "amplitude must be a real number"),
+    ({"kind": "walk", "frames": 10, "amplitude": 2.0}, r"amplitude must be in \[0, 1\.5\]"),
+    ({"kind": "walk", "frames": 10, "amplitude": float("nan")}, "got nan"),
 ])
 def test_manifest_with_a_bad_motion_is_refused_by_name(tmp_path, motion, match):
     path = tmp_path / "manifest.json"
@@ -123,6 +134,14 @@ def test_parse_preset_vocabulary():
         parse_preset("legs:2.0")
     with pytest.raises(PresetError):
         parse_preset("uniform:zero")
+    # a NaN or infinite scale used to be accepted, and a zero one refused unnamed
+    for preset, part in (("uniform:nan", "uniform:nan"), ("uniform:0", "uniform:0"),
+                         ("arms:1.4, torso:-inf", "torso:-inf"), ("arms:inf", "arms:inf")):
+        with pytest.raises(PresetError, match=f"^preset component '{re.escape(part)}': "
+                                              "scale must be finite and positive$"):
+            parse_preset(preset)
+    with pytest.raises(PresetError, match="'arms:inf': scale must be finite"):
+        BenchmarkCell(MotionSpec("walk", 10), preset="arms:inf")
 
 
 def test_scale_ground_truth_uniform_scales_root():

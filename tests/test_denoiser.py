@@ -1,7 +1,6 @@
 """Denoiser contracts: oracle identities, window stacks, training, config validation,
 pullback, persistence."""
 
-import contextlib
 import os
 import sys
 import threading
@@ -101,13 +100,12 @@ def test_training_reduces_loss():
     assert tail < 0.25 * head
 
 
-@pytest.mark.parametrize("workers", [0, 1, 3], ids=["no-pool", "1-worker", "3-workers"])
+@pytest.mark.parametrize("workers", [1, 3], ids=["1-worker", "3-workers"])
 def test_adam_update_matches_textbook_adam(workers):
     # the blocked in-place update against the per-array expressions, bit for bit,
     # on arrays smaller than one block, exactly one block, and past a block edge,
-    # released in two batches out of dict order; with a pool, its workers update
-    # the first batch before the second is released, and with none the caller
-    # updates every block once the queue closes
+    # released in two batches out of dict order; the workers update the first
+    # batch before the second is released, and the second before the block ends
     def textbook(params, grads, m, v, step, lr):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for k, g in grads.items():
@@ -116,6 +114,15 @@ def test_adam_update_matches_textbook_adam(workers):
             mhat = m[k] / (1 - beta1**step)
             vhat = v[k] / (1 - beta2**step)
             params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+    def updated(names, before):
+        # each element is written once, by its block's last operation
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            if all(np.all(params[k] != before[k]) for k in names):
+                return True
+            time.sleep(1e-3)
+        return False
 
     rng = np.random.default_rng(16)
     shapes = {"bias": (7,), "small": (30, 41), "block": (_ADAM_CHUNK,),
@@ -127,18 +134,15 @@ def test_adam_update_matches_textbook_adam(workers):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter lock as often as they can
     try:
-        with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+        with ThreadPoolExecutor(workers) as pool:
             for step in range(1, 6):
                 grads = {k: rng.standard_normal(s) * 10.0**-step for k, s in shapes.items()}
-                before = params["bias"].copy()
+                before = {k: p.copy() for k, p in params.items()}
                 with _adam_update(params, grads, m, v, step, 3e-3, pool, workers) as release:
                     release(["ragged", "bias"])
-                    deadline = time.monotonic() + 10.0
-                    while (workers and np.array_equal(params["bias"], before)
-                           and time.monotonic() < deadline):
-                        time.sleep(1e-3)
-                    assert np.array_equal(params["bias"], before) == (workers == 0)
-                    release(["block", "small"])
+                    assert updated(["ragged", "bias"], before)
+                    release(["block", "small"])  # once the first batch is done
+                    assert updated(["block", "small"], before)
                 textbook(ref, grads, m_ref, v_ref, step, 3e-3)
     finally:
         sys.setswitchinterval(switch)
@@ -156,26 +160,26 @@ def test_backward_releases_each_parameter_once_after_its_last_read(monkeypatch):
     rng = np.random.default_rng(3)
     out, cache = model._forward(rng.standard_normal((5, model.d_in)))
     d_out = rng.standard_normal(out.shape)
-    want = {}
-    want_dz0 = model._backward(cache, d_out, want)
-    grads, released = {}, []
+    want, grads, released = {}, {}, []
 
     def release(names):
         for k in names:
             released.append((k, set(grads), grads[k].copy()))
             model.params[k][...] = np.nan
 
-    dz0 = model._backward(cache, d_out, grads, release)
+    with ThreadPoolExecutor(1) as pool:
+        want_dz0 = model._backward(cache, d_out, want, lambda names: None, pool)
+        dz0 = model._backward(cache, d_out, grads, release, pool)
     assert dz0.tobytes() == want_dz0.tobytes()
     assert sorted(k for k, _, _ in released) == sorted(model.params)  # each name once
     assert {k for k, _, _ in released[:2]} == {"Wo", "bo"} == released[0][1]
     for k, _, g in released:
         assert g.tobytes() == grads[k].tobytes() == want[k].tobytes()  # final when released
 
-    # training releases every name once per step, at one CPU and with a pool
+    # training releases every name once per step, at one CPU and at four
     backward, calls = MLPDenoiser._backward, []
 
-    def recording(self, cache, d_out, grads, release=None, pool=None):
+    def recording(self, cache, d_out, grads, release, pool):
         calls.append([])
         return backward(self, cache, d_out, grads,
                         lambda names: calls[-1].extend(names) or release(names), pool)
@@ -206,7 +210,7 @@ def test_trained_bits_do_not_depend_on_the_cpu_count(monkeypatch, steps):
                          steps)
     four = _train_on_cpus(monkeypatch, {0, 1, 2, 3},
                           lambda s, l: seen[4].add(threading.active_count()), steps)
-    assert seen[1] == {start} and max(seen[4]) > start  # no pool on one CPU, a pool on four
+    assert seen[1] == {start + 1} and max(seen[4]) > start  # one pool thread on one CPU
     assert len(packs) == 2 * steps  # no batch is drawn past the last step
     for k in one.params:
         assert one.params[k].tobytes() == four.params[k].tobytes()
@@ -214,8 +218,8 @@ def test_trained_bits_do_not_depend_on_the_cpu_count(monkeypatch, steps):
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["1-cpu", "4-cpus"])
 def test_a_non_finite_loss_names_its_step_with_a_draw_in_flight(monkeypatch, cpus):
-    # step 3's forward turns to NaN; with a pool, step 4's batch is being packed
-    # on a worker when the error leaves the caller, and the pool still closes
+    # step 3's forward turns to NaN; step 4's batch is being packed on a worker
+    # when the error leaves the caller, and the pool still closes
     start = threading.active_count()
     forward, pack = MLPDenoiser._forward, MLPDenoiser._pack
     packs, forwards, in_flight = [], [], []
@@ -225,7 +229,7 @@ def test_a_non_finite_loss_names_its_step_with_a_draw_in_flight(monkeypatch, cpu
         packs.append(len(packs) + 1)
         if len(packs) != 4:
             return pack(self, *args)
-        packing.set()  # step 4's batch: drawn only with a pool, during step 3
+        packing.set()  # step 4's batch, drawn during step 3
         time.sleep(0.2)
         X = pack(self, *args)
         packed.set()
@@ -235,9 +239,8 @@ def test_a_non_finite_loss_names_its_step_with_a_draw_in_flight(monkeypatch, cpu
         forwards.append(len(forwards) + 1)
         out, cache = forward(self, X)
         if len(forwards) == 3:
-            if len(cpus) > 1:
-                assert packing.wait(10.0)
-                in_flight.append(not packed.is_set())
+            assert packing.wait(10.0)
+            in_flight.append(not packed.is_set())
             out[0, 0] = np.nan
         return out, cache
 
@@ -246,16 +249,15 @@ def test_a_non_finite_loss_names_its_step_with_a_draw_in_flight(monkeypatch, cpu
     with pytest.raises(TrainingError, match="non-finite loss at step 3$"):
         _train_on_cpus(monkeypatch, cpus)
     assert forwards == [1, 2, 3]
-    assert in_flight == ([True] if len(cpus) > 1 else [])
-    assert len(packs) == (4 if len(cpus) > 1 else 3)
-    assert packed.is_set() == (len(cpus) > 1)  # the pool waited for the draw to finish
+    assert in_flight == [True] and len(packs) == 4
+    assert packed.is_set()  # the pool waited for the draw to finish
     assert threading.active_count() == start
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["1-cpu", "4-cpus"])
 def test_a_backward_that_raises_leaves_no_worker_waiting(monkeypatch, cpus):
-    # step 3's Wr1 weight product raises after Wo's blocks were released (and, with
-    # a pool, handed to its workers): the error leaves training, and the pool closes
+    # step 3's Wr1 weight product raises after Wo's blocks were released and handed
+    # to the workers: the error leaves training, and the pool closes
     start = threading.active_count()
     forward, backward = MLPDenoiser._forward, MLPDenoiser._backward
     forwards, released, errors = [], [], []
@@ -272,7 +274,7 @@ def test_a_backward_that_raises_leaves_no_worker_waiting(monkeypatch, cpus):
             cache["acts"][1] = (h_in.view(FailingProduct), a)
         return out, cache
 
-    def recording(self, cache, d_out, grads, release=None, pool=None):
+    def recording(self, cache, d_out, grads, release, pool):
         return backward(self, cache, d_out, grads,
                         lambda names: released.append(names) or release(names), pool)
 
@@ -424,7 +426,8 @@ def packed_reference(model, r_t, t, cond, cot):
     conditioning dropped, ``_forward``, ``_backward`` and W0's state rows."""
     n = len(r_t)
     out, cache = model._forward(model._pack(r_t, t, cond, np.zeros(n, dtype=bool)))
-    dz0 = model._backward(cache, cot.reshape(n, -1), {})
+    with ThreadPoolExecutor(1) as pool:
+        dz0 = model._backward(cache, cot.reshape(n, -1), {}, lambda names: None, pool)
     return out.reshape(r_t.shape), (dz0 @ model.params["W0"][: model.d_state].T).reshape(r_t.shape)
 
 

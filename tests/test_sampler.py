@@ -598,6 +598,30 @@ def test_sampler_divergence_guard():
             run_guided_inference(meas, skel, ExplodingDenoiser(value), 5, cfg, seed=0)
 
 
+@pytest.mark.parametrize("guidance_scale", [1.0, 0.0], ids=["estimate", "output"])
+def test_a_degenerate_decode_names_its_window_step_frame_and_joint(guidance_scale):
+    # guided, the first step's estimate does not decode; unguided, the output does
+    # not. Both used to be refused as "joint 71", a flat index on 22 joints.
+    skel = default_skeleton()
+    truth = generate_motion(MotionSpec(kind="reach", frames=100, seed=1), skel)
+    meas = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
+    model = MLPDenoiser(TrainConfig(hidden=8))  # estimates zero at window frame 3, joint 5
+    cols = slice(3 * 132 + 5 * 6, 3 * 132 + 6 * 6)
+    model.params["Wo"][:, cols] = 0.0
+    model.params["bo"][cols] = 0.0
+    rotations = truth.rotations.copy()
+    rotations[70, 5] = 0.0  # in the windows starting at frames 42 and 59
+    oracle = OracleDenoiser(rotations)
+    oracle.window = 41
+    for denoiser, start, frame in ((model, 0, 3), (oracle, 42, 70)):
+        where = (rf"window at frame {start}: degenerate 6DoF estimate at step 10 \(t=15\)"
+                 if guidance_scale else "cross-faded output: degenerate 6DoF")
+        with pytest.raises(SamplerDivergence,
+                           match=rf"^{where} at frame {frame}, joint 5: zero first column$"):
+            run_guided_inference(meas, skel, denoiser, 10,
+                                 GuidanceConfig(guidance_scale=guidance_scale))
+
+
 @pytest.fixture(scope="module")
 def tiny_prior():
     """A window-12, hidden-24 MLP trained for 60 steps on three 60-frame motions."""
