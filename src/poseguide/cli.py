@@ -91,11 +91,6 @@ def cmd_train(args) -> int:
         window=args.window, dropout_prob=args.dropout, step_size=args.lr,
         steps=args.steps, seed=args.seed, cond_spec=args.cond_spec, hidden=args.hidden,
     )
-    min_frames = min(p.frames for p, _ in dataset)
-    if min_frames < config.window:
-        raise UsageError(
-            f"window {config.window} exceeds the shortest sequence ({min_frames} frames)"
-        )
     losses = []
     model = train_denoiser(dataset, config, loss_callback=lambda s, l: losses.append((s, l)))
     out = Path(args.out)
@@ -147,7 +142,11 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--pred {pred_path} has {pred.frames} frames but --truth "
                          f"{truth_path} has {truth.frames} frames")
     skeleton = _load_skeleton(args.skeleton)
-    cell = metrics.evaluate_cell(pred, skeleton, truth, scale=args.scale, name=pred_path.stem)
+    try:
+        cell = metrics.evaluate_cell(pred, skeleton, truth, scale=args.scale, name=pred_path.stem)
+    except rot6d.DegenerateRotationError as exc:
+        flag, path = ("--pred", pred_path) if exc.sequence is pred else ("--truth", truth_path)
+        raise UsageError(f"{flag} {path}: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics.write_report([cell], out, out.with_suffix(".csv"))

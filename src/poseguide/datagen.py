@@ -29,7 +29,6 @@ MAX_AMPLITUDE = 1.5
 ARM_BONES = (13, 14, 16, 17, 18, 19, 20, 21)
 TORSO_BONES = (3, 6, 9, 12, 15)
 UPPER_BONES = tuple(sorted(ARM_BONES + TORSO_BONES))
-LOWER_BONES = (1, 2, 4, 5, 7, 8, 10, 11)
 
 
 class PresetError(ValueError):
@@ -159,14 +158,14 @@ def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
     return PoseSequence(rot6d.to_sixdof(R), root)
 
 
-def parse_preset(preset: str) -> tuple[np.ndarray, bool]:
-    """Preset string -> (per-bone factors, is_uniform).
+def parse_preset(preset: str) -> np.ndarray:
+    """Preset string -> per-bone factors.
 
     Vocabulary: ``uniform:<s>``, ``upper:<s>``, ``arms:<s>``, ``torso:<s>``,
-    and comma-combinations such as ``arms:1.4,torso:0.7``.
+    and comma-combinations such as ``arms:1.4,torso:0.7``.  Only ``uniform``
+    scales the lower body.
     """
     factors = np.ones(JOINT_COUNT)
-    uniform = False
     for part in map(str.strip, preset.split(",")):
         name, _, value = part.partition(":")
         try:
@@ -177,7 +176,6 @@ def parse_preset(preset: str) -> tuple[np.ndarray, bool]:
             raise PresetError(f"preset component {part!r}: scale must be finite and positive")
         if name == "uniform":
             factors[:] = s
-            uniform = True
         elif name == "upper":
             factors[list(UPPER_BONES)] = s
         elif name == "arms":
@@ -186,27 +184,19 @@ def parse_preset(preset: str) -> tuple[np.ndarray, bool]:
             factors[list(TORSO_BONES)] = s
         else:
             raise PresetError(f"unknown preset part {name!r}")
-    return factors, uniform
+    return factors
 
 
 def scale_ground_truth(poses: PoseSequence, skeleton: Skeleton, preset: str):
     """Rebuild ground truth for a body-variation preset.
 
-    Rotations are scale-free and never change.  Uniform presets scale both
-    the bones and the root translation; upper-body presets keep the lower
-    body and the root translation fixed.
+    Rotations are scale-free and never change.  The root translation moves
+    with the hips: it is scaled by the hip bones' factor, which only a
+    ``uniform`` part sets, so upper-body presets keep it and the lower body fixed.
     """
-    factors, uniform = parse_preset(preset)
-    if not uniform and np.any(factors[list(LOWER_BONES)] != 1.0):
-        raise PresetError(
-            "non-uniform preset must leave the lower body unchanged (root translation is kept)"
-        )
-    new_skel = scale_skeleton(skeleton, factors)
-    if uniform:
-        root = poses.root_translation * factors[1]
-    else:
-        root = poses.root_translation.copy()
-    return PoseSequence(poses.rotations.copy(), root), new_skel
+    factors = parse_preset(preset)
+    root = poses.root_translation * factors[1]
+    return PoseSequence(poses.rotations.copy(), root), scale_skeleton(skeleton, factors)
 
 
 # -- pose sequence serialization -------------------------------------------
@@ -250,16 +240,9 @@ def load_sequence(path) -> PoseSequence:
             raise ValueError(f"truncated file: {len(body)} bytes, expected {need}")
         rot = np.frombuffer(body[: F * J * 6 * 8], dtype="<f8").reshape(F, J, 6)
         root = np.frombuffer(body[F * J * 6 * 8 :], dtype="<f8").reshape(F, 3)
-        bad = np.argwhere(~np.isfinite(rot))
-        if len(bad):
-            f, j = bad[0][0], bad[0][1]
-            raise ValueError(f"non-finite rotation at frame {f}, joint {j}")
-        if not np.isfinite(root).all():
-            f = int(np.argwhere(~np.isfinite(root))[0][0])
-            raise ValueError(f"non-finite root translation at frame {f}")
+        return PoseSequence(rot.copy(), root.copy())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return PoseSequence(rot.copy(), root.copy())
 
 
 # -- benchmark manifests ----------------------------------------------------
@@ -281,16 +264,27 @@ class BenchmarkCell:
         check_sigma("sigma_r", self.sigma_r)
 
     def name(self) -> str:
+        """Directory name; the amplitude appears only when it is not 1."""
         preset = self.preset.replace(":", "").replace(",", "_").replace(".", "p")
+        amplitude = "" if self.motion.amplitude == 1.0 else f"_a{self.motion.amplitude:g}"
         return (
-            f"{self.motion.kind}_f{self.motion.frames}_m{self.motion.seed}"
+            f"{self.motion.kind}_f{self.motion.frames}_m{self.motion.seed}{amplitude}"
             f"_{preset}_sl{self.sigma_l:g}_sr{self.sigma_r:g}_s{self.seed}"
         )
 
 
 @dataclass
 class BenchmarkManifest:
+    """Cells with distinct names, since each cell is written to its own directory."""
+
     cells: list
+
+    def __post_init__(self):
+        seen = {}
+        for i, cell in enumerate(self.cells):
+            first = seen.setdefault(cell.name(), i)
+            if first != i:
+                raise ValueError(f"cells {first} and {i} share the name {cell.name()!r}")
 
     @staticmethod
     def from_json(text: str) -> "BenchmarkManifest":

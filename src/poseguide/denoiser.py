@@ -201,11 +201,7 @@ class MLPDenoiser(DenoiserInterface):
     def _pack(self, r_t, t, cond, drop):
         """One input row per window.  ``t`` is one time or one per window; a
         window marked in ``drop`` gets zeroed conditioning and the flag 1."""
-        n, W = r_t.shape[0], self.window
-        if r_t.shape[1:] != (W, JOINT_COUNT, 6):
-            raise ValueError(f"expected (windows, {W}, {JOINT_COUNT}, 6) stack, got {r_t.shape}")
-        if cond.shape != (n, W, self._cdim):
-            raise ValueError(f"conditioning must be ({n}, {W}, {self._cdim}), got {cond.shape}")
+        n = r_t.shape[0]
         X = np.empty((n, self.d_in))
         X[:, : self.d_state] = r_t.reshape(n, -1)
         X[:, self.d_state : self.d_state + TIME_FEATURES] = _time_features(t)
@@ -340,10 +336,20 @@ class MLPDenoiser(DenoiserInterface):
 
 
 def _extract_windows(dataset, config: TrainConfig):
-    """Sliding training windows (state, conditioning) from (poses, measurements) pairs."""
+    """Sliding training windows (state, conditioning) from (poses, measurements) pairs;
+    refuses, by its index, a pair that is misshapen or shorter than the window."""
     W = config.window
     states, conds = [], []
-    for poses, meas in dataset:
+    for i, (poses, meas) in enumerate(dataset):
+        if poses.joint_count != JOINT_COUNT:
+            raise TrainingError(f"sequence {i}: poses have {poses.joint_count} joints, "
+                                f"expected {JOINT_COUNT}")
+        if meas.frames != poses.frames:
+            raise TrainingError(f"sequence {i}: {poses.frames} pose frames but "
+                                f"{meas.frames} measured frames")
+        if poses.frames < W:
+            raise TrainingError(f"sequence {i}: {poses.frames} frames, shorter than the "
+                                f"window of {W}")
         cond = make_conditioning(meas, config.cond_spec)
         for start in range(0, poses.frames - W + 1, max(1, W // 4)):
             states.append(poses.rotations[start : start + W])

@@ -79,8 +79,8 @@ def batch_from_sixdof(rs: np.ndarray) -> np.ndarray:
     column.  Invariant to positive rescaling of the first half and to
     adding multiples of the first half to the second.
     """
-    c1, c2, *_ = _gram_schmidt(np.asarray(rs, dtype=float))
-    return np.stack([np.stack(row, axis=-1) for row in zip(c1, c2, _cross(c1, c2))], axis=-2)
+    p9 = decode(rs)[0]
+    return np.stack([p9[..., i::3] for i in range(3)], axis=-2)  # row i: entry i of each column
 
 
 def vec9(R: np.ndarray) -> np.ndarray:

@@ -239,8 +239,6 @@ def _smooth_track(track: np.ndarray, sigma_l: float) -> np.ndarray:
         return track
     k = min(161, 1 + 2 * int(np.ceil(1600.0 * sigma_l)))
     k = min(k, frames if frames % 2 == 1 else frames - 1)
-    if k < 3:
-        return track
     t = np.arange(frames, dtype=float)
     basis = np.stack([np.ones(frames), t], axis=1)
     coef, *_ = np.linalg.lstsq(basis, track, rcond=None)

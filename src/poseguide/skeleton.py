@@ -64,16 +64,34 @@ class SkeletonError(ValueError):
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Immutable joint tree + rest-pose bone vectors (meters)."""
+    """Immutable joint tree + rest-pose bone vectors (meters), checked on construction:
+    one root, at joint 0, each parent before its child, one finite bone per joint,
+    a zero root bone, and 3 distinct measured joints (head, left and right wrist)."""
 
     parents: np.ndarray
     bone_vectors: np.ndarray
     measured_joints: tuple[int, ...] = MEASURED_JOINTS
 
     def __post_init__(self):
+        parents = np.array(self.parents, dtype=int)
+        bones = np.array(self.bone_vectors, dtype=float)
+        n = len(parents)
+        if bones.shape != (n, 3):
+            raise SkeletonError(f"bone table shape {bones.shape} does not match {n} joints")
+        roots = np.flatnonzero(parents < 0).tolist()
+        if roots != [ROOT]:
+            raise SkeletonError(f"the tree needs one root, at joint 0, got roots at {roots}")
+        late = np.flatnonzero(parents >= np.arange(n))  # which also rules out every cycle
+        if late.size:
+            j = late[0]
+            raise SkeletonError(f"parents[{j}] = {parents[j]}: a parent must precede its child")
+        bad = np.flatnonzero(~np.isfinite(bones).all(axis=1))
+        if bad.size:
+            raise SkeletonError(f"non-finite bone vector at joint {bad[0]}")
+        if np.any(bones[ROOT] != 0.0):
+            raise SkeletonError("root bone vector must be zero")
         # measurement, FK readout and A all index with this list, where a
-        # negative index would wrap round silently, so every Skeleton checks it
-        n = len(self.parents)
+        # negative index would wrap round silently
         measured = np.asarray(self.measured_joints)
         if (measured.shape != (3,) or not np.issubdtype(measured.dtype, np.integer)
                 or not np.all((0 <= measured) & (measured < n))
@@ -81,6 +99,10 @@ class Skeleton:
             raise SkeletonError(f"measured must be 3 joint indices of the {n}-joint tree "
                                 f"(distinct head, left wrist and right wrist), "
                                 f"got {measured.tolist()}")
+        parents.setflags(write=False)
+        bones.setflags(write=False)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "bone_vectors", bones)
         object.__setattr__(self, "measured_joints", tuple(int(j) for j in measured))
 
     @property
@@ -99,7 +121,7 @@ class Skeleton:
     @staticmethod
     def from_json(text: str) -> "Skeleton":
         doc = json.loads(text)
-        return build_skeleton(doc["parents"], doc["bones"], doc.get("measured", MEASURED_JOINTS))
+        return Skeleton(doc["parents"], doc["bones"], doc.get("measured", MEASURED_JOINTS))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -115,44 +137,8 @@ class Skeleton:
                                 f"({type(exc).__name__}: {exc})") from exc
 
 
-def build_skeleton(parents, bone_vectors, measured_joints=MEASURED_JOINTS) -> Skeleton:
-    """Validate the tree structure and return an immutable Skeleton.
-
-    Rejects multiple roots, self/forward parent references (which also
-    covers cycles, given the topological-order requirement), a non-finite
-    bone and a nonzero root bone.  ``Skeleton`` itself rejects a measured
-    list that is not 3 distinct in-tree joints (head, left wrist, right
-    wrist: the order of ``MeasurementSet``).
-    """
-    parents = np.asarray(parents, dtype=int)
-    bones = np.asarray(bone_vectors, dtype=float)
-    n = len(parents)
-    if bones.shape != (n, 3):
-        raise SkeletonError(f"bone table shape {bones.shape} does not match {n} joints")
-    roots = np.flatnonzero(parents < 0)
-    if len(roots) == 0:
-        raise SkeletonError("cycle detected: no root sentinel")
-    if len(roots) > 1:
-        raise SkeletonError(f"multiple roots at {roots.tolist()}")
-    if roots[0] != ROOT:
-        raise SkeletonError("root must be joint 0")
-    for j in range(1, n):
-        if parents[j] == j:
-            raise SkeletonError(f"cycle detected: joint {j} is its own parent")
-        if parents[j] > j:
-            raise SkeletonError(f"parent index {parents[j]} >= child index {j}")
-    bad = np.flatnonzero(~np.isfinite(bones).all(axis=1))
-    if bad.size:
-        raise SkeletonError(f"non-finite bone vector at joint {bad[0]}")
-    if np.any(bones[ROOT] != 0.0):
-        raise SkeletonError("root bone vector must be zero")
-    parents.setflags(write=False)
-    bones.setflags(write=False)
-    return Skeleton(parents, bones, measured_joints)
-
-
 def default_skeleton() -> Skeleton:
-    return build_skeleton(SMPL_PARENTS, DEFAULT_BONES)
+    return Skeleton(SMPL_PARENTS, DEFAULT_BONES)
 
 
 def forward_kinematics(
@@ -183,9 +169,8 @@ def scale_skeleton(skeleton: Skeleton, per_bone_factors) -> Skeleton:
         raise SkeletonError(f"need {skeleton.joint_count} factors, got {factors.shape}")
     if np.any(factors <= 0.0):
         raise SkeletonError("scale factors must be strictly positive")
-    return build_skeleton(
-        skeleton.parents, skeleton.bone_vectors * factors[:, None], skeleton.measured_joints
-    )
+    return Skeleton(skeleton.parents, skeleton.bone_vectors * factors[:, None],
+                    skeleton.measured_joints)
 
 
 def recover_root_translation(
@@ -211,6 +196,12 @@ class PoseSequence:
             raise ValueError(f"rotations must be (frames, joints, 6), got {self.rotations.shape}")
         if self.root_translation.shape != (self.rotations.shape[0], 3):
             raise ValueError("root_translation must be (frames, 3)")
+        if not np.isfinite(self.rotations).all():
+            f, j, _ = np.argwhere(~np.isfinite(self.rotations))[0]
+            raise ValueError(f"non-finite rotation at frame {f}, joint {j}")
+        if not np.isfinite(self.root_translation).all():
+            f = np.argwhere(~np.isfinite(self.root_translation))[0][0]
+            raise ValueError(f"non-finite root translation at frame {f}")
 
     @property
     def frames(self) -> int:
@@ -221,7 +212,15 @@ class PoseSequence:
         return self.rotations.shape[1]
 
     def rotation_matrices(self) -> np.ndarray:
-        return rot6d.batch_from_sixdof(self.rotations)
+        """(frames, J, 3, 3); a degenerate entry's error names its frame and joint, and
+        carries this sequence as ``sequence``."""
+        try:
+            return rot6d.batch_from_sixdof(self.rotations)
+        except rot6d.DegenerateRotationError as exc:
+            f, j = divmod(exc.index, self.joint_count)
+            exc.args = (f"degenerate 6DoF at frame {f}, joint {j}: {exc.reason}",)
+            exc.sequence = self
+            raise
 
     def is_valid(self, tol: float = 1e-9) -> bool:
         """True when every 6DoF entry decodes to an orthonormal det-+1 matrix

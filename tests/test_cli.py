@@ -370,6 +370,24 @@ def test_eval_names_both_files_on_a_frame_mismatch(data_dir, tmp_path, capsys):
                                        f"{truth_path} has 48 frames\n")
 
 
+@pytest.mark.parametrize("flag", ["--pred", "--truth"])
+def test_eval_names_the_file_frame_and_joint_of_a_degenerate_entry(data_dir, tmp_path, capsys,
+                                                                   flag):
+    # used to print "degenerate 6DoF at joint 71", a flat index naming no file
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    truth = load_sequence(cell / "truth.pgseq")
+    rotations = truth.rotations.copy()
+    rotations[3, 5] = 0.0
+    bad = tmp_path / "zero.pgseq"
+    save_sequence(bad, PoseSequence(rotations, truth.root_translation))
+    files = {"--pred": cell / "truth.pgseq", "--truth": cell / "truth.pgseq", flag: bad}
+    rc = main(["eval", *(str(x) for kv in files.items() for x in kv),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: {flag} {bad}: degenerate 6DoF at frame 3, "
+                                       f"joint 5: zero first column\n")
+
+
 def test_infer_refuses_an_infinite_sigma_by_name(data_dir, tmp_path, capsys):
     # json reads "Infinity"; the set used to accept it and infer then died in the
     # root smoothing with an OverflowError traceback that main did not catch

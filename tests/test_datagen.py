@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from poseguide.datagen import (
-    LOWER_BONES, BenchmarkCell, BenchmarkManifest, MotionSpec, PresetError,
+    BenchmarkCell, BenchmarkManifest, MotionSpec, PresetError,
     expand_cell, generate_motion, load_sequence, parse_preset,
     save_sequence, scale_ground_truth, write_cells,
 )
-from poseguide.skeleton import PoseSequence, default_skeleton, forward_kinematics
+from poseguide.skeleton import default_skeleton, forward_kinematics
+
+LOWER_BONES = (1, 2, 4, 5, 7, 8, 10, 11)  # hips to feet: only a uniform preset scales them
 
 
 def test_motion_spec_validation():
@@ -125,11 +127,9 @@ def test_reach_wrist_orientation_is_uninformative():
 
 
 def test_parse_preset_vocabulary():
-    f, uniform = parse_preset("uniform:1.3")
-    assert uniform and np.allclose(f, 1.3)
-    f, uniform = parse_preset("arms:1.4,torso:0.8")
-    assert not uniform
-    assert np.allclose(f[list(LOWER_BONES)], 1.0)
+    assert np.allclose(parse_preset("uniform:1.3"), 1.3)
+    for preset in ("arms:1.4,torso:0.8", "upper:0.7", "torso:1.2,arms:0.9"):
+        assert np.array_equal(parse_preset(preset)[list(LOWER_BONES)], np.ones(8))
     with pytest.raises(PresetError):
         parse_preset("legs:2.0")
     with pytest.raises(PresetError):
@@ -188,9 +188,7 @@ def test_sequence_load_errors(tmp_path):
     (tmp_path / "trunc.pgseq").write_bytes(raw[:-16])
     with refused("trunc.pgseq", "truncated"):
         load_sequence(tmp_path / "trunc.pgseq")
-    bad = seq.rotations.copy()
-    bad[7, 3, 2] = np.nan
-    save_sequence(tmp_path / "nan.pgseq", PoseSequence(bad, seq.root_translation))
+    (tmp_path / "nan.pgseq").write_bytes(with_float(raw, (7 * 22 + 3) * 6 + 2, np.nan))
     with refused("nan.pgseq", "non-finite rotation at frame 7, joint 3"):
         load_sequence(tmp_path / "nan.pgseq")
     vraw = bytearray(raw)
@@ -218,10 +216,15 @@ def _saved(seq, path, edit=None) -> bytes:
     return path.read_bytes() if edit is None else edit_header(path.read_bytes(), edit)
 
 
+def with_float(raw: bytes, index: int, value: float) -> bytes:
+    """Pose-sequence bytes ``raw`` with float ``index`` of the body (rotations, then
+    root translation) set to ``value``."""
+    at = 9 + int.from_bytes(raw[5:9], "little") + 8 * index
+    return raw[:at] + np.float64(value).tobytes() + raw[at + 8 :]
+
+
 def _infinite_root(seq, path):
-    root = seq.root_translation.copy()
-    root[4, 1] = np.inf
-    return _saved(PoseSequence(seq.rotations, root), path)
+    return with_float(_saved(seq, path), seq.rotations.size + 4 * 3 + 1, np.inf)
 
 
 @pytest.mark.parametrize("make, match", [
@@ -266,3 +269,25 @@ def test_benchmark_manifest_roundtrip_and_write(tmp_path):
     poses_b, _, meas_b = expand_cell(cells[0], skel)
     assert np.array_equal(poses_a.rotations, poses_b.rotations)
     assert np.array_equal(meas_a.locations, meas_b.locations)
+
+
+def test_cell_names_are_distinct(tmp_path):
+    # two walk cells at amplitudes 0.5 and 1 used to write one directory, and the
+    # lock listed its name twice; the amplitude is named only when it is not 1
+    walk = [BenchmarkCell(MotionSpec("walk", 20, amplitude=a)) for a in (0.5, 1.0)]
+    names = ["walk_f20_m0_a0.5_uniform1p0_sl0_sr0_s0", "walk_f20_m0_uniform1p0_sl0_sr0_s0"]
+    assert [c.name() for c in walk] == names
+    lock = write_cells(BenchmarkManifest(walk), default_skeleton(), tmp_path)
+    assert [c["name"] for c in lock["cells"]] == names
+    assert sorted(d.name for d in tmp_path.iterdir() if d.is_dir()) == sorted(names)
+    # a repeated name is refused by both cell indices, also when :g rounds two sigmas together
+    close = [BenchmarkCell(MotionSpec("walk", 20), sigma_l=s) for s in (0.05, 0.0500000001)]
+    for cells, first, second, name in ((walk + walk[1:], 1, 2, names[1]),
+                                       (close, 0, 1, "walk_f20_m0_uniform1p0_sl0.05_sr0_s0")):
+        with pytest.raises(ValueError, match=f"^cells {first} and {second} share the name "
+                                             f"'{re.escape(name)}'$"):
+            BenchmarkManifest(cells)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"cells": [{"motion": {"kind": "walk", "frames": 20}}] * 2}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} .*cells 0 and 1 share"):
+        BenchmarkManifest.load(path)

@@ -11,7 +11,7 @@ from poseguide.measurement import (
     MeasurementSet, build_A, differential_transform, extract_measurements,
 )
 from poseguide.skeleton import (
-    PoseSequence, Skeleton, build_skeleton, default_skeleton, forward_kinematics,
+    PoseSequence, Skeleton, default_skeleton, forward_kinematics,
 )
 from tests.test_rot6d import random_rotations
 from tests.test_skeleton import random_pose_matrices
@@ -23,7 +23,7 @@ def random_skeleton(seed, n_joints=12):
     bones = rng.standard_normal((n_joints, 3)) * 0.3
     bones[0] = 0.0
     measured = sorted(rng.choice(np.arange(1, n_joints), size=3, replace=False).tolist())
-    return build_skeleton(parents, bones, tuple(measured))
+    return Skeleton(parents, bones, tuple(measured))
 
 
 def test_operator_matches_fk_default_skeleton():
@@ -109,8 +109,8 @@ def test_operator_matrices_are_c_contiguous():
 
 
 def test_measured_joint_outside_the_tree_is_refused():
-    # a negative index would wrap round silently in build_A's indexing, so a
-    # Skeleton built without build_skeleton refuses it before build_A can run
+    # a negative index would wrap round silently in build_A's indexing, so
+    # Skeleton refuses it before build_A can run
     skel = default_skeleton()
     with pytest.raises(ValueError, match=r"measured .* got \[15, 20, -1\]"):
         build_A(Skeleton(skel.parents, skel.bone_vectors, (15, 20, -1)))

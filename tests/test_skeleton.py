@@ -9,7 +9,7 @@ import pytest
 from poseguide import rot6d
 from poseguide.skeleton import (
     HEAD, MEASURED_JOINTS, SMPL_PARENTS, PoseSequence, Skeleton, SkeletonError,
-    build_skeleton, default_skeleton, forward_kinematics,
+    default_skeleton, forward_kinematics,
     recover_root_translation, scale_skeleton,
 )
 from tests.test_rot6d import random_rotations
@@ -98,11 +98,21 @@ def test_scale_skeleton_validates():
 def test_build_skeleton_rejects_bad_trees():
     bones = np.zeros((3, 3))
     with pytest.raises(SkeletonError):
-        build_skeleton([-1, 2, 1], bones)  # forward reference
+        Skeleton([-1, 2, 1], bones)  # forward reference
     with pytest.raises(SkeletonError):
-        build_skeleton([0, 0, 1], bones)  # no root marker
+        Skeleton([0, 0, 1], bones)  # no root marker
     with pytest.raises(SkeletonError):
-        build_skeleton([-1, -1, 0], bones)  # two roots
+        Skeleton([-1, -1, 0], bones)  # two roots
+    # a directly built Skeleton used to take these, and FK then read joint 9
+    # before placing it, or returned NaN
+    parents = list(SMPL_PARENTS)
+    parents[5] = 9
+    with pytest.raises(SkeletonError, match=r"^parents\[5\] = 9: a parent must precede its child$"):
+        Skeleton(np.array(parents), default_skeleton().bone_vectors)
+    bones = np.array(default_skeleton().bone_vectors)
+    bones[7, 1] = np.nan
+    with pytest.raises(SkeletonError, match="^non-finite bone vector at joint 7$"):
+        Skeleton(SMPL_PARENTS, bones)
 
 
 def test_default_parents_table():
@@ -190,3 +200,21 @@ def test_pose_sequence_validation_and_locations():
     off = PoseSequence(rot * 1.7, np.zeros((5, 3)))
     assert not off.is_valid()
     assert off.rotation_matrices().shape == (5, 22, 3, 3)
+    # a NaN used to be stored, and evaluate_cell then reported an MPJPE of NaN
+    bad = rot.copy()
+    bad[3, 4, 1] = np.nan
+    with pytest.raises(ValueError, match="^non-finite rotation at frame 3, joint 4$"):
+        PoseSequence(bad, np.zeros((5, 3)))
+    root = np.zeros((5, 3))
+    root[2, 0] = -np.inf
+    with pytest.raises(ValueError, match="^non-finite root translation at frame 2$"):
+        PoseSequence(rot, root)
+    # a degenerate entry is named by frame and joint, not by its flat index (70)
+    zero = rot.copy()
+    zero[3, 4, :3] = 0.0
+    seq = PoseSequence(zero, np.zeros((5, 3)))
+    with pytest.raises(rot6d.DegenerateRotationError,
+                       match="^degenerate 6DoF at frame 3, joint 4: zero first column$") as err:
+        seq.rotation_matrices()
+    assert err.value.sequence is seq and err.value.index == 3 * 22 + 4
+    assert not seq.is_valid()
