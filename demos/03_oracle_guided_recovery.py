@@ -24,7 +24,7 @@ cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
 for scale in (0.6, 1.0, 1.4):
     base = generate_motion(MotionSpec(kind="arm-swing", frames=60, seed=9), skel)
     truth, sk = scale_ground_truth(base, skel, f"uniform:{scale}")
-    meas = extract_measurements(truth, sk, 0.0, 0.0, seed=0)
+    meas = extract_measurements(truth, sk, 0.0, seed=0)
     oracle = OracleDenoiser(truth.rotations)
     pred = run_guided_inference(meas, sk, oracle, 50, cfg, seed=1)
     geo = rot6d.geodesic_angle(
@@ -36,7 +36,7 @@ for scale in (0.6, 1.0, 1.4):
 
 # root cancellation: shift every sensor by a constant offset
 truth = generate_motion(MotionSpec(kind="arm-swing", frames=60, seed=9), skel)
-meas = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
+meas = extract_measurements(truth, skel, 0.0, seed=0)
 oracle = OracleDenoiser(truth.rotations)
 a = run_guided_inference(meas, skel, oracle, 50, cfg, seed=1)
 meas.locations = meas.locations + np.array([2.0, 0.5, -1.0])

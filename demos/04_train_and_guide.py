@@ -26,7 +26,7 @@ seqs = []
 for kind, count in (("reach", 4), ("arm-swing", 2), ("idle-sway", 1)):
     for s in range(count):
         seqs.append(generate_motion(MotionSpec(kind=kind, frames=123, seed=100 + s), skel))
-dataset = [(s, extract_measurements(s, skel, 0.0, 0.0, seed=i))
+dataset = [(s, extract_measurements(s, skel, 0.0, seed=i))
            for i, s in enumerate(seqs)]
 
 losses = []
@@ -42,7 +42,7 @@ cells = []
 for scale in (0.8, 1.0, 1.2):
     seq0 = generate_motion(MotionSpec(kind="reach", frames=82, seed=900), skel)
     truth, sk = scale_ground_truth(seq0, skel, f"uniform:{scale}")
-    meas = extract_measurements(truth, sk, 0.0, 0.0, seed=1)
+    meas = extract_measurements(truth, sk, 0.0, seed=1)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
     pred = run_guided_inference(meas, sk, prior, 50, cfg, seed=3)
     cells.append(evaluate_cell(pred, sk, truth, scale, f"reach_uniform{scale}"))

@@ -68,10 +68,9 @@ def _load_skeleton(path) -> Skeleton:
 
 def cmd_gen_data(args) -> int:
     manifest = BenchmarkManifest.load(_existing(args.manifest, "manifest"))
-    skeleton = _load_skeleton(args.skeleton)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_cells(manifest, skeleton, out)
+    write_cells(manifest, out)
     _echo_config(out / "config-echo.json", args)
     print(f"wrote {len(manifest.cells)} cells to {out}")
     return EXIT_OK
@@ -79,11 +78,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     data_dir = _existing(args.data, "data", directory=True)
-    dataset = []
+    cell_dirs, dataset = [], []
     for cell_dir in sorted(data_dir.iterdir()):
         truth = cell_dir / "truth.pgseq"
         meas = cell_dir / "measurements.jsonl"
         if truth.exists() and meas.exists():
+            cell_dirs.append(cell_dir)
             dataset.append((load_sequence(truth), MeasurementSet.load(meas)))
     if not dataset:
         raise UsageError(f"no training cells under {data_dir}")
@@ -92,7 +92,12 @@ def cmd_train(args) -> int:
         steps=args.steps, seed=args.seed, cond_spec=args.cond_spec, hidden=args.hidden,
     )
     losses = []
-    model = train_denoiser(dataset, config, loss_callback=lambda s, l: losses.append((s, l)))
+    try:
+        model = train_denoiser(dataset, config, loss_callback=lambda s, l: losses.append((s, l)))
+    except TrainingError as exc:
+        if exc.sequence is not None:
+            exc.args = (f"{cell_dirs[exc.sequence]}: {exc}",)
+        raise
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
@@ -149,7 +154,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"{flag} {path}: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    metrics.write_report([cell], out, out.with_suffix(".csv"))
+    metrics.write_report(cell, out, out.with_suffix(".csv"))
     _echo_config(out.with_suffix(".config-echo.json"), args)
     print(json.dumps(cell, indent=2))
     return EXIT_OK
@@ -193,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="expand a benchmark manifest into data files")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--skeleton", default=None)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the toy conditional denoiser")

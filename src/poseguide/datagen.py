@@ -11,19 +11,18 @@ latent), so the wrist *location* is the only disambiguating signal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import rot6d
-from .denoiser import check_count, check_real
+from .denoiser import check_count
 from .measurement import check_sigma, extract_measurements
-from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, scale_skeleton
+from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, default_skeleton, scale_skeleton
 
 FRAME_HZ = 60.0
 MOTION_KINDS = ("idle-sway", "walk", "arm-swing", "squat", "reach")
-MAX_AMPLITUDE = 1.5
 
 # Bone index groups for body-variation presets.
 ARM_BONES = (13, 14, 16, 17, 18, 19, 20, 21)
@@ -38,7 +37,7 @@ class PresetError(ValueError):
 @dataclass
 class MotionSpec:
     """One synthetic motion: ``frames`` frames of ``kind`` at ``FRAME_HZ``, one
-    cycle per second, its joint angles scaled by ``amplitude``.
+    cycle per second.
 
     Only ``reach`` reads ``seed`` (its latent flexion walk).  The other kinds are
     fixed curves, so two specs that differ only in ``seed`` give the same motion.
@@ -46,7 +45,6 @@ class MotionSpec:
 
     kind: str
     frames: int
-    amplitude: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -54,9 +52,6 @@ class MotionSpec:
             raise ValueError(f"unknown motion kind {self.kind!r}")
         check_count("frames", self.frames, 1)
         check_count("seed", self.seed, 0)
-        check_real("amplitude", self.amplitude)
-        if not 0.0 <= self.amplitude <= MAX_AMPLITUDE:
-            raise ValueError(f"amplitude must be in [0, {MAX_AMPLITUDE}], got {self.amplitude}")
 
 
 def _rot(axis: str, angle):
@@ -82,7 +77,6 @@ def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
     F = spec.frames
     tau = np.arange(F) / FRAME_HZ
     phi = 2.0 * np.pi * tau
-    a = spec.amplitude
     n = skeleton.joint_count
 
     local = np.broadcast_to(np.eye(3), (F, n, 3, 3)).copy()
@@ -93,39 +87,39 @@ def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
         local[:, j] = _rot(axis, angle)
 
     if spec.kind == "idle-sway":
-        set_local(9, "z", 0.12 * a * np.sin(phi))
-        set_local(12, "x", 0.08 * a * np.sin(phi + 0.5))
-        set_local(16, "z", -0.10 * a * np.sin(phi + 0.2))
-        set_local(17, "z", 0.10 * a * np.sin(phi + 0.2))
+        set_local(9, "z", 0.12 * np.sin(phi))
+        set_local(12, "x", 0.08 * np.sin(phi + 0.5))
+        set_local(16, "z", -0.10 * np.sin(phi + 0.2))
+        set_local(17, "z", 0.10 * np.sin(phi + 0.2))
     elif spec.kind == "walk":
-        swing = 0.5 * a * np.sin(phi)
+        swing = 0.5 * np.sin(phi)
         set_local(1, "x", swing)
         set_local(2, "x", -swing)
-        set_local(4, "x", 0.35 * a * (1.0 - np.cos(phi - np.pi / 2)))
-        set_local(5, "x", 0.35 * a * (1.0 - np.cos(phi + np.pi / 2)))
-        set_local(16, "x", -0.35 * a * np.sin(phi))
-        set_local(17, "x", 0.35 * a * np.sin(phi))
-        set_local(18, "z", -0.15 * a * (1.0 + np.sin(phi)))
-        set_local(19, "z", 0.15 * a * (1.0 + np.sin(phi)))
-        set_local(3, "y", 0.08 * a * np.sin(phi))
+        set_local(4, "x", 0.35 * (1.0 - np.cos(phi - np.pi / 2)))
+        set_local(5, "x", 0.35 * (1.0 - np.cos(phi + np.pi / 2)))
+        set_local(16, "x", -0.35 * np.sin(phi))
+        set_local(17, "x", 0.35 * np.sin(phi))
+        set_local(18, "z", -0.15 * (1.0 + np.sin(phi)))
+        set_local(19, "z", 0.15 * (1.0 + np.sin(phi)))
+        set_local(3, "y", 0.08 * np.sin(phi))
         root[:, 0] = 0.9 * tau
-        root[:, 1] += 0.02 * a * np.cos(2.0 * phi)
+        root[:, 1] += 0.02 * np.cos(2.0 * phi)
     elif spec.kind == "arm-swing":
-        set_local(16, "x", 0.7 * a * np.sin(phi))
-        set_local(17, "x", 0.7 * a * np.sin(phi + np.pi))
-        set_local(18, "z", -0.4 * a * (1.0 - np.cos(phi)) / 2.0)
-        set_local(19, "z", 0.4 * a * (1.0 - np.cos(phi)) / 2.0)
-        set_local(12, "y", 0.06 * a * np.sin(phi))
+        set_local(16, "x", 0.7 * np.sin(phi))
+        set_local(17, "x", 0.7 * np.sin(phi + np.pi))
+        set_local(18, "z", -0.4 * (1.0 - np.cos(phi)) / 2.0)
+        set_local(19, "z", 0.4 * (1.0 - np.cos(phi)) / 2.0)
+        set_local(12, "y", 0.06 * np.sin(phi))
     elif spec.kind == "squat":
         dip = (1.0 - np.cos(phi)) / 2.0
-        set_local(1, "x", -0.8 * a * dip)
-        set_local(2, "x", -0.8 * a * dip)
-        set_local(4, "x", 1.2 * a * dip)
-        set_local(5, "x", 1.2 * a * dip)
-        set_local(7, "x", -0.4 * a * dip)
-        set_local(8, "x", -0.4 * a * dip)
-        set_local(3, "x", 0.25 * a * dip)
-        root[:, 1] -= 0.25 * a * dip
+        set_local(1, "x", -0.8 * dip)
+        set_local(2, "x", -0.8 * dip)
+        set_local(4, "x", 1.2 * dip)
+        set_local(5, "x", 1.2 * dip)
+        set_local(7, "x", -0.4 * dip)
+        set_local(8, "x", -0.4 * dip)
+        set_local(3, "x", 0.25 * dip)
+        root[:, 1] -= 0.25 * dip
     elif spec.kind == "reach":
         # Latent flexion follows a smooth per-frame random walk; the wrist
         # orientation is pinned to a constant below, so only the wrist
@@ -136,13 +130,13 @@ def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
         xi = rng.standard_normal(F)
         for k in range(1, F):
             z[k] = rho * z[k - 1] + np.sqrt(1.0 - rho**2) * xi[k]
-        flex = a * (0.55 + 0.35 * np.tanh(z))
+        flex = 0.55 + 0.35 * np.tanh(z)
         sh = 0.9 * flex
-        local[:, 16] = _rot("z", np.full(F, -0.25 * a)) @ _rot("x", -sh)
-        local[:, 17] = _rot("z", np.full(F, 0.25 * a)) @ _rot("x", -sh)
+        local[:, 16] = _rot("z", np.full(F, -0.25)) @ _rot("x", -sh)
+        local[:, 17] = _rot("z", np.full(F, 0.25)) @ _rot("x", -sh)
         set_local(18, "z", -1.2 * flex)
         set_local(19, "z", 1.2 * flex)
-        set_local(9, "y", 0.05 * a * np.sin(phi))
+        set_local(9, "y", 0.05 * np.sin(phi))
 
     # compose local angles into global rotations down the tree
     R = np.empty_like(local)
@@ -252,7 +246,6 @@ class BenchmarkCell:
     motion: MotionSpec
     preset: str = "uniform:1.0"
     sigma_l: float = 0.0
-    sigma_r: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -261,16 +254,11 @@ class BenchmarkCell:
             raise PresetError(f"preset must be a string, got {self.preset!r}")
         parse_preset(self.preset)
         check_sigma("sigma_l", self.sigma_l)
-        check_sigma("sigma_r", self.sigma_r)
 
     def name(self) -> str:
-        """Directory name; the amplitude appears only when it is not 1."""
         preset = self.preset.replace(":", "").replace(",", "_").replace(".", "p")
-        amplitude = "" if self.motion.amplitude == 1.0 else f"_a{self.motion.amplitude:g}"
-        return (
-            f"{self.motion.kind}_f{self.motion.frames}_m{self.motion.seed}{amplitude}"
-            f"_{preset}_sl{self.sigma_l:g}_sr{self.sigma_r:g}_s{self.seed}"
-        )
+        return (f"{self.motion.kind}_f{self.motion.frames}_m{self.motion.seed}"
+                f"_{preset}_sl{self.sigma_l:g}_s{self.seed}")
 
 
 @dataclass
@@ -288,14 +276,14 @@ class BenchmarkManifest:
 
     @staticmethod
     def from_json(text: str) -> "BenchmarkManifest":
-        # a missing field takes the BenchmarkCell default; unknown fields are ignored
-        fields = ("preset", "sigma_l", "sigma_r", "seed")
-        return BenchmarkManifest([
-            BenchmarkCell(MotionSpec(**c["motion"]), **{k: c[k] for k in fields if k in c})
-            for c in json.loads(text)["cells"]])
-
-    def to_json(self) -> str:
-        return json.dumps({"cells": [asdict(c) for c in self.cells]}, indent=2)
+        # a missing field takes the BenchmarkCell default; a misspelled or retired one is refused
+        cells = []
+        for i, c in enumerate(json.loads(text)["cells"]):
+            unknown = set(c) - {f.name for f in fields(BenchmarkCell)}
+            if unknown:
+                raise ValueError(f"cell {i}: unknown field {min(unknown)!r}")
+            cells.append(BenchmarkCell(**{**c, "motion": MotionSpec(**c["motion"])}))
+        return BenchmarkManifest(cells)
 
     @staticmethod
     def load(path) -> "BenchmarkManifest":
@@ -307,15 +295,16 @@ class BenchmarkManifest:
                              f"({type(exc).__name__}: {exc})") from exc
 
 
-def expand_cell(cell: BenchmarkCell, skeleton: Skeleton):
-    """Materialize one manifest cell: (truth poses, cell skeleton, measurements)."""
+def expand_cell(cell: BenchmarkCell):
+    """Materialize one manifest cell on the default skeleton: (truth, skeleton, measurements)."""
+    skeleton = default_skeleton()
     poses = generate_motion(cell.motion, skeleton)
     poses, cell_skel = scale_ground_truth(poses, skeleton, cell.preset)
-    meas = extract_measurements(poses, cell_skel, cell.sigma_l, cell.sigma_r, seed=cell.seed)
+    meas = extract_measurements(poses, cell_skel, cell.sigma_l, seed=cell.seed)
     return poses, cell_skel, meas
 
 
-def write_cells(manifest: BenchmarkManifest, skeleton: Skeleton, out_dir) -> dict:
+def write_cells(manifest: BenchmarkManifest, out_dir) -> dict:
     """Expand every cell into files under ``out_dir``; returns the manifest lock."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -323,7 +312,7 @@ def write_cells(manifest: BenchmarkManifest, skeleton: Skeleton, out_dir) -> dic
     for cell in manifest.cells:
         cell_dir = out / cell.name()
         cell_dir.mkdir(exist_ok=True)
-        poses, cell_skel, meas = expand_cell(cell, skeleton)
+        poses, cell_skel, meas = expand_cell(cell)
         save_sequence(cell_dir / "truth.pgseq", poses)
         meas.save(cell_dir / "measurements.jsonl")
         cell_skel.save(cell_dir / "skeleton.json")

@@ -40,7 +40,9 @@ COND_DIMS = {"rotations": 18, "locations": 9}  # per-frame conditioning width
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (empty dataset, non-finite loss, ...)."""
+    """Training aborted (no data, non-finite loss, ...); ``sequence`` indexes a refused pair."""
+
+    sequence: int | None = None
 
 
 TERMINAL = 15.0  # diffusion horizon: t runs over [0, TERMINAL]
@@ -341,15 +343,17 @@ def _extract_windows(dataset, config: TrainConfig):
     W = config.window
     states, conds = [], []
     for i, (poses, meas) in enumerate(dataset):
+        refusal = None
         if poses.joint_count != JOINT_COUNT:
-            raise TrainingError(f"sequence {i}: poses have {poses.joint_count} joints, "
-                                f"expected {JOINT_COUNT}")
-        if meas.frames != poses.frames:
-            raise TrainingError(f"sequence {i}: {poses.frames} pose frames but "
-                                f"{meas.frames} measured frames")
-        if poses.frames < W:
-            raise TrainingError(f"sequence {i}: {poses.frames} frames, shorter than the "
-                                f"window of {W}")
+            refusal = f"poses have {poses.joint_count} joints, expected {JOINT_COUNT}"
+        elif meas.frames != poses.frames:
+            refusal = f"{poses.frames} pose frames but {meas.frames} measured frames"
+        elif poses.frames < W:
+            refusal = f"{poses.frames} frames, shorter than the window of {W}"
+        if refusal is not None:
+            exc = TrainingError(f"sequence {i}: {refusal}")
+            exc.sequence = i
+            raise exc
         cond = make_conditioning(meas, config.cond_spec)
         for start in range(0, poses.frames - W + 1, max(1, W // 4)):
             states.append(poses.rotations[start : start + W])

@@ -28,15 +28,17 @@ from .uncertainty import projected_sigma
 
 
 def check_sigma(name: str, value) -> None:
-    """Refuse, by ``name``, a noise level that is not a finite non-negative real (a bool is not)."""
+    """Refuse, by ``name``, a noise level that is not a real (a bool is not) in [0, 1000] m."""
     check_real(name, value)
     if not 0.0 <= value < np.inf:  # also refuses NaN
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    if value > 1000.0:  # a larger one can overflow the sampler's sigma_l**2
+        raise ValueError(f"{name} must be at most 1000 m, got {value}")
 
 
 @dataclass
 class MeasurementSet:
-    """Noisy per-frame locations and 6DoF rotations of the measured joints.
+    """Per-frame locations (noise level ``sigma_l``) and 6DoF rotations of the measured joints.
 
     Joint order is fixed: (head, left wrist, right wrist).
     """
@@ -44,7 +46,6 @@ class MeasurementSet:
     locations: np.ndarray  # (frames, 3, 3) meters
     rotations: np.ndarray  # (frames, 3, 6)
     sigma_l: float
-    sigma_r: float
 
     def __post_init__(self):
         self.locations = np.asarray(self.locations, dtype=float)
@@ -54,7 +55,6 @@ class MeasurementSet:
         if self.rotations.shape != self.locations.shape[:1] + (3, 6):
             raise ValueError(f"rotations must be (frames, 3, 6), got {self.rotations.shape}")
         check_sigma("sigma_l", self.sigma_l)
-        check_sigma("sigma_r", self.sigma_r)
         for name, values in (("locations", self.locations), ("rotations", self.rotations)):
             bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
             if bad.size:
@@ -66,8 +66,7 @@ class MeasurementSet:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(json.dumps({"frames": self.frames, "sigma_l": self.sigma_l,
-                                 "sigma_r": self.sigma_r}) + "\n")
+            fh.write(json.dumps({"frames": self.frames, "sigma_l": self.sigma_l}) + "\n")
             for i in range(self.frames):
                 fh.write(json.dumps({"t": i, "loc": self.locations[i].tolist(),
                                      "rot": self.rotations[i].tolist()}) + "\n")
@@ -80,7 +79,7 @@ class MeasurementSet:
                 docs = [json.loads(line) for line in fh]
             locs, rots = [d["loc"] for d in docs], [d["rot"] for d in docs]
             times = [d["t"] for d in docs]
-            frames, sigma_l, sigma_r = header["frames"], header["sigma_l"], header["sigma_r"]
+            frames, sigma_l = header["frames"], header["sigma_l"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path} is not a measurement file "
                              f"({type(exc).__name__}: {exc})") from exc
@@ -91,22 +90,21 @@ class MeasurementSet:
             check_count("frames", frames, 1)
             if len(locs) != frames:
                 raise ValueError(f"truncated file: {len(locs)} of {frames} frames")
-            return MeasurementSet(locs, rots, sigma_l, sigma_r)
+            return MeasurementSet(locs, rots, sigma_l)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def extract_measurements(poses, skeleton: Skeleton, sigma_l: float, sigma_r: float,
+def extract_measurements(poses, skeleton: Skeleton, sigma_l: float,
                          seed: int = 0) -> MeasurementSet:
-    """Simulate sensors: FK locations and 6DoF rotations of the measured joints
-    plus iid Gaussian noise.  Deterministic for a fixed seed."""
+    """Simulate sensors: FK locations of the measured joints plus iid Gaussian noise
+    of level ``sigma_l``, and their exact 6DoF rotations.  Deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     m = list(skeleton.measured_joints)
     locs = poses.joint_locations(skeleton)[:, m, :]
     rots = poses.rotations[:, m, :]
     locs = locs + sigma_l * rng.standard_normal(locs.shape)
-    rots = rots + sigma_r * rng.standard_normal(rots.shape)
-    return MeasurementSet(locs, rots, sigma_l, sigma_r)
+    return MeasurementSet(locs, rots, sigma_l)
 
 
 @dataclass

@@ -63,19 +63,13 @@ def evaluate_cell(pred: PoseSequence, skeleton: Skeleton, truth: PoseSequence,
     }
 
 
-def write_report(cells: list, json_path, csv_path=None) -> None:
-    """Write the cells, the mean of each metric over them and the UPE/LPE
-    partition as JSON; with ``csv_path``, also one CSV row per cell."""
-    aggregate = {}
-    for k in ("mpjpe", "mpjre", "upe", "lpe", "scaled_mpjpe", "jitter"):
-        vals = [c[k] for c in cells if c.get(k) is not None]
-        aggregate[k] = float(np.mean(vals)) if vals else None
+def write_report(cell: dict, json_path, csv_path) -> None:
+    """Write one cell with the UPE/LPE partition as JSON, and the cell as a CSV row."""
     doc = {"partition": {"upper": list(UPPER_JOINTS), "lower": list(LOWER_JOINTS)},
-           "cells": cells, "aggregate": aggregate}
+           "cells": [cell]}
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2)
-    if csv_path is not None and cells:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(cells[0].keys()))
-            writer.writeheader()
-            writer.writerows(cells)
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(cell))
+        writer.writeheader()
+        writer.writerow(cell)

@@ -203,7 +203,7 @@ def test_oracle_exact_recovery_across_scales():
     for scale in (0.6, 1.0, 1.4):
         base = generate_motion(MotionSpec(kind="arm-swing", frames=60, seed=9), skel)
         truth, sk = scale_ground_truth(base, skel, f"uniform:{scale}")
-        meas = extract_measurements(truth, sk, 0.0, 0.0, seed=0)
+        meas = extract_measurements(truth, sk, 0.0, seed=0)
         oracle = OracleDenoiser(truth.rotations)
         pred = run_guided_inference(meas, sk, oracle, 50, cfg, seed=1)
         # geodesic_angle already returns degrees, so the checked value is degrees x 180/pi
@@ -226,11 +226,11 @@ def test_oracle_exact_recovery_across_scales():
 def test_root_cancellation_invariance():
     skel = default_skeleton()
     truth = generate_motion(MotionSpec(kind="arm-swing", frames=50, seed=3), skel)
-    meas = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
+    meas = extract_measurements(truth, skel, 0.0, seed=0)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
     oracle = OracleDenoiser(truth.rotations)
     a = run_guided_inference(meas, skel, oracle, 50, cfg, seed=5)
-    shifted = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
+    shifted = extract_measurements(truth, skel, 0.0, seed=0)
     shifted.locations = shifted.locations + np.array([3.2, -1.5, 0.7])
     b = run_guided_inference(shifted, skel, oracle, 50, cfg, seed=5)
     identical = np.array_equal(a.rotations, b.rotations)
@@ -255,7 +255,7 @@ def trend_models():
     for kind, count in (("reach", 6), ("arm-swing", 3), ("walk", 2), ("idle-sway", 2)):
         for s in range(count):
             seqs.append(generate_motion(MotionSpec(kind=kind, frames=164, seed=100 + s), skel))
-    dataset = [(s, extract_measurements(s, skel, 0.0, 0.0, seed=i))
+    dataset = [(s, extract_measurements(s, skel, 0.0, seed=i))
                for i, s in enumerate(seqs)]
     configs = [TrainConfig(steps=1500, seed=0, hidden=160, cond_spec="rotations",
                            dropout_prob=0.1),
@@ -281,7 +281,7 @@ def _eval_cell(skel, prior, baseline, scale, sigma_l, n_test=3):
         seq0 = generate_motion(MotionSpec(kind="reach", frames=164, seed=900 + s),
                                default_skeleton())
         truth, sk = scale_ground_truth(seq0, default_skeleton(), f"uniform:{scale}")
-        meas = extract_measurements(truth, sk, sigma_l, 0.0, seed=50 + s)
+        meas = extract_measurements(truth, sk, sigma_l, seed=50 + s)
         gcfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=max(sigma_l, 0.01))
         guided = run_guided_inference(meas, sk, prior, 50, gcfg, seed=3)
         guided_errs.append(evaluate_cell(guided, sk, truth)["mpjpe"])

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from poseguide.cli import EXIT_OK, EXIT_USAGE, main
-from poseguide.datagen import (
-    BenchmarkCell, BenchmarkManifest, MotionSpec, load_sequence, save_sequence,
-)
+from poseguide.datagen import load_sequence, save_sequence
 from poseguide.denoiser import MLPDenoiser, TrainConfig
 from poseguide.skeleton import PoseSequence
 from tests.test_datagen import edit_header
@@ -18,13 +16,10 @@ from tests.test_datagen import edit_header
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    manifest = BenchmarkManifest([
-        BenchmarkCell(MotionSpec(kind="reach", frames=48, seed=s)) for s in range(3)
-    ] + [
-        BenchmarkCell(MotionSpec(kind="arm-swing", frames=48, seed=9)),
-    ])
+    cells = [{"motion": {"kind": "reach", "frames": 48, "seed": s}} for s in range(3)]
+    cells.append({"motion": {"kind": "arm-swing", "frames": 48, "seed": 9}})
     mpath = root / "manifest.json"
-    mpath.write_text(manifest.to_json())
+    mpath.write_text(json.dumps({"cells": cells}))
     out = root / "data"
     assert main(["gen-data", "--manifest", str(mpath), "--out", str(out)]) == EXIT_OK
     return root
@@ -245,12 +240,15 @@ def _one_cell_manifest(motion=None, **fields):
     ("--measurements", _edited_measurements(sigma_l="0.01"),
      "sigma_l must be a real number, got '0.01'"),
     ("--measurements", _edited_measurements(sigma_l=None), "sigma_l must be a real number, got None"),
-    ("--measurements", _edited_measurements(sigma_r=[0]), "sigma_r must be a real number, got [0]"),
+    ("--measurements", _edited_measurements(sigma_l=[0]), "sigma_l must be a real number, got [0]"),
     ("--measurements", _edited_measurements(sigma_l=True), "sigma_l must be a real number, got True"),
     # "41" frames used to be refused as "truncated file: 41 of 41 frames", and true
     # frames with one frame line to be accepted
     ("--measurements", _edited_measurements(41, frames="41"), "frames must be an integer, got '41'"),
     ("--measurements", _edited_measurements(1, frames=True), "frames must be an integer, got True"),
+    # a finite but huge sigma_l used to escape infer as an OverflowError traceback (exit 1)
+    ("--measurements", _edited_measurements(sigma_l=1e306),
+     "sigma_l must be at most 1000 m, got 1e+306"),
     ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json", ""),
     ("--skeleton", _skeleton_with_bone(float("nan")), "joint 18"),
     ("--skeleton", _skeleton_with_bone(float("inf")), "joint 18"),
@@ -279,16 +277,18 @@ def _one_cell_manifest(motion=None, **fields):
      "sigma_l must be finite and non-negative, got -1"),
     # a cell's sigma that is not a number used to be refused as a TypeError from a
     # comparison, naming no field, and true to pass
-    ("--manifest", _one_cell_manifest(sigma_r="0.01"), "sigma_r must be a real number, got '0.01'"),
+    ("--manifest", _one_cell_manifest(sigma_l="0.01"), "sigma_l must be a real number, got '0.01'"),
     ("--manifest", _one_cell_manifest(sigma_l=True), "sigma_l must be a real number, got True"),
-    # a NaN or infinite preset scale used to fail later at a bone vector, naming no
-    # preset, and a string amplitude to escape as a TypeError naming no field
+    # a NaN or infinite preset scale used to fail later at a bone vector, naming no preset
     ("--manifest", _one_cell_manifest(preset="uniform:nan"),
      "preset component 'uniform:nan': scale must be finite and positive"),
     ("--manifest", _one_cell_manifest(preset="arms:1.2,torso:inf"),
      "preset component 'torso:inf': scale must be finite and positive"),
+    # the amplitude is fixed, and the rotation noise is gone: a cell that sets either
+    # is refused by name, where a retired cell field used to be ignored
     ("--manifest", _one_cell_manifest(motion={"kind": "walk", "frames": 10, "amplitude": "1.0"}),
-     "amplitude must be a real number, got '1.0'"),
+     "unexpected keyword argument 'amplitude'"),
+    ("--manifest", _one_cell_manifest(sigma_r=0.02), "cell 0: unknown field 'sigma_r'"),
     # a directory used to escape as an IsADirectoryError traceback (exit 1)
     ("--measurements", lambda cell, tmp: cell, "must be a file"),
     ("--skeleton", lambda cell, tmp: cell, "must be a file"),
@@ -304,13 +304,14 @@ def _one_cell_manifest(motion=None, **fields):
 ], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
         "string-sigma-measurements", "null-sigma-measurements", "list-sigma-measurements",
         "bool-sigma-measurements", "string-frames-measurements", "bool-frames-measurements",
+        "huge-sigma-measurements",
         "manifest-as-skeleton", "nan-bone", "inf-bone", "twelve-joint-skeleton",
         "rewired-sensors-skeleton", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
         "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest",
         "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest",
         "string-sigma-manifest", "bool-sigma-manifest", "nan-preset-manifest",
-        "inf-preset-manifest", "string-amplitude-manifest",
+        "inf-preset-manifest", "string-amplitude-manifest", "rotation-noise-manifest",
         "directory-as-measurements", "directory-as-skeleton", "directory-as-checkpoint",
         "directory-as-oracle-truth", "directory-as-manifest", "directory-as-pred",
         "file-as-data", "cut-checkpoint", "empty-checkpoint"])
@@ -343,17 +344,20 @@ def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
 @pytest.mark.parametrize("command", ["gen-data", "eval"])
 def test_gen_data_and_eval_refuse_a_skeleton_they_cannot_run(data_dir, tmp_path, capsys,
                                                              command):
-    # gen-data used to die with an IndexError traceback (exit 1) on a valid
-    # 12-joint tree, and eval printed a shape error that named no file
+    # eval used to print a shape error that named no file on a valid 12-joint tree;
+    # gen-data expands every cell on the default skeleton and takes no --skeleton
     cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
     skeleton = _edited_skeleton(_twelve_joints)(cell, tmp_path)
     if command == "gen-data":
         flags = ["--manifest", data_dir / "manifest.json", "--out", tmp_path / "o"]
+        refusal = f"unrecognized arguments: --skeleton {skeleton}"
     else:
         flags = ["--pred", cell / "truth.pgseq", "--truth", cell / "truth.pgseq",
                  "--out", tmp_path / "report.json"]
+        refusal = f"{skeleton}: parents must be the 22-joint SMPL tree"
     assert main([command, "--skeleton", str(skeleton)] + [str(f) for f in flags]) == EXIT_USAGE
-    assert f"{skeleton}: parents must be the 22-joint SMPL tree" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_names_both_files_on_a_frame_mismatch(data_dir, tmp_path, capsys):
@@ -440,6 +444,35 @@ def test_train_on_too_little_data_is_an_error_line(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "need at least 10 windows, got 9" in err
     assert "Traceback" not in err
+
+
+def test_train_names_the_cell_directory_of_a_refused_sequence(data_dir, tmp_path, capsys):
+    # used to print "sequence 1: ...", an index among the cells read that names no directory
+    cells = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[:2]
+    for cell in cells:
+        shutil.copytree(cell, tmp_path / "two" / cell.name)
+    bad = tmp_path / "two" / cells[1].name
+    _edited_measurements(41, frames=41)(cells[1], bad).replace(bad / "measurements.jsonl")
+    rc = main(["train", "--data", str(tmp_path / "two"), "--out", str(tmp_path / "m.npz"),
+               "--window", "16", "--steps", "2", "--hidden", "8"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: {bad}: sequence 1: 48 pose frames but "
+                                       f"41 measured frames\n")
+    rc = main(["train", "--data", str(data_dir / "data"), "--out", str(tmp_path / "m.npz"),
+               "--window", "200"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: {data_dir / 'data' / cells[0].name}: sequence 0: "
+                                       f"48 frames, shorter than the window of 200\n")
+
+
+def test_infer_refuses_a_huge_sigma_l_flag_by_name(data_dir, tmp_path, capsys):
+    # used to die in the score's sigma_l**2 with an OverflowError traceback (exit 1)
+    cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
+    rc = main(["infer", "--measurements", str(cell / "measurements.jsonl"),
+               "--out", str(tmp_path / "p.pgseq"), "--oracle-truth", str(cell / "truth.pgseq"),
+               "--steps", "2", "--sigma-l", "1e306"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: sigma_l must be at most 1000 m, got 1e+306\n"
 
 
 def test_verify_passes(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ def test_motion_spec_validation():
         MotionSpec(kind="cartwheel", frames=10)
     with pytest.raises(ValueError):
         MotionSpec(kind="walk", frames=0)
-    with pytest.raises(ValueError):
-        MotionSpec(kind="walk", frames=10, amplitude=3.0)
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -33,12 +32,6 @@ def test_motion_spec_validation():
     ("frames", -3, "frames must be at least 1, got -3"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("seed", -1, "seed must be at least 0, got -1"),
-    # a string or None used to escape as a TypeError naming no field, and True to pass
-    ("amplitude", "1.0", "amplitude must be a real number, got '1.0'"),
-    ("amplitude", True, "amplitude must be a real number, got True"),
-    ("amplitude", None, "amplitude must be a real number, got None"),
-    ("amplitude", 2.0, r"amplitude must be in \[0, 1\.5\], got 2\.0"),
-    ("amplitude", float("nan"), r"amplitude must be in \[0, 1\.5\], got nan"),
 ])
 def test_motion_spec_refuses_bad_sizes_by_name(field, value, match):
     with pytest.raises(ValueError, match=match):
@@ -47,14 +40,10 @@ def test_motion_spec_refuses_bad_sizes_by_name(field, value, match):
 
 @pytest.mark.parametrize("motion, match", [
     ({"kind": "walk", "frames": 2.5}, "frames must be an integer"),
-    # the frame rate and frequency are fixed; a manifest that sets them is refused
+    # the frame rate, frequency and amplitude are fixed; a manifest that sets them is refused
     ({"kind": "walk", "frames": 10, "hz": 0}, "hz"),
     ({"kind": "walk", "frames": 10, "frequency": 2.0}, "frequency"),
-    ({"kind": "walk", "frames": 10, "amplitude": "1.0"}, "amplitude must be a real number"),
-    ({"kind": "walk", "frames": 10, "amplitude": True}, "amplitude must be a real number"),
-    ({"kind": "walk", "frames": 10, "amplitude": None}, "amplitude must be a real number"),
-    ({"kind": "walk", "frames": 10, "amplitude": 2.0}, r"amplitude must be in \[0, 1\.5\]"),
-    ({"kind": "walk", "frames": 10, "amplitude": float("nan")}, "got nan"),
+    ({"kind": "walk", "frames": 10, "amplitude": 1.0}, "amplitude"),
 ])
 def test_manifest_with_a_bad_motion_is_refused_by_name(tmp_path, motion, match):
     path = tmp_path / "manifest.json"
@@ -63,14 +52,14 @@ def test_manifest_with_a_bad_motion_is_refused_by_name(tmp_path, motion, match):
         BenchmarkManifest.load(path)
 
 
-# sha256 over rotations and root translation of 97 frames at seeds 0, 1, 900 and
-# amplitudes 0, 0.5, 1, 1.5: the trend contract's data must not move
+# sha256 over rotations and root translation of 97 frames at seeds 0, 1 and 900, first
+# taken with the since-deleted amplitude field at 1: the trend contract's data must not move
 MOTION_DIGESTS = {
-    "idle-sway": "96b361781b67f7a09e7555a4f2855242ab9cc415f26c3abbf96604d36cae4623",
-    "walk": "65c0b55221c8ed955070b337fde0308ac7dc1a21e6f16be7256bfb9f29786e5a",
-    "arm-swing": "a26cdb97784bb2957ec3d5396a404fa5d9125cb205e82c2a4faa461496872af0",
-    "squat": "02dc310c44f276f3d578fc0d5f00d48b536cfe0e09c2a691330662b313243617",
-    "reach": "a85eb42fb91f777febfda7c791ed8e89af46ac77d9d1b77950fca58034e69bb2",
+    "idle-sway": "4d1568aaf4901fcd720148396286f436afee22179e56b6db67e70116ba151d36",
+    "walk": "9d404eb5ef395a3fa5bb2addc4d818fbcf60fa1b10c03fea1457918a3d189dcc",
+    "arm-swing": "8a6363fb99ef3b6277d2163aa3434693ef028b766a6d2f234e091a13ccff0066",
+    "squat": "390293c488d56cf46e8128f0e8666e05ad5da9a0d4d60a4241681ea58bab7007",
+    "reach": "2a005d914c594dc3de0146574cf3fbf058f8f0308dadead2b76b649880c67a63",
 }
 
 
@@ -79,10 +68,9 @@ def test_generate_motion_is_byte_stable(kind):
     skel = default_skeleton()
     h = hashlib.sha256()
     for seed in (0, 1, 900):
-        for amplitude in (0.0, 0.5, 1.0, 1.5):
-            seq = generate_motion(MotionSpec(kind, 97, amplitude=amplitude, seed=seed), skel)
-            h.update(seq.rotations.tobytes())
-            h.update(seq.root_translation.tobytes())
+        seq = generate_motion(MotionSpec(kind, 97, seed=seed), skel)
+        h.update(seq.rotations.tobytes())
+        h.update(seq.root_translation.tobytes())
     assert h.hexdigest() == MOTION_DIGESTS[kind]
 
 
@@ -103,14 +91,6 @@ def test_walk_root_progresses_monotonically():
     seq = generate_motion(MotionSpec(kind="walk", frames=120, seed=0), skel)
     x = seq.root_translation[:, 0]
     assert np.all(np.diff(x) > 0)
-
-
-def test_zero_amplitude_idle_is_static():
-    skel = default_skeleton()
-    seq = generate_motion(MotionSpec(kind="idle-sway", frames=20, amplitude=0.0), skel)
-    assert np.allclose(seq.rotations, seq.rotations[:1], atol=1e-14)
-    # root stays at the constant standing offset
-    assert np.allclose(seq.root_translation, seq.root_translation[:1], atol=1e-14)
 
 
 def test_reach_wrist_orientation_is_uninformative():
@@ -249,15 +229,13 @@ def test_sequence_load_refusals_name_the_file(tmp_path, make, match):
 
 
 def test_benchmark_manifest_roundtrip_and_write(tmp_path):
-    skel = default_skeleton()
     cells = [
-        BenchmarkCell(MotionSpec(kind="reach", frames=20, seed=1), "uniform:0.6", 0.01, 0.0, 5),
+        BenchmarkCell(MotionSpec(kind="reach", frames=20, seed=1), "uniform:0.6", 0.01, 5),
         BenchmarkCell(MotionSpec(kind="walk", frames=20, seed=2)),
     ]
-    manifest = BenchmarkManifest(cells)
-    back = BenchmarkManifest.from_json(manifest.to_json())
+    back = BenchmarkManifest.from_json(json.dumps({"cells": [asdict(c) for c in cells]}))
     assert back.cells == cells
-    lock = write_cells(manifest, skel, tmp_path / "bench")
+    lock = write_cells(back, tmp_path / "bench")
     assert len(lock["cells"]) == 2
     for cell in cells:
         d = tmp_path / "bench" / cell.name()
@@ -265,29 +243,41 @@ def test_benchmark_manifest_roundtrip_and_write(tmp_path):
         assert (d / "measurements.jsonl").exists()
         assert (d / "skeleton.json").exists()
     # expansion is deterministic
-    poses_a, _, meas_a = expand_cell(cells[0], skel)
-    poses_b, _, meas_b = expand_cell(cells[0], skel)
+    poses_a, _, meas_a = expand_cell(cells[0])
+    poses_b, _, meas_b = expand_cell(cells[0])
     assert np.array_equal(poses_a.rotations, poses_b.rotations)
     assert np.array_equal(meas_a.locations, meas_b.locations)
 
 
 def test_cell_names_are_distinct(tmp_path):
-    # two walk cells at amplitudes 0.5 and 1 used to write one directory, and the
-    # lock listed its name twice; the amplitude is named only when it is not 1
-    walk = [BenchmarkCell(MotionSpec("walk", 20, amplitude=a)) for a in (0.5, 1.0)]
-    names = ["walk_f20_m0_a0.5_uniform1p0_sl0_sr0_s0", "walk_f20_m0_uniform1p0_sl0_sr0_s0"]
+    # each cell is written to the directory its name gives, in manifest order
+    walk = [BenchmarkCell(MotionSpec("walk", 20, seed=m)) for m in (5, 0)]
+    names = ["walk_f20_m5_uniform1p0_sl0_s0", "walk_f20_m0_uniform1p0_sl0_s0"]
     assert [c.name() for c in walk] == names
-    lock = write_cells(BenchmarkManifest(walk), default_skeleton(), tmp_path)
+    lock = write_cells(BenchmarkManifest(walk), tmp_path)
     assert [c["name"] for c in lock["cells"]] == names
     assert sorted(d.name for d in tmp_path.iterdir() if d.is_dir()) == sorted(names)
     # a repeated name is refused by both cell indices, also when :g rounds two sigmas together
     close = [BenchmarkCell(MotionSpec("walk", 20), sigma_l=s) for s in (0.05, 0.0500000001)]
     for cells, first, second, name in ((walk + walk[1:], 1, 2, names[1]),
-                                       (close, 0, 1, "walk_f20_m0_uniform1p0_sl0.05_sr0_s0")):
+                                       (close, 0, 1, "walk_f20_m0_uniform1p0_sl0.05_s0")):
         with pytest.raises(ValueError, match=f"^cells {first} and {second} share the name "
                                              f"'{re.escape(name)}'$"):
             BenchmarkManifest(cells)
     path = tmp_path / "twice.json"
     path.write_text(json.dumps({"cells": [{"motion": {"kind": "walk", "frames": 20}}] * 2}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} .*cells 0 and 1 share"):
+        BenchmarkManifest.load(path)
+
+
+@pytest.mark.parametrize("field", ["sigma_r", "sigma_L"])
+def test_manifest_refuses_an_unknown_cell_field_by_name(tmp_path, field):
+    # a retired or misspelled field used to be ignored, and its cell silently took
+    # the default: noise-free rotations for sigma_r, noise-free locations for sigma_L
+    path = tmp_path / "manifest.json"
+    cells = [{"motion": {"kind": "walk", "frames": 10}},
+             {"motion": {"kind": "walk", "frames": 10, "seed": 1}, field: 0.02}]
+    path.write_text(json.dumps({"cells": cells}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} .*cell 1: unknown field "
+                                         f"'{field}'"):
         BenchmarkManifest.load(path)

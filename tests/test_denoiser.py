@@ -24,7 +24,7 @@ def small_dataset(n_seqs=3, frames=60):
     kinds = ("reach", "arm-swing", "walk")
     seqs = [generate_motion(MotionSpec(kind=kinds[s % 3], frames=frames, seed=s), skel)
             for s in range(n_seqs)]
-    return [(s, extract_measurements(s, skel, 0.0, 0.0, seed=i))
+    return [(s, extract_measurements(s, skel, 0.0, seed=i))
             for i, s in enumerate(seqs)], skel
 
 
@@ -320,7 +320,7 @@ def test_training_errors():
     # with numpy's "inhomogeneous shape"; each is refused by its sequence index
     def walk(frames):
         poses = generate_motion(MotionSpec(kind="walk", frames=frames), skel)
-        return poses, extract_measurements(poses, skel, 0.0, 0.0)
+        return poses, extract_measurements(poses, skel, 0.0)
 
     for pair, match in ((walk(20), "20 frames, shorter than the window of 41"),
                         ((ds[2][0], walk(70)[1]), "60 pose frames but 70 measured frames"),

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, the package reads
 every private function, method and class and every module-level name it defines,
-and the CLI loads no thread pool until training opens one."""
+the package, the demos or the benchmark read every public function, method and
+class, and the CLI loads no thread pool until training opens one."""
 
 import ast
 import os
@@ -13,6 +14,7 @@ import pytest
 import poseguide
 
 MODULES = sorted(Path(poseguide.__file__).parent.glob("*.py"))
+ROOT = Path(poseguide.__file__).resolve().parents[2]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,17 +59,28 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unread_private(sources: dict[str, str]) -> list[str]:
-    """Private (``_name``, not dunder) functions, methods and classes defined in
-    ``sources`` (module name -> source) that no module reads, by name or attribute."""
+def _unread_definitions(sources: dict[str, str], readers: dict[str, str], keep) -> list[str]:
+    """Functions, methods and classes defined in ``sources`` (module name -> source)
+    whose name ``keep`` accepts and that no module of ``sources`` or ``readers`` reads,
+    by name or attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     defined = [(module, node.lineno, node.name) for module, tree in trees.items()
                for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not _is_dunder(node.name)]
-    read = _read_names(trees.values())
+               and keep(node.name)]
+    read = _read_names([*trees.values(), *(ast.parse(s) for s in readers.values())])
     return [f"{module} line {line}: {name}" for module, line, name in sorted(defined)
             if name not in read]
+
+
+def unread_private(sources: dict[str, str]) -> list[str]:
+    """Private (``_name``, not dunder) definitions of ``sources`` that no module reads."""
+    return _unread_definitions(sources, {}, lambda n: n.startswith("_") and not _is_dunder(n))
+
+
+def unread_public(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public definitions of ``sources`` that neither they nor ``readers`` read."""
+    return _unread_definitions(sources, readers, lambda n: not n.startswith("_"))
 
 
 def test_unread_private_definition_is_found():
@@ -82,6 +95,24 @@ def test_unread_private_definition_is_found():
 def test_package_reads_every_private_definition():
     sources = {p.name: p.read_text() for p in MODULES}
     assert unread_private(sources) == []
+
+
+def test_unread_public_definition_is_found():
+    a = ("class Cell:\n    def name(self): pass\n    def to_json(self): pass\n"
+         "def write_report(): pass\ndef _helper(): pass\n")
+    b = "from a import Cell\nCell().name()\n"
+    demo = "import a\na.write_report()\n"
+    assert unread_public({"a": a, "b": b}, {"demo": demo}) == ["a line 3: to_json"]
+    assert unread_public({"a": a, "b": b}, {}) == ["a line 3: to_json", "a line 4: write_report"]
+
+
+def test_package_demos_and_benchmark_read_every_public_definition():
+    # a public name that only tests read is code kept for the tests alone
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = {str(p.relative_to(ROOT)): p.read_text()
+               for folder in ("demos", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))}
+    assert readers
+    assert unread_public(sources, readers) == []
 
 
 def unread_module_names(sources: dict[str, str]) -> list[str]:

@@ -137,24 +137,24 @@ def test_extract_measurements_deterministic_and_noise_scale():
     skel = default_skeleton()
     R = random_pose_matrices(2000, seed=7)
     seq = PoseSequence(rot6d.to_sixdof(R), np.zeros((2000, 3)))
-    a = extract_measurements(seq, skel, 0.03, 0.01, seed=11)
-    b = extract_measurements(seq, skel, 0.03, 0.01, seed=11)
+    a = extract_measurements(seq, skel, 0.03, seed=11)
+    b = extract_measurements(seq, skel, 0.03, seed=11)
     assert np.array_equal(a.locations, b.locations)
-    assert np.array_equal(a.rotations, b.rotations)
-    clean = extract_measurements(seq, skel, 0.0, 0.0, seed=11)
+    clean = extract_measurements(seq, skel, 0.0, seed=11)
     ref = forward_kinematics(skel, R)[:, list(skel.measured_joints)]
     assert np.abs(clean.locations - ref).max() < 1e-12
     assert np.std(a.locations - clean.locations) == pytest.approx(0.03, rel=0.05)
-    assert np.std(a.rotations - clean.rotations) == pytest.approx(0.01, rel=0.05)
+    # the rotation sensors are exact
+    assert np.array_equal(a.rotations, seq.rotations[:, list(skel.measured_joints)])
 
 
 def test_measurement_set_validation():
     with pytest.raises(ValueError):
-        MeasurementSet(np.zeros((4, 2, 3)), np.zeros((4, 3, 6)), 0.0, 0.0)
+        MeasurementSet(np.zeros((4, 2, 3)), np.zeros((4, 3, 6)), 0.0)
     with pytest.raises(ValueError):
-        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((5, 3, 6)), 0.0, 0.0)
+        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((5, 3, 6)), 0.0)
     with pytest.raises(ValueError):
-        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), -1.0, 0.0)
+        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), -1.0)
 
 
 def test_measurement_set_refuses_non_finite_values():
@@ -162,46 +162,52 @@ def test_measurement_set_refuses_non_finite_values():
     locs, rots = np.zeros((4, 3, 3)), np.zeros((4, 3, 6))
     locs[2, 1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite locations at frame 2"):
-        MeasurementSet(locs, rots, 0.0, 0.0)
+        MeasurementSet(locs, rots, 0.0)
     rots[3, 0, 5] = np.inf
     with pytest.raises(ValueError, match="non-finite rotations at frame 3"):
-        MeasurementSet(np.zeros((4, 3, 3)), rots, 0.0, 0.0)
+        MeasurementSet(np.zeros((4, 3, 3)), rots, 0.0)
     with pytest.raises(ValueError, match="sigma"):
-        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), np.nan, 0.0)
+        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), np.nan)
 
 
-@pytest.mark.parametrize("sigma_l, sigma_r, message", [
-    (np.inf, 0.0, "sigma_l must be finite and non-negative, got inf"),
-    (0.0, np.inf, "sigma_r must be finite and non-negative, got inf"),
-    (-0.5, 0.0, "sigma_l must be finite and non-negative, got -0.5"),
-    (0.0, np.nan, "sigma_r must be finite and non-negative, got nan"),
+@pytest.mark.parametrize("sigma_l, message", [
+    (np.inf, "sigma_l must be finite and non-negative, got inf"),
+    (-0.5, "sigma_l must be finite and non-negative, got -0.5"),
+    (np.nan, "sigma_l must be finite and non-negative, got nan"),
+    (1e306, r"sigma_l must be at most 1000 m, got 1e\+306"),
 ])
-def test_measurement_set_refuses_a_bad_sigma_by_name(sigma_l, sigma_r, message):
+def test_measurement_set_refuses_a_bad_sigma_by_name(sigma_l, message):
     # an infinite sigma_l used to be accepted; guided inference then died in
-    # the root smoothing with "OverflowError: cannot convert float infinity to integer"
+    # the root smoothing with "OverflowError: cannot convert float infinity to integer",
+    # and a finite 1e306 in the score's sigma_l**2 with "Numerical result out of range"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), sigma_l, sigma_r)
+        MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), sigma_l)
 
 
 def test_measurement_jsonl_roundtrip(tmp_path):
     skel = default_skeleton()
     R = random_pose_matrices(9, seed=8)
     seq = PoseSequence(rot6d.to_sixdof(R), np.zeros((9, 3)))
-    m = extract_measurements(seq, skel, 0.02, 0.005, seed=1)
+    m = extract_measurements(seq, skel, 0.02, seed=1)
     path = tmp_path / "m.jsonl"
     m.save(path)
     back = MeasurementSet.load(path)
     assert back.frames == 9
     assert np.allclose(back.locations, m.locations, atol=1e-15)
     assert np.allclose(back.rotations, m.rotations, atol=1e-15)
-    assert back.sigma_l == m.sigma_l and back.sigma_r == m.sigma_r
+    assert back.sigma_l == m.sigma_l
+    # a file that still names its rotation noise loads the same; inference never read it
+    header, *frames = path.read_text().splitlines()
+    path.write_text("\n".join([json.dumps({**json.loads(header), "sigma_r": 0.0}), *frames]))
+    old = MeasurementSet.load(path)
+    assert np.array_equal(old.locations, back.locations) and old.sigma_l == back.sigma_l
 
 
 def test_measurement_load_errors(tmp_path):
     skel = default_skeleton()
     R = random_pose_matrices(5, seed=9)
     seq = PoseSequence(rot6d.to_sixdof(R), np.zeros((5, 3)))
-    m = extract_measurements(seq, skel, 0.0, 0.0, seed=1)
+    m = extract_measurements(seq, skel, 0.0, seed=1)
     path = tmp_path / "m.jsonl"
     m.save(path)
     header, *frames = path.read_text().splitlines()
@@ -227,7 +233,7 @@ def test_measurement_frames_out_of_order_are_refused(tmp_path):
     # lines reversed loaded silently, with its frames reversed
     seq = PoseSequence(rot6d.to_sixdof(random_pose_matrices(5, seed=3)), np.zeros((5, 3)))
     path = tmp_path / "m.jsonl"
-    extract_measurements(seq, default_skeleton(), 0.0, 0.0, seed=1).save(path)
+    extract_measurements(seq, default_skeleton(), 0.0, seed=1).save(path)
     header, *frames = path.read_text().splitlines()
     path.write_text("\n".join([header, *frames[::-1]]) + "\n")
     with pytest.raises(ValueError,

@@ -302,7 +302,7 @@ def test_guidance_config_refuses_non_finite_guidance_scale():
 
 
 def test_guidance_config_refuses_bad_sigma_l():
-    for sigma_l in (-0.01, np.nan, np.inf):
+    for sigma_l in (-0.01, np.nan, np.inf, 1e306):
         with pytest.raises(ValueError, match="sigma_l"):
             GuidanceConfig(sigma_l=sigma_l)
 
@@ -317,7 +317,7 @@ def test_window_starts():
 def make_case(frames=41, seed=0, sigma_l=0.0):
     skel = default_skeleton()
     seq = generate_motion(MotionSpec(kind="arm-swing", frames=frames, seed=seed), skel)
-    meas = extract_measurements(seq, skel, sigma_l, 0.0, seed=seed + 1)
+    meas = extract_measurements(seq, skel, sigma_l, seed=seed + 1)
     oracle = OracleDenoiser(seq.rotations)
     return skel, seq, meas, oracle
 
@@ -438,7 +438,7 @@ def test_rotations_invariant_to_sensor_translation():
     skel, seq, meas, oracle = make_case()
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
     a = run_guided_inference(meas, skel, oracle, 20, cfg, seed=5)
-    shifted = extract_measurements(seq, skel, 0.0, 0.0, seed=1)
+    shifted = extract_measurements(seq, skel, 0.0, seed=1)
     shifted.locations = shifted.locations + np.array([0.7, -1.3, 2.0])
     b = run_guided_inference(shifted, skel, oracle, 20, cfg, seed=5)
     assert np.array_equal(a.rotations, b.rotations)
@@ -604,7 +604,7 @@ def test_a_degenerate_decode_names_its_window_step_frame_and_joint(guidance_scal
     # not. Both used to be refused as "joint 71", a flat index on 22 joints.
     skel = default_skeleton()
     truth = generate_motion(MotionSpec(kind="reach", frames=100, seed=1), skel)
-    meas = extract_measurements(truth, skel, 0.0, 0.0, seed=0)
+    meas = extract_measurements(truth, skel, 0.0, seed=0)
     model = MLPDenoiser(TrainConfig(hidden=8))  # estimates zero at window frame 3, joint 5
     cols = slice(3 * 132 + 5 * 6, 3 * 132 + 6 * 6)
     model.params["Wo"][:, cols] = 0.0
@@ -644,7 +644,7 @@ def test_guided_outputs_are_pinned(tiny_prior, mode, sigma_l, digest):
     # with no change to the code.
     skel = default_skeleton()
     truth = generate_motion(MotionSpec(kind="reach", frames=30, seed=900), skel)
-    meas = extract_measurements(truth, skel, sigma_l, 0.0, seed=1)
+    meas = extract_measurements(truth, skel, sigma_l, seed=1)
     pred = run_guided_inference(meas, skel, tiny_prior, 10,
                                 GuidanceConfig(covariance_mode=mode), seed=3)
     got = hashlib.sha256(pred.rotations.tobytes() + pred.root_translation.tobytes())
