@@ -78,15 +78,16 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     data_dir = _existing(args.data, "data", directory=True)
-    cell_dirs, dataset = [], []
-    for cell_dir in sorted(data_dir.iterdir()):
-        truth = cell_dir / "truth.pgseq"
-        meas = cell_dir / "measurements.jsonl"
-        if truth.exists() and meas.exists():
-            cell_dirs.append(cell_dir)
-            dataset.append((load_sequence(truth), MeasurementSet.load(meas)))
-    if not dataset:
-        raise UsageError(f"no training cells under {data_dir}")
+    # the cells gen-data wrote, not whatever else an older run left in the directory
+    lock = _existing(data_dir / "manifest-lock.json", "manifest lock")
+    try:
+        cells = json.loads(lock.read_text())["cells"]
+        cell_dirs = sorted(data_dir / cell["name"] for cell in cells)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"{lock} is not a manifest lock ({type(exc).__name__}: {exc})") from exc
+    dataset = [(load_sequence(_existing(d / "truth.pgseq", "cell truth")),
+                MeasurementSet.load(_existing(d / "measurements.jsonl", "cell measurements")))
+               for d in cell_dirs]
     config = TrainConfig(
         window=args.window, dropout_prob=args.dropout, step_size=args.lr,
         steps=args.steps, seed=args.seed, cond_spec=args.cond_spec, hidden=args.hidden,

@@ -2,10 +2,11 @@
 
 Motions are built from smooth sinusoid-driven local joint angles composed
 down the joint tree, at a fixed 60 Hz frame rate.  The vocabulary covers
-upper-body-informative motions (arm-swing, reach) and lower-body-heavy
-ones (walk, squat).  'reach' deliberately decouples the measured wrist
-orientation from the elbow flexion (the flexion amount is a per-sequence
-latent), so the wrist *location* is the only disambiguating signal.
+upper-body-informative motions (arm-swing, reach), a whole-body one (walk)
+and a near-still one (idle-sway).  'reach' deliberately decouples the
+measured wrist orientation from the elbow flexion (the flexion amount is a
+per-sequence latent), so the wrist *location* is the only disambiguating
+signal.  A cell's body is the default skeleton times one scale.
 """
 
 from __future__ import annotations
@@ -19,19 +20,10 @@ import numpy as np
 from . import rot6d
 from .denoiser import check_count
 from .measurement import check_sigma, extract_measurements
-from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, default_skeleton, scale_skeleton
+from .skeleton import JOINT_COUNT, PoseSequence, Skeleton, default_skeleton
 
 FRAME_HZ = 60.0
-MOTION_KINDS = ("idle-sway", "walk", "arm-swing", "squat", "reach")
-
-# Bone index groups for body-variation presets.
-ARM_BONES = (13, 14, 16, 17, 18, 19, 20, 21)
-TORSO_BONES = (3, 6, 9, 12, 15)
-UPPER_BONES = tuple(sorted(ARM_BONES + TORSO_BONES))
-
-
-class PresetError(ValueError):
-    """Malformed or inconsistent body-variation preset."""
+MOTION_KINDS = ("idle-sway", "walk", "arm-swing", "reach")
 
 
 @dataclass
@@ -110,16 +102,6 @@ def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
         set_local(18, "z", -0.4 * (1.0 - np.cos(phi)) / 2.0)
         set_local(19, "z", 0.4 * (1.0 - np.cos(phi)) / 2.0)
         set_local(12, "y", 0.06 * np.sin(phi))
-    elif spec.kind == "squat":
-        dip = (1.0 - np.cos(phi)) / 2.0
-        set_local(1, "x", -0.8 * dip)
-        set_local(2, "x", -0.8 * dip)
-        set_local(4, "x", 1.2 * dip)
-        set_local(5, "x", 1.2 * dip)
-        set_local(7, "x", -0.4 * dip)
-        set_local(8, "x", -0.4 * dip)
-        set_local(3, "x", 0.25 * dip)
-        root[:, 1] -= 0.25 * dip
     elif spec.kind == "reach":
         # Latent flexion follows a smooth per-frame random walk; the wrist
         # orientation is pinned to a constant below, so only the wrist
@@ -152,45 +134,27 @@ def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
     return PoseSequence(rot6d.to_sixdof(R), root)
 
 
-def parse_preset(preset: str) -> np.ndarray:
-    """Preset string -> per-bone factors.
-
-    Vocabulary: ``uniform:<s>``, ``upper:<s>``, ``arms:<s>``, ``torso:<s>``,
-    and comma-combinations such as ``arms:1.4,torso:0.7``.  Only ``uniform``
-    scales the lower body.
-    """
-    factors = np.ones(JOINT_COUNT)
-    for part in map(str.strip, preset.split(",")):
-        name, _, value = part.partition(":")
-        try:
-            s = float(value)
-        except ValueError:
-            raise PresetError(f"bad preset component {part!r}")
-        if not (np.isfinite(s) and s > 0.0):
-            raise PresetError(f"preset component {part!r}: scale must be finite and positive")
-        if name == "uniform":
-            factors[:] = s
-        elif name == "upper":
-            factors[list(UPPER_BONES)] = s
-        elif name == "arms":
-            factors[list(ARM_BONES)] = s
-        elif name == "torso":
-            factors[list(TORSO_BONES)] = s
-        else:
-            raise PresetError(f"unknown preset part {name!r}")
-    return factors
+def parse_preset(preset: str) -> float:
+    """The body scale s of a ``uniform:<s>`` preset, refused by name unless finite and positive."""
+    name, _, value = preset.partition(":")
+    try:
+        s = float(value)
+    except ValueError:
+        s = np.nan
+    if name != "uniform" or not (np.isfinite(s) and s > 0.0):
+        raise ValueError(f"preset must be 'uniform:<scale>' with a finite, positive scale, "
+                         f"got {preset!r}")
+    return s
 
 
 def scale_ground_truth(poses: PoseSequence, skeleton: Skeleton, preset: str):
-    """Rebuild ground truth for a body-variation preset.
+    """Ground truth on the body ``skeleton`` times the preset's scale s.
 
-    Rotations are scale-free and never change.  The root translation moves
-    with the hips: it is scaled by the hip bones' factor, which only a
-    ``uniform`` part sets, so upper-body presets keep it and the lower body fixed.
+    Rotations are scale-free and never change; bones and root translation scale by s.
     """
-    factors = parse_preset(preset)
-    root = poses.root_translation * factors[1]
-    return PoseSequence(poses.rotations.copy(), root), scale_skeleton(skeleton, factors)
+    s = parse_preset(preset)
+    return (PoseSequence(poses.rotations.copy(), poses.root_translation * s),
+            Skeleton(skeleton.parents, skeleton.bone_vectors * s, skeleton.measured_joints))
 
 
 # -- pose sequence serialization -------------------------------------------
@@ -228,7 +192,8 @@ def load_sequence(path) -> PoseSequence:
         if version != _VERSION:
             raise ValueError(f"unsupported sequence version {version!r}")
         check_count("frames", F, 1)
-        check_count("joints", J, 0)
+        if type(J) is not int or J != JOINT_COUNT:
+            raise ValueError(f"joints must be {JOINT_COUNT}, got {J!r}")
         need = F * J * 6 * 8 + F * 3 * 8
         if len(body) != need:
             raise ValueError(f"truncated file: {len(body)} bytes, expected {need}")
@@ -251,12 +216,12 @@ class BenchmarkCell:
     def __post_init__(self):
         check_count("seed", self.seed, 0)
         if not isinstance(self.preset, str):
-            raise PresetError(f"preset must be a string, got {self.preset!r}")
+            raise ValueError(f"preset must be a string, got {self.preset!r}")
         parse_preset(self.preset)
         check_sigma("sigma_l", self.sigma_l)
 
     def name(self) -> str:
-        preset = self.preset.replace(":", "").replace(",", "_").replace(".", "p")
+        preset = self.preset.replace(":", "").replace(".", "p")
         return (f"{self.motion.kind}_f{self.motion.frames}_m{self.motion.seed}"
                 f"_{preset}_sl{self.sigma_l:g}_s{self.seed}")
 

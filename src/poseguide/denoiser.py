@@ -440,8 +440,6 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     from concurrent.futures import ThreadPoolExecutor  # only training opens a pool
 
     states, conds = _extract_windows(dataset, config)
-    if len(states) == 0:
-        raise TrainingError("empty dataset: no training windows")
     if len(states) < 10:
         raise TrainingError(f"need at least 10 windows, got {len(states)}")
     model = MLPDenoiser(config)

@@ -1,4 +1,4 @@
-"""Kinematic body model: joint tree, forward kinematics, scaling, root recovery.
+"""Kinematic body model: joint tree, forward kinematics, root recovery.
 
 The body is a rooted tree of 22 joints in topological order (every parent
 index is smaller than its child).  Bone vectors are rest-pose offsets from
@@ -160,17 +160,6 @@ def forward_kinematics(
         p = skeleton.parents[j]
         loc[..., j, :] = loc[..., p, :] + R[..., p, :, :] @ skeleton.bone_vectors[j]
     return loc
-
-
-def scale_skeleton(skeleton: Skeleton, per_bone_factors) -> Skeleton:
-    """New skeleton with each bone vector multiplied by its factor."""
-    factors = np.asarray(per_bone_factors, dtype=float)
-    if factors.shape != (skeleton.joint_count,):
-        raise SkeletonError(f"need {skeleton.joint_count} factors, got {factors.shape}")
-    if np.any(factors <= 0.0):
-        raise SkeletonError("scale factors must be strictly positive")
-    return Skeleton(skeleton.parents, skeleton.bone_vectors * factors[:, None],
-                    skeleton.measured_joints)
 
 
 def recover_root_translation(

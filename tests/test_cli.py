@@ -222,6 +222,31 @@ def _twelve_joints(doc):
     doc.update(parents=doc["parents"][:12], bones=doc["bones"][:12], measured=[9, 10, 11])
 
 
+def _fifteen_joints(cell, tmp_path):
+    truth = load_sequence(cell / "truth.pgseq")
+    path = tmp_path / "fifteen.pgseq"
+    save_sequence(path, PoseSequence(truth.rotations[:, :15], truth.root_translation))
+    return path
+
+
+def _lock_listing(*cells):
+    """A data directory holding only a manifest lock that lists ``cells``."""
+    def make(cell, tmp_path):
+        path = tmp_path / "data"
+        path.mkdir()
+        (path / "manifest-lock.json").write_text(json.dumps({"cells": list(cells)}))
+        return path
+    return make
+
+
+def _copy_cells(cells, out):
+    """Copy gen-data cell directories into ``out``, with a manifest lock that lists them."""
+    for cell in cells:
+        shutil.copytree(cell, out / cell.name)
+    (out / "manifest-lock.json").write_text(
+        json.dumps({"cells": [{"name": cell.name} for cell in cells]}))
+
+
 def _one_cell_manifest(motion=None, **fields):
     def make(cell, tmp_path):
         path = tmp_path / "manifest.json"
@@ -281,9 +306,14 @@ def _one_cell_manifest(motion=None, **fields):
     ("--manifest", _one_cell_manifest(sigma_l=True), "sigma_l must be a real number, got True"),
     # a NaN or infinite preset scale used to fail later at a bone vector, naming no preset
     ("--manifest", _one_cell_manifest(preset="uniform:nan"),
-     "preset component 'uniform:nan': scale must be finite and positive"),
-    ("--manifest", _one_cell_manifest(preset="arms:1.2,torso:inf"),
-     "preset component 'torso:inf': scale must be finite and positive"),
+     "preset must be 'uniform:<scale>' with a finite, positive scale, got 'uniform:nan'"),
+    ("--manifest", _one_cell_manifest(preset="uniform:inf"),
+     "preset must be 'uniform:<scale>' with a finite, positive scale, got 'uniform:inf'"),
+    # a body varies by one scale, and squat is no motion kind: both used to be generated
+    ("--manifest", _one_cell_manifest(preset="arms:1.4"),
+     "preset must be 'uniform:<scale>' with a finite, positive scale, got 'arms:1.4'"),
+    ("--manifest", _one_cell_manifest(motion={"kind": "squat", "frames": 10}),
+     "unknown motion kind 'squat'"),
     # the amplitude is fixed, and the rotation noise is gone: a cell that sets either
     # is refused by name, where a retired cell field used to be ignored
     ("--manifest", _one_cell_manifest(motion={"kind": "walk", "frames": 10, "amplitude": "1.0"}),
@@ -298,6 +328,14 @@ def _one_cell_manifest(motion=None, **fields):
     ("--pred", lambda cell, tmp: cell, "must be a file"),
     # and a file given as training data, as a NotADirectoryError traceback
     ("--data", lambda cell, tmp: cell / "truth.pgseq", "must be a directory"),
+    # train reads the cells gen-data's lock lists; it used to read every directory
+    # that held a truth and a measurement file
+    ("--data", lambda cell, tmp: cell, "manifest lock not found"),
+    ("--data", _lock_listing({}), "is not a manifest lock (KeyError: 'name')"),
+    ("--data", _lock_listing({"name": "walk"}), "cell truth not found"),
+    # a 15-joint sequence used to be refused naming no file, or as a window mismatch
+    ("--oracle-truth", _fifteen_joints, "joints must be 22, got 15"),
+    ("--pred", _fifteen_joints, "joints must be 22, got 15"),
     # a cut or empty checkpoint used to escape as BadZipFile or EOFError (exit 1)
     ("--checkpoint", _cut_checkpoint(0.5), "BadZipFile"),
     ("--checkpoint", _cut_checkpoint(0.0), "EOFError"),
@@ -311,10 +349,12 @@ def _one_cell_manifest(motion=None, **fields):
         "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest",
         "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest",
         "string-sigma-manifest", "bool-sigma-manifest", "nan-preset-manifest",
-        "inf-preset-manifest", "string-amplitude-manifest", "rotation-noise-manifest",
+        "inf-preset-manifest", "arms-preset-manifest", "squat-manifest",
+        "string-amplitude-manifest", "rotation-noise-manifest",
         "directory-as-measurements", "directory-as-skeleton", "directory-as-checkpoint",
         "directory-as-oracle-truth", "directory-as-manifest", "directory-as-pred",
-        "file-as-data", "cut-checkpoint", "empty-checkpoint"])
+        "file-as-data", "cell-as-data", "nameless-lock-data", "lock-without-cell-data",
+        "fifteen-joint-oracle-truth", "fifteen-joint-pred", "cut-checkpoint", "empty-checkpoint"])
 def test_a_file_of_the_wrong_kind_is_refused_by_name(data_dir, tmp_path, capsys,
                                                      option, wrong_file, also_named):
     # each of these used to crash with a KeyError or TypeError (exit 1), print
@@ -437,7 +477,7 @@ def test_train_on_too_little_data_is_an_error_line(data_dir, tmp_path, capsys):
     # one 48-frame cell gives 9 windows of 16 frames, under the 10 training
     # needs; the TrainingError used to escape main as a traceback (exit 1)
     cell = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[0]
-    shutil.copytree(cell, tmp_path / "one" / cell.name)
+    _copy_cells([cell], tmp_path / "one")
     rc = main(["train", "--data", str(tmp_path / "one"), "--out", str(tmp_path / "m.npz"),
                "--window", "16", "--steps", "2", "--hidden", "8"])
     assert rc == EXIT_USAGE
@@ -449,8 +489,7 @@ def test_train_on_too_little_data_is_an_error_line(data_dir, tmp_path, capsys):
 def test_train_names_the_cell_directory_of_a_refused_sequence(data_dir, tmp_path, capsys):
     # used to print "sequence 1: ...", an index among the cells read that names no directory
     cells = sorted(d for d in (data_dir / "data").iterdir() if d.is_dir())[:2]
-    for cell in cells:
-        shutil.copytree(cell, tmp_path / "two" / cell.name)
+    _copy_cells(cells, tmp_path / "two")
     bad = tmp_path / "two" / cells[1].name
     _edited_measurements(41, frames=41)(cells[1], bad).replace(bad / "measurements.jsonl")
     rc = main(["train", "--data", str(tmp_path / "two"), "--out", str(tmp_path / "m.npz"),
@@ -463,6 +502,24 @@ def test_train_names_the_cell_directory_of_a_refused_sequence(data_dir, tmp_path
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err == (f"error: {data_dir / 'data' / cells[0].name}: sequence 0: "
                                        f"48 frames, shorter than the window of 200\n")
+
+
+def test_train_reads_only_the_cells_the_manifest_lock_lists(data_dir, tmp_path):
+    # a stale cell that an older gen-data left in the directory used to be read, and
+    # here its 10 frames refused training with a window of 16
+    data = tmp_path / "data"
+    shutil.copytree(data_dir / "data", data)
+    cell = sorted(d for d in data.iterdir() if d.is_dir())[0]
+    stale = data / "walk_f10_m0_uniform1p0_sl0_sr0_s0"
+    stale.mkdir()
+    truth = load_sequence(cell / "truth.pgseq")
+    save_sequence(stale / "truth.pgseq",
+                  PoseSequence(truth.rotations[:10], truth.root_translation[:10]))
+    _edited_measurements(10, frames=10)(cell, stale).replace(stale / "measurements.jsonl")
+    for source, ckpt in ((data, "with-stale.npz"), (data_dir / "data", "clean.npz")):
+        assert main(["train", "--data", str(source), "--out", str(tmp_path / ckpt),
+                     "--window", "16", "--steps", "2", "--hidden", "8"]) == EXIT_OK
+    assert (tmp_path / "with-stale.npz").read_bytes() == (tmp_path / "clean.npz").read_bytes()
 
 
 def test_infer_refuses_a_huge_sigma_l_flag_by_name(data_dir, tmp_path, capsys):

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from poseguide.datagen import (
-    BenchmarkCell, BenchmarkManifest, MotionSpec, PresetError,
+    BenchmarkCell, BenchmarkManifest, MotionSpec,
     expand_cell, generate_motion, load_sequence, parse_preset,
     save_sequence, scale_ground_truth, write_cells,
 )
 from poseguide.skeleton import default_skeleton, forward_kinematics
-
-LOWER_BONES = (1, 2, 4, 5, 7, 8, 10, 11)  # hips to feet: only a uniform preset scales them
 
 
 def test_motion_spec_validation():
@@ -58,7 +56,6 @@ MOTION_DIGESTS = {
     "idle-sway": "4d1568aaf4901fcd720148396286f436afee22179e56b6db67e70116ba151d36",
     "walk": "9d404eb5ef395a3fa5bb2addc4d818fbcf60fa1b10c03fea1457918a3d189dcc",
     "arm-swing": "8a6363fb99ef3b6277d2163aa3434693ef028b766a6d2f234e091a13ccff0066",
-    "squat": "390293c488d56cf46e8128f0e8666e05ad5da9a0d4d60a4241681ea58bab7007",
     "reach": "2a005d914c594dc3de0146574cf3fbf058f8f0308dadead2b76b649880c67a63",
 }
 
@@ -76,7 +73,7 @@ def test_generate_motion_is_byte_stable(kind):
 
 def test_generate_motion_deterministic_and_valid():
     skel = default_skeleton()
-    for kind in ("idle-sway", "walk", "arm-swing", "squat", "reach"):
+    for kind in ("idle-sway", "walk", "arm-swing", "reach"):
         spec = MotionSpec(kind=kind, frames=50, seed=3)
         a = generate_motion(spec, skel)
         b = generate_motion(spec, skel)
@@ -107,21 +104,15 @@ def test_reach_wrist_orientation_is_uninformative():
 
 
 def test_parse_preset_vocabulary():
-    assert np.allclose(parse_preset("uniform:1.3"), 1.3)
-    for preset in ("arms:1.4,torso:0.8", "upper:0.7", "torso:1.2,arms:0.9"):
-        assert np.array_equal(parse_preset(preset)[list(LOWER_BONES)], np.ones(8))
-    with pytest.raises(PresetError):
-        parse_preset("legs:2.0")
-    with pytest.raises(PresetError):
-        parse_preset("uniform:zero")
+    assert parse_preset("uniform:1.3") == 1.3
     # a NaN or infinite scale used to be accepted, and a zero one refused unnamed
-    for preset, part in (("uniform:nan", "uniform:nan"), ("uniform:0", "uniform:0"),
-                         ("arms:1.4, torso:-inf", "torso:-inf"), ("arms:inf", "arms:inf")):
-        with pytest.raises(PresetError, match=f"^preset component '{re.escape(part)}': "
-                                              "scale must be finite and positive$"):
+    for preset in ("legs:2.0", "uniform:zero", "uniform:nan", "uniform:0", "uniform:-inf",
+                   "uniform:1.4,uniform:0.7"):
+        with pytest.raises(ValueError, match="^preset must be 'uniform:<scale>' with a finite, "
+                                             f"positive scale, got '{re.escape(preset)}'$"):
             parse_preset(preset)
-    with pytest.raises(PresetError, match="'arms:inf': scale must be finite"):
-        BenchmarkCell(MotionSpec("walk", 10), preset="arms:inf")
+    with pytest.raises(ValueError, match="got 'uniform:inf'"):
+        BenchmarkCell(MotionSpec("walk", 10), preset="uniform:inf")
 
 
 def test_scale_ground_truth_uniform_scales_root():
@@ -135,19 +126,9 @@ def test_scale_ground_truth_uniform_scales_root():
     assert np.allclose(scaled.joint_locations(sk2), 0.6 * seq.joint_locations(skel))
 
 
-def test_scale_ground_truth_upper_keeps_lower_body():
-    skel = default_skeleton()
-    seq = generate_motion(MotionSpec(kind="arm-swing", frames=30, seed=1), skel)
-    scaled, sk2 = scale_ground_truth(seq, skel, "arms:1.4")
-    locs0 = seq.joint_locations(skel)
-    locs1 = scaled.joint_locations(sk2)
-    lower_joints = [0] + list(LOWER_BONES)
-    assert np.allclose(locs1[:, lower_joints], locs0[:, lower_joints], atol=1e-12)
-
-
 def test_sequence_binary_roundtrip(tmp_path):
     skel = default_skeleton()
-    seq = generate_motion(MotionSpec(kind="squat", frames=25, seed=4), skel)
+    seq = generate_motion(MotionSpec(kind="walk", frames=25, seed=4), skel)
     path = tmp_path / "seq.pgseq"
     save_sequence(path, seq)
     back = load_sequence(path)
@@ -157,7 +138,7 @@ def test_sequence_binary_roundtrip(tmp_path):
 
 def test_sequence_load_errors(tmp_path):
     skel = default_skeleton()
-    seq = generate_motion(MotionSpec(kind="squat", frames=25, seed=4), skel)
+    seq = generate_motion(MotionSpec(kind="walk", frames=25, seed=4), skel)
     path = tmp_path / "seq.pgseq"
     save_sequence(path, seq)
     raw = path.read_bytes()
@@ -221,7 +202,7 @@ def _infinite_root(seq, path):
     (_infinite_root, "non-finite root translation at frame 4"),
 ], ids=["no-version", "no-frames", "no-joints", "fractional-frames", "empty", "infinite-root"])
 def test_sequence_load_refusals_name_the_file(tmp_path, make, match):
-    seq = generate_motion(MotionSpec(kind="squat", frames=25, seed=4), default_skeleton())
+    seq = generate_motion(MotionSpec(kind="walk", frames=25, seed=4), default_skeleton())
     path = tmp_path / "bad.pgseq"
     path.write_bytes(make(seq, path))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}.*{match}"):

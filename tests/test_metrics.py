@@ -11,7 +11,7 @@ from poseguide import metrics, rot6d, skeleton
 from poseguide.metrics import (
     LOWER_JOINTS, UPPER_JOINTS, evaluate_cell, mpjpe_from_locations, write_report,
 )
-from poseguide.skeleton import PoseSequence, default_skeleton, scale_skeleton
+from poseguide.skeleton import PoseSequence, Skeleton, default_skeleton
 from tests.test_skeleton import random_pose_matrices
 
 
@@ -152,10 +152,9 @@ def test_evaluate_cell_values_are_pinned(frames, pred_seed, truth_seed, scale, b
     # sha256 of every value evaluate_cell returns, taken when each metric
     # still posed the sequences on its own; off-manifold 6DoF inputs also pin the decode
     skel = default_skeleton()
-    if body == "ramp":
-        skel = scale_skeleton(skel, np.linspace(0.8, 1.3, 22))
-    elif body is not None:
-        skel = scale_skeleton(skel, np.full(22, body))
+    if body is not None:
+        factors = np.linspace(0.8, 1.3, 22) if body == "ramp" else np.full(22, body)
+        skel = Skeleton(skel.parents, skel.bone_vectors * factors[:, None])
     cell = evaluate_cell(_random_seq(frames, pred_seed), skel, _random_seq(frames, truth_seed),
                          scale, name)
     assert hashlib.sha256(json.dumps(cell, sort_keys=True).encode()).hexdigest() == digest

@@ -10,7 +10,7 @@ from poseguide import rot6d
 from poseguide.skeleton import (
     HEAD, MEASURED_JOINTS, SMPL_PARENTS, PoseSequence, Skeleton, SkeletonError,
     default_skeleton, forward_kinematics,
-    recover_root_translation, scale_skeleton,
+    recover_root_translation,
 )
 from tests.test_rot6d import random_rotations
 
@@ -29,10 +29,6 @@ def fk_reference(rotations, skeleton, root=None):
 
 def random_pose_matrices(frames, seed=0):
     return random_rotations(frames * 22, seed=seed).reshape(frames, 22, 3, 3)
-
-
-def uniform(skel, s):
-    return scale_skeleton(skel, np.full(skel.joint_count, s))
 
 
 def test_fk_matches_recursive_reference():
@@ -82,17 +78,9 @@ def test_uniform_scaling_commutes_with_fk():
     skel = default_skeleton()
     R = random_pose_matrices(3, seed=5)
     for s in (0.6, 1.4, 2.5):
-        a = forward_kinematics(uniform(skel, s), R)
+        a = forward_kinematics(Skeleton(skel.parents, skel.bone_vectors * s), R)
         b = s * forward_kinematics(skel, R)
         assert np.abs(a - b).max() < 1e-12
-
-
-def test_scale_skeleton_validates():
-    skel = default_skeleton()
-    with pytest.raises(SkeletonError):
-        scale_skeleton(skel, np.ones(5))  # wrong length
-    with pytest.raises(SkeletonError):
-        scale_skeleton(skel, np.full(22, -1.0))
 
 
 def test_build_skeleton_rejects_bad_trees():
