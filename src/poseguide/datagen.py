@@ -135,7 +135,7 @@ def generate_motion(spec: MotionSpec, skeleton: Skeleton) -> PoseSequence:
 
 
 def parse_preset(preset: str) -> float:
-    """The body scale s of a ``uniform:<s>`` preset, refused by name unless finite and positive."""
+    """The body scale s of a ``uniform:<s>`` preset, refused by name unless in (0, 1000]."""
     name, _, value = preset.partition(":")
     try:
         s = float(value)
@@ -144,6 +144,8 @@ def parse_preset(preset: str) -> float:
     if name != "uniform" or not (np.isfinite(s) and s > 0.0):
         raise ValueError(f"preset must be 'uniform:<scale>' with a finite, positive scale, "
                          f"got {preset!r}")
+    if s > 1000.0:  # the cap of check_sigma: a larger body overflows the sampler
+        raise ValueError(f"preset scale must be at most 1000, got {preset!r}")
     return s
 
 
@@ -221,9 +223,10 @@ class BenchmarkCell:
         check_sigma("sigma_l", self.sigma_l)
 
     def name(self) -> str:
-        preset = self.preset.replace(":", "").replace(".", "p")
+        """The cell's directory name, from the preset's scale, not its spelling."""
+        scale = repr(parse_preset(self.preset)).replace(".", "p")
         return (f"{self.motion.kind}_f{self.motion.frames}_m{self.motion.seed}"
-                f"_{preset}_sl{self.sigma_l:g}_s{self.seed}")
+                f"_uniform{scale}_sl{self.sigma_l:g}_s{self.seed}")
 
 
 @dataclass

@@ -6,7 +6,9 @@ gives the clean-signal estimates r_hat for a stack of 6DoF windows together
 with their pullback, mapping a cotangent on r_hat back to the noisy input.
 Implementations here: an oracle that denoises to a known ground truth
 exactly (for tests), and a small trainable residual MLP over flattened
-windows, trained with conditioning dropout.
+windows, trained with conditioning dropout.  The MLP's per-step weight
+products run in two column halves, one on a worker thread that stays
+resident for the life of the process.
 
 Conditioning is a per-frame vector built from the sensed joints only:
 either the three measured 6DoF rotations (18 numbers, the method) or the
@@ -22,11 +24,13 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import json
 import numbers
 import os
 import zipfile
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -68,6 +72,73 @@ def _time_features(t) -> np.ndarray:
     x = 2.0 * np.pi * np.asarray(t, dtype=float)[..., None] / TERMINAL
     ks = np.arange(1, TIME_FEATURES // 2 + 1)
     return np.concatenate([np.sin(ks * x), np.cos(ks * x)], axis=-1)
+
+
+@functools.cache
+def _openblas():
+    """The thread-count (getter, setter) of numpy's bundled OpenBLAS, or None without them."""
+    import ctypes
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, restoring the old count on exit.
+
+    Training and sampling run their own threads beside the caller, so a second
+    BLAS thread would only oversubscribe the cores; at one thread the products
+    round the same whatever ``OPENBLAS_NUM_THREADS`` says.  The count is
+    process-global: BLAS that another thread of the process runs meanwhile runs at
+    one thread too.  Without the bundled OpenBLAS's ``scipy_openblas_*_num_threads64_``
+    symbols (another BLAS) this does nothing, and the bits then depend on that
+    BLAS's thread count.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
+@functools.cache
+def _resident_worker():
+    """The process's one worker thread for the denoiser's products, started on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # no pool until a product needs it
+    return ThreadPoolExecutor(1)
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no copy of the worker's thread
+    os.register_at_fork(after_in_child=_resident_worker.cache_clear)
+
+
+def _split_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in two column halves cut at ``b.shape[1] // 2``, written into one output.
+
+    The resident worker computes the second half while the caller computes the
+    first, then the caller joins.  The cut is the same on any CPU count, so the
+    bits are too; on one CPU the worker time-shares the core with the caller.
+    """
+    k = b.shape[1] // 2
+    out = np.empty((a.shape[0], b.shape[1]))
+    second = _resident_worker().submit(np.matmul, a, b[:, k:], out=out[:, k:])
+    np.matmul(a, b[:, :k], out=out[:, :k])
+    second.result()
+    return out
 
 
 class DenoiserInterface:
@@ -290,7 +361,7 @@ class MLPDenoiser(DenoiserInterface):
                 raise ValueError(f"expected ({n}, {W}, {JOINT_COUNT}, 6) stack, got {r_t.shape}")
             tf = _time_features(t)
             pre = [tf @ w[:TIME_FEATURES] + share for w, share in zip(side_w, shares)]
-            h0 = h = np.tanh(r_t.reshape(n, -1) @ state_T.T + pre[0])
+            h0 = h = np.tanh(_split_matmul(r_t.reshape(n, -1), state_T.T) + pre[0])
             acts = []
             for k in range(BLOCKS):
                 acts.append(np.tanh(h @ Wr[k] + pre[k + 1]))
@@ -300,14 +371,14 @@ class MLPDenoiser(DenoiserInterface):
                 want = (n * W, len(frame), 6)
                 if np.size(cot) != np.prod(want):
                     raise ValueError(f"cotangent shape {np.shape(cot)} does not match {want}")
-                dh = np.reshape(cot, (n, -1)) @ wo_rows
+                dh = _split_matmul(np.reshape(cot, (n, -1)), wo_rows)
                 for k in reversed(range(BLOCKS)):
                     da = dh * (1.0 - acts[k] * acts[k])
                     dh = dh + da @ Wr[k].T
                 dz0 = dh * (1.0 - h0 * h0)
-                return (dz0 @ state_T).reshape(r_t.shape)
+                return _split_matmul(dz0, state_T).reshape(r_t.shape)
 
-            return (h @ Wo + bo).reshape(r_t.shape), pullback
+            return (_split_matmul(h, Wo) + bo).reshape(r_t.shape), pullback
 
         return denoise
 
@@ -435,9 +506,11 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     Adam blocks start on the pool as soon as the backward has last read it.  On
     one CPU the single worker shares it with the caller.  The draws run one at a
     time, in step order, and only the drawing thread touches the training RNG,
-    so every batch, and the trained bits, are the same at any CPU count.
+    so every batch, and the trained bits, are the same at any CPU count.  BLAS
+    runs at one thread meanwhile (``_one_blas_thread``), so they are also the
+    same at any ``OPENBLAS_NUM_THREADS``.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only training opens a pool
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool is opened
 
     states, conds = _extract_windows(dataset, config)
     if len(states) < 10:
@@ -463,7 +536,7 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     # the CPUs this process may run on; the caller's thread takes one part of each update
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, (cpus or 1) - 1)
-    with ThreadPoolExecutor(workers) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         batch = pool.submit(draw)
         for step in range(1, config.steps + 1):
             X, target = batch.result()

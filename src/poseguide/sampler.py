@@ -20,8 +20,8 @@ import numpy as np
 from . import rot6d
 from .measurement import LinearOperatorA, MeasurementSet, build_A, check_sigma, differential_transform
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
-from .denoiser import (TERMINAL, DenoiserInterface, alpha_bar, check_count, check_real,
-                       make_conditioning)
+from .denoiser import (TERMINAL, DenoiserInterface, _one_blas_thread, alpha_bar, check_count,
+                       check_real, make_conditioning)
 
 OVERLAP = 20
 DIVERGENCE_NORM = 1e3
@@ -149,10 +149,12 @@ def run_guided_inference(
     ``measurements.sigma_l`` alone, so it stays off for noise-free files.
 
     The denoiser is conditioned once, on every window's measured rotations
-    and ``A.active_joints``.  Deterministic given (inputs, seed).  Output
-    rotations depend on the measured locations only through their per-frame
-    differences, so a constant sensor translation that rounds no location
-    leaves them bit-identical.
+    and ``A.active_joints``.  Sampling holds numpy's bundled OpenBLAS at one
+    thread, leaving a core to the denoiser's worker.  Deterministic
+    given (inputs, seed), at any CPU count and any ``OPENBLAS_NUM_THREADS``.
+    Output rotations depend on the measured locations only through their
+    per-frame differences, so a constant sensor translation that rounds no
+    location leaves them bit-identical.
     """
     check_count("steps", steps, 1)
     check_count("seed", seed, 0)
@@ -169,39 +171,40 @@ def run_guided_inference(
     starts = np.array(_window_starts(frames, W, W - overlap))
     win = starts[:, None] + np.arange(W)  # (windows, W) sequence frames
     l_diff = differential_transform(measurements.locations)[win].reshape(-1, 2, 3)
-    denoise = denoiser.condition(make_conditioning(measurements, denoiser.cond_spec)[win],
-                                 starts, A.active_joints)
+    with _one_blas_thread():
+        denoise = denoiser.condition(make_conditioning(measurements, denoiser.cond_spec)[win],
+                                     starts, A.active_joints)
 
-    rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(len(starts))]
-    r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
-    abars = alpha_bar(timesteps)
-    for i in range(steps, 0, -1):
-        t, ab_t, ab_s = timesteps[i], abars[i], abars[i - 1]
-        r_hat, pullback = denoise(r, t)
-        eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
-        if config.guidance_scale > 0.0:
-            # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
-            w_t = float(np.sqrt(1.0 - ab_t))
-            try:
-                g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t)
-            except rot6d.DegenerateRotationError as exc:  # its index runs over (windows, W, J)
-                w, (f, j) = exc.index // J // W, divmod(exc.index, J)
+        rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(len(starts))]
+        r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
+        abars = alpha_bar(timesteps)
+        for i in range(steps, 0, -1):
+            t, ab_t, ab_s = timesteps[i], abars[i], abars[i - 1]
+            r_hat, pullback = denoise(r, t)
+            eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
+            if config.guidance_scale > 0.0:
+                # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
+                w_t = float(np.sqrt(1.0 - ab_t))
+                try:
+                    g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t)
+                except rot6d.DegenerateRotationError as exc:  # its index runs over (windows, W, J)
+                    w, (f, j) = exc.index // J // W, divmod(exc.index, J)
+                    raise SamplerDivergence(
+                        f"window at frame {starts[w]}: degenerate 6DoF estimate at step {i} "
+                        f"(t={t:.3g}) at frame {win.flat[f]}, joint {j}: {exc.reason}") from exc
+            else:
+                g = np.zeros_like(r)
+            r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rngs)
+            peaks = np.abs(r).reshape(len(starts), -1).max(axis=1)
+            if not np.all(peaks <= DIVERGENCE_NORM):  # also catches NaN
+                w = np.argmin(peaks <= DIVERGENCE_NORM)  # the first window over the bound
+                # argmax returns the first NaN if there is one, else the largest entry
+                f, j, _ = np.unravel_index(np.argmax(np.abs(r[w])), r[w].shape)
                 raise SamplerDivergence(
-                    f"window at frame {starts[w]}: degenerate 6DoF estimate at step {i} (t={t:.3g}) "
-                    f"at frame {win.flat[f]}, joint {j}: {exc.reason}") from exc
-        else:
-            g = np.zeros_like(r)
-        r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rngs)
-        peaks = np.abs(r).reshape(len(starts), -1).max(axis=1)
-        if not np.all(peaks <= DIVERGENCE_NORM):  # also catches NaN
-            w = np.argmin(peaks <= DIVERGENCE_NORM)  # the first window over the bound
-            # argmax returns the first NaN if there is one, else the largest entry
-            f, j, _ = np.unravel_index(np.argmax(np.abs(r[w])), r[w].shape)
-            raise SamplerDivergence(
-                f"window at frame {starts[w]}: state magnitude {peaks[w]:.3g} exceeded "
-                f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
-                f"{starts[w] + f}, joint {j}"
-            )
+                    f"window at frame {starts[w]}: state magnitude {peaks[w]:.3g} exceeded "
+                    f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
+                    f"{starts[w] + f}, joint {j}"
+                )
 
     fade = np.linspace(0.0, 1.0, overlap + 2)[1:-1]
     ramp = np.ones((len(starts), W))

@@ -8,10 +8,8 @@ oracle-driven and runs in seconds.
 """
 
 import multiprocessing
-import os
 import sys
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,11 +259,9 @@ def trend_models():
                            dropout_prob=0.1),
                TrainConfig(steps=1500, seed=0, hidden=160, cond_spec="locations",
                            dropout_prob=0.0)]
-    # the two models train side by side, one core each: the workers read a BLAS
-    # thread count of 1 when they start, and this process's BLAS is already loaded
-    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
-        pool = multiprocessing.get_context("spawn").Pool(2)
-    with pool:
+    # the two models train side by side, one core each (training holds its BLAS
+    # at one thread)
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
         # a pool whose worker died would wait for it forever
         trained = pool.starmap_async(train_denoiser, [(dataset, c) for c in configs])
         prior, baseline = trained.get(timeout=1800.0)

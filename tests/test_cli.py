@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,27 @@ def test_infer_oracle_is_accurate(data_dir, tmp_path):
     truth = load_sequence(cell / "truth.pgseq")
     got = load_sequence(pred)
     assert np.abs(got.rotations - truth.rotations).max() < 1e-3
+
+
+def test_infer_oracle_at_the_largest_body_scale_runs_without_a_warning(tmp_path):
+    # at uniform:1e300, which gen-data used to accept, infer overflowed into NaN
+    # with a RuntimeWarning and still exited 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"cells": [{"motion": {"kind": "walk", "frames": 30},
+                                               "preset": "uniform:1000"}]}))
+    assert main(["gen-data", "--manifest", str(manifest), "--out", str(tmp_path / "d")]) == EXIT_OK
+    cell = tmp_path / "d" / "walk_f30_m0_uniform1000p0_sl0_s0"
+    pred = tmp_path / "pred.pgseq"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["infer", "--measurements", str(cell / "measurements.jsonl"),
+                   "--skeleton", str(cell / "skeleton.json"), "--out", str(pred),
+                   "--oracle-truth", str(cell / "truth.pgseq"), "--covariance-mode", "sigma",
+                   "--steps", "10"])
+    assert rc == EXIT_OK
+    got, truth = load_sequence(pred), load_sequence(cell / "truth.pgseq")
+    assert np.abs(got.rotations - truth.rotations).max() < 1e-9
+    assert np.abs(got.root_translation - truth.root_translation).max() < 1e-9
 
 
 def test_infer_requires_model_source(data_dir, tmp_path):

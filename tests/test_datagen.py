@@ -115,6 +115,17 @@ def test_parse_preset_vocabulary():
         BenchmarkCell(MotionSpec("walk", 10), preset="uniform:inf")
 
 
+def test_parse_preset_caps_the_scale_at_1000():
+    # uniform:1e300 used to pass and overflow the sampler into NaN while infer exited 0
+    assert parse_preset("uniform:1000") == 1000.0
+    for preset in ("uniform:1000.001", "uniform:1e300"):
+        with pytest.raises(ValueError, match="^preset scale must be at most 1000, "
+                                             f"got '{re.escape(preset)}'$"):
+            parse_preset(preset)
+    with pytest.raises(ValueError, match="got 'uniform:2000'"):
+        BenchmarkCell(MotionSpec("walk", 10), preset="uniform:2000")
+
+
 def test_scale_ground_truth_uniform_scales_root():
     skel = default_skeleton()
     seq = generate_motion(MotionSpec(kind="walk", frames=30, seed=1), skel)
@@ -248,6 +259,22 @@ def test_cell_names_are_distinct(tmp_path):
     path = tmp_path / "twice.json"
     path.write_text(json.dumps({"cells": [{"motion": {"kind": "walk", "frames": 20}}] * 2}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} .*cells 0 and 1 share"):
+        BenchmarkManifest.load(path)
+
+
+def test_cell_names_come_from_the_scale_not_its_spelling(tmp_path):
+    # uniform:1 and uniform:1.0 used to name one body twice, and "uniform: 1.0"
+    # put a space in the directory name
+    walk = MotionSpec("walk", 20)
+    for preset, scale in (("uniform:1", "1p0"), ("uniform:1.0", "1p0"), ("uniform: 1.0", "1p0"),
+                          ("uniform:1.00", "1p0"), ("uniform:0.6", "0p6"), ("uniform:1.4", "1p4"),
+                          ("uniform:1000", "1000p0")):
+        assert BenchmarkCell(walk, preset).name() == f"walk_f20_m0_uniform{scale}_sl0_s0"
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"cells": [{"motion": {"kind": "walk", "frames": 20},
+                                           "preset": p} for p in ("uniform:1", "uniform:1.0")]}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} .*cells 0 and 1 share the "
+                                         "name 'walk_f20_m0_uniform1p0_sl0_s0'"):
         BenchmarkManifest.load(path)
 
 

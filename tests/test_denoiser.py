@@ -1,22 +1,29 @@
 """Denoiser contracts: oracle identities, window stacks, training, config validation,
 pullback, persistence."""
 
+import json
+import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poseguide.denoiser import (
     _ADAM_CHUNK, TERMINAL, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
-    _adam_update, alpha_bar, make_conditioning, train_denoiser,
+    _adam_update, _openblas, _split_matmul, alpha_bar, make_conditioning, train_denoiser,
 )
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.measurement import build_A, extract_measurements
+from poseguide.sampler import GuidanceConfig, run_guided_inference
 from poseguide.skeleton import PoseSequence, default_skeleton
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_dataset(n_seqs=3, frames=60):
@@ -306,6 +313,120 @@ def test_training_leaves_no_thread_behind(monkeypatch):
     with pytest.raises(RuntimeError, match="stopped by the loss callback"):
         _train_on_cpus(monkeypatch, {0, 1, 2, 3}, fail)
     assert threading.active_count() == start
+
+
+# Trains, samples, and fails each way once, reading numpy's OpenBLAS thread count
+# before and after each call and inside each hot loop; prints it all as JSON.
+_BLAS_THREADS_SCRIPT = """
+import hashlib, json
+import numpy as np
+from poseguide.datagen import MotionSpec, generate_motion
+from poseguide.denoiser import MLPDenoiser, TrainConfig, TrainingError, _openblas, train_denoiser
+from poseguide.measurement import extract_measurements
+from poseguide.sampler import GuidanceConfig, SamplerDivergence, run_guided_inference
+from tests.test_denoiser import small_config, small_dataset
+
+get = _openblas()[0]
+reads, inside, digests = [get()], set(), []
+ds, skel = small_dataset()
+model = train_denoiser(ds, small_config(hidden=160, batch=32, steps=20),
+                       lambda step, loss: inside.add(get()))
+reads.append(get())
+digests.append(b"".join(model.params[k].tobytes() for k in sorted(model.params)))
+# an untrained prior: its state drifts furthest from any rounding difference
+prior = MLPDenoiser(small_config(hidden=160))
+condition = prior.condition
+def recording(*args):
+    denoise = condition(*args)
+    return lambda r_t, t: inside.add(get()) or denoise(r_t, t)
+prior.condition = recording
+pred = run_guided_inference(ds[0][1], skel, prior, 5, GuidanceConfig())
+reads.append(get())
+digests.append(pred.rotations.tobytes() + pred.root_translation.tobytes())
+
+forward = MLPDenoiser._forward
+def nan_forward(self, X):
+    out, cache = forward(self, X)
+    out[0, 0] = np.nan
+    return out, cache
+MLPDenoiser._forward = nan_forward
+try:
+    train_denoiser(ds, small_config())
+except TrainingError:
+    reads.append(get())
+MLPDenoiser._forward = forward
+
+bad = MLPDenoiser(TrainConfig(hidden=8))  # estimates zero at window frame 3, joint 5
+cols = slice(3 * 132 + 5 * 6, 3 * 132 + 6 * 6)
+bad.params["Wo"][:, cols] = 0.0
+bad.params["bo"][cols] = 0.0
+truth = generate_motion(MotionSpec(kind="reach", frames=100, seed=1), skel)
+try:
+    run_guided_inference(extract_measurements(truth, skel, 0.0, seed=0), skel, bad, 10,
+                         GuidanceConfig())
+except SamplerDivergence:
+    reads.append(get())
+print(json.dumps({"reads": reads, "inside": sorted(inside),
+                  "digests": [hashlib.sha256(d).hexdigest() for d in digests]}))
+"""
+
+
+@pytest.mark.skipif(_openblas() is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+def test_blas_runs_at_one_thread_in_training_and_sampling_and_is_restored():
+    # trained and sampled bits used to change with OPENBLAS_NUM_THREADS on a
+    # machine with more than one CPU; the old count comes back after a return
+    # and after a TrainingError or a SamplerDivergence
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+    runs = {}
+    for threads in (None, "1"):
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=run_env,
+                              cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout)
+    for run in runs.values():
+        assert run["inside"] == [1]
+        assert run["reads"] == run["reads"][:1] * 5
+    assert runs["1"]["reads"][0] == 1
+    assert runs[None]["digests"] == runs["1"]["digests"]
+
+
+def test_split_matmul_is_the_two_column_halves_on_one_resident_worker(monkeypatch):
+    rng = np.random.default_rng(0)
+    # the shapes of the bench prior's four products, a transposed view, odd widths
+    for m, k, n in ((7, 5412, 160), (7, 160, 5412), (7, 738, 160), (1, 24, 25), (19, 3, 1)):
+        a = rng.standard_normal((m, k))
+        for b in (rng.standard_normal((k, n)), rng.standard_normal((n, k)).T):
+            half = n // 2
+            want = np.concatenate([a @ b[:, :half], a @ b[:, half:]], 1)
+            assert _split_matmul(a, b).tobytes() == want.tobytes()
+    # no thread is started per inference: the worker stays resident (a pool per
+    # call raises the guided bench's peak RSS)
+    ds, skel = small_dataset(1)
+    prior = MLPDenoiser(small_config())
+    run_guided_inference(ds[0][1], skel, prior, 2, GuidanceConfig())
+    start, started = threading.active_count(), []
+    thread_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or thread_start(self))
+    for _ in range(3):
+        run_guided_inference(ds[0][1], skel, prior, 2, GuidanceConfig())
+        assert threading.active_count() == start
+    assert started == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_a_forked_child_gets_its_own_worker():
+    # a forked child has no copy of the resident worker's thread: handed the
+    # parent's pool, it would queue its second half and wait for it forever
+    a, b = np.arange(12.0).reshape(3, 4), np.arange(24.0).reshape(4, 6)
+    _split_matmul(a, b)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_split_matmul, (a, b)).get(timeout=60)
+    assert np.array_equal(got, a @ b)
 
 
 def test_training_errors():

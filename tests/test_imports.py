@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, the package reads
 every private function, method and class and every module-level name it defines,
 the package, the demos or the benchmark read every public function, method and
-class, and the CLI loads no thread pool until training opens one."""
+class, and the CLI loads no thread pool until training or the denoiser opens one."""
 
 import ast
 import os
@@ -150,7 +150,8 @@ def test_package_reads_every_module_level_name():
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # infer and eval never open a pool, so they should not pay for its import
+    # only training and the denoiser's first split product open a pool, so a command
+    # that reaches neither (eval, or an infer refused before sampling) pays no import
     src = str(Path(poseguide.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, poseguide.cli; print('concurrent.futures' in sys.modules)"
