@@ -18,7 +18,8 @@ import numpy as np
 from . import metrics, rot6d
 from .datagen import BenchmarkManifest, load_sequence, save_sequence, write_cells
 from .denoiser import (
-    COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError, train_denoiser,
+    COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError, check_count,
+    train_denoiser,
 )
 from .measurement import MeasurementSet, build_A
 from .sampler import GuidanceConfig, SamplerDivergence, run_guided_inference
@@ -162,6 +163,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, low in (("--points", args.points, 1), ("--samples", args.samples, 1000),
+                             ("--seed", args.seed, 0)):
+        check_count(flag, value, low)
     report = verify_pushforward(points=args.points, n_samples=args.samples, seed=args.seed)
 
     # rotation-algebra and kinematic-linearization spot checks

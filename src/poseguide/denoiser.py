@@ -1,14 +1,17 @@
 """Conditional denoisers.
 
 The sampler needs one call from a denoiser: ``condition`` binds it to one
-sequence's conditioning windows and returns the per-step ``denoise``, which
-gives the clean-signal estimates r_hat for a stack of 6DoF windows together
-with their pullback, mapping a cotangent on r_hat back to the noisy input.
+sequence's conditioning windows and returns ``(reads, denoise)``.  The
+estimate depends on a window's state x only through its coordinates
+``x @ reads``, so ``denoise`` takes those coordinates and gives the
+clean-signal estimates r_hat for a stack of 6DoF windows, their coordinates,
+and their pullback, mapping a cotangent on r_hat back to the coordinates.
 Implementations here: an oracle that denoises to a known ground truth
-exactly (for tests), and a small trainable residual MLP over flattened
-windows, trained with conditioning dropout.  The MLP's per-step weight
-products run in two column halves, one on a worker thread that stays
-resident for the life of the process.
+exactly (for tests; its estimate reads no coordinates), and a small
+trainable residual MLP over flattened windows, trained with conditioning
+dropout, whose coordinates are its first layer's pre-activation from the
+state.  The MLP's two per-step weight products run in two column halves,
+one on a worker thread that stays resident for the life of the process.
 
 Conditioning is a per-frame vector built from the sensed joints only:
 either the three measured 6DoF rotations (18 numbers, the method) or the
@@ -151,13 +154,17 @@ class DenoiserInterface:
     cond_spec: str = "rotations"
 
     def condition(self, cond: np.ndarray, starts, joints):
-        """Bind to one sequence's windows; returns ``denoise(r_t, t) -> (r_hat, pullback)``.
+        """Bind to one sequence's windows; returns ``(reads, denoise)``.
 
         ``cond`` is (windows, W, C), ``starts`` the first sequence frame of each
-        window, and ``joints`` the joints the pullback's cotangent covers.  ``r_t``
-        is a (windows, W, J, 6) stack and ``r_hat`` has its shape; ``pullback(cot)``
-        returns (d r_hat / d r_t)^T cot for a (windows * W, |joints|, 6) cotangent
-        on those joints, every other joint's being zero.
+        window, and ``joints`` the joints the pullback's cotangent covers.
+        ``reads`` is a (W * J * 6, k) matrix: the estimate depends on a window's
+        flattened state x only through ``x @ reads``.  ``denoise(z, t)`` takes
+        those (windows, k) coordinates and returns ``(r_hat, z_hat, pullback)``:
+        the (windows, W, J, 6) estimate, its coordinates ``r_hat @ reads``, and
+        ``pullback(cot)``, the (windows, k) gradient at z of <cot, r_hat> for a
+        (windows * W, |joints|, 6) cotangent on those joints, every other
+        joint's being zero.
         """
         raise NotImplementedError
 
@@ -166,8 +173,8 @@ class OracleDenoiser(DenoiserInterface):
     """Denoises to a known ground-truth sequence exactly.
 
     ``condition`` checks the windows against the stored truth and gathers
-    them once; the estimate is that stack, constant in the input, so the
-    pullback is zero.
+    them once; the estimate is that stack, constant in the input, so it reads
+    no coordinates (``reads`` has no columns) and the pullback is empty.
     """
 
     def __init__(self, ground_truth_rotations: np.ndarray):
@@ -180,13 +187,15 @@ class OracleDenoiser(DenoiserInterface):
                 raise ValueError(f"window {w} (frames {start} to {start + W - 1}) runs past "
                                  f"the stored ground truth of {len(self.truth)} frames")
         truth = self.truth[np.asarray(starts, dtype=int)[:, None] + np.arange(W)]
+        none = np.zeros((len(truth), 0))
 
-        def denoise(r_t, t):
-            if np.shape(r_t) != truth.shape:
-                raise ValueError("window does not match the stored ground truth")
-            return truth, lambda cot: np.zeros(truth.shape)
+        def denoise(z, t):
+            if np.shape(z) != none.shape:
+                raise ValueError(f"coordinates of shape {np.shape(z)} do not match the "
+                                 f"{len(truth)} windows of the stored ground truth")
+            return truth, none, lambda cot: none
 
-        return denoise
+        return np.zeros((truth[0].size, 0)), denoise
 
 
 def check_count(name: str, value, low: int | None = None) -> None:
@@ -329,15 +338,18 @@ class MLPDenoiser(DenoiserInterface):
     def condition(self, cond, starts, joints):
         """Bind to one sequence's conditioning (see ``DenoiserInterface``).
 
-        Built once, from the parameter arrays as they are now: a C-ordered copy of
-        W0's state rows transposed; the share of the side rows (time | conditioning |
-        flag 0) of W0 and Wc{k} that reads ``cond``, plus b0 and br{k}; and the
-        C-ordered rows of Wo.T for ``joints``' outputs in every frame.  Each step
-        runs ``_forward``'s arithmetic on the state and time rows only; its pullback
-        runs the block backward and returns the state slice of the input gradient.
-        The network regresses the clean signal rather than the noise, so the noise
-        estimate the sampler derives from r_t = sqrt(ab) r0 + sqrt(1-ab) eps tends
-        to r_t at high noise without r_t having to pass through the bottleneck.
+        ``reads`` is a view of W0's state rows, so the coordinates z are the state's
+        share of the first pre-activation.  Built once, from the parameter arrays as
+        they are now: the share of the side rows (time | conditioning | flag 0) of W0
+        and Wc{k} that reads ``cond``, plus b0 and br{k}; the C-ordered rows of Wo.T
+        for ``joints``' outputs in every frame; and ``Wo @ reads`` and ``bo @ reads``,
+        which give the estimate's coordinates from the last hidden layer.  Each step
+        runs ``_forward``'s arithmetic from z and the time rows, reading only Wo: one
+        product for the estimate and one in its pullback, which runs the block
+        backward and returns the gradient at the first pre-activation.  The network
+        regresses the clean signal rather than the noise, so the noise estimate the
+        sampler derives from r_t = sqrt(ab) r0 + sqrt(1-ab) eps tends to r_t at high
+        noise without r_t having to pass through the bottleneck.
         """
         p, W = self.params, self.window
         cond = np.asarray(cond, dtype=float)
@@ -345,7 +357,7 @@ class MLPDenoiser(DenoiserInterface):
             raise ValueError(f"conditioning must be {cond.shape[:1] + (W, self._cdim)}, "
                              f"got {cond.shape}")
         n = len(cond)
-        state_T = p["W0"][: self.d_state].T.copy()
+        reads = p["W0"][: self.d_state]
         side_w = [p["W0"][self.d_state :]] + [p[f"Wc{k}"] for k in range(BLOCKS)]
         biases = [p["b0"]] + [p[f"br{k}"] for k in range(BLOCKS)]
         c = cond.reshape(n, -1)
@@ -354,14 +366,15 @@ class MLPDenoiser(DenoiserInterface):
         cols = (np.arange(W)[:, None, None] * STATE_PER_FRAME + frame).reshape(-1)
         wo_rows = p["Wo"].T.take(cols, axis=0)
         Wr, Wo, bo = [p[f"Wr{k}"] for k in range(BLOCKS)], p["Wo"], p["bo"]
+        wo_reads, bo_reads = Wo @ reads, bo @ reads
 
-        def denoise(r_t, t):
-            r_t = np.asarray(r_t, dtype=float)
-            if r_t.shape != (n, W, JOINT_COUNT, 6):
-                raise ValueError(f"expected ({n}, {W}, {JOINT_COUNT}, 6) stack, got {r_t.shape}")
+        def denoise(z, t):
+            z = np.asarray(z, dtype=float)
+            if z.shape != (n, reads.shape[1]):
+                raise ValueError(f"expected ({n}, {reads.shape[1]}) coordinates, got {z.shape}")
             tf = _time_features(t)
             pre = [tf @ w[:TIME_FEATURES] + share for w, share in zip(side_w, shares)]
-            h0 = h = np.tanh(_split_matmul(r_t.reshape(n, -1), state_T.T) + pre[0])
+            h0 = h = np.tanh(z + pre[0])
             acts = []
             for k in range(BLOCKS):
                 acts.append(np.tanh(h @ Wr[k] + pre[k + 1]))
@@ -375,12 +388,12 @@ class MLPDenoiser(DenoiserInterface):
                 for k in reversed(range(BLOCKS)):
                     da = dh * (1.0 - acts[k] * acts[k])
                     dh = dh + da @ Wr[k].T
-                dz0 = dh * (1.0 - h0 * h0)
-                return _split_matmul(dz0, state_T).reshape(r_t.shape)
+                return dh * (1.0 - h0 * h0)
 
-            return (_split_matmul(h, Wo) + bo).reshape(r_t.shape), pullback
+            r_hat = (_split_matmul(h, Wo) + bo).reshape(n, W, JOINT_COUNT, 6)
+            return r_hat, h @ wo_reads + bo_reads, pullback
 
-        return denoise
+        return reads, denoise
 
     # -- persistence -------------------------------------------------------
 

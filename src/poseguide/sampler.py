@@ -9,6 +9,12 @@ pullback, and the DDIM update combines estimate, fresh noise, noise
 estimate and the guidance term.  A sequence longer than the denoiser's
 trained window runs as one stack of such windows, one denoiser call per
 step, joined with a linear cross-fade over the overlap.
+
+The denoiser reads a window's state x only through ``x @ reads`` and pulls
+back into those coordinates, so the loop holds x = r + y @ reads.T: the prior
+part r with its coordinates z = r @ reads, and the guidance part y in
+coordinates.  The DDIM update is linear, so the same coefficients move r, z
+and y; x is formed once, after the last step.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import numpy as np
 from . import rot6d
 from .measurement import LinearOperatorA, MeasurementSet, build_A, check_sigma, differential_transform
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
-from .denoiser import (TERMINAL, DenoiserInterface, _one_blas_thread, alpha_bar, check_count,
-                       check_real, make_conditioning)
+from .denoiser import (TERMINAL, DenoiserInterface, _one_blas_thread, _split_matmul, alpha_bar,
+                       check_count, check_real, make_conditioning)
 
 OVERLAP = 20
 DIVERGENCE_NORM = 1e3
@@ -73,7 +79,8 @@ def likelihood_score(
     ``l_diff``: (frames, 2, 3) differential measured locations;
     ``r_hat``: (frames, J, 6); ``pullback(cot)``: cotangent (frames,
     |active|, 6) on ``A.active_joints`` of the denoised estimate, the joints
-    the denoiser was bound to -> gradient w.r.t. the noisy input.
+    the denoiser was bound to -> gradient w.r.t. the noisy input, in the
+    coordinates the denoiser reads (see ``DenoiserInterface.condition``).
     """
     r_hat = np.asarray(r_hat, dtype=float)
     frames, J = r_hat.shape[:2]
@@ -97,20 +104,27 @@ def likelihood_score(
 
 
 def ddim_step(
-    r_t: np.ndarray,
-    r_hat: np.ndarray,
-    eps_t: np.ndarray,
-    g: np.ndarray,
+    state: tuple,
+    estimate: tuple,
+    g,
     alpha_bar_t: float,
     alpha_bar_s: float,
     eta: float,
     rngs: list[np.random.Generator],
-) -> np.ndarray:
+    reads: np.ndarray,
+) -> tuple:
     """One reverse update from time t to s < t for a stack of windows.
 
-    c1 = eta sqrt((1 - ab_t/ab_s)(1 - ab_s)/(1 - ab_t)), c2 = sqrt(1 - ab_s - c1^2);
-    returns sqrt(ab_s) r_hat + c1 fresh + c2 eps_t + sqrt(ab_t) g, where window
-    k's fresh noise is drawn from ``rngs[k]`` (only when c1 > 0).
+    Each window's state is x = r + y @ reads.T; ``state`` is ``(r, z, y)`` with
+    r of shape (windows, ...), z = r @ reads on r's flattened windows, and y
+    the (windows, k) guidance part; ``estimate`` is ``(r_hat, z_hat)``, the
+    estimate of x and its coordinates; ``g`` is the guidance term, in y's
+    coordinates.  With c1 = eta sqrt((1 - ab_t/ab_s)(1 - ab_s)/(1 - ab_t)),
+    c2 = sqrt(1 - ab_s - c1^2) and eps = (x - sqrt(ab_t) x_hat) / sqrt(1 - ab_t),
+    x moves to sqrt(ab_s) x_hat + c1 fresh + c2 eps + sqrt(ab_t) g @ reads.T.
+    Returns that split the same way: r takes the estimate, its noise estimate
+    and the fresh noise, drawn for window k from ``rngs[k]`` (only when c1 > 0);
+    z takes their coordinates; y takes the rest of the noise estimate and g.
     """
     if alpha_bar_t >= 1.0:
         raise ValueError("step must start at a noisy time (alpha_bar_t < 1)")
@@ -119,8 +133,22 @@ def ddim_step(
     if rad < -1e-12:
         raise ValueError(f"invalid schedule/eta combination: 1 - ab_s - c1^2 = {rad}")
     c2 = np.sqrt(max(rad, 0.0))
-    fresh = np.stack([gen.standard_normal(r_t.shape[1:]) for gen in rngs]) if c1 > 0 else 0.0
-    return np.sqrt(alpha_bar_s) * r_hat + c1 * fresh + c2 * eps_t + np.sqrt(alpha_bar_t) * g
+    (r, z, y), (r_hat, z_hat) = state, estimate
+    fresh = fresh_z = 0.0
+    if c1 > 0:
+        fresh = np.stack([gen.standard_normal(r.shape[1:]) for gen in rngs])
+        fresh_z = fresh.reshape(len(r), -1) @ reads
+    root = np.sqrt(1.0 - alpha_bar_t)
+    eps_r = (r - np.sqrt(alpha_bar_t) * r_hat) / root
+    eps_z = (z - np.sqrt(alpha_bar_t) * z_hat) / root
+    return (np.sqrt(alpha_bar_s) * r_hat + c1 * fresh + c2 * eps_r,
+            np.sqrt(alpha_bar_s) * z_hat + c1 * fresh_z + c2 * eps_z,
+            c2 * (y / root) + np.sqrt(alpha_bar_t) * g)
+
+
+def _expand(r: np.ndarray, y: np.ndarray, reads: np.ndarray) -> np.ndarray:
+    """The full state r + y @ reads.T of a stack of windows."""
+    return r + _split_matmul(y, reads.T).reshape(r.shape)
 
 
 def _window_starts(frames: int, window: int, stride: int) -> list[int]:
@@ -149,12 +177,14 @@ def run_guided_inference(
     ``measurements.sigma_l`` alone, so it stays off for noise-free files.
 
     The denoiser is conditioned once, on every window's measured rotations
-    and ``A.active_joints``.  Sampling holds numpy's bundled OpenBLAS at one
-    thread, leaving a core to the denoiser's worker.  Deterministic
-    given (inputs, seed), at any CPU count and any ``OPENBLAS_NUM_THREADS``.
-    Output rotations depend on the measured locations only through their
-    per-frame differences, so a constant sensor translation that rounds no
-    location leaves them bit-identical.
+    and ``A.active_joints``.  The divergence guard bounds each window's
+    largest entry by max|r| + |y| max_i |reads_i| and forms the full state
+    only when that bound passes ``DIVERGENCE_NORM``.  Sampling holds numpy's
+    bundled OpenBLAS at one thread, leaving a core to the denoiser's worker.
+    Deterministic given (inputs, seed), at any CPU count and any
+    ``OPENBLAS_NUM_THREADS``.  Output rotations depend on the measured
+    locations only through their per-frame differences, so a constant sensor
+    translation that rounds no location leaves them bit-identical.
     """
     check_count("steps", steps, 1)
     check_count("seed", seed, 0)
@@ -169,19 +199,25 @@ def run_guided_inference(
     J = skeleton.joint_count
     overlap = min(OVERLAP, W - 1)
     starts = np.array(_window_starts(frames, W, W - overlap))
+    n = len(starts)
     win = starts[:, None] + np.arange(W)  # (windows, W) sequence frames
     l_diff = differential_transform(measurements.locations)[win].reshape(-1, 2, 3)
     with _one_blas_thread():
-        denoise = denoiser.condition(make_conditioning(measurements, denoiser.cond_spec)[win],
-                                     starts, A.active_joints)
+        reads, denoise = denoiser.condition(
+            make_conditioning(measurements, denoiser.cond_spec)[win], starts, A.active_joints)
 
-        rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(len(starts))]
+        rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(n)]
         r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
+        z = _split_matmul(r.reshape(n, -1), reads)
+        y = np.zeros_like(z)
+        gram = reads.T @ reads
+        # |(y @ reads.T)_i| <= |y| |reads_i|; the margin covers the rounding of both sides
+        reach = np.sqrt(np.einsum("ij,ij->i", reads, reads).max()) * (1.0 + 1e-6)
         abars = alpha_bar(timesteps)
         for i in range(steps, 0, -1):
             t, ab_t, ab_s = timesteps[i], abars[i], abars[i - 1]
-            r_hat, pullback = denoise(r, t)
-            eps_t = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
+            r_hat, z_hat, pullback = denoise(z + y @ gram, t)
+            g = 0.0
             if config.guidance_scale > 0.0:
                 # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
                 w_t = float(np.sqrt(1.0 - ab_t))
@@ -192,19 +228,22 @@ def run_guided_inference(
                     raise SamplerDivergence(
                         f"window at frame {starts[w]}: degenerate 6DoF estimate at step {i} "
                         f"(t={t:.3g}) at frame {win.flat[f]}, joint {j}: {exc.reason}") from exc
-            else:
-                g = np.zeros_like(r)
-            r = ddim_step(r, r_hat, eps_t, g, ab_t, ab_s, config.eta, rngs)
-            peaks = np.abs(r).reshape(len(starts), -1).max(axis=1)
-            if not np.all(peaks <= DIVERGENCE_NORM):  # also catches NaN
+            r, z, y = ddim_step((r, z, y), (r_hat, z_hat), g, ab_t, ab_s, config.eta, rngs, reads)
+            bound = np.abs(r).reshape(n, -1).max(axis=1) + np.linalg.norm(y, axis=1) * reach
+            if np.all(bound <= DIVERGENCE_NORM):  # a NaN bound goes on to the exact check
+                continue
+            x = _expand(r, y, reads)
+            peaks = np.abs(x).reshape(n, -1).max(axis=1)
+            if not np.all(peaks <= DIVERGENCE_NORM):
                 w = np.argmin(peaks <= DIVERGENCE_NORM)  # the first window over the bound
                 # argmax returns the first NaN if there is one, else the largest entry
-                f, j, _ = np.unravel_index(np.argmax(np.abs(r[w])), r[w].shape)
+                f, j, _ = np.unravel_index(np.argmax(np.abs(x[w])), x[w].shape)
                 raise SamplerDivergence(
                     f"window at frame {starts[w]}: state magnitude {peaks[w]:.3g} exceeded "
                     f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
                     f"{starts[w] + f}, joint {j}"
                 )
+        x = _expand(r, y, reads)
 
     fade = np.linspace(0.0, 1.0, overlap + 2)[1:-1]
     ramp = np.ones((len(starts), W))
@@ -212,7 +251,7 @@ def run_guided_inference(
     ramp[:-1, W - overlap :] = fade[::-1]
     out = np.zeros((frames, J, 6))
     weight = np.zeros(frames)
-    np.add.at(out, win, ramp[..., None, None] * r)
+    np.add.at(out, win, ramp[..., None, None] * x)
     np.add.at(weight, win, ramp)
     out /= weight[:, None, None]
     # cross-faded 6DoF vectors are generally off-manifold; re-orthonormalize

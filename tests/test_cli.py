@@ -562,3 +562,17 @@ def test_verify_passes(tmp_path):
     assert doc["passed"] is True
     assert doc["rot6d_roundtrip_max_err"] < 1e-9
     assert doc["fk_linearization_max_err"] < 1e-12
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    # used to fail as "max() arg is an empty sequence", "negative dimensions are not
+    # allowed", "expected non-negative integer" and "need at least 1e3 samples"
+    (["--points", "0"], "--points must be at least 1, got 0"),
+    (["--points", "-3"], "--points must be at least 1, got -3"),
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["--samples", "0"], "--samples must be at least 1000, got 0"),
+    (["--samples", "999"], "--samples must be at least 1000, got 999"),
+], ids=["no-points", "negative-points", "negative-seed", "no-samples", "too-few-samples"])
+def test_verify_refuses_a_bad_count_by_its_flag(argv, refusal, capsys):
+    assert main(["verify", *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {refusal}\n"

@@ -4,6 +4,7 @@ pullback, persistence."""
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -41,6 +42,22 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
+def bind(denoiser, cond, starts, joints):
+    """``condition`` as a step on the full state: ``step(r_t, t) -> (r_hat, pullback)``,
+    which lifts r_t to the coordinates, checks that the estimate's coordinates are
+    ``r_hat @ reads``, and takes the pullback's gradient back to the full layout."""
+    reads, denoise = denoiser.condition(cond, starts, joints)
+
+    def step(r_t, t):
+        r_t = np.asarray(r_t, dtype=float)
+        r_hat, z_hat, pullback = denoise(r_t.reshape(len(r_t), -1) @ reads, t)
+        want = r_hat.reshape(len(r_t), -1) @ reads
+        assert np.abs(z_hat - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
+        return r_hat, lambda cot: (pullback(cot) @ reads.T).reshape(r_t.shape)
+
+    return step
+
+
 def test_make_conditioning_shapes():
     ds, _ = small_dataset(1)
     m = ds[0][1]
@@ -61,11 +78,15 @@ def test_oracle_denoiser_identities():
     ab = alpha_bar(t)
     noise = rng.standard_normal(truth.rotations.shape)
     r_t = np.sqrt(ab) * truth.rotations + np.sqrt(1 - ab) * noise
-    denoise = oracle.condition(np.zeros((1, 20, 18)), [0], range(22))
-    r_hat, pullback = denoise(r_t[None], t)
+    reads, denoise = oracle.condition(np.zeros((1, 20, 18)), [0], range(22))
+    assert reads.shape == (20 * 22 * 6, 0)
+    r_hat, z_hat, pullback = denoise(r_t.reshape(1, -1) @ reads, t)
     assert np.array_equal(r_hat, truth.rotations[None])
+    assert z_hat.shape == (1, 0)
     cot = rng.standard_normal(r_t.shape)
-    assert np.array_equal(pullback(cot), np.zeros_like(cot[None]))
+    assert pullback(cot).shape == (1, 0)
+    assert np.array_equal(bind(oracle, np.zeros((1, 20, 18)), [0], range(22))(r_t[None], t)[1](cot),
+                          np.zeros_like(cot[None]))
 
 
 def test_oracle_denoiser_gathers_by_starts():
@@ -73,10 +94,9 @@ def test_oracle_denoiser_gathers_by_starts():
     truth = ds[0][0]
     oracle = OracleDenoiser(truth.rotations)
     rng = np.random.default_rng(1)
-    r_t = rng.standard_normal((2, 5, 22, 6))
     cond = np.zeros((2, 5, 18))
-    denoise = oracle.condition(cond, [7, 2], range(22))
-    r_hat, _ = denoise(r_t, 1.0)
+    reads, denoise = oracle.condition(cond, [7, 2], range(22))
+    r_hat = denoise(np.zeros((2, 0)), 1.0)[0]
     assert np.array_equal(r_hat, np.stack([truth.rotations[7:12], truth.rotations[2:7]]))
     # a window running past either end of the truth is refused by its index, once
     with pytest.raises(ValueError, match=r"window 1 \(frames 17 to 21\) runs past the stored "
@@ -85,8 +105,9 @@ def test_oracle_denoiser_gathers_by_starts():
     with pytest.raises(ValueError, match=r"window 0 \(frames -1 to 3\)"):
         oracle.condition(cond, [-1, 2], range(22))
     # a step on another stack than the bound windows is refused at that step
-    for other in (r_t[:, :, :21], r_t[:1]):
-        with pytest.raises(ValueError, match="does not match the stored ground truth"):
+    for other in (np.zeros((2, 1)), np.zeros((1, 0))):
+        with pytest.raises(ValueError, match="do not match the 2 windows of the stored "
+                                             "ground truth"):
             denoise(other, 1.0)
 
 
@@ -337,8 +358,8 @@ digests.append(b"".join(model.params[k].tobytes() for k in sorted(model.params))
 prior = MLPDenoiser(small_config(hidden=160))
 condition = prior.condition
 def recording(*args):
-    denoise = condition(*args)
-    return lambda r_t, t: inside.add(get()) or denoise(r_t, t)
+    reads, denoise = condition(*args)
+    return reads, lambda z, t: inside.add(get()) or denoise(z, t)
 prior.condition = recording
 pred = run_guided_inference(ds[0][1], skel, prior, 5, GuidanceConfig())
 reads.append(get())
@@ -395,7 +416,7 @@ def test_blas_runs_at_one_thread_in_training_and_sampling_and_is_restored():
 
 def test_split_matmul_is_the_two_column_halves_on_one_resident_worker(monkeypatch):
     rng = np.random.default_rng(0)
-    # the shapes of the bench prior's four products, a transposed view, odd widths
+    # the shapes of the bench prior's split products, a transposed view, odd widths
     for m, k, n in ((7, 5412, 160), (7, 160, 5412), (7, 738, 160), (1, 24, 25), (19, 3, 1)):
         a = rng.standard_normal((m, k))
         for b in (rng.standard_normal((k, n)), rng.standard_normal((n, k)).T):
@@ -476,8 +497,8 @@ def test_conditioning_affects_prediction():
     r_t = rng.standard_normal((12, 22, 6))
     c1 = make_conditioning(ds[0][1], "rotations")[:12]
     c2 = make_conditioning(ds[1][1], "rotations")[:12]
-    a = model.condition(c1[None], [0], range(22))(r_t[None], 1.0)[0]
-    b = model.condition(c2[None], [0], range(22))(r_t[None], 1.0)[0]
+    a = bind(model, c1[None], [0], range(22))(r_t[None], 1.0)[0]
+    b = bind(model, c2[None], [0], range(22))(r_t[None], 1.0)[0]
     assert np.abs(a - b).max() > 0
 
 
@@ -506,7 +527,7 @@ def test_vjp_matches_finite_differences():
     r_t = rng.standard_normal((2, 12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[:24].reshape(2, 12, -1)
     cot = rng.standard_normal(r_t.shape)
-    denoise = model.condition(cond, [0, 12], range(22))
+    denoise = bind(model, cond, [0, 12], range(22))
     got = denoise(r_t, 1.5)[1](cot)
     ref = finite_difference_vjp(denoise, r_t, 1.5, cot)
     assert np.abs(got - ref).max() < 1e-5
@@ -518,10 +539,10 @@ def test_denoise_stack_equals_one_window_stacks():
     r_t = rng.standard_normal((3, 41, 22, 6))
     cond = rng.standard_normal((3, 41, 18))
     cot = rng.standard_normal(r_t.shape)
-    r_hat, pullback = model.condition(cond, [0, 20, 40], range(22))(r_t, 2.0)
+    r_hat, pullback = bind(model, cond, [0, 20, 40], range(22))(r_t, 2.0)
     grad = pullback(cot)
     for w in range(3):
-        denoise_w = model.condition(cond[w : w + 1], [20 * w], range(22))
+        denoise_w = bind(model, cond[w : w + 1], [20 * w], range(22))
         r_hat_w, pullback_w = denoise_w(r_t[w : w + 1], 2.0)
         assert np.abs(r_hat[w] - r_hat_w[0]).max() < 1e-12
         assert np.abs(grad[w] - pullback_w(cot[w : w + 1])[0]).max() < 1e-12
@@ -537,13 +558,13 @@ def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
         r_t = rng.standard_normal((n, 41, 22, 6))
         cond = rng.standard_normal((n, 41, 18))
         starts = 20 * np.arange(n)
-        pullback = model.condition(cond, starts, range(22))(r_t, 2.0)[1]
+        pullback = bind(model, cond, starts, range(22))(r_t, 2.0)[1]
         for joints in (active, (0, 5, -1)):  # -1 is joint 21, as in numpy indexing
             cot = rng.standard_normal((n * 41, len(joints), 6))
             full = np.zeros((n * 41, 22, 6))
             full[:, joints] = cot
             want = pullback(full)
-            got = model.condition(cond, starts, joints)(r_t, 2.0)[1](cot)
+            got = bind(model, cond, starts, joints)(r_t, 2.0)[1](cot)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -581,27 +602,26 @@ def test_inference_forward_and_pullback_match_the_packed_training_path():
             cond = rng.standard_normal((n, 41, 18))
             cot = rng.standard_normal(r_t.shape)
             want_out, want_grad = packed_reference(model, r_t, t, cond, cot)
-            out, pullback = model.condition(cond, 20 * np.arange(n), range(22))(r_t, t)
+            out, pullback = bind(model, cond, 20 * np.arange(n), range(22))(r_t, t)
             assert_close(out, want_out)
             assert_close(pullback(cot), want_grad)
 
 
 def test_denoise_refuses_misshapen_inputs_with_the_packing_message():
-    # the conditioning is refused when the model is bound to it; a step's stack is
-    # refused against the bound window count (training's packing takes only the
-    # shapes train_denoiser has checked, so it checks none)
+    # the conditioning is refused when the model is bound to it; a step's coordinates
+    # are refused against the bound window count and the width (training's packing
+    # takes only the shapes train_denoiser has checked, so it checks none)
     model = MLPDenoiser(TrainConfig(hidden=8))
-    r_t = np.zeros((2, 41, 22, 6))
     for cond, match in (
             (np.zeros((2, 40, 18)), r"conditioning must be \(2, 41, 18\), got \(2, 40, 18\)"),
             (np.zeros((2, 41, 9)), r"conditioning must be \(2, 41, 18\), got \(2, 41, 9\)")):
         with pytest.raises(ValueError, match=match):
             model.condition(cond, [0, 41], range(22))
-    denoise = model.condition(np.zeros((2, 41, 18)), [0, 41], range(22))
-    for r in (r_t[:1], np.zeros((3, 41, 22, 6)), r_t[:, :30]):
-        with pytest.raises(ValueError, match=rf"expected \(2, 41, 22, 6\) stack, got "
-                                             rf"\({r.shape[0]}, {r.shape[1]}, 22, 6\)"):
-            denoise(r, 1.0)
+    reads, denoise = model.condition(np.zeros((2, 41, 18)), [0, 41], range(22))
+    for z in (np.zeros((1, 8)), np.zeros((3, 8)), np.zeros((2, 7)), np.zeros((2, 41, 22, 6))):
+        with pytest.raises(ValueError, match=rf"expected \(2, 8\) coordinates, got "
+                                             rf"{re.escape(str(z.shape))}"):
+            denoise(z, 1.0)
 
 
 def test_pullback_refuses_a_cotangent_that_does_not_match_its_joints():
@@ -612,7 +632,7 @@ def test_pullback_refuses_a_cotangent_that_does_not_match_its_joints():
     for cot, joints, want in ((np.ones((82, 9, 6)), active, (82, 8, 6)),
                               (np.ones((41, 8, 6)), active, (82, 8, 6)),
                               (np.ones((82, 8, 6)), range(22), (82, 22, 6))):
-        pullback = model.condition(cond, [0, 41], joints)(r_t, 2.0)[1]
+        pullback = bind(model, cond, [0, 41], joints)(r_t, 2.0)[1]
         match = rf"cotangent shape \({cot.shape[0]}, {cot.shape[1]}, 6\) does not match " \
                 rf"\({want[0]}, {want[1]}, 6\)"
         with pytest.raises(ValueError, match=match):
@@ -655,8 +675,8 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     r_t = rng.standard_normal((1, 12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[None, :12]
-    assert np.array_equal(back.condition(cond, [0], range(22))(r_t, 0.7)[0],
-                          model.condition(cond, [0], range(22))(r_t, 0.7)[0])
+    assert np.array_equal(bind(back, cond, [0], range(22))(r_t, 0.7)[0],
+                          bind(model, cond, [0], range(22))(r_t, 0.7)[0])
     assert model.param_count() == back.param_count()
 
 

@@ -2,26 +2,27 @@
 
 import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poseguide import rot6d, uncertainty
+from poseguide import denoiser, rot6d, sampler, uncertainty
 from poseguide.denoiser import (
     TERMINAL, DenoiserInterface, MLPDenoiser, OracleDenoiser, TrainConfig, alpha_bar,
     make_conditioning, train_denoiser,
 )
 from poseguide.measurement import build_A, differential_transform, extract_measurements
 from poseguide.sampler import (
-    GuidanceConfig, SamplerDivergence, ddim_step, likelihood_score, run_guided_inference,
-    _window_starts,
+    OVERLAP, GuidanceConfig, SamplerDivergence, ddim_step, likelihood_score,
+    run_guided_inference, _window_starts,
 )
 from poseguide.skeleton import default_skeleton, PoseSequence
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.uncertainty import random_manifold_points, sigma_matrix
-from tests.test_denoiser import small_config, small_dataset
+from tests.test_denoiser import bind, packed_reference, small_config, small_dataset
 from tests.test_skeleton import random_pose_matrices
 
 
@@ -32,37 +33,50 @@ def test_schedule_alpha_bar_values():
     assert np.all(np.diff(alpha_bar(np.linspace(0.0, TERMINAL, 51))) < 0)
 
 
+def ddim_case(seed):
+    """A stack of two 3-entry states held as r + y @ reads.T with 2 coordinates, its
+    estimate and a guidance term."""
+    rng = np.random.default_rng(seed)
+    r_t, r_hat, reads = (rng.standard_normal(shape) for shape in ((2, 3), (2, 3), (3, 2)))
+    y, g = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    return r_t, r_hat, reads, y, g
+
+
 def test_ddim_constants_known_values():
-    rng = np.random.default_rng(1)
-    r_t = rng.standard_normal((2, 3))
-    r_hat = rng.standard_normal((2, 3))
-    eps = rng.standard_normal((2, 3))
+    r_t, r_hat, reads, y, g = ddim_case(1)
     # ab_t = 0.5, ab_s = 0.75, eta = 1:
     # c1 = sqrt((1 - 2/3) * 0.25 / 0.5) = sqrt(1/6), c2 = sqrt(1/12)
     # one generator per leading entry: row k's fresh noise comes from its own stream
-    got = ddim_step(r_t, r_hat, eps, np.zeros_like(r_t), 0.5, 0.75, 1.0,
-                    [np.random.default_rng(7), np.random.default_rng(8)])
+    r, z, y_s = ddim_step((r_t, r_t @ reads, y), (r_hat, r_hat @ reads), g, 0.5, 0.75, 1.0,
+                          [np.random.default_rng(7), np.random.default_rng(8)], reads)
     fresh = np.stack([np.random.default_rng(7).standard_normal(3),
                       np.random.default_rng(8).standard_normal(3)])
-    want = (np.sqrt(0.75) * r_hat + np.sqrt(1 / 6) * fresh
-            + np.sqrt(1 / 12) * eps + np.sqrt(0.5) * np.zeros_like(r_t))
-    assert np.abs(got - want).max() < 1e-12
+    eps = (r_t - np.sqrt(0.5) * r_hat) / np.sqrt(0.5)
+    want = np.sqrt(0.75) * r_hat + np.sqrt(1 / 6) * fresh + np.sqrt(1 / 12) * eps
+    assert np.abs(r - want).max() < 1e-12
+    assert np.abs(z - want @ reads).max() < 1e-12
+    # the full state x = r + y @ reads.T takes the textbook update, guidance included
+    x = r_t + y @ reads.T
+    want_x = (np.sqrt(0.75) * r_hat + np.sqrt(1 / 6) * fresh
+              + np.sqrt(1 / 12) * (x - np.sqrt(0.5) * r_hat) / np.sqrt(0.5)
+              + np.sqrt(0.5) * g @ reads.T)
+    assert np.abs(r + y_s @ reads.T - want_x).max() < 1e-12
     assert np.sqrt(1 / 6) == pytest.approx(0.4082482905, abs=1e-9)
 
 
 def test_ddim_deterministic_when_eta_zero():
-    rng = np.random.default_rng(2)
-    r_t = rng.standard_normal((2, 3))
-    r_hat = rng.standard_normal((2, 3))
-    eps = rng.standard_normal((2, 3))
-    a = ddim_step(r_t, r_hat, eps, np.zeros_like(r_t), 0.4, 0.9, 0.0,
-                  [np.random.default_rng(1), np.random.default_rng(3)])
-    b = ddim_step(r_t, r_hat, eps, np.zeros_like(r_t), 0.4, 0.9, 0.0,
-                  [np.random.default_rng(2), np.random.default_rng(4)])
-    assert np.array_equal(a, b)
+    r_t, r_hat, reads, y, g = ddim_case(2)
+    state, estimate = (r_t, r_t @ reads, y), (r_hat, r_hat @ reads)
+    a = ddim_step(state, estimate, g, 0.4, 0.9, 0.0,
+                  [np.random.default_rng(1), np.random.default_rng(3)], reads)
+    b = ddim_step(state, estimate, g, 0.4, 0.9, 0.0,
+                  [np.random.default_rng(2), np.random.default_rng(4)], reads)
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
     # eta=0: c2^2 = 1 - ab_s exactly
-    want = np.sqrt(0.9) * r_hat + np.sqrt(0.1) * eps
-    assert np.abs(a - want).max() < 1e-12
+    x = r_t + y @ reads.T
+    want = (np.sqrt(0.9) * r_hat + np.sqrt(0.1) * (x - np.sqrt(0.4) * r_hat) / np.sqrt(0.6)
+            + np.sqrt(0.4) * g @ reads.T)
+    assert np.abs(a[0] + a[2] @ reads.T - want).max() < 1e-12
 
 
 def test_ddim_variance_split_identity():
@@ -76,9 +90,10 @@ def test_ddim_variance_split_identity():
 
 
 def test_ddim_rejects_clean_start():
-    z = np.zeros((1, 3))
+    r, none = np.zeros((1, 3)), np.zeros((1, 0))
     with pytest.raises(ValueError):
-        ddim_step(z, z, z, z, 1.0, 0.5, 0.0, [np.random.default_rng(0)])
+        ddim_step((r, none, none), (r, none), 0.0, 1.0, 0.5, 0.0, [np.random.default_rng(0)],
+                  np.zeros((3, 0)))
 
 
 def scatter_pullback(shape, joints):
@@ -322,9 +337,21 @@ def make_case(frames=41, seed=0, sigma_l=0.0):
     return skel, seq, meas, oracle
 
 
+IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+
+
+def first_and_last_frame_reads(W):
+    """(W * 22 * 6, 12) one-hot columns reading joint 0 of a window's first and last frame."""
+    reads = np.zeros((W, 22, 6, 12))
+    reads[0, 0, :, :6] = np.eye(6)
+    reads[-1, 0, :, 6:] += np.eye(6)
+    return reads.reshape(-1, 12)
+
+
 class RecordingDenoiser(DenoiserInterface):
     """Records each binding's window starts and conditioning shape and each
-    step's time and state shape; its estimate halves the state."""
+    step's time and coordinates' shape.  It reads joint 0 of each window's first
+    and last frame; its estimate is the identity rotation plus half the state there."""
 
     def __init__(self, window=None):
         self.window = window
@@ -332,12 +359,17 @@ class RecordingDenoiser(DenoiserInterface):
 
     def condition(self, cond, starts, joints):
         self.bound.append((list(starts), np.shape(cond)))
+        shape = (len(starts), np.shape(cond)[1], 22, 6)
+        reads = first_and_last_frame_reads(shape[1])
 
-        def denoise(r_t, t):
-            self.steps.append((t, r_t.shape))
-            return 0.5 * r_t, lambda cot: 0.5 * scatter_pullback(r_t.shape, joints)(cot)
+        def denoise(z, t):
+            self.steps.append((t, z.shape))
+            r_hat = IDENTITY_6D + 0.5 * (z @ reads.T).reshape(shape)
+            pullback = scatter_pullback(shape, joints)
+            return (r_hat, r_hat.reshape(len(z), -1) @ reads,
+                    lambda cot: 0.5 * pullback(cot).reshape(len(z), -1) @ reads)
 
-        return denoise
+        return reads, denoise
 
 
 @pytest.mark.parametrize("n", [1, 3, 50])
@@ -364,7 +396,7 @@ def test_a_denoiser_of_any_length_gets_the_whole_sequence_as_one_window():
     denoiser = RecordingDenoiser()
     pred = run_guided_inference(meas, skel, denoiser, 4, GuidanceConfig(), seed=0)
     assert denoiser.bound == [([0], (1, 100, 18))]
-    assert [shape for _, shape in denoiser.steps] == [(1, 100, 22, 6)] * 4
+    assert [shape for _, shape in denoiser.steps] == [(1, 12)] * 4
     assert pred.frames == 100
 
 
@@ -386,13 +418,13 @@ def test_one_forward_pass_per_step(monkeypatch):
 
     def counting_condition(self, cond, starts, joints):
         bound.append((len(cond), tuple(joints)))
-        denoise = condition(self, cond, starts, joints)
+        reads, denoise = condition(self, cond, starts, joints)
 
-        def counting_denoise(r_t, t):
-            rows.append(r_t.shape[0])
-            return denoise(r_t, t)
+        def counting_denoise(z, t):
+            rows.append(z.shape[0])
+            return denoise(z, t)
 
-        return counting_denoise
+        return reads, counting_denoise
 
     def training_only(self, *args):
         raise AssertionError("denoise called a training-path method")
@@ -480,7 +512,7 @@ def test_unguided_inference_matches_manual_ddim_loop():
     # carries any difference in those through to the last step.
     skel, seq, meas, _ = make_case(frames=30)
     model = MLPDenoiser(TrainConfig(window=30, hidden=8))
-    denoise = model.condition(make_conditioning(meas, "rotations")[None], [0], range(22))
+    denoise = bind(model, make_conditioning(meas, "rotations")[None], [0], range(22))
     q = np.linspace(0.0, TERMINAL, 16)
     abars = alpha_bar(q)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
@@ -499,9 +531,10 @@ def test_unguided_inference_matches_manual_ddim_loop():
 def test_stochastic_windows_keep_their_own_noise_streams():
     # eta = 1 draws fresh noise every step; on the frames only one window
     # covers, the batched run equals a per-window DDIM loop on that window's
-    # own generator default_rng([seed, w_idx]).  The estimate shrinks the
-    # state instead of returning the truth, because the last step (ab_s = 1)
-    # would map any noise history onto an oracle's truth.
+    # own generator default_rng([seed, w_idx]).  The estimate reads the state
+    # instead of returning the truth, because the last step (ab_s = 1) would
+    # map any noise history onto an oracle's truth; it reads it through
+    # coordinates, so the loop's lift of the fresh noise is checked too.
     skel, seq, meas, _ = make_case(frames=60)
     q = np.linspace(0.0, TERMINAL, 7)
     abars = alpha_bar(q)
@@ -509,12 +542,13 @@ def test_stochastic_windows_keep_their_own_noise_streams():
     got = run_guided_inference(meas, skel, RecordingDenoiser(window=41), 6, cfg, seed=4)
     starts = _window_starts(60, 41, 21)
     assert starts == [0, 19]
+    reads = first_and_last_frame_reads(41)
     for w_idx, (start, only) in enumerate(zip(starts, (slice(0, 19), slice(41, 60)))):
         rng = np.random.default_rng([4, w_idx])
         r = rng.standard_normal((41, 22, 6))
         for i in range(len(q) - 1, 0, -1):
             ab_t, ab_s = abars[i], abars[i - 1]
-            r_hat = 0.5 * r
+            r_hat = IDENTITY_6D + 0.5 * (r.reshape(-1) @ reads @ reads.T).reshape(r.shape)
             eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
             c1 = np.sqrt((1 - ab_t / ab_s) * (1 - ab_s) / (1 - ab_t))
             fresh = rng.standard_normal(r.shape) if c1 > 0 else 0.0
@@ -582,12 +616,14 @@ def test_sampler_divergence_guard():
             self.value = value
 
         def condition(self, cond, starts, joints):
-            def denoise(r_t, t):
-                r_hat = np.zeros_like(r_t)
-                r_hat[np.asarray(starts) == 5, 3, 11, 2] = self.value
-                return r_hat, scatter_pullback(r_t.shape, joints)
+            none = np.zeros((len(starts), 0))
 
-            return denoise
+            def denoise(z, t):
+                r_hat = np.zeros((len(starts), 25, 22, 6))
+                r_hat[np.asarray(starts) == 5, 3, 11, 2] = self.value
+                return r_hat, none, lambda cot: none
+
+            return np.zeros((25 * 22 * 6, 0)), denoise
 
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
     # a huge state and a NaN state (for which "> bound" is False) both stop,
@@ -596,6 +632,74 @@ def test_sampler_divergence_guard():
         with pytest.raises(SamplerDivergence,
                            match="window at frame 5: .* at step 5 .* frame 8, joint 11"):
             run_guided_inference(meas, skel, ExplodingDenoiser(value), 5, cfg, seed=0)
+
+
+class PushingDenoiser(DenoiserInterface):
+    """Estimates the identity rotation in every window of 25 frames, reads the state
+    through the given one-hot ``reads``, and pulls back any cotangent to the fixed
+    coordinates ``push[w]`` of window w."""
+
+    window = 25
+
+    def __init__(self, reads, push):
+        self.reads, self.push = reads, np.asarray(push, dtype=float)
+
+    def condition(self, cond, starts, joints):
+        r_hat = np.broadcast_to(IDENTITY_6D, (len(starts), 25, 22, 6)).copy()
+
+        def denoise(z, t):
+            return r_hat, r_hat.reshape(len(z), -1) @ self.reads, lambda cot: self.push.copy()
+
+        return self.reads, denoise
+
+
+def one_hot_reads(columns):
+    """(25 * 22 * 6, columns) reads, each column the entry at window frame 3, joint 11, 6DoF 2."""
+    reads = np.zeros((25, 22, 6, columns))
+    reads[3, 11, 2] = 1.0
+    return reads.reshape(-1, columns)
+
+
+def test_a_guidance_part_alone_past_the_bound_is_refused_where_it_is():
+    # the prior part stays near the identity; the window at frame 5 gets guidance
+    # coordinates that put one entry of its state past 1e3 at the first step
+    skel, seq, meas, _ = make_case(frames=30)
+    push = [[0.0], [1e5]]
+    with pytest.raises(SamplerDivergence,
+                       match=r"^window at frame 5: state magnitude 6\.6\de\+03 exceeded 1000\.0 "
+                             r"at step 5 \(t=15\); worst entry at frame 8, joint 11$"):
+        run_guided_inference(meas, skel, PushingDenoiser(one_hot_reads(1), push), 5,
+                             GuidanceConfig(), seed=0)
+
+
+def test_nan_coordinates_stop_the_run():
+    skel, seq, meas, _ = make_case(frames=30)
+    with pytest.raises(SamplerDivergence,
+                       match=r"^window at frame 5: state magnitude nan exceeded 1000\.0 at step 5 "
+                             r"\(t=15\); worst entry at frame \d+, joint \d+$"):
+        run_guided_inference(meas, skel, PushingDenoiser(one_hot_reads(1), [[0.0], [np.nan]]),
+                             5, GuidanceConfig(), seed=0)
+
+
+def test_a_bound_past_the_limit_on_small_entries_runs(monkeypatch):
+    # two coordinates read the same entry and the guidance moves them by +G and -G:
+    # their bound is past 1e3 at every step, yet they cancel in every entry, so each
+    # step forms the full state, finds it small, and the run matches the unpushed one
+    skel, seq, meas, _ = make_case(frames=30)
+    expanded = []
+    expand = sampler._expand
+    monkeypatch.setattr(sampler, "_expand",
+                        lambda r, y, reads: expanded.append(len(y)) or expand(r, y, reads))
+    reads = one_hot_reads(2)
+    got = run_guided_inference(meas, skel, PushingDenoiser(reads, [[1e5, -1e5]] * 2), 5,
+                               GuidanceConfig(), seed=0)
+    assert expanded == [2] * 6  # five fallbacks and the final state
+    expanded.clear()
+    want = run_guided_inference(meas, skel, PushingDenoiser(reads, np.zeros((2, 2))), 5,
+                                GuidanceConfig(), seed=0)
+    assert expanded == [2]
+    assert np.array_equal(got.rotations, want.rotations)
+    assert np.array_equal(got.root_translation, want.root_translation)
 
 
 @pytest.mark.parametrize("guidance_scale", [1.0, 0.0], ids=["estimate", "output"])
@@ -630,15 +734,15 @@ def tiny_prior():
 
 
 @pytest.mark.parametrize("mode, sigma_l, digest", [
-    ("identity", 0.0, "ab924a6b53d98dcb048c8bb0e8e9d15d3f3051f8ab25ee068fbd5c9bbbe4d855"),
-    ("sigma", 0.0, "ca74414566220618b110bb2f0a0774f0325badb3e3f66d2030428748976fb66b"),
-    ("identity", 0.05, "148de4e753fa8a8927136fca9ef6123fa9792f7d46447d245c62a6cdeaf23db0"),
-    ("sigma", 0.05, "4006a50a36e48e6ef1d685b0e9ba443d3b0d2aa4fbb34eb715f3aaee7117a101"),
+    ("identity", 0.0, "c188f20c1c8edeaf36eec2fafb86cf2add4290f4b527260ad8890f203f843b82"),
+    ("sigma", 0.0, "1c4b92fb97bfe9147676749fced3a89126865364a82dcec25ac938cff67035ba"),
+    ("identity", 0.05, "94bc2277582a98f78c763e57d8990fe5e0b411fc73248ef06e229832f116eab4"),
+    ("sigma", 0.05, "2f466ce18e886ca49cd70415911c63a48fa953d29eb42f99c3d15d5cf6832861"),
 ], ids=["identity-clean", "sigma-clean", "identity-5cm", "sigma-5cm"])
 def test_guided_outputs_are_pinned(tiny_prior, mode, sigma_l, digest):
     # sha256 of the rotations and root of 19 overlapping windows over 30 frames,
-    # re-taken when the denoiser's weight products were split into two column
-    # halves (the largest move was 2.2e-16 in a rotation and 3.5e-18 m in the root).
+    # re-taken when the sampler came to hold the state in the prior's first-layer
+    # coordinates (the largest move was 2.2e-16 in a rotation and 6.9e-18 m in the root).
     # The prior is trained here and both training and sampling run BLAS matmuls,
     # so the digests hold for one OpenBLAS build on one CPU (checked at 1 and 2
     # threads); another CPU or build can move the last bits and fail this test
@@ -650,3 +754,108 @@ def test_guided_outputs_are_pinned(tiny_prior, mode, sigma_l, digest):
                                 GuidanceConfig(covariance_mode=mode), seed=3)
     got = hashlib.sha256(pred.rotations.tobytes() + pred.root_translation.tobytes())
     assert got.hexdigest() == digest
+
+
+class StateRowReads(np.ndarray):
+    """An array whose views record in ``calls`` each matmul that has an operand inside
+    ``rows``; both are class attributes, since a view does not carry an instance's."""
+
+    rows = np.zeros(0)
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and any(isinstance(x, StateRowReads)
+                                      and np.may_share_memory(x, self.rows) for x in inputs):
+            self.calls.append(ufunc)
+        inputs = [x.view(np.ndarray) if isinstance(x, StateRowReads) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("guidance_scale", [1.0, 0.0], ids=["guided", "unguided"])
+def test_the_loop_reads_only_wo(monkeypatch, guidance_scale):
+    # W0's state rows are read once per sequence (the lift, reads^T reads, Wo @ reads,
+    # the final expansion) and never in the loop; no transposed copy of them is made
+    skel, seq, meas, _ = make_case(frames=60)  # two windows of 41 frames
+    model = MLPDenoiser(TrainConfig(hidden=8))
+    W0, Wo = model.params["W0"], model.params["Wo"]
+    bound, condition = [], model.condition
+    monkeypatch.setattr(model, "condition",
+                        lambda *args: bound.append(condition(*args)) or bound[-1])
+    products = []
+    split = denoiser._split_matmul
+
+    def recording(a, b):
+        if np.shares_memory(b, W0):
+            products.append(("W0 rows" if b.shape == (model.d_state, 8) else "W0 rows^T", a.shape))
+        elif np.shares_memory(b, Wo):
+            products.append(("Wo", a.shape))
+        else:
+            products.append((b.shape, a.shape))
+        return split(a, b)
+
+    monkeypatch.setattr(denoiser, "_split_matmul", recording)
+    monkeypatch.setattr(sampler, "_split_matmul", recording)
+    cfg = GuidanceConfig(guidance_scale=guidance_scale)
+    run_guided_inference(meas, skel, model, 3, cfg, seed=0)
+    assert np.shares_memory(bound[0][0], W0)
+    step = [("Wo", (2, 8))] + [((41 * 8 * 6, 8), (2, 41 * 8 * 6))] * (guidance_scale > 0)
+    assert products == ([("W0 rows", (2, model.d_state))] + step * 3
+                        + [("W0 rows^T", (2, 8))])
+
+    # no other product reads the state rows in the loop either: their count is the
+    # same at 2 and at 5 steps
+    counts = []
+    for steps in (2, 5):
+        monkeypatch.setattr(StateRowReads, "rows", W0[: model.d_state])
+        monkeypatch.setattr(StateRowReads, "calls", [])
+        model.params["W0"] = W0.view(StateRowReads)
+        run_guided_inference(meas, skel, model, steps, cfg, seed=0)
+        counts.append(len(StateRowReads.calls))
+    assert counts[0] == counts[1] > 0
+
+
+def full_state_reference(model, meas, skel, steps, config, seed):
+    """The final window stack of the DDIM loop on an explicit full state r, estimated
+    and pulled back to the full layout through training's ``_pack``, ``_forward``
+    and ``_backward``."""
+    W, J = model.window, skel.joint_count
+    A = build_A(skel)
+    starts = np.array(_window_starts(meas.frames, W, W - min(OVERLAP, W - 1)))
+    win = starts[:, None] + np.arange(W)
+    cond = make_conditioning(meas, "rotations")[win]
+    l_diff = differential_transform(meas.locations)[win].reshape(-1, 2, 3)
+    config = replace(config, sigma_l=max(config.sigma_l, meas.sigma_l))
+    rngs = [np.random.default_rng([seed, w]) for w in range(len(starts))]
+    r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
+    q = np.linspace(0.0, TERMINAL, steps + 1)
+    abars = alpha_bar(q)
+    scatter = scatter_pullback(r.shape, A.active_joints)
+    for i in range(steps, 0, -1):
+        t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
+        r_hat = packed_reference(model, r, t, cond, np.zeros(r.shape))[0]
+        g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6),
+                             lambda cot: packed_reference(model, r, t, cond, scatter(cot))[1],
+                             config, float(np.sqrt(1.0 - ab_t)))
+        eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
+        c1 = config.eta * np.sqrt((1 - ab_t / ab_s) * (1 - ab_s) / (1 - ab_t))
+        fresh = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs]) if c1 > 0 else 0.0
+        r = (np.sqrt(ab_s) * r_hat + c1 * fresh + np.sqrt(max(1 - ab_s - c1**2, 0.0)) * eps
+             + np.sqrt(ab_t) * g)
+    return r
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("mode", ["identity", "sigma"])
+def test_the_coordinate_loop_matches_a_full_state_reference(monkeypatch, tiny_prior, mode, eta):
+    skel = default_skeleton()
+    truth = generate_motion(MotionSpec(kind="reach", frames=30, seed=900), skel)
+    meas = extract_measurements(truth, skel, 0.05, seed=1)
+    cfg = GuidanceConfig(eta=eta, covariance_mode=mode)
+    stacks = []
+    expand = sampler._expand
+    monkeypatch.setattr(sampler, "_expand",
+                        lambda r, y, reads: stacks.append(expand(r, y, reads)) or stacks[-1])
+    run_guided_inference(meas, skel, tiny_prior, 10, cfg, seed=3)
+    want = full_state_reference(tiny_prior, meas, skel, 10, cfg, 3)
+    assert len(stacks) == 1
+    assert np.abs(stacks[0] - want).max() <= 1e-12
