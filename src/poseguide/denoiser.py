@@ -135,7 +135,10 @@ def _split_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The resident worker computes the second half while the caller computes the
     first, then the caller joins.  The cut is the same on any CPU count, so the
     bits are too; on one CPU the worker time-shares the core with the caller.
+    A product with nothing to split (an empty ``a``, ``b`` under two columns) runs inline.
     """
+    if a.size == 0 or b.shape[1] < 2:
+        return a @ b
     k = b.shape[1] // 2
     out = np.empty((a.shape[0], b.shape[1]))
     second = _resident_worker().submit(np.matmul, a, b[:, k:], out=out[:, k:])

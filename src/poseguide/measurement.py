@@ -145,12 +145,6 @@ class LinearOperatorA:
         out = p9.reshape(p9.shape[:-2] + (-1,)) @ self.matrix.T
         return out.reshape(p9.shape[:-2] + (len(self.measured_joints), 3))
 
-    def apply_diff_vec9(self, p9: np.ndarray) -> np.ndarray:
-        """Differential locations from vec9 rotations ``(..., J, 9)`` -> ``(..., 2, 3)``."""
-        p9 = np.asarray(p9, dtype=float)
-        out = p9.reshape(p9.shape[:-2] + (-1,)) @ self.diff_matrix.T
-        return out.reshape(p9.shape[:-2] + (2, 3))
-
 
 def build_A(skeleton: Skeleton) -> LinearOperatorA:
     """Assemble the measurement operator for a skeleton (zero root translation).

@@ -68,8 +68,9 @@ def likelihood_score(
 ) -> np.ndarray:
     """Gaussian likelihood score pulled back to the noisy state.
 
-    Solves (w^2 A Sigma A^T + sigma_l^2 I) u = residual for all frames in
-    one batch, with sigma_l = ``config.sigma_l``, then applies the
+    Solves B u = residual with B = w^2 A Sigma A^T + sigma_l^2 I and sigma_l =
+    ``config.sigma_l``: one factorization of the one B per call in identity
+    mode, one per frame in sigma mode.  Then it applies the
     transposed chain A^T -> decode pullback -> denoiser pullback, scaled by
     ``config.guidance_scale``.  One Gram-Schmidt covers all joints, so a
     degenerate estimate is refused anywhere; after it only A's active joints
@@ -83,23 +84,18 @@ def likelihood_score(
     coordinates the denoiser reads (see ``DenoiserInterface.condition``).
     """
     r_hat = np.asarray(r_hat, dtype=float)
-    frames, J = r_hat.shape[:2]
-    act = A.active_joints
-    p9, decode_pullback = rot6d.decode(r_hat, act)  # (frames, active, 9)
-    # the residual reads the full vec9 layout, zero off the active joints:
-    # for small batches BLAS rounds the product without those columns differently
-    full = np.zeros((frames, J, 9))
-    full[:, act] = p9
-    e = (np.asarray(l_diff, dtype=float) - A.apply_diff_vec9(full)).reshape(frames, 6)
-
+    frames = r_hat.shape[0]
+    p9, decode_pullback = rot6d.decode(r_hat, A.active_joints)  # (frames, active, 9)
     Gc = A.active_block.reshape(6, -1)
+    e = np.asarray(l_diff, dtype=float).reshape(frames, 6) - p9.reshape(frames, -1) @ Gc.T
+
+    floor = config.sigma_l**2 * np.eye(6)
     if config.covariance_mode == "identity":
-        GSG = Gc @ Gc.T
+        # one B for every frame: one factorization, the frames its right-hand sides
+        u = np.linalg.solve(w_t**2 * (Gc @ Gc.T) + floor, e.T).T
     else:
         # Sigma evaluated at the decoded (manifold) point of each active joint
-        GSG = A.sigma_projection(p9, w_t)
-    B = w_t**2 * GSG + config.sigma_l**2 * np.eye(6)
-    u = np.linalg.solve(B, e[..., None])[..., 0]
+        u = np.linalg.solve(w_t**2 * A.sigma_projection(p9, w_t) + floor, e[..., None])[..., 0]
     return config.guidance_scale * pullback(decode_pullback((u @ Gc).reshape(p9.shape)))
 
 
@@ -125,23 +121,33 @@ def ddim_step(
     Returns that split the same way: r takes the estimate, its noise estimate
     and the fresh noise, drawn for window k from ``rngs[k]`` (only when c1 > 0);
     z takes their coordinates; y takes the rest of the noise estimate and g.
+    Refuses signal levels outside 0 < ab_t < ab_s <= 1; never writes its inputs.
     """
-    if alpha_bar_t >= 1.0:
-        raise ValueError("step must start at a noisy time (alpha_bar_t < 1)")
+    if not 0.0 < alpha_bar_t < 1.0:  # a NaN fails the comparison too
+        raise ValueError(f"alpha_bar_t must be in (0, 1), a noisy time, got {alpha_bar_t}")
+    if not alpha_bar_t < alpha_bar_s <= 1.0:
+        raise ValueError(f"alpha_bar_s must be in (alpha_bar_t={alpha_bar_t}, 1], got {alpha_bar_s}")
     c1 = eta * np.sqrt((1.0 - alpha_bar_t / alpha_bar_s) * (1.0 - alpha_bar_s) / (1.0 - alpha_bar_t))
     rad = 1.0 - alpha_bar_s - c1**2
     if rad < -1e-12:
         raise ValueError(f"invalid schedule/eta combination: 1 - ab_s - c1^2 = {rad}")
     c2 = np.sqrt(max(rad, 0.0))
     (r, z, y), (r_hat, z_hat) = state, estimate
-    fresh = fresh_z = 0.0
+    root = np.sqrt(1.0 - alpha_bar_t)
+    # r takes z's operations in z's order, written into two arrays of its own
+    eps_r = r_hat * np.sqrt(alpha_bar_t)
+    np.subtract(r, eps_r, out=eps_r)
+    eps_r /= root
+    eps_r *= c2
+    new_r = r_hat * np.sqrt(alpha_bar_s)
+    fresh_z = 0.0
     if c1 > 0:
         fresh = np.stack([gen.standard_normal(r.shape[1:]) for gen in rngs])
         fresh_z = fresh.reshape(len(r), -1) @ reads
-    root = np.sqrt(1.0 - alpha_bar_t)
-    eps_r = (r - np.sqrt(alpha_bar_t) * r_hat) / root
+        new_r += c1 * fresh
+    new_r += eps_r
     eps_z = (z - np.sqrt(alpha_bar_t) * z_hat) / root
-    return (np.sqrt(alpha_bar_s) * r_hat + c1 * fresh + c2 * eps_r,
+    return (new_r,
             np.sqrt(alpha_bar_s) * z_hat + c1 * fresh_z + c2 * eps_z,
             c2 * (y / root) + np.sqrt(alpha_bar_t) * g)
 

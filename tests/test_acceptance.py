@@ -154,7 +154,7 @@ def test_likelihood_score_matches_fd_gradient():
 
         def objective(x):
             R = rot6d.batch_from_sixdof(den.denoised(x))
-            e = (l_diff - A.apply_diff_vec9(rot6d.vec9(R))).reshape(6)
+            e = (l_diff.reshape(1, 6) - rot6d.vec9(R).reshape(1, -1) @ A.diff_matrix.T).reshape(6)
             return 0.5 * float(e @ np.linalg.solve(B, e))
 
         flat = r_t.reshape(-1)

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, the package reads
 every private function, method and class and every module-level name it defines,
 the package, the demos or the benchmark read every public function, method and
-class, and the CLI loads no thread pool until training or the denoiser opens one."""
+class, and the CLI loads no thread pool until training or the denoiser opens one
+(an oracle inference never does)."""
 
 import ast
 import os
@@ -158,3 +159,27 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+def test_oracle_inference_starts_no_worker_thread():
+    # the oracle's coordinates have no columns, so its lift and expansion have
+    # nothing to split: no thread is started and no pool is imported
+    src = str(Path(poseguide.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, threading\n"
+        "from poseguide.datagen import MotionSpec, generate_motion\n"
+        "from poseguide.denoiser import OracleDenoiser\n"
+        "from poseguide.measurement import extract_measurements\n"
+        "from poseguide.sampler import GuidanceConfig, run_guided_inference\n"
+        "from poseguide.skeleton import default_skeleton\n"
+        "skel = default_skeleton()\n"
+        "seq = generate_motion(MotionSpec(kind='arm-swing', frames=41, seed=0), skel)\n"
+        "meas = extract_measurements(seq, skel, 0.0, seed=1)\n"
+        "before = threading.active_count()\n"
+        "run_guided_inference(meas, skel, OracleDenoiser(seq.rotations), 5, GuidanceConfig())\n"
+        "print(before, threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["1", "1", "False"]
