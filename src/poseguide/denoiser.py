@@ -1,17 +1,19 @@
 """Conditional denoisers.
 
 The sampler needs one call from a denoiser: ``condition`` binds it to one
-sequence's conditioning windows and returns ``(reads, denoise)``.  The
-estimate depends on a window's state x only through its coordinates
-``x @ reads``, so ``denoise`` takes those coordinates and gives the
-clean-signal estimates r_hat for a stack of 6DoF windows, their coordinates,
-and their pullback, mapping a cotangent on r_hat back to the coordinates.
-Implementations here: an oracle that denoises to a known ground truth
-exactly (for tests; its estimate reads no coordinates), and a small
-trainable residual MLP over flattened windows, trained with conditioning
-dropout, whose coordinates are its first layer's pre-activation from the
-state.  The MLP's two per-step weight products run in two column halves,
-one on a worker thread that stays resident for the life of the process.
+sequence's conditioning windows and returns ``(reads, writes, offset,
+denoise)``.  The estimate depends on a window's state x only through its
+coordinates ``x @ reads`` and is affine in a last layer u: it is
+``u @ writes + offset``.  ``denoise`` takes the coordinates and gives u for a
+stack of 6DoF windows with its pullback, mapping a cotangent on u back to the
+coordinates.  Implementations here: an oracle that denoises to a known ground
+truth exactly (for tests; its estimate is all offset and reads no
+coordinates), and a small trainable residual MLP over flattened windows,
+trained with conditioning dropout, whose coordinates are its first layer's
+pre-activation from the state and whose u is its last hidden layer.  The
+products that the sampler runs on ``writes`` and ``reads`` go in two column
+halves, one on a worker thread that stays resident for the life of the
+process.
 
 Conditioning is a per-frame vector built from the sensed joints only:
 either the three measured 6DoF rotations (18 numbers, the method) or the
@@ -120,7 +122,7 @@ def _one_blas_thread():
 
 @functools.cache
 def _resident_worker():
-    """The process's one worker thread for the denoiser's products, started on first use."""
+    """The process's one worker thread for the split weight products, started on first use."""
     from concurrent.futures import ThreadPoolExecutor  # no pool until a product needs it
     return ThreadPoolExecutor(1)
 
@@ -156,18 +158,16 @@ class DenoiserInterface:
     window: int | None = None
     cond_spec: str = "rotations"
 
-    def condition(self, cond: np.ndarray, starts, joints):
-        """Bind to one sequence's windows; returns ``(reads, denoise)``.
+    def condition(self, cond: np.ndarray, starts):
+        """Bind to one sequence's windows; returns ``(reads, writes, offset, denoise)``.
 
-        ``cond`` is (windows, W, C), ``starts`` the first sequence frame of each
-        window, and ``joints`` the joints the pullback's cotangent covers.
-        ``reads`` is a (W * J * 6, k) matrix: the estimate depends on a window's
-        flattened state x only through ``x @ reads``.  ``denoise(z, t)`` takes
-        those (windows, k) coordinates and returns ``(r_hat, z_hat, pullback)``:
-        the (windows, W, J, 6) estimate, its coordinates ``r_hat @ reads``, and
-        ``pullback(cot)``, the (windows, k) gradient at z of <cot, r_hat> for a
-        (windows * W, |joints|, 6) cotangent on those joints, every other
-        joint's being zero.
+        ``cond`` is (windows, W, C) and ``starts`` the first sequence frame of each
+        window.  ``reads`` is a (D, k) matrix, D = W * J * 6: the estimate depends on
+        a window's flattened state x only through ``x @ reads``.  ``denoise(z, t)``
+        takes those (windows, k) coordinates and returns ``(u, pullback)``: the
+        (windows, k') last layer, whose estimate is ``u @ writes + offset`` with
+        ``writes`` (k', D) and ``offset`` (D,) or (windows, D), and ``pullback(du)``,
+        the (windows, k) gradient at z of <du, u> for a (windows, k') ``du``.
         """
         raise NotImplementedError
 
@@ -176,29 +176,31 @@ class OracleDenoiser(DenoiserInterface):
     """Denoises to a known ground-truth sequence exactly.
 
     ``condition`` checks the windows against the stored truth and gathers
-    them once; the estimate is that stack, constant in the input, so it reads
-    no coordinates (``reads`` has no columns) and the pullback is empty.
+    them once; the estimate is that stack, constant in the input, so it is all
+    ``offset``: ``reads`` has no columns, ``writes`` no rows, and u and its
+    pullback are empty.
     """
 
     def __init__(self, ground_truth_rotations: np.ndarray):
         self.truth = np.asarray(ground_truth_rotations, dtype=float)
 
-    def condition(self, cond, starts, joints):
+    def condition(self, cond, starts):
         W = np.shape(cond)[1]
         for w, start in enumerate(starts):
             if not 0 <= start <= len(self.truth) - W:
                 raise ValueError(f"window {w} (frames {start} to {start + W - 1}) runs past "
                                  f"the stored ground truth of {len(self.truth)} frames")
         truth = self.truth[np.asarray(starts, dtype=int)[:, None] + np.arange(W)]
+        truth = truth.reshape(len(truth), -1)
         none = np.zeros((len(truth), 0))
 
         def denoise(z, t):
             if np.shape(z) != none.shape:
                 raise ValueError(f"coordinates of shape {np.shape(z)} do not match the "
                                  f"{len(truth)} windows of the stored ground truth")
-            return truth, none, lambda cot: none
+            return none, lambda du: none
 
-        return np.zeros((truth[0].size, 0)), denoise
+        return np.zeros((truth.shape[1], 0)), np.zeros((0, truth.shape[1])), truth, denoise
 
 
 def check_count(name: str, value, low: int | None = None) -> None:
@@ -338,21 +340,21 @@ class MLPDenoiser(DenoiserInterface):
         release(("W0", "b0"))
         return dz0
 
-    def condition(self, cond, starts, joints):
+    def condition(self, cond, starts):
         """Bind to one sequence's conditioning (see ``DenoiserInterface``).
 
         ``reads`` is a view of W0's state rows, so the coordinates z are the state's
-        share of the first pre-activation.  Built once, from the parameter arrays as
+        share of the first pre-activation; ``writes`` and ``offset`` are Wo and bo,
+        so u is the last hidden layer.  Built once, from the parameter arrays as
         they are now: the share of the side rows (time | conditioning | flag 0) of W0
-        and Wc{k} that reads ``cond``, plus b0 and br{k}; the C-ordered rows of Wo.T
-        for ``joints``' outputs in every frame; and ``Wo @ reads`` and ``bo @ reads``,
-        which give the estimate's coordinates from the last hidden layer.  Each step
-        runs ``_forward``'s arithmetic from z and the time rows, reading only Wo: one
-        product for the estimate and one in its pullback, which runs the block
-        backward and returns the gradient at the first pre-activation.  The network
-        regresses the clean signal rather than the noise, so the noise estimate the
-        sampler derives from r_t = sqrt(ab) r0 + sqrt(1-ab) eps tends to r_t at high
-        noise without r_t having to pass through the bottleneck.
+        and Wc{k} that reads ``cond``, plus b0 and br{k}.  Each step runs
+        ``_forward``'s arithmetic from z and the time rows up to the last hidden
+        layer, reading neither W0's state rows nor Wo; the pullback runs the block
+        backward from a cotangent on that layer and returns the gradient at the first
+        pre-activation.  The network regresses the clean signal rather than the noise,
+        so the noise estimate the sampler derives from r_t = sqrt(ab) r0 + sqrt(1-ab)
+        eps tends to r_t at high noise without r_t having to pass through the
+        bottleneck.
         """
         p, W = self.params, self.window
         cond = np.asarray(cond, dtype=float)
@@ -365,11 +367,7 @@ class MLPDenoiser(DenoiserInterface):
         biases = [p["b0"]] + [p[f"br{k}"] for k in range(BLOCKS)]
         c = cond.reshape(n, -1)
         shares = [c @ w[TIME_FEATURES:-1] + b for w, b in zip(side_w, biases)]
-        frame = np.arange(STATE_PER_FRAME).reshape(JOINT_COUNT, 6)[list(joints)]  # checks joints
-        cols = (np.arange(W)[:, None, None] * STATE_PER_FRAME + frame).reshape(-1)
-        wo_rows = p["Wo"].T.take(cols, axis=0)
-        Wr, Wo, bo = [p[f"Wr{k}"] for k in range(BLOCKS)], p["Wo"], p["bo"]
-        wo_reads, bo_reads = Wo @ reads, bo @ reads
+        Wr = [p[f"Wr{k}"] for k in range(BLOCKS)]
 
         def denoise(z, t):
             z = np.asarray(z, dtype=float)
@@ -383,20 +381,18 @@ class MLPDenoiser(DenoiserInterface):
                 acts.append(np.tanh(h @ Wr[k] + pre[k + 1]))
                 h = h + acts[k]
 
-            def pullback(cot):
-                want = (n * W, len(frame), 6)
-                if np.size(cot) != np.prod(want):
-                    raise ValueError(f"cotangent shape {np.shape(cot)} does not match {want}")
-                dh = _split_matmul(np.reshape(cot, (n, -1)), wo_rows)
+            def pullback(du):
+                if np.shape(du) != h.shape:
+                    raise ValueError(f"cotangent shape {np.shape(du)} does not match {h.shape}")
+                dh = du
                 for k in reversed(range(BLOCKS)):
                     da = dh * (1.0 - acts[k] * acts[k])
                     dh = dh + da @ Wr[k].T
                 return dh * (1.0 - h0 * h0)
 
-            r_hat = (_split_matmul(h, Wo) + bo).reshape(n, W, JOINT_COUNT, 6)
-            return r_hat, h @ wo_reads + bo_reads, pullback
+            return h, pullback
 
-        return reads, denoise
+        return reads, p["Wo"], p["bo"], denoise
 
     # -- persistence -------------------------------------------------------
 

@@ -89,19 +89,15 @@ def vec9(R: np.ndarray) -> np.ndarray:
     return np.concatenate([R[..., :, 0], R[..., :, 1], R[..., :, 2]], axis=-1)
 
 
-def decode(r: np.ndarray, joints=None):
+def decode(r: np.ndarray):
     """Decode 6DoF vectors ``(..., 6)`` into vec9 ``(..., 9)``, returned with its pullback.
 
     ``pullback(cot9)`` maps a vec9 cotangent ``(..., 9)`` to ``(..., 6)``: the
     Gram-Schmidt chain run backwards on the columns, norms and projection.
-    ``joints`` indexes the second-last axis of ``r``: Gram-Schmidt and its
-    degeneracy check still cover all of ``r``, but the vec9 and the pullback
-    only the chosen entries.
+    Every operation is elementwise over the leading axes, so decoding a subset
+    of entries gives the full decode's values for them bit for bit.
     """
-    planes = _gram_schmidt(np.asarray(r, dtype=float))
-    if joints is not None:
-        planes = [x[..., joints] for x in planes]
-    c1, c2, na, nc2, proj, b = planes
+    c1, c2, na, nc2, proj, b = _gram_schmidt(np.asarray(r, dtype=float))
     p9 = np.stack([*c1, *c2, *_cross(c1, c2)], axis=-1)
 
     def pullback(cot9):

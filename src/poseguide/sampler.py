@@ -10,11 +10,15 @@ estimate and the guidance term.  A sequence longer than the denoiser's
 trained window runs as one stack of such windows, one denoiser call per
 step, joined with a linear cross-fade over the overlap.
 
-The denoiser reads a window's state x only through ``x @ reads`` and pulls
-back into those coordinates, so the loop holds x = r + y @ reads.T: the prior
-part r with its coordinates z = r @ reads, and the guidance part y in
-coordinates.  The DDIM update is linear, so the same coefficients move r, z
-and y; x is formed once, after the last step.
+The denoiser reads a window's state x only through ``x @ reads``, pulls back
+into those coordinates, and writes its estimate as ``u @ writes + offset``
+from a last layer u.  So the loop holds x = N + H @ writes + beta offset +
+y @ reads.T: the noise part N in the full layout, the estimates' part as
+coefficients H on ``writes`` and beta on ``offset``, and the guidance part y in
+coordinates, with the prior part's coordinates z carried along.  The DDIM
+update is linear, so the same coefficients move all of them.  A guided step
+forms the estimate only on the joints the measured differences read, an
+unguided step forms none, and x is formed once, after the last step.
 """
 
 from __future__ import annotations
@@ -72,20 +76,24 @@ def likelihood_score(
     ``config.sigma_l``: one factorization of the one B per call in identity
     mode, one per frame in sigma mode.  Then it applies the
     transposed chain A^T -> decode pullback -> denoiser pullback, scaled by
-    ``config.guidance_scale``.  One Gram-Schmidt covers all joints, so a
-    degenerate estimate is refused anywhere; after it only A's active joints
-    enter (their vec9s, A Sigma A^T by ``A.sigma_projection``, the decode
-    pullback), and the cotangent stays on them: every other joint's is zero.
+    ``config.guidance_scale``.  Only A's active joints enter (their vec9s,
+    A Sigma A^T by ``A.sigma_projection``, the decode pullback); a degenerate
+    estimate on them is refused with its flat index in the (frame, joint) layout
+    of all ``A.joint_count`` joints.
 
     ``l_diff``: (frames, 2, 3) differential measured locations;
-    ``r_hat``: (frames, J, 6); ``pullback(cot)``: cotangent (frames,
-    |active|, 6) on ``A.active_joints`` of the denoised estimate, the joints
-    the denoiser was bound to -> gradient w.r.t. the noisy input, in the
-    coordinates the denoiser reads (see ``DenoiserInterface.condition``).
+    ``r_hat``: (frames, |active|, 6), the denoised estimate on ``A.active_joints``;
+    ``pullback(cot)``: cotangent of that shape -> gradient w.r.t. the noisy input,
+    in the coordinates the denoiser reads (see ``DenoiserInterface.condition``).
     """
     r_hat = np.asarray(r_hat, dtype=float)
     frames = r_hat.shape[0]
-    p9, decode_pullback = rot6d.decode(r_hat, A.active_joints)  # (frames, active, 9)
+    try:
+        p9, decode_pullback = rot6d.decode(r_hat)  # (frames, active, 9)
+    except rot6d.DegenerateRotationError as exc:  # its index runs over (frames, active)
+        f, j = divmod(exc.index, len(A.active_joints))
+        raise rot6d.DegenerateRotationError(
+            f * A.joint_count + int(A.active_joints[j]), exc.reason) from exc
     Gc = A.active_block.reshape(6, -1)
     e = np.asarray(l_diff, dtype=float).reshape(frames, 6) - p9.reshape(frames, -1) @ Gc.T
 
@@ -111,16 +119,20 @@ def ddim_step(
 ) -> tuple:
     """One reverse update from time t to s < t for a stack of windows.
 
-    Each window's state is x = r + y @ reads.T; ``state`` is ``(r, z, y)`` with
-    r of shape (windows, ...), z = r @ reads on r's flattened windows, and y
-    the (windows, k) guidance part; ``estimate`` is ``(r_hat, z_hat)``, the
-    estimate of x and its coordinates; ``g`` is the guidance term, in y's
-    coordinates.  With c1 = eta sqrt((1 - ab_t/ab_s)(1 - ab_s)/(1 - ab_t)),
+    Each window's flattened state is x = N + H @ writes + beta offset + y @ reads.T;
+    ``state`` is ``(N, H, beta, z, y)``: the (windows, D) noise part N, the
+    (windows, k') coefficients H and the scalar beta of the estimates' part, the
+    coordinates z of N + H @ writes + beta offset, and the (windows, k) guidance
+    part y.  ``estimate`` is ``(u, z_hat)``: the last layer u of the estimate
+    x_hat = u @ writes + offset, and z_hat = x_hat @ reads.  ``g`` is the guidance
+    term, in y's coordinates.  With c1 = eta sqrt((1 - ab_t/ab_s)(1 - ab_s)/(1 - ab_t)),
     c2 = sqrt(1 - ab_s - c1^2) and eps = (x - sqrt(ab_t) x_hat) / sqrt(1 - ab_t),
-    x moves to sqrt(ab_s) x_hat + c1 fresh + c2 eps + sqrt(ab_t) g @ reads.T.
-    Returns that split the same way: r takes the estimate, its noise estimate
+    x moves to sqrt(ab_s) x_hat + c1 fresh + c2 eps + sqrt(ab_t) g @ reads.T, that
+    is to a x + b x_hat + c1 fresh + sqrt(ab_t) g @ reads.T with a = c2 / sqrt(1 - ab_t)
+    and b = sqrt(ab_s) - a sqrt(ab_t).  Returns that split the same way: N takes a
     and the fresh noise, drawn for window k from ``rngs[k]`` (only when c1 > 0);
-    z takes their coordinates; y takes the rest of the noise estimate and g.
+    H and beta take a and b u, b; z takes the coordinates of the estimate, noise
+    estimate and fresh noise; y takes the rest of the noise estimate and g.
     Refuses signal levels outside 0 < ab_t < ab_s <= 1; never writes its inputs.
     """
     if not 0.0 < alpha_bar_t < 1.0:  # a NaN fails the comparison too
@@ -132,29 +144,49 @@ def ddim_step(
     if rad < -1e-12:
         raise ValueError(f"invalid schedule/eta combination: 1 - ab_s - c1^2 = {rad}")
     c2 = np.sqrt(max(rad, 0.0))
-    (r, z, y), (r_hat, z_hat) = state, estimate
+    (noise, coef, beta, z, y), (u, z_hat) = state, estimate
     root = np.sqrt(1.0 - alpha_bar_t)
-    # r takes z's operations in z's order, written into two arrays of its own
-    eps_r = r_hat * np.sqrt(alpha_bar_t)
-    np.subtract(r, eps_r, out=eps_r)
-    eps_r /= root
-    eps_r *= c2
-    new_r = r_hat * np.sqrt(alpha_bar_s)
+    a = c2 / root
+    b = np.sqrt(alpha_bar_s) - a * np.sqrt(alpha_bar_t)
+    new_noise = noise * a
     fresh_z = 0.0
     if c1 > 0:
-        fresh = np.stack([gen.standard_normal(r.shape[1:]) for gen in rngs])
-        fresh_z = fresh.reshape(len(r), -1) @ reads
-        new_r += c1 * fresh
-    new_r += eps_r
+        fresh = np.stack([gen.standard_normal(noise.shape[1:]) for gen in rngs])
+        fresh_z = fresh @ reads
+        new_noise += c1 * fresh
     eps_z = (z - np.sqrt(alpha_bar_t) * z_hat) / root
-    return (new_r,
+    return (new_noise, a * coef + b * u, a * beta + b,
             np.sqrt(alpha_bar_s) * z_hat + c1 * fresh_z + c2 * eps_z,
             c2 * (y / root) + np.sqrt(alpha_bar_t) * g)
 
 
-def _expand(r: np.ndarray, y: np.ndarray, reads: np.ndarray) -> np.ndarray:
-    """The full state r + y @ reads.T of a stack of windows."""
-    return r + _split_matmul(y, reads.T).reshape(r.shape)
+def _expand(state: tuple, writes: np.ndarray, offset: np.ndarray, reads: np.ndarray) -> np.ndarray:
+    """The full (windows, D) state N + H @ writes + beta offset + y @ reads.T of a
+    ``ddim_step`` state."""
+    noise, coef, beta, _, y = state
+    x = _split_matmul(coef, writes)
+    x += beta * offset
+    x += noise
+    x += _split_matmul(y, reads.T)
+    return x
+
+
+def _gather_joints(writes: np.ndarray, offset: np.ndarray, W: int, J: int, joints) -> tuple:
+    """The rows of ``writes`` and the entries of ``offset`` that give ``joints`` of a
+    flattened window of W frames of J joints, frame by frame: ``u @ rows.T + part``
+    is the estimate there.  ``rows`` is C-ordered; a guided step's two products
+    read it, the forward one through ``rows.T``."""
+    frame = (np.asarray(joints)[:, None] * 6 + np.arange(6)).reshape(-1)
+    cols = (np.arange(W)[:, None] * J * 6 + frame).reshape(-1)
+    return writes.take(cols, axis=1).T.copy(), offset[..., cols]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Each row's 2-norm, its entries divided by the row's largest magnitude before
+    squaring, so that no square overflows."""
+    peak = np.abs(a).max(axis=1, initial=0.0)
+    scaled = a / np.where((peak > 0.0) & (peak < np.inf), peak, 1.0)[:, None]
+    return peak * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
 
 
 def _window_starts(frames: int, window: int, stride: int) -> list[int]:
@@ -182,11 +214,14 @@ def run_guided_inference(
     ``config.sigma_l`` and ``measurements.sigma_l``; the root smoothing reads
     ``measurements.sigma_l`` alone, so it stays off for noise-free files.
 
-    The denoiser is conditioned once, on every window's measured rotations
-    and ``A.active_joints``.  The divergence guard bounds each window's
-    largest entry by max|r| + |y| max_i |reads_i| and forms the full state
-    only when that bound passes ``DIVERGENCE_NORM``.  Sampling holds numpy's
-    bundled OpenBLAS at one thread, leaving a core to the denoiser's worker.
+    The denoiser is conditioned once, on every window's measured rotations.
+    A guided step forms the estimate on ``A.active_joints`` only, from the rows
+    of ``writes`` for them, gathered once, and pulls the score's cotangent back
+    through the same rows.  The divergence guard bounds each window's largest
+    entry by max|N| + |H| max_i |writes[:, i]| + |beta| max|offset| +
+    |y| max_i |reads_i| and forms the full state only when that bound passes
+    ``DIVERGENCE_NORM``.  Sampling holds numpy's bundled OpenBLAS at one thread,
+    leaving a core to the worker that takes half of each split product.
     Deterministic given (inputs, seed), at any CPU count and any
     ``OPENBLAS_NUM_THREADS``.  Output rotations depend on the measured
     locations only through their per-frame differences, so a constant sensor
@@ -209,47 +244,59 @@ def run_guided_inference(
     win = starts[:, None] + np.arange(W)  # (windows, W) sequence frames
     l_diff = differential_transform(measurements.locations)[win].reshape(-1, 2, 3)
     with _one_blas_thread():
-        reads, denoise = denoiser.condition(
-            make_conditioning(measurements, denoiser.cond_spec)[win], starts, A.active_joints)
+        reads, writes, offset, denoise = denoiser.condition(
+            make_conditioning(measurements, denoiser.cond_spec)[win], starts)
 
         rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(n)]
-        r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
-        z = _split_matmul(r.reshape(n, -1), reads)
-        y = np.zeros_like(z)
-        gram = reads.T @ reads
-        # |(y @ reads.T)_i| <= |y| |reads_i|; the margin covers the rounding of both sides
-        reach = np.sqrt(np.einsum("ij,ij->i", reads, reads).max()) * (1.0 + 1e-6)
+        noise = np.stack([rng.standard_normal(W * J * 6) for rng in rngs])
+        z = _split_matmul(noise, reads)
+        state = (noise, np.zeros((n, len(writes))), 0.0, z, np.zeros_like(z))
+        # a shared (D,) offset stays a vector product: broadcast first, BLAS rounds it differently
+        gram, writes_z, offset_z = reads.T @ reads, writes @ reads, offset @ reads
+        rows, offset_active = _gather_joints(writes, offset, W, J, A.active_joints)
+        # |(c @ m)_i| <= |c| |m_i| per term; the margin covers the rounding of both sides
+        reach = np.sqrt(np.einsum("ij,ij->i", reads, reads).max())
+        write_reach = np.sqrt(np.einsum("ij,ij->j", writes, writes).max())
+        offset_peak = np.abs(offset).max(axis=-1)
         abars = alpha_bar(timesteps)
         for i in range(steps, 0, -1):
             t, ab_t, ab_s = timesteps[i], abars[i], abars[i - 1]
-            r_hat, z_hat, pullback = denoise(z + y @ gram, t)
+            z, y = state[3:]
+            u, pullback = denoise(z + y @ gram, t)
             g = 0.0
             if config.guidance_scale > 0.0:
                 # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
                 w_t = float(np.sqrt(1.0 - ab_t))
+                r_hat = (_split_matmul(u, rows.T) + offset_active).reshape(n * W, -1, 6)
                 try:
-                    g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6), pullback, config, w_t)
+                    g = likelihood_score(
+                        l_diff, A, r_hat,
+                        lambda cot: pullback(_split_matmul(cot.reshape(n, -1), rows)),
+                        config, w_t)
                 except rot6d.DegenerateRotationError as exc:  # its index runs over (windows, W, J)
                     w, (f, j) = exc.index // J // W, divmod(exc.index, J)
                     raise SamplerDivergence(
                         f"window at frame {starts[w]}: degenerate 6DoF estimate at step {i} "
                         f"(t={t:.3g}) at frame {win.flat[f]}, joint {j}: {exc.reason}") from exc
-            r, z, y = ddim_step((r, z, y), (r_hat, z_hat), g, ab_t, ab_s, config.eta, rngs, reads)
-            bound = np.abs(r).reshape(n, -1).max(axis=1) + np.linalg.norm(y, axis=1) * reach
+            state = ddim_step(state, (u, u @ writes_z + offset_z), g, ab_t, ab_s, config.eta,
+                              rngs, reads)
+            noise, coef, beta, _, y = state
+            bound = (np.abs(noise).max(axis=1) + _row_norms(coef) * write_reach
+                     + abs(beta) * offset_peak + _row_norms(y) * reach) * (1.0 + 1e-6)
             if np.all(bound <= DIVERGENCE_NORM):  # a NaN bound goes on to the exact check
                 continue
-            x = _expand(r, y, reads)
-            peaks = np.abs(x).reshape(n, -1).max(axis=1)
+            x = _expand(state, writes, offset, reads)
+            peaks = np.abs(x).max(axis=1)
             if not np.all(peaks <= DIVERGENCE_NORM):
                 w = np.argmin(peaks <= DIVERGENCE_NORM)  # the first window over the bound
                 # argmax returns the first NaN if there is one, else the largest entry
-                f, j, _ = np.unravel_index(np.argmax(np.abs(x[w])), x[w].shape)
+                f, j, _ = np.unravel_index(np.argmax(np.abs(x[w])), (W, J, 6))
                 raise SamplerDivergence(
                     f"window at frame {starts[w]}: state magnitude {peaks[w]:.3g} exceeded "
                     f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
                     f"{starts[w] + f}, joint {j}"
                 )
-        x = _expand(r, y, reads)
+        x = _expand(state, writes, offset, reads).reshape(n, W, J, 6)
 
     fade = np.linspace(0.0, 1.0, overlap + 2)[1:-1]
     ramp = np.ones((len(starts), W))

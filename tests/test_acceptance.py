@@ -146,7 +146,8 @@ def test_likelihood_score_matches_fd_gradient():
         r_hat = den.denoised(r_t)
         # the score's cotangent is on A's active joints
         scatter = scatter_pullback(r_hat.shape, A.active_joints)
-        score = likelihood_score(l_diff, A, r_hat, lambda c: den.vjp(r_t, scatter(c)),
+        score = likelihood_score(l_diff, A, r_hat[:, A.active_joints],
+                                 lambda c: den.vjp(r_t, scatter(c)),
                                  GuidanceConfig(guidance_scale=1.0, covariance_mode=mode,
                                                 sigma_l=sig), w_t)
         # frozen quadratic-form metric, reproduced from the score definition

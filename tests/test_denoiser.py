@@ -19,6 +19,7 @@ from poseguide.denoiser import (
     _ADAM_CHUNK, TERMINAL, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
     _adam_update, _openblas, _split_matmul, alpha_bar, make_conditioning, train_denoiser,
 )
+from poseguide.sampler import _gather_joints
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.measurement import build_A, extract_measurements
 from poseguide.sampler import GuidanceConfig, run_guided_inference
@@ -42,18 +43,20 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
-def bind(denoiser, cond, starts, joints):
+def bind(denoiser, cond, starts):
     """``condition`` as a step on the full state: ``step(r_t, t) -> (r_hat, pullback)``,
-    which lifts r_t to the coordinates, checks that the estimate's coordinates are
-    ``r_hat @ reads``, and takes the pullback's gradient back to the full layout."""
-    reads, denoise = denoiser.condition(cond, starts, joints)
+    which lifts r_t to the coordinates, forms the estimate ``u @ writes + offset``,
+    and takes a full-layout cotangent through ``writes`` into the pullback and its
+    gradient back to the full layout."""
+    reads, writes, offset, denoise = denoiser.condition(cond, starts)
 
     def step(r_t, t):
         r_t = np.asarray(r_t, dtype=float)
-        r_hat, z_hat, pullback = denoise(r_t.reshape(len(r_t), -1) @ reads, t)
-        want = r_hat.reshape(len(r_t), -1) @ reads
-        assert np.abs(z_hat - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
-        return r_hat, lambda cot: (pullback(cot) @ reads.T).reshape(r_t.shape)
+        n = len(r_t)
+        u, pullback = denoise(r_t.reshape(n, -1) @ reads, t)
+        return ((u @ writes + offset).reshape(r_t.shape),
+                lambda cot: (pullback(np.reshape(cot, (n, -1)) @ writes.T) @ reads.T)
+                .reshape(r_t.shape))
 
     return step
 
@@ -78,14 +81,15 @@ def test_oracle_denoiser_identities():
     ab = alpha_bar(t)
     noise = rng.standard_normal(truth.rotations.shape)
     r_t = np.sqrt(ab) * truth.rotations + np.sqrt(1 - ab) * noise
-    reads, denoise = oracle.condition(np.zeros((1, 20, 18)), [0], range(22))
-    assert reads.shape == (20 * 22 * 6, 0)
-    r_hat, z_hat, pullback = denoise(r_t.reshape(1, -1) @ reads, t)
-    assert np.array_equal(r_hat, truth.rotations[None])
-    assert z_hat.shape == (1, 0)
+    reads, writes, offset, denoise = oracle.condition(np.zeros((1, 20, 18)), [0])
+    assert reads.shape == (20 * 22 * 6, 0) and writes.shape == (0, 20 * 22 * 6)
+    assert np.array_equal(offset, truth.rotations.reshape(1, -1))
+    u, pullback = denoise(r_t.reshape(1, -1) @ reads, t)
+    assert u.shape == (1, 0) and pullback(u).shape == (1, 0)
+    assert np.array_equal(bind(oracle, np.zeros((1, 20, 18)), [0])(r_t[None], t)[0],
+                          truth.rotations[None])
     cot = rng.standard_normal(r_t.shape)
-    assert pullback(cot).shape == (1, 0)
-    assert np.array_equal(bind(oracle, np.zeros((1, 20, 18)), [0], range(22))(r_t[None], t)[1](cot),
+    assert np.array_equal(bind(oracle, np.zeros((1, 20, 18)), [0])(r_t[None], t)[1](cot),
                           np.zeros_like(cot[None]))
 
 
@@ -95,15 +99,16 @@ def test_oracle_denoiser_gathers_by_starts():
     oracle = OracleDenoiser(truth.rotations)
     rng = np.random.default_rng(1)
     cond = np.zeros((2, 5, 18))
-    reads, denoise = oracle.condition(cond, [7, 2], range(22))
-    r_hat = denoise(np.zeros((2, 0)), 1.0)[0]
-    assert np.array_equal(r_hat, np.stack([truth.rotations[7:12], truth.rotations[2:7]]))
+    reads, writes, offset, denoise = oracle.condition(cond, [7, 2])
+    assert denoise(np.zeros((2, 0)), 1.0)[0].shape == (2, 0)
+    assert np.array_equal(offset.reshape(2, 5, 22, 6),
+                          np.stack([truth.rotations[7:12], truth.rotations[2:7]]))
     # a window running past either end of the truth is refused by its index, once
     with pytest.raises(ValueError, match=r"window 1 \(frames 17 to 21\) runs past the stored "
                                          r"ground truth of 20 frames"):
-        oracle.condition(cond, [7, 17], range(22))
+        oracle.condition(cond, [7, 17])
     with pytest.raises(ValueError, match=r"window 0 \(frames -1 to 3\)"):
-        oracle.condition(cond, [-1, 2], range(22))
+        oracle.condition(cond, [-1, 2])
     # a step on another stack than the bound windows is refused at that step
     for other in (np.zeros((2, 1)), np.zeros((1, 0))):
         with pytest.raises(ValueError, match="do not match the 2 windows of the stored "
@@ -358,8 +363,8 @@ digests.append(b"".join(model.params[k].tobytes() for k in sorted(model.params))
 prior = MLPDenoiser(small_config(hidden=160))
 condition = prior.condition
 def recording(*args):
-    reads, denoise = condition(*args)
-    return reads, lambda z, t: inside.add(get()) or denoise(z, t)
+    *bound, denoise = condition(*args)
+    return (*bound, lambda z, t: inside.add(get()) or denoise(z, t))
 prior.condition = recording
 pred = run_guided_inference(ds[0][1], skel, prior, 5, GuidanceConfig())
 reads.append(get())
@@ -377,8 +382,8 @@ except TrainingError:
     reads.append(get())
 MLPDenoiser._forward = forward
 
-bad = MLPDenoiser(TrainConfig(hidden=8))  # estimates zero at window frame 3, joint 5
-cols = slice(3 * 132 + 5 * 6, 3 * 132 + 6 * 6)
+bad = MLPDenoiser(TrainConfig(hidden=8))  # estimates zero at window frame 3, joint 18
+cols = slice(3 * 132 + 18 * 6, 3 * 132 + 19 * 6)
 bad.params["Wo"][:, cols] = 0.0
 bad.params["bo"][cols] = 0.0
 truth = generate_motion(MotionSpec(kind="reach", frames=100, seed=1), skel)
@@ -497,8 +502,8 @@ def test_conditioning_affects_prediction():
     r_t = rng.standard_normal((12, 22, 6))
     c1 = make_conditioning(ds[0][1], "rotations")[:12]
     c2 = make_conditioning(ds[1][1], "rotations")[:12]
-    a = bind(model, c1[None], [0], range(22))(r_t[None], 1.0)[0]
-    b = bind(model, c2[None], [0], range(22))(r_t[None], 1.0)[0]
+    a = bind(model, c1[None], [0])(r_t[None], 1.0)[0]
+    b = bind(model, c2[None], [0])(r_t[None], 1.0)[0]
     assert np.abs(a - b).max() > 0
 
 
@@ -527,7 +532,7 @@ def test_vjp_matches_finite_differences():
     r_t = rng.standard_normal((2, 12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[:24].reshape(2, 12, -1)
     cot = rng.standard_normal(r_t.shape)
-    denoise = bind(model, cond, [0, 12], range(22))
+    denoise = bind(model, cond, [0, 12])
     got = denoise(r_t, 1.5)[1](cot)
     ref = finite_difference_vjp(denoise, r_t, 1.5, cot)
     assert np.abs(got - ref).max() < 1e-5
@@ -539,18 +544,20 @@ def test_denoise_stack_equals_one_window_stacks():
     r_t = rng.standard_normal((3, 41, 22, 6))
     cond = rng.standard_normal((3, 41, 18))
     cot = rng.standard_normal(r_t.shape)
-    r_hat, pullback = bind(model, cond, [0, 20, 40], range(22))(r_t, 2.0)
+    r_hat, pullback = bind(model, cond, [0, 20, 40])(r_t, 2.0)
     grad = pullback(cot)
     for w in range(3):
-        denoise_w = bind(model, cond[w : w + 1], [20 * w], range(22))
+        denoise_w = bind(model, cond[w : w + 1], [20 * w])
         r_hat_w, pullback_w = denoise_w(r_t[w : w + 1], 2.0)
         assert np.abs(r_hat[w] - r_hat_w[0]).max() < 1e-12
         assert np.abs(grad[w] - pullback_w(cot[w : w + 1])[0]).max() < 1e-12
 
 
 def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
-    # bound to some joints, the pullback reads a gather of Wo's columns for them;
-    # it matches the pullback bound to all 22 joints on the zero-padded cotangent
+    # through the rows of Wo gathered for some joints, the estimate is the full
+    # product's entries for them, and the pullback of a cotangent on them matches the
+    # full pullback of the zero-padded cotangent.  Only to rounding: BLAS may take
+    # another kernel for the narrower product (it does for one window)
     model = MLPDenoiser(TrainConfig(hidden=8))
     active = build_A(default_skeleton()).active_joints
     rng = np.random.default_rng(16)
@@ -558,14 +565,21 @@ def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
         r_t = rng.standard_normal((n, 41, 22, 6))
         cond = rng.standard_normal((n, 41, 18))
         starts = 20 * np.arange(n)
-        pullback = bind(model, cond, starts, range(22))(r_t, 2.0)[1]
-        for joints in (active, (0, 5, -1)):  # -1 is joint 21, as in numpy indexing
+        reads, writes, offset, denoise = model.condition(cond, starts)
+        u, pullback = denoise(r_t.reshape(n, -1) @ reads, 2.0)
+        estimate = (_split_matmul(u, writes) + offset).reshape(r_t.shape)
+        full_pullback = bind(model, cond, starts)(r_t, 2.0)[1]
+        for joints in (active, (0, 5, 21)):
+            rows, part = _gather_joints(writes, offset, 41, 22, joints)
+            assert rows.flags.c_contiguous
+            got = (_split_matmul(u, rows.T) + part).reshape(n, 41, len(joints), 6)
+            assert_close(got, estimate[:, :, joints])
             cot = rng.standard_normal((n * 41, len(joints), 6))
             full = np.zeros((n * 41, 22, 6))
             full[:, joints] = cot
-            want = pullback(full)
-            got = bind(model, cond, starts, joints)(r_t, 2.0)[1](cot)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            want = full_pullback(full)
+            got = (pullback(_split_matmul(cot.reshape(n, -1), rows)) @ reads.T).reshape(r_t.shape)
+            assert_close(got, want)
 
 
 def biased_model(seed):
@@ -602,7 +616,7 @@ def test_inference_forward_and_pullback_match_the_packed_training_path():
             cond = rng.standard_normal((n, 41, 18))
             cot = rng.standard_normal(r_t.shape)
             want_out, want_grad = packed_reference(model, r_t, t, cond, cot)
-            out, pullback = bind(model, cond, 20 * np.arange(n), range(22))(r_t, t)
+            out, pullback = bind(model, cond, 20 * np.arange(n))(r_t, t)
             assert_close(out, want_out)
             assert_close(pullback(cot), want_grad)
 
@@ -616,8 +630,8 @@ def test_denoise_refuses_misshapen_inputs_with_the_packing_message():
             (np.zeros((2, 40, 18)), r"conditioning must be \(2, 41, 18\), got \(2, 40, 18\)"),
             (np.zeros((2, 41, 9)), r"conditioning must be \(2, 41, 18\), got \(2, 41, 9\)")):
         with pytest.raises(ValueError, match=match):
-            model.condition(cond, [0, 41], range(22))
-    reads, denoise = model.condition(np.zeros((2, 41, 18)), [0, 41], range(22))
+            model.condition(cond, [0, 41])
+    denoise = model.condition(np.zeros((2, 41, 18)), [0, 41])[-1]
     for z in (np.zeros((1, 8)), np.zeros((3, 8)), np.zeros((2, 7)), np.zeros((2, 41, 22, 6))):
         with pytest.raises(ValueError, match=rf"expected \(2, 8\) coordinates, got "
                                              rf"{re.escape(str(z.shape))}"):
@@ -625,21 +639,17 @@ def test_denoise_refuses_misshapen_inputs_with_the_packing_message():
 
 
 def test_pullback_refuses_a_cotangent_that_does_not_match_its_joints():
+    # the pullback takes a cotangent on the last hidden layer of the bound windows;
+    # one of another shape, such as one on the joints' entries, is refused by shape
     model = MLPDenoiser(TrainConfig(hidden=8))
     rng = np.random.default_rng(18)
     cond, r_t = rng.standard_normal((2, 41, 18)), rng.standard_normal((2, 41, 22, 6))
-    active = build_A(default_skeleton()).active_joints
-    for cot, joints, want in ((np.ones((82, 9, 6)), active, (82, 8, 6)),
-                              (np.ones((41, 8, 6)), active, (82, 8, 6)),
-                              (np.ones((82, 8, 6)), range(22), (82, 22, 6))):
-        pullback = bind(model, cond, [0, 41], joints)(r_t, 2.0)[1]
-        match = rf"cotangent shape \({cot.shape[0]}, {cot.shape[1]}, 6\) does not match " \
-                rf"\({want[0]}, {want[1]}, 6\)"
-        with pytest.raises(ValueError, match=match):
-            pullback(cot)
-    # a joint past the layout used to read the next frame's columns
-    with pytest.raises(IndexError, match="index 22 is out of bounds"):
-        model.condition(cond, [0, 41], (0, 22))
+    reads, _, _, denoise = model.condition(cond, [0, 41])
+    pullback = denoise(r_t.reshape(2, -1) @ reads, 2.0)[1]
+    for du in (np.ones((2, 9)), np.ones((1, 8)), np.ones(16), np.ones((82, 8, 6))):
+        with pytest.raises(ValueError, match=rf"^cotangent shape {re.escape(str(du.shape))} "
+                                             rf"does not match \(2, 8\)$"):
+            pullback(du)
 
 
 def test_pack_rows_hold_state_time_and_conditioning():
@@ -675,8 +685,8 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     r_t = rng.standard_normal((1, 12, 22, 6))
     cond = make_conditioning(ds[0][1], "rotations")[None, :12]
-    assert np.array_equal(bind(back, cond, [0], range(22))(r_t, 0.7)[0],
-                          bind(model, cond, [0], range(22))(r_t, 0.7)[0])
+    assert np.array_equal(bind(back, cond, [0])(r_t, 0.7)[0],
+                          bind(model, cond, [0])(r_t, 0.7)[0])
     assert model.param_count() == back.param_count()
 
 

@@ -34,49 +34,70 @@ def test_schedule_alpha_bar_values():
 
 
 def ddim_case(seed):
-    """A stack of two 3-entry states held as r + y @ reads.T with 2 coordinates, its
-    estimate and a guidance term."""
+    """Two 3-entry windows held as x = N + H @ writes + beta offset + y @ reads.T, with one
+    row of writes and two coordinates: the ``ddim_step`` state and estimate, a guidance
+    term, ``reads``, ``full(*state)`` forming x, and the estimate x_hat = u @ writes + offset."""
     rng = np.random.default_rng(seed)
-    r_t, r_hat, reads = (rng.standard_normal(shape) for shape in ((2, 3), (2, 3), (3, 2)))
-    y, g = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-    return r_t, r_hat, reads, y, g
+    noise, coef, u, y, g = (rng.standard_normal(shape)
+                            for shape in ((2, 3), (2, 1), (2, 1), (2, 2), (2, 2)))
+    writes, offset, reads = (rng.standard_normal(shape) for shape in ((1, 3), (3,), (3, 2)))
+    beta = 0.7
+    prior = noise + coef @ writes + beta * offset
+    x_hat = u @ writes + offset
+
+    def full(noise, coef, beta, z, y):
+        return noise + coef @ writes + beta * offset + y @ reads.T
+
+    return (noise, coef, beta, prior @ reads, y), (u, x_hat @ reads), g, reads, full, x_hat
 
 
 def test_ddim_constants_known_values():
-    r_t, r_hat, reads, y, g = ddim_case(1)
+    state, estimate, g, reads, full, x_hat = ddim_case(1)
     # ab_t = 0.5, ab_s = 0.75, eta = 1:
     # c1 = sqrt((1 - 2/3) * 0.25 / 0.5) = sqrt(1/6), c2 = sqrt(1/12)
     # one generator per leading entry: row k's fresh noise comes from its own stream
-    r, z, y_s = ddim_step((r_t, r_t @ reads, y), (r_hat, r_hat @ reads), g, 0.5, 0.75, 1.0,
-                          [np.random.default_rng(7), np.random.default_rng(8)], reads)
+    got = ddim_step(state, estimate, g, 0.5, 0.75, 1.0,
+                    [np.random.default_rng(7), np.random.default_rng(8)], reads)
     fresh = np.stack([np.random.default_rng(7).standard_normal(3),
                       np.random.default_rng(8).standard_normal(3)])
-    eps = (r_t - np.sqrt(0.5) * r_hat) / np.sqrt(0.5)
-    want = np.sqrt(0.75) * r_hat + np.sqrt(1 / 6) * fresh + np.sqrt(1 / 12) * eps
-    assert np.abs(r - want).max() < 1e-12
-    assert np.abs(z - want @ reads).max() < 1e-12
-    # the full state x = r + y @ reads.T takes the textbook update, guidance included
-    x = r_t + y @ reads.T
-    want_x = (np.sqrt(0.75) * r_hat + np.sqrt(1 / 6) * fresh
-              + np.sqrt(1 / 12) * (x - np.sqrt(0.5) * r_hat) / np.sqrt(0.5)
-              + np.sqrt(0.5) * g @ reads.T)
-    assert np.abs(r + y_s @ reads.T - want_x).max() < 1e-12
+    # the full state takes the textbook update, guidance included
+    x = full(*state)
+    want = (np.sqrt(0.75) * x_hat + np.sqrt(1 / 6) * fresh
+            + np.sqrt(1 / 12) * (x - np.sqrt(0.5) * x_hat) / np.sqrt(0.5)
+            + np.sqrt(0.5) * g @ reads.T)
+    assert np.abs(full(*got) - want).max() < 1e-12
+    # the noise part takes a = c2 / sqrt(1 - ab_t) of itself and the fresh noise, and z
+    # stays the coordinates of the prior part
+    a = np.sqrt(1 / 12) / np.sqrt(0.5)
+    assert np.abs(got[0] - (a * state[0] + np.sqrt(1 / 6) * fresh)).max() < 1e-12
+    prior = full(*got[:4], np.zeros_like(got[4]))
+    assert np.abs(got[3] - prior @ reads).max() < 1e-12
     assert np.sqrt(1 / 6) == pytest.approx(0.4082482905, abs=1e-9)
 
 
 def test_ddim_deterministic_when_eta_zero():
-    r_t, r_hat, reads, y, g = ddim_case(2)
-    state, estimate = (r_t, r_t @ reads, y), (r_hat, r_hat @ reads)
+    state, estimate, g, reads, full, x_hat = ddim_case(2)
     a = ddim_step(state, estimate, g, 0.4, 0.9, 0.0,
                   [np.random.default_rng(1), np.random.default_rng(3)], reads)
     b = ddim_step(state, estimate, g, 0.4, 0.9, 0.0,
                   [np.random.default_rng(2), np.random.default_rng(4)], reads)
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
     # eta=0: c2^2 = 1 - ab_s exactly
-    x = r_t + y @ reads.T
-    want = (np.sqrt(0.9) * r_hat + np.sqrt(0.1) * (x - np.sqrt(0.4) * r_hat) / np.sqrt(0.6)
-            + np.sqrt(0.4) * g @ reads.T)
-    assert np.abs(a[0] + a[2] @ reads.T - want).max() < 1e-12
+    eps = (full(*state) - np.sqrt(0.4) * x_hat) / np.sqrt(0.6)
+    want = np.sqrt(0.9) * x_hat + np.sqrt(0.1) * eps + np.sqrt(0.4) * g @ reads.T
+    assert np.abs(full(*a) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_the_last_step_lands_on_the_estimate(eta):
+    # at ab_s = 1, a = 0 and b = 1: the noise part is zero, the coefficients are u and
+    # beta is 1, so the prior part is the last estimate exactly
+    state, (u, z_hat), g, reads, full, x_hat = ddim_case(5)
+    noise, coef, beta, z, y = ddim_step(state, (u, z_hat), g, 0.4, 1.0, eta,
+                                        [np.random.default_rng(1), np.random.default_rng(3)],
+                                        reads)
+    assert not noise.any() and np.array_equal(coef, u) and beta == 1.0
+    assert np.array_equal(z, z_hat)
 
 
 def test_ddim_variance_split_identity():
@@ -92,8 +113,8 @@ def test_ddim_variance_split_identity():
 def test_ddim_rejects_clean_start():
     r, none = np.zeros((1, 3)), np.zeros((1, 0))
     with pytest.raises(ValueError, match=r"^alpha_bar_t must be in \(0, 1\).* got 1\.0$"):
-        ddim_step((r, none, none), (r, none), 0.0, 1.0, 0.5, 0.0, [np.random.default_rng(0)],
-                  np.zeros((3, 0)))
+        ddim_step((r, none, 0.0, none, none), (none, none), 0.0, 1.0, 0.5, 0.0,
+                  [np.random.default_rng(0)], np.zeros((3, 0)))
 
 
 @pytest.mark.parametrize("ab_t, ab_s, name, value", [
@@ -109,21 +130,21 @@ def test_ddim_rejects_clean_start():
         "ab_t-zero", "negative"])
 def test_ddim_refuses_signal_levels_it_cannot_use(ab_t, ab_s, name, value):
     # each of these used to return NaN states without a word
-    r_t, r_hat, reads, y, g = ddim_case(3)
+    state, estimate, g, reads, _, _ = ddim_case(3)
     with pytest.raises(ValueError, match=rf"^{name} must be in .* got {value}$"):
-        ddim_step((r_t, r_t @ reads, y), (r_hat, r_hat @ reads), g, ab_t, ab_s, 0.0,
+        ddim_step(state, estimate, g, ab_t, ab_s, 0.0,
                   [np.random.default_rng(0), np.random.default_rng(1)], reads)
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.0])
 def test_ddim_leaves_its_inputs_unchanged(eta):
-    r_t, r_hat, reads, y, g = ddim_case(4)
-    inputs = (r_t, r_t @ reads, y, r_hat, r_hat @ reads, g)
+    state, estimate, g, reads, _, _ = ddim_case(4)
+    inputs = (*state[:2], *state[3:], *estimate, g)
     before = [x.tobytes() for x in inputs]
-    got = ddim_step(inputs[:3], inputs[3:5], g, 0.4, 0.9, eta,
+    got = ddim_step(state, estimate, g, 0.4, 0.9, eta,
                     [np.random.default_rng(1), np.random.default_rng(3)], reads)
     assert [x.tobytes() for x in inputs] == before
-    assert not any(np.shares_memory(a, b) for a in got for b in inputs)
+    assert not any(np.shares_memory(a, b) for a in (*got[:2], *got[3:]) for b in inputs)
 
 
 def scatter_pullback(shape, joints):
@@ -137,6 +158,13 @@ def scatter_pullback(shape, joints):
     return pullback
 
 
+def active_score(l_diff, A, r_hat, config, w_t):
+    """``likelihood_score`` of a full-layout estimate (frames, J, 6) on its active
+    joints, with the identity as the denoiser pullback: the score in the full layout."""
+    return likelihood_score(l_diff, A, r_hat[:, A.active_joints],
+                            scatter_pullback(r_hat.shape, A.active_joints), config, w_t)
+
+
 def test_likelihood_score_zero_at_exact_residual():
     skel = default_skeleton()
     A = build_A(skel)
@@ -144,7 +172,7 @@ def test_likelihood_score_zero_at_exact_residual():
     r_hat = rot6d.to_sixdof(R)
     l_diff = (rot6d.vec9(R).reshape(3, -1) @ A.diff_matrix.T).reshape(3, 2, 3)
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=0.01)
-    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints), cfg, 0.3)
+    g = active_score(l_diff, A, r_hat, cfg, 0.3)
     assert np.abs(g).max() < 1e-10
 
 
@@ -182,7 +210,7 @@ def test_likelihood_score_is_frozen_metric_gradient():
     l_diff = rng.standard_normal((2, 2, 3)) * 0.2
     w_t, sig = 0.4, 0.03
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=sig, covariance_mode="identity")
-    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints), cfg, w_t)
+    g = active_score(l_diff, A, r_hat, cfg, w_t)
     Gd = A.diff_matrix
     B = w_t**2 * (Gd @ Gd.T) + sig**2 * np.eye(6)
     _assert_frozen_metric_gradient(g, A, r_hat, l_diff, [B, B])
@@ -200,7 +228,7 @@ def test_likelihood_score_is_frozen_metric_gradient_sigma_multiframe():
     l_diff = rng.standard_normal((frames, 2, 3)) * 0.2
     w_t, sig = 0.4, 0.03
     cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=sig, covariance_mode="sigma")
-    g = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints), cfg, w_t)
+    g = active_score(l_diff, A, r_hat, cfg, w_t)
     r_proj = rot6d.to_sixdof(rot6d.batch_from_sixdof(r_hat))
     blocks = A.diff_matrix.reshape(6, 22, 9)
     Bs = []
@@ -256,8 +284,7 @@ def test_identity_score_equals_full_joint_reference():
         B = w_t**2 * (Gc @ Gc.T) + cfg.sigma_l**2 * np.eye(6)
         u = np.linalg.solve(B, e[..., None])[..., 0]
         want = decode_pullback((u @ A.diff_matrix).reshape(frames, 22, 9))
-        got = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
-                               cfg, w_t)
+        got = active_score(l_diff, A, r_hat, cfg, w_t)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -277,15 +304,15 @@ def test_b_factorizations_per_score(monkeypatch, mode, per_frame):
     frames = 5
     r_hat = random_manifold_points(frames * 22, seed=18).reshape(frames, 22, 6)
     l_diff = 0.3 * np.random.default_rng(18).standard_normal((frames, 2, 3))
-    likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
-                     GuidanceConfig(covariance_mode=mode), 0.4)
+    active_score(l_diff, A, r_hat, GuidanceConfig(covariance_mode=mode), 0.4)
     # a (6, 6) B broadcast against (frames, 6, 1) would be factored once per frame
     assert solves == [((frames, 6, 6), (frames, 6, 1)) if per_frame else ((6, 6), (6, frames))]
 
 
 @pytest.mark.parametrize("mode", ["identity", "sigma"])
 def test_gram_schmidt_runs_once_per_score(monkeypatch, mode):
-    # the residual, Sigma's input and the decode pullback share one decode
+    # the residual, Sigma's input and the decode pullback share one decode, on the
+    # active joints alone
     calls = []
     gram_schmidt = rot6d._gram_schmidt
 
@@ -298,9 +325,8 @@ def test_gram_schmidt_runs_once_per_score(monkeypatch, mode):
     monkeypatch.setattr(rot6d, "_gram_schmidt", counting_gram_schmidt)
     A = build_A(default_skeleton())
     l_diff = np.random.default_rng(15).standard_normal((4, 2, 3))
-    likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
-                     GuidanceConfig(sigma_l=0.01, covariance_mode=mode), 0.3)
-    assert calls == [(4, 22, 6)]
+    active_score(l_diff, A, r_hat, GuidanceConfig(sigma_l=0.01, covariance_mode=mode), 0.3)
+    assert calls == [(4, 8, 6)]
 
 
 @pytest.mark.parametrize("mode", ["identity", "sigma"])
@@ -319,17 +345,16 @@ def test_likelihood_score_pulls_back_on_the_active_joints(mode):
         handed.append(np.shape(cot))
         return scatter_pullback(r_hat.shape, A.active_joints)(cot)
 
-    g = likelihood_score(l_diff, A, r_hat, pullback, cfg, 0.4)
+    g = likelihood_score(l_diff, A, r_hat[:, A.active_joints], pullback, cfg, 0.4)
     assert handed == [(3, 8, 6)] and len(A.active_joints) == 8
     assert np.all(np.abs(g[:, A.active_joints]).max(axis=-1) > 0.0)
-    # a degenerate estimate is refused with its flat (frame, joint) index,
-    # on or off the active joints
-    for f, j, flat in ((1, 5, 27), (0, 13, 13)):
+    # a degenerate estimate is refused with its flat index in the (frame, joint)
+    # layout of all 22 joints
+    for f, j, flat in ((1, 18, 40), (0, 13, 13)):
         bad = r_hat.copy()
         bad[f, j, 3:] = 2.0 * bad[f, j, :3]
         with pytest.raises(rot6d.DegenerateRotationError, match=f"at joint {flat}:"):
-            likelihood_score(l_diff, A, bad, scatter_pullback(r_hat.shape, A.active_joints),
-                             cfg, 0.4)
+            active_score(l_diff, A, bad, cfg, 0.4)
 
 
 def test_likelihood_score_scales_linearly():
@@ -338,10 +363,8 @@ def test_likelihood_score_scales_linearly():
     rng = np.random.default_rng(6)
     r_hat = random_manifold_points(22, seed=7).reshape(1, 22, 6)
     l_diff = rng.standard_normal((1, 2, 3))
-    a = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
-                         GuidanceConfig(guidance_scale=1.0, sigma_l=0.01), 0.3)
-    b = likelihood_score(l_diff, A, r_hat, scatter_pullback(r_hat.shape, A.active_joints),
-                         GuidanceConfig(guidance_scale=2.5, sigma_l=0.01), 0.3)
+    a = active_score(l_diff, A, r_hat, GuidanceConfig(guidance_scale=1.0, sigma_l=0.01), 0.3)
+    b = active_score(l_diff, A, r_hat, GuidanceConfig(guidance_scale=2.5, sigma_l=0.01), 0.3)
     assert np.allclose(b, 2.5 * a, atol=1e-12)
 
 
@@ -411,19 +434,15 @@ class RecordingDenoiser(DenoiserInterface):
         self.window = window
         self.bound, self.steps = [], []
 
-    def condition(self, cond, starts, joints):
+    def condition(self, cond, starts):
         self.bound.append((list(starts), np.shape(cond)))
-        shape = (len(starts), np.shape(cond)[1], 22, 6)
-        reads = first_and_last_frame_reads(shape[1])
+        reads = first_and_last_frame_reads(np.shape(cond)[1])
 
         def denoise(z, t):
             self.steps.append((t, z.shape))
-            r_hat = IDENTITY_6D + 0.5 * (z @ reads.T).reshape(shape)
-            pullback = scatter_pullback(shape, joints)
-            return (r_hat, r_hat.reshape(len(z), -1) @ reads,
-                    lambda cot: 0.5 * pullback(cot).reshape(len(z), -1) @ reads)
+            return 0.5 * z, lambda du: 0.5 * du
 
-        return reads, denoise
+        return reads, reads.T, np.tile(IDENTITY_6D, len(reads) // 6), denoise
 
 
 @pytest.mark.parametrize("n", [1, 3, 50])
@@ -470,15 +489,15 @@ def test_one_forward_pass_per_step(monkeypatch):
     condition = MLPDenoiser.condition
     bound, rows = [], []
 
-    def counting_condition(self, cond, starts, joints):
-        bound.append((len(cond), tuple(joints)))
-        reads, denoise = condition(self, cond, starts, joints)
+    def counting_condition(self, cond, starts):
+        bound.append(len(cond))
+        *parts, denoise = condition(self, cond, starts)
 
         def counting_denoise(z, t):
             rows.append(z.shape[0])
             return denoise(z, t)
 
-        return reads, counting_denoise
+        return (*parts, counting_denoise)
 
     def training_only(self, *args):
         raise AssertionError("denoise called a training-path method")
@@ -488,8 +507,8 @@ def test_one_forward_pass_per_step(monkeypatch):
     monkeypatch.setattr(MLPDenoiser, "_forward", training_only)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
     run_guided_inference(meas, skel, model, 3, cfg, seed=0)
-    # both 41-frame windows, bound to A's active joints once; one forward per step
-    assert bound == [(2, tuple(build_A(skel).active_joints))]
+    # both 41-frame windows, bound once; one forward per step
+    assert bound == [2]
     assert rows == [2] * 3
 
 
@@ -566,7 +585,7 @@ def test_unguided_inference_matches_manual_ddim_loop():
     # carries any difference in those through to the last step.
     skel, seq, meas, _ = make_case(frames=30)
     model = MLPDenoiser(TrainConfig(window=30, hidden=8))
-    denoise = bind(model, make_conditioning(meas, "rotations")[None], [0], range(22))
+    denoise = bind(model, make_conditioning(meas, "rotations")[None], [0])
     q = np.linspace(0.0, TERMINAL, 16)
     abars = alpha_bar(q)
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
@@ -669,15 +688,12 @@ def test_sampler_divergence_guard():
         def __init__(self, value):
             self.value = value
 
-        def condition(self, cond, starts, joints):
+        def condition(self, cond, starts):
             none = np.zeros((len(starts), 0))
-
-            def denoise(z, t):
-                r_hat = np.zeros((len(starts), 25, 22, 6))
-                r_hat[np.asarray(starts) == 5, 3, 11, 2] = self.value
-                return r_hat, none, lambda cot: none
-
-            return np.zeros((25 * 22 * 6, 0)), denoise
+            offset = np.zeros((len(starts), 25, 22, 6))
+            offset[np.asarray(starts) == 5, 3, 11, 2] = self.value
+            return (np.zeros((25 * 22 * 6, 0)), np.zeros((0, 25 * 22 * 6)),
+                    offset.reshape(len(starts), -1), lambda z, t: (none, lambda du: none))
 
     cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
     # a huge state and a NaN state (for which "> bound" is False) both stop,
@@ -689,22 +705,19 @@ def test_sampler_divergence_guard():
 
 
 class PushingDenoiser(DenoiserInterface):
-    """Estimates the identity rotation in every window of 25 frames, reads the state
-    through the given one-hot ``reads``, and pulls back any cotangent to the fixed
-    coordinates ``push[w]`` of window w."""
+    """Estimates the identity rotation in every window of 25 frames plus ``drift[w]`` at
+    window frame 3, joint 11, 6DoF 2 of window w, reads the state through the given
+    one-hot ``reads``, and pulls back any cotangent to the fixed coordinates ``push[w]``."""
 
     window = 25
 
-    def __init__(self, reads, push):
+    def __init__(self, reads, push, drift=(0.0, 0.0)):
         self.reads, self.push = reads, np.asarray(push, dtype=float)
+        self.drift = np.asarray(drift, dtype=float)[:, None]
 
-    def condition(self, cond, starts, joints):
-        r_hat = np.broadcast_to(IDENTITY_6D, (len(starts), 25, 22, 6)).copy()
-
-        def denoise(z, t):
-            return r_hat, r_hat.reshape(len(z), -1) @ self.reads, lambda cot: self.push.copy()
-
-        return self.reads, denoise
+    def condition(self, cond, starts):
+        return (self.reads, one_hot_reads(1).T, np.tile(IDENTITY_6D, 25 * 22),
+                lambda z, t: (self.drift.copy(), lambda du: self.push.copy()))
 
 
 def one_hot_reads(columns):
@@ -726,6 +739,31 @@ def test_a_guidance_part_alone_past_the_bound_is_refused_where_it_is():
                              GuidanceConfig(), seed=0)
 
 
+def test_an_estimate_alone_past_the_bound_is_refused_where_it_is():
+    # no guidance part: the estimate's coefficients on writes put one entry of the
+    # window at frame 5 past 1e3 at the first step
+    skel, seq, meas, _ = make_case(frames=30)
+    with pytest.raises(SamplerDivergence,
+                       match=r"^window at frame 5: state magnitude 1\.\d\de\+03 exceeded 1000\.0 "
+                             r"at step 5 \(t=15\); worst entry at frame 8, joint 11$"):
+        run_guided_inference(meas, skel,
+                             PushingDenoiser(one_hot_reads(1), np.zeros((2, 1)), [0.0, 1e5]),
+                             5, GuidanceConfig(), seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["identity", "sigma"])
+def test_a_huge_guidance_scale_is_refused_without_an_overflow(mode):
+    # the guidance part passes the bound at the first step; the guard used to square
+    # its entries, overflow and warn before it refused
+    skel, seq, meas, _ = make_case(frames=60)
+    with pytest.raises(SamplerDivergence,
+                       match=r"^window at frame \d+: state magnitude \S+ exceeded 1000\.0 at "
+                             r"step 5 \(t=15\); worst entry at frame \d+, joint \d+$"):
+        run_guided_inference(meas, skel, MLPDenoiser(TrainConfig(hidden=8)), 5,
+                             GuidanceConfig(guidance_scale=1e200, covariance_mode=mode))
+
+
 def test_nan_coordinates_stop_the_run():
     skel, seq, meas, _ = make_case(frames=30)
     with pytest.raises(SamplerDivergence,
@@ -743,7 +781,7 @@ def test_a_bound_past_the_limit_on_small_entries_runs(monkeypatch):
     expanded = []
     expand = sampler._expand
     monkeypatch.setattr(sampler, "_expand",
-                        lambda r, y, reads: expanded.append(len(y)) or expand(r, y, reads))
+                        lambda *args: expanded.append(len(args[0][4])) or expand(*args))
     reads = one_hot_reads(2)
     got = run_guided_inference(meas, skel, PushingDenoiser(reads, [[1e5, -1e5]] * 2), 5,
                                GuidanceConfig(), seed=0)
@@ -759,23 +797,24 @@ def test_a_bound_past_the_limit_on_small_entries_runs(monkeypatch):
 @pytest.mark.parametrize("guidance_scale", [1.0, 0.0], ids=["estimate", "output"])
 def test_a_degenerate_decode_names_its_window_step_frame_and_joint(guidance_scale):
     # guided, the first step's estimate does not decode; unguided, the output does
-    # not. Both used to be refused as "joint 71", a flat index on 22 joints.
+    # not. Both used to be refused as "joint 84", a flat index on 22 joints.  Joint 18
+    # is one the measurements read: a guided step decodes only those.
     skel = default_skeleton()
     truth = generate_motion(MotionSpec(kind="reach", frames=100, seed=1), skel)
     meas = extract_measurements(truth, skel, 0.0, seed=0)
-    model = MLPDenoiser(TrainConfig(hidden=8))  # estimates zero at window frame 3, joint 5
-    cols = slice(3 * 132 + 5 * 6, 3 * 132 + 6 * 6)
+    model = MLPDenoiser(TrainConfig(hidden=8))  # estimates zero at window frame 3, joint 18
+    cols = slice(3 * 132 + 18 * 6, 3 * 132 + 19 * 6)
     model.params["Wo"][:, cols] = 0.0
     model.params["bo"][cols] = 0.0
     rotations = truth.rotations.copy()
-    rotations[70, 5] = 0.0  # in the windows starting at frames 42 and 59
+    rotations[70, 18] = 0.0  # in the windows starting at frames 42 and 59
     oracle = OracleDenoiser(rotations)
     oracle.window = 41
     for denoiser, start, frame in ((model, 0, 3), (oracle, 42, 70)):
         where = (rf"window at frame {start}: degenerate 6DoF estimate at step 10 \(t=15\)"
                  if guidance_scale else "cross-faded output: degenerate 6DoF")
         with pytest.raises(SamplerDivergence,
-                           match=rf"^{where} at frame {frame}, joint 5: zero first column$"):
+                           match=rf"^{where} at frame {frame}, joint 18: zero first column$"):
             run_guided_inference(meas, skel, denoiser, 10,
                                  GuidanceConfig(guidance_scale=guidance_scale))
 
@@ -829,8 +868,11 @@ class StateRowReads(np.ndarray):
 
 @pytest.mark.parametrize("guidance_scale", [1.0, 0.0], ids=["guided", "unguided"])
 def test_the_loop_reads_only_wo(monkeypatch, guidance_scale):
-    # W0's state rows are read once per sequence (the lift, reads^T reads, Wo @ reads,
-    # the final expansion) and never in the loop; no transposed copy of them is made
+    # a guided step makes two split products, both on the rows of Wo for the active
+    # joints, and an unguided step none; W0's state rows are read once per sequence
+    # (the lift, reads^T reads, Wo @ reads, bo @ reads, the final expansion) and all of
+    # Wo too (Wo @ reads, the final expansion), never in the loop; no transposed copy
+    # of the state rows is made
     skel, seq, meas, _ = make_case(frames=60)  # two windows of 41 frames
     model = MLPDenoiser(TrainConfig(hidden=8))
     W0, Wo = model.params["W0"], model.params["Wo"]
@@ -853,21 +895,24 @@ def test_the_loop_reads_only_wo(monkeypatch, guidance_scale):
     monkeypatch.setattr(sampler, "_split_matmul", recording)
     cfg = GuidanceConfig(guidance_scale=guidance_scale)
     run_guided_inference(meas, skel, model, 3, cfg, seed=0)
-    assert np.shares_memory(bound[0][0], W0)
-    step = [("Wo", (2, 8))] + [((41 * 8 * 6, 8), (2, 41 * 8 * 6))] * (guidance_scale > 0)
+    reads, writes, offset, _ = bound[0]
+    assert np.shares_memory(reads, W0) and writes is Wo and offset is model.params["bo"]
+    active = 41 * 8 * 6
+    step = [((8, active), (2, 8)), ((active, 8), (2, active))] * (guidance_scale > 0)
     assert products == ([("W0 rows", (2, model.d_state))] + step * 3
-                        + [("W0 rows^T", (2, 8))])
+                        + [("Wo", (2, 8)), ("W0 rows^T", (2, 8))])
 
-    # no other product reads the state rows in the loop either: their count is the
-    # same at 2 and at 5 steps
-    counts = []
-    for steps in (2, 5):
-        monkeypatch.setattr(StateRowReads, "rows", W0[: model.d_state])
-        monkeypatch.setattr(StateRowReads, "calls", [])
-        model.params["W0"] = W0.view(StateRowReads)
-        run_guided_inference(meas, skel, model, steps, cfg, seed=0)
-        counts.append(len(StateRowReads.calls))
-    assert counts[0] == counts[1] > 0
+    # no other product reads the state rows or Wo in the loop either: their counts
+    # are the same at 2 and at 5 steps
+    for name, rows in (("W0", W0[: model.d_state]), ("Wo", Wo)):
+        counts = []
+        for steps in (2, 5):
+            monkeypatch.setattr(StateRowReads, "rows", rows)
+            monkeypatch.setattr(StateRowReads, "calls", [])
+            model.params[name] = model.params[name].view(StateRowReads)
+            run_guided_inference(meas, skel, model, steps, cfg, seed=0)
+            counts.append(len(StateRowReads.calls))
+        assert counts[0] == counts[1] > 0, name
 
 
 def full_state_reference(model, meas, skel, steps, config, seed):
@@ -889,7 +934,7 @@ def full_state_reference(model, meas, skel, steps, config, seed):
     for i in range(steps, 0, -1):
         t, ab_t, ab_s = q[i], abars[i], abars[i - 1]
         r_hat = packed_reference(model, r, t, cond, np.zeros(r.shape))[0]
-        g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6),
+        g = likelihood_score(l_diff, A, r_hat.reshape(-1, J, 6)[:, A.active_joints],
                              lambda cot: packed_reference(model, r, t, cond, scatter(cot))[1],
                              config, float(np.sqrt(1.0 - ab_t)))
         eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
@@ -910,8 +955,8 @@ def test_the_coordinate_loop_matches_a_full_state_reference(monkeypatch, tiny_pr
     stacks = []
     expand = sampler._expand
     monkeypatch.setattr(sampler, "_expand",
-                        lambda r, y, reads: stacks.append(expand(r, y, reads)) or stacks[-1])
+                        lambda *args: stacks.append(expand(*args)) or stacks[-1])
     run_guided_inference(meas, skel, tiny_prior, 10, cfg, seed=3)
     want = full_state_reference(tiny_prior, meas, skel, 10, cfg, 3)
     assert len(stacks) == 1
-    assert np.abs(stacks[0] - want).max() <= 1e-12
+    assert np.abs(stacks[0] - want.reshape(len(want), -1)).max() <= 1e-12
