@@ -19,7 +19,7 @@ from poseguide.sampler import GuidanceConfig, run_guided_inference
 from poseguide.skeleton import default_skeleton
 
 skel = default_skeleton()
-cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
+cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=0.01)
 
 for scale in (0.6, 1.0, 1.4):
     base = generate_motion(MotionSpec(kind="arm-swing", frames=60, seed=9), skel)

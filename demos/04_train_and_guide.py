@@ -43,7 +43,7 @@ for scale in (0.8, 1.0, 1.2):
     seq0 = generate_motion(MotionSpec(kind="reach", frames=82, seed=900), skel)
     truth, sk = scale_ground_truth(seq0, skel, f"uniform:{scale}")
     meas = extract_measurements(truth, sk, 0.0, seed=1)
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
+    cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=0.01)
     pred = run_guided_inference(meas, sk, prior, 50, cfg, seed=3)
     cells.append(evaluate_cell(pred, sk, truth, scale, f"reach_uniform{scale}"))
 

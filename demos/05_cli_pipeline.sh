@@ -31,7 +31,7 @@ python3 -m poseguide.cli infer \
   --measurements "$out/bench/$cell/measurements.jsonl" \
   --skeleton "$out/bench/$cell/skeleton.json" \
   --checkpoint "$out/prior.npz" \
-  --steps 50 --eta 0 --guidance-scale 1.0 \
+  --steps 50 --guidance-scale 1.0 \
   --out "$out/pred.pgseq"
 
 echo "== eval =="
@@ -40,6 +40,3 @@ python3 -m poseguide.cli eval \
   --skeleton "$out/bench/$cell/skeleton.json" \
   --out "$out/report.json"
 cat "$out/report.json"
-
-echo "== verify (closed-form vs Monte Carlo, small sweep) =="
-python3 -m poseguide.cli verify --points 5 --samples 50000 --out "$out/verify.json"

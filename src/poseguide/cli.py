@@ -1,9 +1,10 @@
 """Single command-line entry point.
 
-Subcommands: gen-data, train, infer, eval, verify.  Every run echoes its
-resolved configuration to a JSON file next to the outputs.  Exit codes:
-0 success, 1 verification/acceptance failure, 2 usage or input errors,
-including training refused for too little data and a diverged sampler.
+Subcommands: gen-data, train, infer, eval.  Every run echoes its resolved
+configuration to a JSON file next to the outputs.  Exit codes: 0 success,
+2 usage or input errors, including training refused for too little data and
+a diverged sampler.  ``infer --eta`` accepts only 0: the sampler is
+deterministic DDIM.
 """
 
 from __future__ import annotations
@@ -13,23 +14,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, rot6d
 from .datagen import BenchmarkManifest, load_sequence, save_sequence, write_cells
 from .denoiser import (
-    COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError, check_count,
-    train_denoiser,
+    COND_DIMS, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError, train_denoiser,
 )
-from .measurement import MeasurementSet, build_A
+from .measurement import MeasurementSet
 from .sampler import GuidanceConfig, SamplerDivergence, run_guided_inference
-from .skeleton import (
-    MEASURED_JOINTS, SMPL_PARENTS, Skeleton, default_skeleton, forward_kinematics,
-)
-from .uncertainty import random_manifold_points, verify_pushforward
+from .skeleton import MEASURED_JOINTS, SMPL_PARENTS, Skeleton, default_skeleton
 
 EXIT_OK = 0
-EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
@@ -128,7 +122,7 @@ def cmd_infer(args) -> int:
             raise UsageError("need --checkpoint or --oracle-truth")
         denoiser = MLPDenoiser.load(_existing(args.checkpoint, "checkpoint"))
     config = GuidanceConfig(
-        eta=args.eta, guidance_scale=args.guidance_scale, sigma_l=args.sigma_l,
+        guidance_scale=args.guidance_scale, sigma_l=args.sigma_l,
         covariance_mode=args.covariance_mode,
     )
     poses = run_guided_inference(measurements, skeleton, denoiser, args.steps, config,
@@ -142,6 +136,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = Path(args.out)
+    if out.suffix == ".csv":  # the CSV row is written to out.with_suffix(".csv")
+        raise UsageError(f"--out {out}: the JSON report cannot have the .csv name of the CSV row")
     pred_path, truth_path = _existing(args.pred, "--pred"), _existing(args.truth, "--truth")
     pred = load_sequence(pred_path)
     truth = load_sequence(truth_path)
@@ -154,46 +151,11 @@ def cmd_eval(args) -> int:
     except rot6d.DegenerateRotationError as exc:
         flag, path = ("--pred", pred_path) if exc.sequence is pred else ("--truth", truth_path)
         raise UsageError(f"{flag} {path}: {exc}") from exc
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics.write_report(cell, out, out.with_suffix(".csv"))
     _echo_config(out.with_suffix(".config-echo.json"), args)
     print(json.dumps(cell, indent=2))
     return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    for flag, value, low in (("--points", args.points, 1), ("--samples", args.samples, 1000),
-                             ("--seed", args.seed, 0)):
-        check_count(flag, value, low)
-    report = verify_pushforward(points=args.points, n_samples=args.samples, seed=args.seed)
-
-    # rotation-algebra and kinematic-linearization spot checks
-    pts = random_manifold_points(200, seed=args.seed)
-    R = rot6d.batch_from_sixdof(pts)
-    roundtrip = float(np.max(np.abs(rot6d.to_sixdof(R) - pts)))
-    skel = default_skeleton()
-    A = build_A(skel)
-    points = random_manifold_points(50 * skel.joint_count, seed=args.seed + 1)
-    rots = rot6d.batch_from_sixdof(points.reshape(50, skel.joint_count, 6))
-    fk = forward_kinematics(skel, rots)[..., list(skel.measured_joints), :]
-    lin_err = float(np.max(np.abs(A.apply_vec9(rot6d.vec9(rots)) - fk)))
-    report["rot6d_roundtrip_max_err"] = roundtrip
-    report["fk_linearization_max_err"] = lin_err
-    ok = report["passed"] and roundtrip < 1e-9 and lin_err < 1e-12
-    report["passed"] = bool(ok)
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-    worst_z = max(p.get("max_z_cov", 0.0) for p in report["points"])
-    print(f"covariance points: {len(report['points'])}, worst |z|: {worst_z:.2f}")
-    print(f"rot6d roundtrip max err: {roundtrip:.2e}; FK linearization max err: {lin_err:.2e}")
-    for p in report["points"]:
-        if not p.get("passed", True):
-            print(f"FAIL: {p}")
-    print("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-truth", default=None,
                    help="use the oracle denoiser against this ground-truth sequence")
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--eta", type=float, default=0.0)
+    p.add_argument("--eta", type=float, default=0.0, choices=[0.0],
+                   help="DDIM eta; only the deterministic sampler (0) is implemented")
     p.add_argument("--guidance-scale", type=float, default=1.0)
     p.add_argument("--sigma-l", type=float, default=0.01)
     p.add_argument("--covariance-mode", default="identity", choices=["identity", "sigma"])
@@ -239,13 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("verify", help="closed-form vs Monte-Carlo formula verification")
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

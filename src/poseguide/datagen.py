@@ -197,8 +197,11 @@ def load_sequence(path) -> PoseSequence:
         if type(J) is not int or J != JOINT_COUNT:
             raise ValueError(f"joints must be {JOINT_COUNT}, got {J!r}")
         need = F * J * 6 * 8 + F * 3 * 8
-        if len(body) != need:
+        if len(body) < need:
             raise ValueError(f"truncated file: {len(body)} bytes, expected {need}")
+        if len(body) > need:
+            raise ValueError(f"{len(body) - need} trailing bytes after the {need} bytes "
+                             f"of {F} frames")
         rot = np.frombuffer(body[: F * J * 6 * 8], dtype="<f8").reshape(F, J, 6)
         root = np.frombuffer(body[F * J * 6 * 8 :], dtype="<f8").reshape(F, 3)
         return PoseSequence(rot.copy(), root.copy())

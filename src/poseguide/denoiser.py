@@ -397,9 +397,12 @@ class MLPDenoiser(DenoiserInterface):
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the checkpoint at exactly ``path`` (an open file keeps ``np.savez``
+        from appending ``.npz`` to another name)."""
         header = {"version": CHECKPOINT_VERSION, "config": asdict(self.config)}
-        np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-                 **self.params)
+        with open(path, "wb") as fh:
+            np.savez(fh, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                     **self.params)
 
     @staticmethod
     def load(path) -> "MLPDenoiser":

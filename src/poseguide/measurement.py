@@ -88,8 +88,10 @@ class MeasurementSet:
                 raise ValueError(f"{path} line {i + 2}: t is {t!r}, expected frame {i}")
         try:
             check_count("frames", frames, 1)
-            if len(locs) != frames:
+            if len(locs) < frames:
                 raise ValueError(f"truncated file: {len(locs)} of {frames} frames")
+            if len(locs) > frames:
+                raise ValueError(f"{len(locs)} frame lines, more than the header's {frames} frames")
             return MeasurementSet(locs, rots, sigma_l)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
@@ -119,7 +121,6 @@ class LinearOperatorA:
     have a nonzero column block; ``active_block`` gathers those blocks.
     """
 
-    measured_joints: tuple[int, ...]
     matrix: np.ndarray             # (3 * |m|, J * 9)
     diff_matrix: np.ndarray        # (6, J * 9)
     joint_count: int
@@ -139,12 +140,6 @@ class LinearOperatorA:
         """``uncertainty.projected_sigma`` of ``active_block``, built once per operator."""
         return projected_sigma(self.active_block)
 
-    def apply_vec9(self, p9: np.ndarray) -> np.ndarray:
-        """Measured-joint locations from vec9 rotations ``(..., J, 9)`` -> ``(..., |m|, 3)``."""
-        p9 = np.asarray(p9, dtype=float)
-        out = p9.reshape(p9.shape[:-2] + (-1,)) @ self.matrix.T
-        return out.reshape(p9.shape[:-2] + (len(self.measured_joints), 3))
-
 
 def build_A(skeleton: Skeleton) -> LinearOperatorA:
     """Assemble the measurement operator for a skeleton (zero root translation).
@@ -160,7 +155,7 @@ def build_A(skeleton: Skeleton) -> LinearOperatorA:
     full = forward_kinematics(skeleton, units)[:, measured_joints].reshape(n * 9, -1).T.copy()
     head_rows = full[0:3]
     diff = np.vstack([full[3:6] - head_rows, full[6:9] - head_rows])
-    return LinearOperatorA(tuple(measured_joints), full, diff, n)
+    return LinearOperatorA(full, diff, n)
 
 
 def differential_transform(locations: np.ndarray) -> np.ndarray:

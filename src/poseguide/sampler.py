@@ -5,10 +5,10 @@ denoiser is bound to the sequence's conditioning once; at each step one call
 gives the clean-signal estimate r_hat and its pullback, the noise estimate
 follows from r_hat, the measured location differences contribute a
 Gaussian likelihood score through the linear measurement operator and that
-pullback, and the DDIM update combines estimate, fresh noise, noise
-estimate and the guidance term.  A sequence longer than the denoiser's
-trained window runs as one stack of such windows, one denoiser call per
-step, joined with a linear cross-fade over the overlap.
+pullback, and the deterministic DDIM update (eta = 0) combines estimate, noise
+estimate and the guidance term; only the initial state is random.  A sequence
+longer than the denoiser's trained window runs as one stack of such windows,
+one denoiser call per step, joined with a linear cross-fade over the overlap.
 
 The denoiser reads a window's state x only through ``x @ reads``, pulls back
 into those coordinates, and writes its estimate as ``u @ writes + offset``
@@ -43,17 +43,13 @@ class SamplerDivergence(RuntimeError):
 
 @dataclass
 class GuidanceConfig:
-    """Knobs of the likelihood guidance and the DDIM update."""
+    """Knobs of the likelihood guidance; the DDIM update itself is deterministic."""
 
-    eta: float = 0.0
     guidance_scale: float = 1.0
     sigma_l: float = 0.01            # floor under the measurements' sigma_l in the score (meters)
     covariance_mode: str = "identity"  # "identity" | "sigma"
 
     def __post_init__(self):
-        check_real("eta", self.eta)
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must be in [0, 1]")
         check_real("guidance_scale", self.guidance_scale)
         if not 0.0 <= self.guidance_scale < np.inf:
             raise ValueError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
@@ -107,17 +103,9 @@ def likelihood_score(
     return config.guidance_scale * pullback(decode_pullback((u @ Gc).reshape(p9.shape)))
 
 
-def ddim_step(
-    state: tuple,
-    estimate: tuple,
-    g,
-    alpha_bar_t: float,
-    alpha_bar_s: float,
-    eta: float,
-    rngs: list[np.random.Generator],
-    reads: np.ndarray,
-) -> tuple:
-    """One reverse update from time t to s < t for a stack of windows.
+def ddim_step(state: tuple, estimate: tuple, g, alpha_bar_t: float, alpha_bar_s: float) -> tuple:
+    """One deterministic (eta = 0) reverse update from time t to s < t for a stack
+    of windows.
 
     Each window's flattened state is x = N + H @ writes + beta offset + y @ reads.T;
     ``state`` is ``(N, H, beta, z, y)``: the (windows, D) noise part N, the
@@ -125,38 +113,28 @@ def ddim_step(
     coordinates z of N + H @ writes + beta offset, and the (windows, k) guidance
     part y.  ``estimate`` is ``(u, z_hat)``: the last layer u of the estimate
     x_hat = u @ writes + offset, and z_hat = x_hat @ reads.  ``g`` is the guidance
-    term, in y's coordinates.  With c1 = eta sqrt((1 - ab_t/ab_s)(1 - ab_s)/(1 - ab_t)),
-    c2 = sqrt(1 - ab_s - c1^2) and eps = (x - sqrt(ab_t) x_hat) / sqrt(1 - ab_t),
-    x moves to sqrt(ab_s) x_hat + c1 fresh + c2 eps + sqrt(ab_t) g @ reads.T, that
-    is to a x + b x_hat + c1 fresh + sqrt(ab_t) g @ reads.T with a = c2 / sqrt(1 - ab_t)
-    and b = sqrt(ab_s) - a sqrt(ab_t).  Returns that split the same way: N takes a
-    and the fresh noise, drawn for window k from ``rngs[k]`` (only when c1 > 0);
-    H and beta take a and b u, b; z takes the coordinates of the estimate, noise
-    estimate and fresh noise; y takes the rest of the noise estimate and g.
-    Refuses signal levels outside 0 < ab_t < ab_s <= 1; never writes its inputs.
+    term, in y's coordinates.  With c2 = sqrt(1 - ab_s) and
+    eps = (x - sqrt(ab_t) x_hat) / sqrt(1 - ab_t), x moves to
+    sqrt(ab_s) x_hat + c2 eps + sqrt(ab_t) g @ reads.T, that is to
+    a x + b x_hat + sqrt(ab_t) g @ reads.T with a = c2 / sqrt(1 - ab_t) and
+    b = sqrt(ab_s) - a sqrt(ab_t).  Returns that split the same way: N takes a;
+    H and beta take a and b u, b; z takes the coordinates of the estimate and
+    noise estimate; y takes the rest of the noise estimate and g.  No fresh noise
+    is drawn.  Refuses signal levels outside 0 < ab_t < ab_s <= 1; never writes
+    its inputs.
     """
     if not 0.0 < alpha_bar_t < 1.0:  # a NaN fails the comparison too
         raise ValueError(f"alpha_bar_t must be in (0, 1), a noisy time, got {alpha_bar_t}")
     if not alpha_bar_t < alpha_bar_s <= 1.0:
         raise ValueError(f"alpha_bar_s must be in (alpha_bar_t={alpha_bar_t}, 1], got {alpha_bar_s}")
-    c1 = eta * np.sqrt((1.0 - alpha_bar_t / alpha_bar_s) * (1.0 - alpha_bar_s) / (1.0 - alpha_bar_t))
-    rad = 1.0 - alpha_bar_s - c1**2
-    if rad < -1e-12:
-        raise ValueError(f"invalid schedule/eta combination: 1 - ab_s - c1^2 = {rad}")
-    c2 = np.sqrt(max(rad, 0.0))
+    c2 = np.sqrt(1.0 - alpha_bar_s)
     (noise, coef, beta, z, y), (u, z_hat) = state, estimate
     root = np.sqrt(1.0 - alpha_bar_t)
     a = c2 / root
     b = np.sqrt(alpha_bar_s) - a * np.sqrt(alpha_bar_t)
-    new_noise = noise * a
-    fresh_z = 0.0
-    if c1 > 0:
-        fresh = np.stack([gen.standard_normal(noise.shape[1:]) for gen in rngs])
-        fresh_z = fresh @ reads
-        new_noise += c1 * fresh
     eps_z = (z - np.sqrt(alpha_bar_t) * z_hat) / root
-    return (new_noise, a * coef + b * u, a * beta + b,
-            np.sqrt(alpha_bar_s) * z_hat + c1 * fresh_z + c2 * eps_z,
+    return (noise * a, a * coef + b * u, a * beta + b,
+            np.sqrt(alpha_bar_s) * z_hat + c2 * eps_z,
             c2 * (y / root) + np.sqrt(alpha_bar_t) * g)
 
 
@@ -247,8 +225,8 @@ def run_guided_inference(
         reads, writes, offset, denoise = denoiser.condition(
             make_conditioning(measurements, denoiser.cond_spec)[win], starts)
 
-        rngs = [np.random.default_rng([seed, w_idx]) for w_idx in range(n)]
-        noise = np.stack([rng.standard_normal(W * J * 6) for rng in rngs])
+        noise = np.stack([np.random.default_rng([seed, w_idx]).standard_normal(W * J * 6)
+                          for w_idx in range(n)])
         z = _split_matmul(noise, reads)
         state = (noise, np.zeros((n, len(writes))), 0.0, z, np.zeros_like(z))
         # a shared (D,) offset stays a vector product: broadcast first, BLAS rounds it differently
@@ -278,8 +256,7 @@ def run_guided_inference(
                     raise SamplerDivergence(
                         f"window at frame {starts[w]}: degenerate 6DoF estimate at step {i} "
                         f"(t={t:.3g}) at frame {win.flat[f]}, joint {j}: {exc.reason}") from exc
-            state = ddim_step(state, (u, u @ writes_z + offset_z), g, ab_t, ab_s, config.eta,
-                              rngs, reads)
+            state = ddim_step(state, (u, u @ writes_z + offset_z), g, ab_t, ab_s)
             noise, coef, beta, _, y = state
             bound = (np.abs(noise).max(axis=1) + _row_norms(coef) * write_reach
                      + abs(beta) * offset_peak + _row_norms(y) * reach) * (1.0 + 1e-6)

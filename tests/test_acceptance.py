@@ -64,8 +64,8 @@ def test_linear_operator_matches_forward_kinematics():
     for si, skel in enumerate(skels):
         J = skel.joint_count
         R = random_rotations(1000 * J, seed=100 + si).reshape(1000, J, 3, 3)
-        via_A = build_A(skel).apply_vec9(rot6d.vec9(R))
         via_fk = forward_kinematics(skel, R)[:, skel.measured_joints, :]
+        via_A = (rot6d.vec9(R).reshape(1000, -1) @ build_A(skel).matrix.T).reshape(via_fk.shape)
         worst = max(worst, float(np.abs(via_A - via_fk).max()))
     _report("linear-operator-vs-fk", worst < 1e-12,
             f"10 skeletons x 1000 poses, max |A vec(C) - FK| = {worst:.2e} (limit 1e-12)")
@@ -197,7 +197,7 @@ def _frozen_metric(A, r_hat, cfg, w_t, sig):
 def test_oracle_exact_recovery_across_scales():
     t0 = time.time()
     skel = default_skeleton()
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
+    cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=0.01)
     worst_geo, worst_root = 0.0, 0.0
     for scale in (0.6, 1.0, 1.4):
         base = generate_motion(MotionSpec(kind="arm-swing", frames=60, seed=9), skel)
@@ -226,7 +226,7 @@ def test_root_cancellation_invariance():
     skel = default_skeleton()
     truth = generate_motion(MotionSpec(kind="arm-swing", frames=50, seed=3), skel)
     meas = extract_measurements(truth, skel, 0.0, seed=0)
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=0.01)
+    cfg = GuidanceConfig(guidance_scale=1.0, sigma_l=0.01)
     oracle = OracleDenoiser(truth.rotations)
     a = run_guided_inference(meas, skel, oracle, 50, cfg, seed=5)
     shifted = extract_measurements(truth, skel, 0.0, seed=0)
@@ -279,10 +279,10 @@ def _eval_cell(skel, prior, baseline, scale, sigma_l, n_test=3):
                                default_skeleton())
         truth, sk = scale_ground_truth(seq0, default_skeleton(), f"uniform:{scale}")
         meas = extract_measurements(truth, sk, sigma_l, seed=50 + s)
-        gcfg = GuidanceConfig(eta=0.0, guidance_scale=1.0, sigma_l=max(sigma_l, 0.01))
+        gcfg = GuidanceConfig(guidance_scale=1.0, sigma_l=max(sigma_l, 0.01))
         guided = run_guided_inference(meas, sk, prior, 50, gcfg, seed=3)
         guided_errs.append(evaluate_cell(guided, sk, truth)["mpjpe"])
-        bcfg = GuidanceConfig(eta=0.0, guidance_scale=0.0, sigma_l=max(sigma_l, 0.01))
+        bcfg = GuidanceConfig(guidance_scale=0.0, sigma_l=max(sigma_l, 0.01))
         base = run_guided_inference(meas, sk, baseline, 50, bcfg, seed=3)
         base_errs.append(evaluate_cell(base, sk, truth)["mpjpe"])
     return float(np.mean(guided_errs)) / scale, float(np.mean(base_errs)) / scale

@@ -160,6 +160,9 @@ def test_sequence_load_errors(tmp_path):
     (tmp_path / "trunc.pgseq").write_bytes(raw[:-16])
     with refused("trunc.pgseq", "truncated"):
         load_sequence(tmp_path / "trunc.pgseq")
+    (tmp_path / "long.pgseq").write_bytes(raw + bytes(16))  # used to read as "truncated"
+    with refused("long.pgseq", "16 trailing bytes after the 27000 bytes of 25 frames"):
+        load_sequence(tmp_path / "long.pgseq")
     (tmp_path / "nan.pgseq").write_bytes(with_float(raw, (7 * 22 + 3) * 6 + 2, np.nan))
     with refused("nan.pgseq", "non-finite rotation at frame 7, joint 3"):
         load_sequence(tmp_path / "nan.pgseq")

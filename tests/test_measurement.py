@@ -26,11 +26,16 @@ def random_skeleton(seed, n_joints=12):
     return Skeleton(parents, bones, tuple(measured))
 
 
+def measured_locations(A, v9):
+    """``A.matrix`` on (poses, J, 9) vec9 rotations: (poses, measured joints, 3)."""
+    return (v9.reshape(len(v9), -1) @ A.matrix.T).reshape(len(v9), -1, 3)
+
+
 def test_operator_matches_fk_default_skeleton():
     skel = default_skeleton()
     A = build_A(skel)
     R = random_pose_matrices(200, seed=0)
-    got = A.apply_vec9(rot6d.vec9(R))
+    got = measured_locations(A, rot6d.vec9(R))
     ref = forward_kinematics(skel, R)[:, list(skel.measured_joints)]
     assert np.abs(got - ref).max() < 1e-12
 
@@ -41,7 +46,7 @@ def test_operator_matches_fk_random_skeletons():
         A = build_A(skel)
         R = random_rotations(100 * skel.joint_count, seed=seed + 50).reshape(
             100, skel.joint_count, 3, 3)
-        got = A.apply_vec9(rot6d.vec9(R))
+        got = measured_locations(A, rot6d.vec9(R))
         ref = forward_kinematics(skel, R)[:, list(skel.measured_joints)]
         assert np.abs(got - ref).max() < 1e-12
 
@@ -62,7 +67,7 @@ def test_off_chain_rotations_do_not_matter():
     for j in range(22):
         if j not in on_chain:
             pert[:, j] += rng.standard_normal(9)
-    assert np.array_equal(A.apply_vec9(pert), A.apply_vec9(v9))
+    assert np.array_equal(measured_locations(A, pert), measured_locations(A, v9))
 
 
 def test_diff_matrix_cancels_root_column_translation():
@@ -71,7 +76,7 @@ def test_diff_matrix_cancels_root_column_translation():
     skel = default_skeleton()
     A = build_A(skel)
     v9 = rot6d.vec9(random_pose_matrices(6, seed=5))
-    full = A.apply_vec9(v9)
+    full = measured_locations(A, v9)
     diff = (v9.reshape(6, -1) @ A.diff_matrix.T).reshape(6, 2, 3)
     assert np.allclose(diff, differential_transform(full), atol=1e-14)
 
@@ -114,12 +119,6 @@ def test_measured_joint_outside_the_tree_is_refused():
     skel = default_skeleton()
     with pytest.raises(ValueError, match=r"measured .* got \[15, 20, -1\]"):
         build_A(Skeleton(skel.parents, skel.bone_vectors, (15, 20, -1)))
-
-
-def test_operator_accepts_nested_lists():
-    A = build_A(default_skeleton())
-    v9 = rot6d.vec9(random_pose_matrices(3, seed=6))
-    assert np.array_equal(A.apply_vec9(v9.tolist()), A.apply_vec9(v9))
 
 
 def test_differential_transform_translation_invariance():
@@ -214,9 +213,13 @@ def test_measurement_load_errors(tmp_path):
     two["loc"][2] = two["loc"][2][:2]  # a 2-component location
     nan = json.loads(frames[2])
     nan["loc"][0][0] = float("nan")
+    extra = [json.dumps({**json.loads(frames[0]), "t": t}) for t in (5, 6)]
     # every refusal names the file; the set's own used to reach the caller without it
     for name, head, rows, match in (
             ("trunc", header, frames[:-2], "truncated"),
+            # a file with more frame lines than its header used to be refused as
+            # "truncated file: 7 of 5 frames"
+            ("long", header, [*frames, *extra], "7 frame lines, more than the header's 5"),
             ("nan", header, [*frames[:2], json.dumps(nan), *frames[3:]], "non-finite"),
             ("two", header, [frames[0], json.dumps(two), *frames[2:]], "with a sequence"),
             ("sigma", json.dumps({**json.loads(header), "sigma_l": np.inf}), frames,

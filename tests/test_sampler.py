@@ -53,68 +53,54 @@ def ddim_case(seed):
 
 def test_ddim_constants_known_values():
     state, estimate, g, reads, full, x_hat = ddim_case(1)
-    # ab_t = 0.5, ab_s = 0.75, eta = 1:
-    # c1 = sqrt((1 - 2/3) * 0.25 / 0.5) = sqrt(1/6), c2 = sqrt(1/12)
-    # one generator per leading entry: row k's fresh noise comes from its own stream
-    got = ddim_step(state, estimate, g, 0.5, 0.75, 1.0,
-                    [np.random.default_rng(7), np.random.default_rng(8)], reads)
-    fresh = np.stack([np.random.default_rng(7).standard_normal(3),
-                      np.random.default_rng(8).standard_normal(3)])
+    # ab_t = 0.5, ab_s = 0.75: c2 = sqrt(1 - ab_s) = 0.5
+    got = ddim_step(state, estimate, g, 0.5, 0.75)
     # the full state takes the textbook update, guidance included
     x = full(*state)
-    want = (np.sqrt(0.75) * x_hat + np.sqrt(1 / 6) * fresh
-            + np.sqrt(1 / 12) * (x - np.sqrt(0.5) * x_hat) / np.sqrt(0.5)
+    want = (np.sqrt(0.75) * x_hat + 0.5 * (x - np.sqrt(0.5) * x_hat) / np.sqrt(0.5)
             + np.sqrt(0.5) * g @ reads.T)
     assert np.abs(full(*got) - want).max() < 1e-12
-    # the noise part takes a = c2 / sqrt(1 - ab_t) of itself and the fresh noise, and z
-    # stays the coordinates of the prior part
-    a = np.sqrt(1 / 12) / np.sqrt(0.5)
-    assert np.abs(got[0] - (a * state[0] + np.sqrt(1 / 6) * fresh)).max() < 1e-12
+    # the noise part takes a = c2 / sqrt(1 - ab_t) = sqrt(1/2) of itself, and z stays
+    # the coordinates of the prior part
+    assert np.abs(got[0] - np.sqrt(0.5) * state[0]).max() < 1e-12
     prior = full(*got[:4], np.zeros_like(got[4]))
     assert np.abs(got[3] - prior @ reads).max() < 1e-12
-    assert np.sqrt(1 / 6) == pytest.approx(0.4082482905, abs=1e-9)
 
 
 def test_ddim_deterministic_when_eta_zero():
     state, estimate, g, reads, full, x_hat = ddim_case(2)
-    a = ddim_step(state, estimate, g, 0.4, 0.9, 0.0,
-                  [np.random.default_rng(1), np.random.default_rng(3)], reads)
-    b = ddim_step(state, estimate, g, 0.4, 0.9, 0.0,
-                  [np.random.default_rng(2), np.random.default_rng(4)], reads)
+    a = ddim_step(state, estimate, g, 0.4, 0.9)
+    b = ddim_step(state, estimate, g, 0.4, 0.9)
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
-    # eta=0: c2^2 = 1 - ab_s exactly
+    # c2^2 = 1 - ab_s exactly
     eps = (full(*state) - np.sqrt(0.4) * x_hat) / np.sqrt(0.6)
     want = np.sqrt(0.9) * x_hat + np.sqrt(0.1) * eps + np.sqrt(0.4) * g @ reads.T
     assert np.abs(full(*a) - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("eta", [0.0, 1.0])
-def test_the_last_step_lands_on_the_estimate(eta):
+def test_the_last_step_lands_on_the_estimate():
     # at ab_s = 1, a = 0 and b = 1: the noise part is zero, the coefficients are u and
     # beta is 1, so the prior part is the last estimate exactly
     state, (u, z_hat), g, reads, full, x_hat = ddim_case(5)
-    noise, coef, beta, z, y = ddim_step(state, (u, z_hat), g, 0.4, 1.0, eta,
-                                        [np.random.default_rng(1), np.random.default_rng(3)],
-                                        reads)
+    noise, coef, beta, z, y = ddim_step(state, (u, z_hat), g, 0.4, 1.0)
     assert not noise.any() and np.array_equal(coef, u) and beta == 1.0
     assert np.array_equal(z, z_hat)
 
 
 def test_ddim_variance_split_identity():
-    # for any valid eta, c1^2 + c2^2 = 1 - ab_s
-    for eta in (0.0, 0.3, 1.0):
-        for ab_t, ab_s in ((0.1, 0.4), (0.5, 0.75), (0.02, 0.05)):
-            c1 = eta * np.sqrt((1 - ab_t / ab_s) * (1 - ab_s) / (1 - ab_t))
-            c2sq = 1 - ab_s - c1**2
-            assert c2sq >= -1e-12
-            assert c1**2 + max(c2sq, 0.0) == pytest.approx(1 - ab_s, abs=1e-12)
+    # at eta = 0 the whole noise variance 1 - ab_s goes to the noise estimate: with no
+    # guidance, the step carries eps = (x - sqrt(ab_t) x_hat) / sqrt(1 - ab_t) unchanged
+    state, estimate, _, _, full, x_hat = ddim_case(6)
+    for ab_t, ab_s in ((0.1, 0.4), (0.5, 0.75), (0.02, 0.05)):
+        got = ddim_step(state, estimate, 0.0, ab_t, ab_s)
+        eps = (full(*state) - np.sqrt(ab_t) * x_hat) / np.sqrt(1 - ab_t)
+        assert np.abs((full(*got) - np.sqrt(ab_s) * x_hat) / np.sqrt(1 - ab_s) - eps).max() < 1e-12
 
 
 def test_ddim_rejects_clean_start():
     r, none = np.zeros((1, 3)), np.zeros((1, 0))
     with pytest.raises(ValueError, match=r"^alpha_bar_t must be in \(0, 1\).* got 1\.0$"):
-        ddim_step((r, none, 0.0, none, none), (none, none), 0.0, 1.0, 0.5, 0.0,
-                  [np.random.default_rng(0)], np.zeros((3, 0)))
+        ddim_step((r, none, 0.0, none, none), (none, none), 0.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("ab_t, ab_s, name, value", [
@@ -132,17 +118,14 @@ def test_ddim_refuses_signal_levels_it_cannot_use(ab_t, ab_s, name, value):
     # each of these used to return NaN states without a word
     state, estimate, g, reads, _, _ = ddim_case(3)
     with pytest.raises(ValueError, match=rf"^{name} must be in .* got {value}$"):
-        ddim_step(state, estimate, g, ab_t, ab_s, 0.0,
-                  [np.random.default_rng(0), np.random.default_rng(1)], reads)
+        ddim_step(state, estimate, g, ab_t, ab_s)
 
 
-@pytest.mark.parametrize("eta", [0.0, 1.0])
-def test_ddim_leaves_its_inputs_unchanged(eta):
-    state, estimate, g, reads, _, _ = ddim_case(4)
+def test_ddim_leaves_its_inputs_unchanged():
+    state, estimate, g, _, _, _ = ddim_case(4)
     inputs = (*state[:2], *state[3:], *estimate, g)
     before = [x.tobytes() for x in inputs]
-    got = ddim_step(state, estimate, g, 0.4, 0.9, eta,
-                    [np.random.default_rng(1), np.random.default_rng(3)], reads)
+    got = ddim_step(state, estimate, g, 0.4, 0.9)
     assert [x.tobytes() for x in inputs] == before
     assert not any(np.shares_memory(a, b) for a in (*got[:2], *got[3:]) for b in inputs)
 
@@ -370,8 +353,6 @@ def test_likelihood_score_scales_linearly():
 
 def test_guidance_config_validation():
     with pytest.raises(ValueError):
-        GuidanceConfig(eta=1.5)
-    with pytest.raises(ValueError):
         GuidanceConfig(guidance_scale=-1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(covariance_mode="full")
@@ -379,8 +360,7 @@ def test_guidance_config_validation():
 
 def test_guidance_config_refuses_bad_fields():
     # a bool used to pass as 1.0 / 0.0, and a string or None escaped as a bare TypeError
-    for field, value in (("eta", True), ("eta", "0"), ("eta", None), ("eta", -0.5),
-                         ("guidance_scale", True), ("guidance_scale", None),
+    for field, value in (("guidance_scale", True), ("guidance_scale", None),
                          ("guidance_scale", "1"), ("guidance_scale", -1.0)):
         with pytest.raises(ValueError, match=field):
             GuidanceConfig(**{field: value})
@@ -505,7 +485,7 @@ def test_one_forward_pass_per_step(monkeypatch):
     monkeypatch.setattr(MLPDenoiser, "condition", counting_condition)
     monkeypatch.setattr(MLPDenoiser, "_pack", training_only)
     monkeypatch.setattr(MLPDenoiser, "_forward", training_only)
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    cfg = GuidanceConfig(guidance_scale=1.0)
     run_guided_inference(meas, skel, model, 3, cfg, seed=0)
     # both 41-frame windows, bound once; one forward per step
     assert bound == [2]
@@ -517,7 +497,7 @@ def test_parameter_edits_between_runs_are_seen():
     # replaced parameter array both reach the next run; the arrays stay writable
     skel, seq, meas, _ = make_case(frames=60)
     model = MLPDenoiser(TrainConfig(hidden=8))
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    cfg = GuidanceConfig(guidance_scale=1.0)
     first = run_guided_inference(meas, skel, model, 3, cfg, seed=0)
     model.params["Wo"][:, :132] += 0.5  # in place; the pullback gathers Wo's rows
     model.params["W0"][:132] *= 2.0     # in place; the forward reads W0's state rows
@@ -532,7 +512,7 @@ def test_parameter_edits_between_runs_are_seen():
 
 def test_run_guided_inference_deterministic():
     skel, seq, meas, oracle = make_case()
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    cfg = GuidanceConfig(guidance_scale=1.0)
     a = run_guided_inference(meas, skel, oracle, 20, cfg, seed=5)
     b = run_guided_inference(meas, skel, oracle, 20, cfg, seed=5)
     assert np.array_equal(a.rotations, b.rotations)
@@ -541,7 +521,7 @@ def test_run_guided_inference_deterministic():
 
 def test_rotations_invariant_to_sensor_translation():
     skel, seq, meas, oracle = make_case()
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    cfg = GuidanceConfig(guidance_scale=1.0)
     a = run_guided_inference(meas, skel, oracle, 20, cfg, seed=5)
     shifted = extract_measurements(seq, skel, 0.0, seed=1)
     shifted.locations = shifted.locations + np.array([0.7, -1.3, 2.0])
@@ -588,7 +568,7 @@ def test_unguided_inference_matches_manual_ddim_loop():
     denoise = bind(model, make_conditioning(meas, "rotations")[None], [0])
     q = np.linspace(0.0, TERMINAL, 16)
     abars = alpha_bar(q)
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
+    cfg = GuidanceConfig(guidance_scale=0.0)
     got = run_guided_inference(meas, skel, model, 15, cfg, seed=9)
     rng = np.random.default_rng([9, 0])
     r = rng.standard_normal((30, 22, 6))
@@ -599,35 +579,6 @@ def test_unguided_inference_matches_manual_ddim_loop():
         r = np.sqrt(ab_s) * r_hat + np.sqrt(1 - ab_s) * eps
     want = rot6d.to_sixdof(rot6d.batch_from_sixdof(r))
     assert np.abs(got.rotations - want).max() < 1e-12
-
-
-def test_stochastic_windows_keep_their_own_noise_streams():
-    # eta = 1 draws fresh noise every step; on the frames only one window
-    # covers, the batched run equals a per-window DDIM loop on that window's
-    # own generator default_rng([seed, w_idx]).  The estimate reads the state
-    # instead of returning the truth, because the last step (ab_s = 1) would
-    # map any noise history onto an oracle's truth; it reads it through
-    # coordinates, so the loop's lift of the fresh noise is checked too.
-    skel, seq, meas, _ = make_case(frames=60)
-    q = np.linspace(0.0, TERMINAL, 7)
-    abars = alpha_bar(q)
-    cfg = GuidanceConfig(eta=1.0, guidance_scale=0.0)
-    got = run_guided_inference(meas, skel, RecordingDenoiser(window=41), 6, cfg, seed=4)
-    starts = _window_starts(60, 41, 21)
-    assert starts == [0, 19]
-    reads = first_and_last_frame_reads(41)
-    for w_idx, (start, only) in enumerate(zip(starts, (slice(0, 19), slice(41, 60)))):
-        rng = np.random.default_rng([4, w_idx])
-        r = rng.standard_normal((41, 22, 6))
-        for i in range(len(q) - 1, 0, -1):
-            ab_t, ab_s = abars[i], abars[i - 1]
-            r_hat = IDENTITY_6D + 0.5 * (r.reshape(-1) @ reads @ reads.T).reshape(r.shape)
-            eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1 - ab_t)
-            c1 = np.sqrt((1 - ab_t / ab_s) * (1 - ab_s) / (1 - ab_t))
-            fresh = rng.standard_normal(r.shape) if c1 > 0 else 0.0
-            r = np.sqrt(ab_s) * r_hat + c1 * fresh + np.sqrt(max(1 - ab_s - c1**2, 0.0)) * eps
-        want = rot6d.to_sixdof(rot6d.batch_from_sixdof(r))[only.start - start : only.stop - start]
-        assert np.abs(got.rotations[only] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed, match", [
@@ -656,7 +607,7 @@ def test_sigma_l_flag_is_a_floor_under_the_files():
 
 def test_oracle_guided_recovery_single_window():
     skel, seq, meas, oracle = make_case(frames=41, seed=2)
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    cfg = GuidanceConfig(guidance_scale=1.0)
     pred = run_guided_inference(meas, skel, oracle, 50, cfg, seed=0)
     err = rot6d.geodesic_angle(pred.rotation_matrices(), seq.rotation_matrices())
     assert err.max() < 0.5
@@ -667,7 +618,7 @@ def test_windowed_inference_covers_long_sequences():
     # an oracle that takes 41 frames at a time, so the 100 frames run as 4 windows
     skel, seq, meas, oracle = make_case(frames=100, seed=3)
     oracle.window = 41
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=1.0)
+    cfg = GuidanceConfig(guidance_scale=1.0)
     pred = run_guided_inference(meas, skel, oracle, 25, cfg, seed=0)
     assert pred.frames == 100
     assert pred.is_valid(tol=1e-9)
@@ -695,7 +646,7 @@ def test_sampler_divergence_guard():
             return (np.zeros((25 * 22 * 6, 0)), np.zeros((0, 25 * 22 * 6)),
                     offset.reshape(len(starts), -1), lambda z, t: (none, lambda du: none))
 
-    cfg = GuidanceConfig(eta=0.0, guidance_scale=0.0)
+    cfg = GuidanceConfig(guidance_scale=0.0)
     # a huge state and a NaN state (for which "> bound" is False) both stop,
     # and the message names the absolute frame and the joint
     for value in (-1e6, np.nan):
@@ -926,8 +877,8 @@ def full_state_reference(model, meas, skel, steps, config, seed):
     cond = make_conditioning(meas, "rotations")[win]
     l_diff = differential_transform(meas.locations)[win].reshape(-1, 2, 3)
     config = replace(config, sigma_l=max(config.sigma_l, meas.sigma_l))
-    rngs = [np.random.default_rng([seed, w]) for w in range(len(starts))]
-    r = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs])
+    r = np.stack([np.random.default_rng([seed, w]).standard_normal((W, J, 6))
+                  for w in range(len(starts))])
     q = np.linspace(0.0, TERMINAL, steps + 1)
     abars = alpha_bar(q)
     scatter = scatter_pullback(r.shape, A.active_joints)
@@ -938,20 +889,16 @@ def full_state_reference(model, meas, skel, steps, config, seed):
                              lambda cot: packed_reference(model, r, t, cond, scatter(cot))[1],
                              config, float(np.sqrt(1.0 - ab_t)))
         eps = (r - np.sqrt(ab_t) * r_hat) / np.sqrt(1.0 - ab_t)
-        c1 = config.eta * np.sqrt((1 - ab_t / ab_s) * (1 - ab_s) / (1 - ab_t))
-        fresh = np.stack([rng.standard_normal((W, J, 6)) for rng in rngs]) if c1 > 0 else 0.0
-        r = (np.sqrt(ab_s) * r_hat + c1 * fresh + np.sqrt(max(1 - ab_s - c1**2, 0.0)) * eps
-             + np.sqrt(ab_t) * g)
+        r = np.sqrt(ab_s) * r_hat + np.sqrt(1 - ab_s) * eps + np.sqrt(ab_t) * g
     return r
 
 
-@pytest.mark.parametrize("eta", [0.0, 1.0])
 @pytest.mark.parametrize("mode", ["identity", "sigma"])
-def test_the_coordinate_loop_matches_a_full_state_reference(monkeypatch, tiny_prior, mode, eta):
+def test_the_coordinate_loop_matches_a_full_state_reference(monkeypatch, tiny_prior, mode):
     skel = default_skeleton()
     truth = generate_motion(MotionSpec(kind="reach", frames=30, seed=900), skel)
     meas = extract_measurements(truth, skel, 0.05, seed=1)
-    cfg = GuidanceConfig(eta=eta, covariance_mode=mode)
+    cfg = GuidanceConfig(covariance_mode=mode)
     stacks = []
     expand = sampler._expand
     monkeypatch.setattr(sampler, "_expand",
