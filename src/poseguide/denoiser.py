@@ -277,6 +277,10 @@ class MLPDenoiser(DenoiserInterface):
                 if np.shape(params[name]) != shape:
                     raise ValueError(f"parameter array {name!r} has shape "
                                      f"{np.shape(params[name])}, expected {shape}")
+                finite = np.isfinite(params[name])
+                if not finite.all():
+                    at = ", ".join(str(i) for i in np.unravel_index(np.argmin(finite), shape))
+                    raise ValueError(f"parameter array {name!r} has a non-finite entry at ({at})")
             extra = sorted(set(params) - set(shapes))
             if extra:
                 raise ValueError(f"unexpected parameter array {extra[0]!r}")

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import rot6d
 from .denoiser import check_count, check_real
 from .skeleton import Skeleton, forward_kinematics
 from .uncertainty import projected_sigma
@@ -48,8 +49,11 @@ class MeasurementSet:
     sigma_l: float
 
     def __post_init__(self):
-        self.locations = np.asarray(self.locations, dtype=float)
-        self.rotations = np.asarray(self.rotations, dtype=float)
+        for name in ("locations", "rotations"):
+            try:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError) as exc:  # a JSON object, a word or a ragged row
+                raise ValueError(f"{name} must be an array of numbers ({exc})") from exc
         if self.locations.ndim != 3 or self.locations.shape[1:] != (3, 3):
             raise ValueError(f"locations must be (frames, 3, 3), got {self.locations.shape}")
         if self.rotations.shape != self.locations.shape[:1] + (3, 6):
@@ -59,6 +63,13 @@ class MeasurementSet:
             bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
             if bad.size:
                 raise ValueError(f"non-finite {name} at frame {bad[0]}")
+        try:
+            rot6d.decode(self.rotations)
+        except rot6d.DegenerateRotationError as exc:
+            f, s = divmod(exc.index, 3)
+            sensor = ("head", "left wrist", "right wrist")[s]
+            raise ValueError(f"rotations at frame {f}, sensor {s} ({sensor}) do not decode: "
+                             f"{exc.reason}") from exc
 
     @property
     def frames(self) -> int:

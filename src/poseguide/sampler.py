@@ -12,13 +12,13 @@ one denoiser call per step, joined with a linear cross-fade over the overlap.
 
 The denoiser reads a window's state x only through ``x @ reads``, pulls back
 into those coordinates, and writes its estimate as ``u @ writes + offset``
-from a last layer u.  So the loop holds x = N + H @ writes + beta offset +
-y @ reads.T: the noise part N in the full layout, the estimates' part as
-coefficients H on ``writes`` and beta on ``offset``, and the guidance part y in
-coordinates, with the prior part's coordinates z carried along.  The DDIM
-update is linear, so the same coefficients move all of them.  A guided step
-forms the estimate only on the joints the measured differences read, an
-unguided step forms none, and x is formed once, after the last step.
+from a last layer u.  No step draws noise, so the loop holds x on a basis
+fixed for the run: x = alpha N0 + H @ writes + beta offset + y @ reads.T, with
+N0 the first draw, the estimates' part as coefficients H on ``writes`` and beta
+on ``offset``, and the guidance part y in coordinates.  The DDIM update is
+linear, so the same coefficients move all of them.  A guided step forms the
+estimate only on the joints the measured differences read, an unguided step
+forms none, and x is formed once, after the last step.
 """
 
 from __future__ import annotations
@@ -103,48 +103,42 @@ def likelihood_score(
     return config.guidance_scale * pullback(decode_pullback((u @ Gc).reshape(p9.shape)))
 
 
-def ddim_step(state: tuple, estimate: tuple, g, alpha_bar_t: float, alpha_bar_s: float) -> tuple:
+def ddim_step(state: tuple, u, g, alpha_bar_t: float, alpha_bar_s: float) -> tuple:
     """One deterministic (eta = 0) reverse update from time t to s < t for a stack
     of windows.
 
-    Each window's flattened state is x = N + H @ writes + beta offset + y @ reads.T;
-    ``state`` is ``(N, H, beta, z, y)``: the (windows, D) noise part N, the
-    (windows, k') coefficients H and the scalar beta of the estimates' part, the
-    coordinates z of N + H @ writes + beta offset, and the (windows, k) guidance
-    part y.  ``estimate`` is ``(u, z_hat)``: the last layer u of the estimate
-    x_hat = u @ writes + offset, and z_hat = x_hat @ reads.  ``g`` is the guidance
+    Each window's flattened state is x = alpha N0 + H @ writes + beta offset +
+    y @ reads.T; ``state`` is ``(alpha, H, beta, y)``: the scalar weight of the
+    first draw N0, the (windows, k') coefficients H and the scalar beta of the
+    estimates' part, and the (windows, k) guidance part y.  ``u`` is the last
+    layer of the estimate x_hat = u @ writes + offset, and ``g`` the guidance
     term, in y's coordinates.  With c2 = sqrt(1 - ab_s) and
     eps = (x - sqrt(ab_t) x_hat) / sqrt(1 - ab_t), x moves to
     sqrt(ab_s) x_hat + c2 eps + sqrt(ab_t) g @ reads.T, that is to
     a x + b x_hat + sqrt(ab_t) g @ reads.T with a = c2 / sqrt(1 - ab_t) and
-    b = sqrt(ab_s) - a sqrt(ab_t).  Returns that split the same way: N takes a;
-    H and beta take a and b u, b; z takes the coordinates of the estimate and
-    noise estimate; y takes the rest of the noise estimate and g.  No fresh noise
-    is drawn.  Refuses signal levels outside 0 < ab_t < ab_s <= 1; never writes
+    b = sqrt(ab_s) - a sqrt(ab_t).  Returns that split the same way:
+    (a alpha, a H + b u, a beta + b, a y + sqrt(ab_t) g).  No fresh noise is
+    drawn.  Refuses signal levels outside 0 < ab_t < ab_s <= 1; never writes
     its inputs.
     """
     if not 0.0 < alpha_bar_t < 1.0:  # a NaN fails the comparison too
         raise ValueError(f"alpha_bar_t must be in (0, 1), a noisy time, got {alpha_bar_t}")
     if not alpha_bar_t < alpha_bar_s <= 1.0:
         raise ValueError(f"alpha_bar_s must be in (alpha_bar_t={alpha_bar_t}, 1], got {alpha_bar_s}")
-    c2 = np.sqrt(1.0 - alpha_bar_s)
-    (noise, coef, beta, z, y), (u, z_hat) = state, estimate
-    root = np.sqrt(1.0 - alpha_bar_t)
-    a = c2 / root
+    alpha, coef, beta, y = state
+    a = np.sqrt(1.0 - alpha_bar_s) / np.sqrt(1.0 - alpha_bar_t)
     b = np.sqrt(alpha_bar_s) - a * np.sqrt(alpha_bar_t)
-    eps_z = (z - np.sqrt(alpha_bar_t) * z_hat) / root
-    return (noise * a, a * coef + b * u, a * beta + b,
-            np.sqrt(alpha_bar_s) * z_hat + c2 * eps_z,
-            c2 * (y / root) + np.sqrt(alpha_bar_t) * g)
+    return a * alpha, a * coef + b * u, a * beta + b, a * y + np.sqrt(alpha_bar_t) * g
 
 
-def _expand(state: tuple, writes: np.ndarray, offset: np.ndarray, reads: np.ndarray) -> np.ndarray:
-    """The full (windows, D) state N + H @ writes + beta offset + y @ reads.T of a
-    ``ddim_step`` state."""
-    noise, coef, beta, _, y = state
+def _expand(state: tuple, noise: np.ndarray, writes: np.ndarray, offset: np.ndarray,
+            reads: np.ndarray) -> np.ndarray:
+    """The full (windows, D) state alpha N0 + H @ writes + beta offset + y @ reads.T of
+    a ``ddim_step`` state, N0 being ``noise``."""
+    alpha, coef, beta, y = state
     x = _split_matmul(coef, writes)
     x += beta * offset
-    x += noise
+    x += alpha * noise
     x += _split_matmul(y, reads.T)
     return x
 
@@ -196,7 +190,7 @@ def run_guided_inference(
     A guided step forms the estimate on ``A.active_joints`` only, from the rows
     of ``writes`` for them, gathered once, and pulls the score's cotangent back
     through the same rows.  The divergence guard bounds each window's largest
-    entry by max|N| + |H| max_i |writes[:, i]| + |beta| max|offset| +
+    entry by alpha max|N0| + |H| max_i |writes[:, i]| + |beta| max|offset| +
     |y| max_i |reads_i| and forms the full state only when that bound passes
     ``DIVERGENCE_NORM``.  Sampling holds numpy's bundled OpenBLAS at one thread,
     leaving a core to the worker that takes half of each split product.
@@ -227,20 +221,20 @@ def run_guided_inference(
 
         noise = np.stack([np.random.default_rng([seed, w_idx]).standard_normal(W * J * 6)
                           for w_idx in range(n)])
-        z = _split_matmul(noise, reads)
-        state = (noise, np.zeros((n, len(writes))), 0.0, z, np.zeros_like(z))
+        z0 = _split_matmul(noise, reads)
+        state = alpha, coef, beta, y = 1.0, np.zeros((n, len(writes))), 0.0, np.zeros_like(z0)
         # a shared (D,) offset stays a vector product: broadcast first, BLAS rounds it differently
         gram, writes_z, offset_z = reads.T @ reads, writes @ reads, offset @ reads
         rows, offset_active = _gather_joints(writes, offset, W, J, A.active_joints)
         # |(c @ m)_i| <= |c| |m_i| per term; the margin covers the rounding of both sides
+        noise_peak = np.abs(noise).max(axis=1)
         reach = np.sqrt(np.einsum("ij,ij->i", reads, reads).max())
         write_reach = np.sqrt(np.einsum("ij,ij->j", writes, writes).max())
         offset_peak = np.abs(offset).max(axis=-1)
         abars = alpha_bar(timesteps)
         for i in range(steps, 0, -1):
             t, ab_t, ab_s = timesteps[i], abars[i], abars[i - 1]
-            z, y = state[3:]
-            u, pullback = denoise(z + y @ gram, t)
+            u, pullback = denoise(alpha * z0 + coef @ writes_z + beta * offset_z + y @ gram, t)
             g = 0.0
             if config.guidance_scale > 0.0:
                 # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
@@ -256,13 +250,12 @@ def run_guided_inference(
                     raise SamplerDivergence(
                         f"window at frame {starts[w]}: degenerate 6DoF estimate at step {i} "
                         f"(t={t:.3g}) at frame {win.flat[f]}, joint {j}: {exc.reason}") from exc
-            state = ddim_step(state, (u, u @ writes_z + offset_z), g, ab_t, ab_s)
-            noise, coef, beta, _, y = state
-            bound = (np.abs(noise).max(axis=1) + _row_norms(coef) * write_reach
+            state = alpha, coef, beta, y = ddim_step(state, u, g, ab_t, ab_s)
+            bound = (alpha * noise_peak + _row_norms(coef) * write_reach
                      + abs(beta) * offset_peak + _row_norms(y) * reach) * (1.0 + 1e-6)
             if np.all(bound <= DIVERGENCE_NORM):  # a NaN bound goes on to the exact check
                 continue
-            x = _expand(state, writes, offset, reads)
+            x = _expand(state, noise, writes, offset, reads)
             peaks = np.abs(x).max(axis=1)
             if not np.all(peaks <= DIVERGENCE_NORM):
                 w = np.argmin(peaks <= DIVERGENCE_NORM)  # the first window over the bound
@@ -273,7 +266,7 @@ def run_guided_inference(
                     f"{DIVERGENCE_NORM} at step {i} (t={t:.3g}); worst entry at frame "
                     f"{starts[w] + f}, joint {j}"
                 )
-        x = _expand(state, writes, offset, reads).reshape(n, W, J, 6)
+        x = _expand(state, noise, writes, offset, reads).reshape(n, W, J, 6)
 
     fade = np.linspace(0.0, 1.0, overlap + 2)[1:-1]
     ramp = np.ones((len(starts), W))

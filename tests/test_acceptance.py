@@ -17,7 +17,7 @@ import pytest
 from poseguide import rot6d
 from poseguide.datagen import MotionSpec, generate_motion, scale_ground_truth
 from poseguide.denoiser import OracleDenoiser, TrainConfig, train_denoiser
-from poseguide.measurement import build_A, differential_transform, extract_measurements
+from poseguide.measurement import build_A, extract_measurements
 from poseguide.metrics import evaluate_cell, mpjpe_from_locations
 from poseguide.sampler import GuidanceConfig, likelihood_score, run_guided_inference
 from poseguide.skeleton import PoseSequence, default_skeleton, forward_kinematics

@@ -187,6 +187,18 @@ def _edited_measurements(keep=None, **header):
     return make
 
 
+def _edited_frame(key, value):
+    """The cell's measurement file with entry 1 of the first frame's ``key`` set to ``value``."""
+    def make(cell, tmp_path):
+        first, frame, *lines = (cell / "measurements.jsonl").read_text().splitlines()
+        doc = json.loads(frame)
+        doc[key][1] = value
+        path = tmp_path / "edited-frame.jsonl"
+        path.write_text("\n".join([first, json.dumps(doc), *lines]) + "\n")
+        return path
+    return make
+
+
 def _plain_npz(cell, tmp_path):
     path = tmp_path / "plain.npz"
     np.savez(path, W0=np.zeros((2, 2)))
@@ -296,6 +308,12 @@ def _one_cell_manifest(motion=None, **fields):
     # a finite but huge sigma_l used to escape infer as an OverflowError traceback (exit 1)
     ("--measurements", _edited_measurements(sigma_l=1e306),
      "sigma_l must be at most 1000 m, got 1e+306"),
+    # a JSON object among the numbers used to escape as a TypeError traceback (exit 1)
+    ("--measurements", _edited_frame("loc", {"a": 1}), "locations must be an array of numbers"),
+    ("--measurements", _edited_frame("rot", {"a": 1}), "rotations must be an array of numbers"),
+    # a measured rotation that does not decode used to be accepted
+    ("--measurements", _edited_frame("rot", [0.0] * 6),
+     "rotations at frame 0, sensor 1 (left wrist) do not decode: zero first column"),
     ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json", ""),
     ("--skeleton", _skeleton_with_bone(float("nan")), "joint 18"),
     ("--skeleton", _skeleton_with_bone(float("inf")), "joint 18"),
@@ -314,6 +332,10 @@ def _one_cell_manifest(motion=None, **fields):
         "ckpt", lambda header, params: params.update(W0=params["W0"][:, :4])), "'W0'"),
     ("--checkpoint", _edited_checkpoint(
         "ckpt", lambda header, params: params.update(W9=np.zeros(3))), "'W9'"),
+    # a NaN weight used to load, and infer then reported only a state magnitude of nan
+    ("--checkpoint", _edited_checkpoint(
+        "ckpt", lambda header, params: params["Wo"].__setitem__((3, 7), np.nan)),
+     "parameter array 'Wo' has a non-finite entry at (3, 7)"),
     ("--manifest", lambda cell, tmp: cell / "skeleton.json", ""),
     ("--manifest", _one_cell_manifest(motion={"kind": "walk", "frames": 2.5}),
      "frames must be an integer, got 2.5"),
@@ -364,11 +386,13 @@ def _one_cell_manifest(motion=None, **fields):
 ], ids=["skeleton-as-measurements", "pgseq-as-measurements", "cut-measurements",
         "string-sigma-measurements", "null-sigma-measurements", "list-sigma-measurements",
         "bool-sigma-measurements", "string-frames-measurements", "bool-frames-measurements",
-        "huge-sigma-measurements",
+        "huge-sigma-measurements", "object-loc-measurements", "object-rot-measurements",
+        "zero-rot-measurements",
         "manifest-as-skeleton", "nan-bone", "inf-bone", "twelve-joint-skeleton",
         "rewired-sensors-skeleton", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",
-        "checkpoint-extra-array", "skeleton-as-manifest", "fractional-frames-manifest",
+        "checkpoint-extra-array", "nan-checkpoint", "skeleton-as-manifest",
+        "fractional-frames-manifest",
         "fractional-seed-manifest", "numeric-preset-manifest", "negative-sigma-manifest",
         "string-sigma-manifest", "bool-sigma-manifest", "nan-preset-manifest",
         "inf-preset-manifest", "arms-preset-manifest", "squat-manifest",

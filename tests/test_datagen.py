@@ -13,7 +13,7 @@ from poseguide.datagen import (
     expand_cell, generate_motion, load_sequence, parse_preset,
     save_sequence, scale_ground_truth, write_cells,
 )
-from poseguide.skeleton import default_skeleton, forward_kinematics
+from poseguide.skeleton import default_skeleton
 
 
 def test_motion_spec_validation():

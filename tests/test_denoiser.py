@@ -690,6 +690,21 @@ def test_checkpoint_roundtrip(tmp_path):
     assert model.param_count() == back.param_count()
 
 
+@pytest.mark.parametrize("name, index, value", [
+    ("Wo", (3, 7), np.nan), ("b0", (5,), np.inf), ("Wr1", (0, 0), -np.inf),
+])
+def test_a_non_finite_parameter_is_refused_by_array_and_index(tmp_path, name, index, value):
+    # a NaN weight used to load; infer then reported only a state magnitude of nan
+    model = MLPDenoiser(TrainConfig(window=12, hidden=8))
+    model.params[name][index] = value
+    path = tmp_path / "model.npz"
+    model.save(path)
+    at = ", ".join(map(str, index))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter array '{name}' "
+                                         rf"has a non-finite entry at \({at}\)$"):
+        MLPDenoiser.load(path)
+
+
 def test_checkpoint_version_guard(tmp_path):
     ds, _ = small_dataset()
     model = train_denoiser(ds, small_config())

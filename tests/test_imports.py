@@ -1,8 +1,8 @@
-"""Every module of the package uses each name it imports, the package reads
-every private function, method and class and every module-level name it defines,
-the package, the demos or the benchmark read every public function, method and
-class, and the CLI loads no thread pool until training or the denoiser opens one
-(an oracle inference never does)."""
+"""Every module of the package, the tests and the demos uses each name it imports,
+the package reads every private function, method and class and every module-level
+name it defines, the package, the demos or the benchmark read every public
+function, method and class, and the CLI loads no thread pool until training or the
+denoiser opens one (an oracle inference never does)."""
 
 import ast
 import os
@@ -16,6 +16,7 @@ import poseguide
 
 MODULES = sorted(Path(poseguide.__file__).parent.glob("*.py"))
 ROOT = Path(poseguide.__file__).resolve().parents[2]
+SCRIPTS = [p for folder in ("tests", "demos") for p in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +40,8 @@ def test_unused_import_is_found():
     assert unused_imports(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p in MODULES else str(p.relative_to(ROOT)))
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -168,6 +168,19 @@ def test_measurement_set_refuses_non_finite_values():
         MeasurementSet(np.zeros((4, 3, 3)), np.zeros((4, 3, 6)), np.nan)
 
 
+@pytest.mark.parametrize("a, b, frame, sensor, reason", [
+    (np.zeros(3), [0.0, 1.0, 0.0], 2, "0 (head)", "zero first column"),
+    ([1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], 0, "2 (right wrist)", r"columns \(near\) parallel"),
+], ids=["zero-first-column", "parallel-columns"])
+def test_measurement_set_refuses_rotations_that_do_not_decode(a, b, frame, sensor, reason):
+    # these used to be accepted, and all-zero rotations with them
+    rots = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (4, 3, 1))  # identity rotations
+    rots[frame, int(sensor[0])] = np.concatenate([a, b])
+    with pytest.raises(ValueError, match=rf"^rotations at frame {frame}, sensor "
+                                         rf"{re.escape(sensor)} do not decode: {reason}$"):
+        MeasurementSet(np.zeros((4, 3, 3)), rots, 0.0)
+
+
 @pytest.mark.parametrize("sigma_l, message", [
     (np.inf, "sigma_l must be finite and non-negative, got inf"),
     (-0.5, "sigma_l must be finite and non-negative, got -0.5"),

@@ -19,7 +19,7 @@ from poseguide.sampler import (
     OVERLAP, GuidanceConfig, SamplerDivergence, ddim_step, likelihood_score,
     run_guided_inference, _window_starts,
 )
-from poseguide.skeleton import default_skeleton, PoseSequence
+from poseguide.skeleton import default_skeleton
 from poseguide.datagen import MotionSpec, generate_motion
 from poseguide.uncertainty import random_manifold_points, sigma_matrix
 from tests.test_denoiser import bind, packed_reference, small_config, small_dataset
@@ -34,44 +34,42 @@ def test_schedule_alpha_bar_values():
 
 
 def ddim_case(seed):
-    """Two 3-entry windows held as x = N + H @ writes + beta offset + y @ reads.T, with one
-    row of writes and two coordinates: the ``ddim_step`` state and estimate, a guidance
-    term, ``reads``, ``full(*state)`` forming x, and the estimate x_hat = u @ writes + offset."""
+    """Two 3-entry windows held as x = alpha N0 + H @ writes + beta offset + y @ reads.T,
+    with one row of writes and two coordinates: the ``ddim_step`` state, the estimate's
+    last layer u, a guidance term, ``reads``, ``full(*state)`` forming x, and the
+    estimate x_hat = u @ writes + offset."""
     rng = np.random.default_rng(seed)
     noise, coef, u, y, g = (rng.standard_normal(shape)
                             for shape in ((2, 3), (2, 1), (2, 1), (2, 2), (2, 2)))
     writes, offset, reads = (rng.standard_normal(shape) for shape in ((1, 3), (3,), (3, 2)))
-    beta = 0.7
-    prior = noise + coef @ writes + beta * offset
     x_hat = u @ writes + offset
 
-    def full(noise, coef, beta, z, y):
-        return noise + coef @ writes + beta * offset + y @ reads.T
+    def full(alpha, coef, beta, y):
+        return alpha * noise + coef @ writes + beta * offset + y @ reads.T
 
-    return (noise, coef, beta, prior @ reads, y), (u, x_hat @ reads), g, reads, full, x_hat
+    return (0.8, coef, 0.7, y), u, g, reads, full, x_hat
 
 
 def test_ddim_constants_known_values():
-    state, estimate, g, reads, full, x_hat = ddim_case(1)
+    state, u, g, reads, full, x_hat = ddim_case(1)
     # ab_t = 0.5, ab_s = 0.75: c2 = sqrt(1 - ab_s) = 0.5
-    got = ddim_step(state, estimate, g, 0.5, 0.75)
+    got = ddim_step(state, u, g, 0.5, 0.75)
     # the full state takes the textbook update, guidance included
     x = full(*state)
     want = (np.sqrt(0.75) * x_hat + 0.5 * (x - np.sqrt(0.5) * x_hat) / np.sqrt(0.5)
             + np.sqrt(0.5) * g @ reads.T)
     assert np.abs(full(*got) - want).max() < 1e-12
-    # the noise part takes a = c2 / sqrt(1 - ab_t) = sqrt(1/2) of itself, and z stays
-    # the coordinates of the prior part
-    assert np.abs(got[0] - np.sqrt(0.5) * state[0]).max() < 1e-12
-    prior = full(*got[:4], np.zeros_like(got[4]))
-    assert np.abs(got[3] - prior @ reads).max() < 1e-12
+    # the first draw's weight takes a = c2 / sqrt(1 - ab_t) = sqrt(1/2) of itself, and
+    # the guidance part a of itself plus sqrt(ab_t) g
+    assert abs(got[0] - np.sqrt(0.5) * state[0]) < 1e-12
+    assert np.abs(got[3] - np.sqrt(0.5) * (state[3] + g)).max() < 1e-12
 
 
 def test_ddim_deterministic_when_eta_zero():
-    state, estimate, g, reads, full, x_hat = ddim_case(2)
-    a = ddim_step(state, estimate, g, 0.4, 0.9)
-    b = ddim_step(state, estimate, g, 0.4, 0.9)
-    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    state, u, g, reads, full, x_hat = ddim_case(2)
+    a = ddim_step(state, u, g, 0.4, 0.9)
+    b = ddim_step(state, u, g, 0.4, 0.9)
+    assert all(np.array_equal(p, q) for p, q in zip(a, b))
     # c2^2 = 1 - ab_s exactly
     eps = (full(*state) - np.sqrt(0.4) * x_hat) / np.sqrt(0.6)
     want = np.sqrt(0.9) * x_hat + np.sqrt(0.1) * eps + np.sqrt(0.4) * g @ reads.T
@@ -79,28 +77,28 @@ def test_ddim_deterministic_when_eta_zero():
 
 
 def test_the_last_step_lands_on_the_estimate():
-    # at ab_s = 1, a = 0 and b = 1: the noise part is zero, the coefficients are u and
-    # beta is 1, so the prior part is the last estimate exactly
-    state, (u, z_hat), g, reads, full, x_hat = ddim_case(5)
-    noise, coef, beta, z, y = ddim_step(state, (u, z_hat), g, 0.4, 1.0)
-    assert not noise.any() and np.array_equal(coef, u) and beta == 1.0
-    assert np.array_equal(z, z_hat)
+    # at ab_s = 1, a = 0 and b = 1: the first draw's weight is zero, the coefficients
+    # are u and beta is 1, so the prior part is the last estimate exactly
+    state, u, g, reads, full, x_hat = ddim_case(5)
+    alpha, coef, beta, y = ddim_step(state, u, g, 0.4, 1.0)
+    assert alpha == 0.0 and np.array_equal(coef, u) and beta == 1.0
+    assert np.array_equal(full(alpha, coef, beta, np.zeros_like(y)), x_hat)
 
 
 def test_ddim_variance_split_identity():
     # at eta = 0 the whole noise variance 1 - ab_s goes to the noise estimate: with no
     # guidance, the step carries eps = (x - sqrt(ab_t) x_hat) / sqrt(1 - ab_t) unchanged
-    state, estimate, _, _, full, x_hat = ddim_case(6)
+    state, u, _, _, full, x_hat = ddim_case(6)
     for ab_t, ab_s in ((0.1, 0.4), (0.5, 0.75), (0.02, 0.05)):
-        got = ddim_step(state, estimate, 0.0, ab_t, ab_s)
+        got = ddim_step(state, u, 0.0, ab_t, ab_s)
         eps = (full(*state) - np.sqrt(ab_t) * x_hat) / np.sqrt(1 - ab_t)
         assert np.abs((full(*got) - np.sqrt(ab_s) * x_hat) / np.sqrt(1 - ab_s) - eps).max() < 1e-12
 
 
 def test_ddim_rejects_clean_start():
-    r, none = np.zeros((1, 3)), np.zeros((1, 0))
+    none = np.zeros((1, 0))
     with pytest.raises(ValueError, match=r"^alpha_bar_t must be in \(0, 1\).* got 1\.0$"):
-        ddim_step((r, none, 0.0, none, none), (none, none), 0.0, 1.0, 0.5)
+        ddim_step((1.0, none, 0.0, none), none, 0.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("ab_t, ab_s, name, value", [
@@ -116,18 +114,18 @@ def test_ddim_rejects_clean_start():
         "ab_t-zero", "negative"])
 def test_ddim_refuses_signal_levels_it_cannot_use(ab_t, ab_s, name, value):
     # each of these used to return NaN states without a word
-    state, estimate, g, reads, _, _ = ddim_case(3)
+    state, u, g, reads, _, _ = ddim_case(3)
     with pytest.raises(ValueError, match=rf"^{name} must be in .* got {value}$"):
-        ddim_step(state, estimate, g, ab_t, ab_s)
+        ddim_step(state, u, g, ab_t, ab_s)
 
 
 def test_ddim_leaves_its_inputs_unchanged():
-    state, estimate, g, _, _, _ = ddim_case(4)
-    inputs = (*state[:2], *state[3:], *estimate, g)
+    state, u, g, _, _, _ = ddim_case(4)
+    inputs = (state[1], state[3], u, g)
     before = [x.tobytes() for x in inputs]
-    got = ddim_step(state, estimate, g, 0.4, 0.9)
+    got = ddim_step(state, u, g, 0.4, 0.9)
     assert [x.tobytes() for x in inputs] == before
-    assert not any(np.shares_memory(a, b) for a in (*got[:2], *got[3:]) for b in inputs)
+    assert not any(np.shares_memory(a, b) for a in (got[1], got[3]) for b in inputs)
 
 
 def scatter_pullback(shape, joints):
@@ -732,7 +730,7 @@ def test_a_bound_past_the_limit_on_small_entries_runs(monkeypatch):
     expanded = []
     expand = sampler._expand
     monkeypatch.setattr(sampler, "_expand",
-                        lambda *args: expanded.append(len(args[0][4])) or expand(*args))
+                        lambda *args: expanded.append(len(args[0][3])) or expand(*args))
     reads = one_hot_reads(2)
     got = run_guided_inference(meas, skel, PushingDenoiser(reads, [[1e5, -1e5]] * 2), 5,
                                GuidanceConfig(), seed=0)
@@ -778,17 +776,16 @@ def tiny_prior():
 
 
 @pytest.mark.parametrize("mode, sigma_l, digest", [
-    ("identity", 0.0, "0884ffcf6ceaf50685f6086409f3f0faa5b292fba6a9e8e7e817261522a2947a"),
-    ("sigma", 0.0, "1c4b92fb97bfe9147676749fced3a89126865364a82dcec25ac938cff67035ba"),
-    ("identity", 0.05, "d2b9c493edaee89331459aaf104e9668ed7f00d0f54e712c61ec7ad474c09363"),
-    ("sigma", 0.05, "2f466ce18e886ca49cd70415911c63a48fa953d29eb42f99c3d15d5cf6832861"),
+    ("identity", 0.0, "9451a2170b6b40ecda6b11eabdff8a54270003c99e7469a16ca36a54297f1800"),
+    ("sigma", 0.0, "8035297d882999cc2c5817b7962ab882e139462af04a198005d15aa7d371dd60"),
+    ("identity", 0.05, "37a95d21610185ddc96eddb072fecbc199dd1c0bbeea30f61ff7a90f40e13d4a"),
+    ("sigma", 0.05, "0035cdac2c1c17f96bf576c5c656cc83970ae315de43af212ec06e0f4d6f667c"),
 ], ids=["identity-clean", "sigma-clean", "identity-5cm", "sigma-5cm"])
 def test_guided_outputs_are_pinned(tiny_prior, mode, sigma_l, digest):
     # sha256 of the rotations and root of 19 overlapping windows over 30 frames.
-    # The identity digests were re-taken when the score came to factor its one B
-    # once per step and form the residual on the active joints alone (the largest
-    # move was 2.2e-16 in a rotation and 2.2e-19 m in the root); the sigma digests
-    # are those of the sampler holding the state in the prior's first-layer coordinates.
+    # All four were re-taken when the loop came to carry the state on a fixed basis,
+    # (alpha, H, beta, y) with the prior part's coordinates formed each step, not
+    # carried (the largest move was 2.2e-16 in a rotation and 3.5e-18 m in the root).
     # The prior is trained here and both training and sampling run BLAS matmuls,
     # so the digests hold for one OpenBLAS build on one CPU (checked at 1 and 2
     # threads); another CPU or build can move the last bits and fail this test
