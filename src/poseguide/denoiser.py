@@ -10,10 +10,7 @@ coordinates.  Implementations here: an oracle that denoises to a known ground
 truth exactly (for tests; its estimate is all offset and reads no
 coordinates), and a small trainable residual MLP over flattened windows,
 trained with conditioning dropout, whose coordinates are its first layer's
-pre-activation from the state and whose u is its last hidden layer.  The
-products that the sampler runs on ``writes`` and ``reads`` go in two column
-halves, one on a worker thread that stays resident for the life of the
-process.
+pre-activation from the state and whose u is its last hidden layer.
 
 Conditioning is a per-frame vector built from the sensed joints only:
 either the three measured 6DoF rotations (18 numbers, the method) or the
@@ -99,13 +96,14 @@ def _openblas():
 def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS at one thread, restoring the old count on exit.
 
-    Training and sampling run their own threads beside the caller, so a second
-    BLAS thread would only oversubscribe the cores; at one thread the products
-    round the same whatever ``OPENBLAS_NUM_THREADS`` says.  The count is
-    process-global: BLAS that another thread of the process runs meanwhile runs at
-    one thread too.  Without the bundled OpenBLAS's ``scipy_openblas_*_num_threads64_``
-    symbols (another BLAS) this does nothing, and the bits then depend on that
-    BLAS's thread count.
+    Training runs its own threads beside the caller, so a second BLAS thread
+    would only oversubscribe the cores; sampling runs on the calling thread
+    alone.  At one thread the products round the same whatever
+    ``OPENBLAS_NUM_THREADS`` says.  The count is process-global: BLAS that
+    another thread of the process runs meanwhile runs at one thread too.
+    Without the bundled OpenBLAS's ``scipy_openblas_*_num_threads64_`` symbols
+    (another BLAS) this does nothing, and the bits then depend on that BLAS's
+    thread count.
     """
     blas = _openblas()
     if blas is None:
@@ -118,35 +116,6 @@ def _one_blas_thread():
         yield
     finally:
         put(old)
-
-
-@functools.cache
-def _resident_worker():
-    """The process's one worker thread for the split weight products, started on first use."""
-    from concurrent.futures import ThreadPoolExecutor  # no pool until a product needs it
-    return ThreadPoolExecutor(1)
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has no copy of the worker's thread
-    os.register_at_fork(after_in_child=_resident_worker.cache_clear)
-
-
-def _split_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in two column halves cut at ``b.shape[1] // 2``, written into one output.
-
-    The resident worker computes the second half while the caller computes the
-    first, then the caller joins.  The cut is the same on any CPU count, so the
-    bits are too; on one CPU the worker time-shares the core with the caller.
-    A product with nothing to split (an empty ``a``, ``b`` under two columns) runs inline.
-    """
-    if a.size == 0 or b.shape[1] < 2:
-        return a @ b
-    k = b.shape[1] // 2
-    out = np.empty((a.shape[0], b.shape[1]))
-    second = _resident_worker().submit(np.matmul, a, b[:, k:], out=out[:, k:])
-    np.matmul(a, b[:, :k], out=out[:, :k])
-    second.result()
-    return out
 
 
 class DenoiserInterface:

@@ -37,6 +37,28 @@ def check_sigma(name: str, value) -> None:
         raise ValueError(f"{name} must be at most 1000 m, got {value}")
 
 
+ROTATION_LIMIT = 1e150  # largest measured 6DoF entry: the squares of a half stay finite
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """``value`` as a float array; refuses, by ``name``, an entry that is not a number:
+    a JSON object, a ragged row, and a string or a bool, which numpy would read as a
+    number (``"0.1"`` as 0.1, ``true`` as 1)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return np.asarray(value, dtype=float)
+    entries = np.asarray(value, dtype=object)
+    kinds = set(map(type, entries.flat))
+    wrong = {k for k in kinds if issubclass(k, (bool, np.bool_, str, bytes))}
+    if wrong:
+        i = next(i for i, entry in enumerate(entries.flat) if type(entry) in wrong)
+        frame = f" at frame {np.unravel_index(i, entries.shape)[0]}" if entries.ndim else ""
+        raise ValueError(f"{name} must be an array of numbers, got {entries.flat[i]!r}{frame}")
+    try:
+        return entries.astype(float)
+    except (TypeError, ValueError) as exc:  # a JSON object or a ragged row
+        raise ValueError(f"{name} must be an array of numbers ({exc})") from exc
+
+
 @dataclass
 class MeasurementSet:
     """Per-frame locations (noise level ``sigma_l``) and 6DoF rotations of the measured joints.
@@ -50,10 +72,7 @@ class MeasurementSet:
 
     def __post_init__(self):
         for name in ("locations", "rotations"):
-            try:
-                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-            except (TypeError, ValueError) as exc:  # a JSON object, a word or a ragged row
-                raise ValueError(f"{name} must be an array of numbers ({exc})") from exc
+            setattr(self, name, _numbers(name, getattr(self, name)))
         if self.locations.ndim != 3 or self.locations.shape[1:] != (3, 3):
             raise ValueError(f"locations must be (frames, 3, 3), got {self.locations.shape}")
         if self.rotations.shape != self.locations.shape[:1] + (3, 6):
@@ -63,7 +82,11 @@ class MeasurementSet:
             bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
             if bad.size:
                 raise ValueError(f"non-finite {name} at frame {bad[0]}")
+        huge = (np.abs(self.rotations) > ROTATION_LIMIT).any(axis=2).reshape(-1)
         try:
+            if huge.any():  # refused before the decode's squares overflow to an all-zero vec9
+                raise rot6d.DegenerateRotationError(int(np.argmax(huge)),
+                                                    f"an entry past {ROTATION_LIMIT:g}")
             rot6d.decode(self.rotations)
         except rot6d.DegenerateRotationError as exc:
             f, s = divmod(exc.index, 3)

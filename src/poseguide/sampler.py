@@ -30,8 +30,8 @@ import numpy as np
 from . import rot6d
 from .measurement import LinearOperatorA, MeasurementSet, build_A, check_sigma, differential_transform
 from .skeleton import PoseSequence, Skeleton, recover_root_translation
-from .denoiser import (TERMINAL, DenoiserInterface, _one_blas_thread, _split_matmul, alpha_bar,
-                       check_count, check_real, make_conditioning)
+from .denoiser import (TERMINAL, DenoiserInterface, _one_blas_thread, alpha_bar, check_count,
+                       check_real, make_conditioning)
 
 OVERLAP = 20
 DIVERGENCE_NORM = 1e3
@@ -136,21 +136,21 @@ def _expand(state: tuple, noise: np.ndarray, writes: np.ndarray, offset: np.ndar
     """The full (windows, D) state alpha N0 + H @ writes + beta offset + y @ reads.T of
     a ``ddim_step`` state, N0 being ``noise``."""
     alpha, coef, beta, y = state
-    x = _split_matmul(coef, writes)
+    x = coef @ writes
     x += beta * offset
     x += alpha * noise
-    x += _split_matmul(y, reads.T)
+    x += y @ reads.T
     return x
 
 
 def _gather_joints(writes: np.ndarray, offset: np.ndarray, W: int, J: int, joints) -> tuple:
-    """The rows of ``writes`` and the entries of ``offset`` that give ``joints`` of a
-    flattened window of W frames of J joints, frame by frame: ``u @ rows.T + part``
-    is the estimate there.  ``rows`` is C-ordered; a guided step's two products
-    read it, the forward one through ``rows.T``."""
+    """The columns of ``writes`` and the entries of ``offset`` that give ``joints`` of a
+    flattened window of W frames of J joints, frame by frame: ``u @ block + part``
+    is the estimate there.  ``block`` is one C-ordered copy; a guided step's two
+    products read it, the pullback through ``block.T``."""
     frame = (np.asarray(joints)[:, None] * 6 + np.arange(6)).reshape(-1)
     cols = (np.arange(W)[:, None] * J * 6 + frame).reshape(-1)
-    return writes.take(cols, axis=1).T.copy(), offset[..., cols]
+    return writes.take(cols, axis=1), offset[..., cols]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -187,17 +187,17 @@ def run_guided_inference(
     ``measurements.sigma_l`` alone, so it stays off for noise-free files.
 
     The denoiser is conditioned once, on every window's measured rotations.
-    A guided step forms the estimate on ``A.active_joints`` only, from the rows
-    of ``writes`` for them, gathered once, and pulls the score's cotangent back
-    through the same rows.  The divergence guard bounds each window's largest
-    entry by alpha max|N0| + |H| max_i |writes[:, i]| + |beta| max|offset| +
-    |y| max_i |reads_i| and forms the full state only when that bound passes
-    ``DIVERGENCE_NORM``.  Sampling holds numpy's bundled OpenBLAS at one thread,
-    leaving a core to the worker that takes half of each split product.
-    Deterministic given (inputs, seed), at any CPU count and any
-    ``OPENBLAS_NUM_THREADS``.  Output rotations depend on the measured
-    locations only through their per-frame differences, so a constant sensor
-    translation that rounds no location leaves them bit-identical.
+    A guided step forms the estimate on ``A.active_joints`` only, from the
+    columns of ``writes`` for them, gathered once into one block, and pulls the
+    score's cotangent back through the same block.  The divergence guard bounds
+    each window's largest entry by alpha max|N0| + |H| max_i |writes[:, i]| +
+    |beta| max|offset| + |y| max_i |reads_i| and forms the full state only when
+    that bound passes ``DIVERGENCE_NORM``.  Sampling runs on the calling thread
+    alone and holds numpy's bundled OpenBLAS at one thread.  Deterministic given
+    (inputs, seed), at any CPU count and any ``OPENBLAS_NUM_THREADS``.  Output
+    rotations depend on the measured locations only through their per-frame
+    differences, so a constant sensor translation that rounds no location leaves
+    them bit-identical.
     """
     check_count("steps", steps, 1)
     check_count("seed", seed, 0)
@@ -221,11 +221,11 @@ def run_guided_inference(
 
         noise = np.stack([np.random.default_rng([seed, w_idx]).standard_normal(W * J * 6)
                           for w_idx in range(n)])
-        z0 = _split_matmul(noise, reads)
+        z0 = noise @ reads
         state = alpha, coef, beta, y = 1.0, np.zeros((n, len(writes))), 0.0, np.zeros_like(z0)
         # a shared (D,) offset stays a vector product: broadcast first, BLAS rounds it differently
         gram, writes_z, offset_z = reads.T @ reads, writes @ reads, offset @ reads
-        rows, offset_active = _gather_joints(writes, offset, W, J, A.active_joints)
+        block, offset_active = _gather_joints(writes, offset, W, J, A.active_joints)
         # |(c @ m)_i| <= |c| |m_i| per term; the margin covers the rounding of both sides
         noise_peak = np.abs(noise).max(axis=1)
         reach = np.sqrt(np.einsum("ij,ij->i", reads, reads).max())
@@ -239,11 +239,11 @@ def run_guided_inference(
             if config.guidance_scale > 0.0:
                 # VP-SDE pseudoinverse-guidance width: w^2 = sigma^2 / (1 + sigma^2)
                 w_t = float(np.sqrt(1.0 - ab_t))
-                r_hat = (_split_matmul(u, rows.T) + offset_active).reshape(n * W, -1, 6)
+                r_hat = (u @ block + offset_active).reshape(n * W, -1, 6)
                 try:
                     g = likelihood_score(
                         l_diff, A, r_hat,
-                        lambda cot: pullback(_split_matmul(cot.reshape(n, -1), rows)),
+                        lambda cot: pullback(cot.reshape(n, -1) @ block.T),
                         config, w_t)
                 except rot6d.DegenerateRotationError as exc:  # its index runs over (windows, W, J)
                     w, (f, j) = exc.index // J // W, divmod(exc.index, J)

@@ -311,9 +311,17 @@ def _one_cell_manifest(motion=None, **fields):
     # a JSON object among the numbers used to escape as a TypeError traceback (exit 1)
     ("--measurements", _edited_frame("loc", {"a": 1}), "locations must be an array of numbers"),
     ("--measurements", _edited_frame("rot", {"a": 1}), "rotations must be an array of numbers"),
+    # a string or bool entry used to load as a number: "0.1" as 0.1 m, true as 1
+    ("--measurements", _edited_frame("loc", ["0.1", 0.0, 0.0]),
+     "locations must be an array of numbers, got '0.1' at frame 0"),
+    ("--measurements", _edited_frame("loc", [True, 0, 0]),
+     "locations must be an array of numbers, got True at frame 0"),
     # a measured rotation that does not decode used to be accepted
     ("--measurements", _edited_frame("rot", [0.0] * 6),
      "rotations at frame 0, sensor 1 (left wrist) do not decode: zero first column"),
+    # one whose squares overflow used to decode to an all-zero vec9 and be accepted
+    ("--measurements", _edited_frame("rot", [1e300, 0.0, 0.0, 0.0, 1e300, 0.0]),
+     "rotations at frame 0, sensor 1 (left wrist) do not decode: an entry past 1e+150"),
     ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json", ""),
     ("--skeleton", _skeleton_with_bone(float("nan")), "joint 18"),
     ("--skeleton", _skeleton_with_bone(float("inf")), "joint 18"),
@@ -387,7 +395,8 @@ def _one_cell_manifest(motion=None, **fields):
         "string-sigma-measurements", "null-sigma-measurements", "list-sigma-measurements",
         "bool-sigma-measurements", "string-frames-measurements", "bool-frames-measurements",
         "huge-sigma-measurements", "object-loc-measurements", "object-rot-measurements",
-        "zero-rot-measurements",
+        "string-loc-measurements", "bool-loc-measurements",
+        "zero-rot-measurements", "overflowing-rot-measurements",
         "manifest-as-skeleton", "nan-bone", "inf-bone", "twelve-joint-skeleton",
         "rewired-sensors-skeleton", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",

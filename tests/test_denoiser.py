@@ -2,7 +2,6 @@
 pullback, persistence."""
 
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -17,7 +16,7 @@ import pytest
 
 from poseguide.denoiser import (
     _ADAM_CHUNK, TERMINAL, MLPDenoiser, OracleDenoiser, TrainConfig, TrainingError,
-    _adam_update, _openblas, _split_matmul, alpha_bar, make_conditioning, train_denoiser,
+    _adam_update, _openblas, alpha_bar, make_conditioning, train_denoiser,
 )
 from poseguide.sampler import _gather_joints
 from poseguide.datagen import MotionSpec, generate_motion
@@ -419,40 +418,20 @@ def test_blas_runs_at_one_thread_in_training_and_sampling_and_is_restored():
     assert runs[None]["digests"] == runs["1"]["digests"]
 
 
-def test_split_matmul_is_the_two_column_halves_on_one_resident_worker(monkeypatch):
-    rng = np.random.default_rng(0)
-    # the shapes of the bench prior's split products, a transposed view, odd widths
-    for m, k, n in ((7, 5412, 160), (7, 160, 5412), (7, 738, 160), (1, 24, 25), (19, 3, 1)):
-        a = rng.standard_normal((m, k))
-        for b in (rng.standard_normal((k, n)), rng.standard_normal((n, k)).T):
-            half = n // 2
-            want = np.concatenate([a @ b[:, :half], a @ b[:, half:]], 1)
-            assert _split_matmul(a, b).tobytes() == want.tobytes()
-    # no thread is started per inference: the worker stays resident (a pool per
-    # call raises the guided bench's peak RSS)
+@pytest.mark.parametrize("mode", ["identity", "sigma"])
+def test_guided_inference_starts_no_thread(monkeypatch, mode):
+    # sampling runs on the calling thread alone: no worker is started for the
+    # guided step's products, neither on the first inference nor on later ones
     ds, skel = small_dataset(1)
     prior = MLPDenoiser(small_config())
-    run_guided_inference(ds[0][1], skel, prior, 2, GuidanceConfig())
     start, started = threading.active_count(), []
     thread_start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or thread_start(self))
-    for _ in range(3):
-        run_guided_inference(ds[0][1], skel, prior, 2, GuidanceConfig())
+    for _ in range(2):
+        run_guided_inference(ds[0][1], skel, prior, 2, GuidanceConfig(covariance_mode=mode))
         assert threading.active_count() == start
     assert started == []
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork on this platform")
-def test_a_forked_child_gets_its_own_worker():
-    # a forked child has no copy of the resident worker's thread: handed the
-    # parent's pool, it would queue its second half and wait for it forever
-    a, b = np.arange(12.0).reshape(3, 4), np.arange(24.0).reshape(4, 6)
-    _split_matmul(a, b)
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        got = pool.apply_async(_split_matmul, (a, b)).get(timeout=60)
-    assert np.array_equal(got, a @ b)
 
 
 def test_training_errors():
@@ -554,9 +533,9 @@ def test_denoise_stack_equals_one_window_stacks():
 
 
 def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
-    # through the rows of Wo gathered for some joints, the estimate is the full
-    # product's entries for them, and the pullback of a cotangent on them matches the
-    # full pullback of the zero-padded cotangent.  Only to rounding: BLAS may take
+    # through the block of Wo's columns gathered for some joints, the estimate is the
+    # full product's entries for them, and the pullback of a cotangent on them matches
+    # the full pullback of the zero-padded cotangent.  Only to rounding: BLAS may take
     # another kernel for the narrower product (it does for one window)
     model = MLPDenoiser(TrainConfig(hidden=8))
     active = build_A(default_skeleton()).active_joints
@@ -567,18 +546,18 @@ def test_pullback_on_chosen_joints_equals_the_scattered_full_pullback():
         starts = 20 * np.arange(n)
         reads, writes, offset, denoise = model.condition(cond, starts)
         u, pullback = denoise(r_t.reshape(n, -1) @ reads, 2.0)
-        estimate = (_split_matmul(u, writes) + offset).reshape(r_t.shape)
+        estimate = (u @ writes + offset).reshape(r_t.shape)
         full_pullback = bind(model, cond, starts)(r_t, 2.0)[1]
         for joints in (active, (0, 5, 21)):
-            rows, part = _gather_joints(writes, offset, 41, 22, joints)
-            assert rows.flags.c_contiguous
-            got = (_split_matmul(u, rows.T) + part).reshape(n, 41, len(joints), 6)
+            block, part = _gather_joints(writes, offset, 41, 22, joints)
+            assert block.flags.c_contiguous and block.shape == (8, 41 * len(joints) * 6)
+            got = (u @ block + part).reshape(n, 41, len(joints), 6)
             assert_close(got, estimate[:, :, joints])
             cot = rng.standard_normal((n * 41, len(joints), 6))
             full = np.zeros((n * 41, 22, 6))
             full[:, joints] = cot
             want = full_pullback(full)
-            got = (pullback(_split_matmul(cot.reshape(n, -1), rows)) @ reads.T).reshape(r_t.shape)
+            got = (pullback(cot.reshape(n, -1) @ block.T) @ reads.T).reshape(r_t.shape)
             assert_close(got, want)
 
 

@@ -1,8 +1,8 @@
 """Every module of the package, the tests and the demos uses each name it imports,
 the package reads every private function, method and class and every module-level
 name it defines, the package, the demos or the benchmark read every public
-function, method and class, and the CLI loads no thread pool until training or the
-denoiser opens one (an oracle inference never does)."""
+function, method and class, and the CLI loads no thread pool until training opens
+one (an inference never does)."""
 
 import ast
 import os
@@ -153,8 +153,8 @@ def test_package_reads_every_module_level_name():
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # only training and the denoiser's first split product open a pool, so a command
-    # that reaches neither (eval, or an infer refused before sampling) pays no import
+    # only training opens a pool, so a command that does not train (eval, infer)
+    # pays no import
     src = str(Path(poseguide.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, poseguide.cli; print('concurrent.futures' in sys.modules)"
@@ -163,15 +163,19 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     assert out.strip() == "False"
 
 
-def test_oracle_inference_starts_no_worker_thread():
-    # the oracle's coordinates have no columns, so its lift and expansion have
-    # nothing to split: no thread is started and no pool is imported
+def test_oracle_inference_starts_no_worker_thread(tmp_path):
+    # sampling runs on the calling thread alone, with the oracle and with a loaded
+    # MLP checkpoint (guided, two windows): no thread is started and no pool is imported
+    from poseguide.denoiser import MLPDenoiser, TrainConfig
+
+    checkpoint = tmp_path / "prior.npz"
+    MLPDenoiser(TrainConfig(window=24, hidden=8)).save(checkpoint)
     src = str(Path(poseguide.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, threading\n"
         "from poseguide.datagen import MotionSpec, generate_motion\n"
-        "from poseguide.denoiser import OracleDenoiser\n"
+        "from poseguide.denoiser import MLPDenoiser, OracleDenoiser\n"
         "from poseguide.measurement import extract_measurements\n"
         "from poseguide.sampler import GuidanceConfig, run_guided_inference\n"
         "from poseguide.skeleton import default_skeleton\n"
@@ -179,9 +183,10 @@ def test_oracle_inference_starts_no_worker_thread():
         "seq = generate_motion(MotionSpec(kind='arm-swing', frames=41, seed=0), skel)\n"
         "meas = extract_measurements(seq, skel, 0.0, seed=1)\n"
         "before = threading.active_count()\n"
-        "run_guided_inference(meas, skel, OracleDenoiser(seq.rotations), 5, GuidanceConfig())\n"
-        "print(before, threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        "for prior in (OracleDenoiser(seq.rotations), MLPDenoiser.load(sys.argv[1])):\n"
+        "    run_guided_inference(meas, skel, prior, 5, GuidanceConfig())\n"
+        "    print(before, threading.active_count(), 'concurrent.futures' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.split() == ["1", "1", "False"]
+    out = subprocess.run([sys.executable, "-c", code, str(checkpoint)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split() == ["1", "1", "False"] * 2

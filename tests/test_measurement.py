@@ -171,14 +171,40 @@ def test_measurement_set_refuses_non_finite_values():
 @pytest.mark.parametrize("a, b, frame, sensor, reason", [
     (np.zeros(3), [0.0, 1.0, 0.0], 2, "0 (head)", "zero first column"),
     ([1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], 0, "2 (right wrist)", r"columns \(near\) parallel"),
-], ids=["zero-first-column", "parallel-columns"])
+    ([1e300, 0.0, 0.0], [0.0, 1e300, 0.0], 3, "1 (left wrist)", r"an entry past 1e\+150"),
+], ids=["zero-first-column", "parallel-columns", "overflowing-squares"])
 def test_measurement_set_refuses_rotations_that_do_not_decode(a, b, frame, sensor, reason):
-    # these used to be accepted, and all-zero rotations with them
+    # these used to be accepted, and all-zero rotations with them; the squares of the
+    # third overflowed in the decode, to an all-zero vec9 (a RuntimeWarning, an error here)
     rots = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (4, 3, 1))  # identity rotations
     rots[frame, int(sensor[0])] = np.concatenate([a, b])
     with pytest.raises(ValueError, match=rf"^rotations at frame {frame}, sensor "
                                          rf"{re.escape(sensor)} do not decode: {reason}$"):
         MeasurementSet(np.zeros((4, 3, 3)), rots, 0.0)
+
+
+@pytest.mark.parametrize("key, sensor, row, shown", [
+    ("loc", 2, ["0.1", 0.0, 0.0], "'0.1'"),
+    ("rot", 0, [True, False, False, False, True, False], "True"),
+    ("loc", 1, [True, 0, 0], "True"),  # numpy reads this row as an int array
+], ids=["string-location", "bool-rotation", "bool-among-ints-location"])
+def test_measurement_set_refuses_a_string_or_bool_entry_by_field(tmp_path, key, sensor, row,
+                                                                 shown):
+    # these used to load silently: "0.1" as 0.1 m, true as 1
+    field = {"loc": "locations", "rot": "rotations"}[key]
+    doc = {"loc": np.zeros((3, 3, 3)).tolist(),
+           "rot": np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (3, 3, 1)).tolist()}
+    doc[key][1][sensor] = row
+    message = f"{field} must be an array of numbers, got {shown} at frame 1$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        MeasurementSet(doc["loc"], doc["rot"], 0.0)
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join([json.dumps({"frames": 3, "sigma_l": 0.0})] + [
+        json.dumps({"t": t, "loc": doc["loc"][t], "rot": doc["rot"][t]}) for t in range(3)]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        MeasurementSet.load(path)
+    doc[key][1][sensor] = [1] + [0.5] * (len(row) - 1)  # integers and floats still load
+    assert MeasurementSet(doc["loc"], doc["rot"], 0.0).frames == 3
 
 
 @pytest.mark.parametrize("sigma_l, message", [
