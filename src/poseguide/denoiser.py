@@ -43,6 +43,7 @@ STATE_PER_FRAME = JOINT_COUNT * 6
 TIME_FEATURES = 8
 BLOCKS = 2  # residual blocks of the MLP
 COND_DIMS = {"rotations": 18, "locations": 9}  # per-frame conditioning width
+PARAMETER_LIMIT = 1e150  # largest checkpoint entry: its square stays finite, as ROTATION_LIMIT's
 
 
 class TrainingError(RuntimeError):
@@ -246,10 +247,16 @@ class MLPDenoiser(DenoiserInterface):
                 if np.shape(params[name]) != shape:
                     raise ValueError(f"parameter array {name!r} has shape "
                                      f"{np.shape(params[name])}, expected {shape}")
-                finite = np.isfinite(params[name])
-                if not finite.all():
-                    at = ", ".join(str(i) for i in np.unravel_index(np.argmin(finite), shape))
-                    raise ValueError(f"parameter array {name!r} has a non-finite entry at ({at})")
+                values = params[name]
+                if values.dtype.kind not in "iuf":
+                    raise ValueError(f"parameter array {name!r} holds {values.dtype}, "
+                                     "not real numbers")
+                if not (values.max() <= PARAMETER_LIMIT and values.min() >= -PARAMETER_LIMIT):
+                    at = np.unravel_index(np.argmax(~(np.abs(values) <= PARAMETER_LIMIT)), shape)
+                    fault = (f"an entry past {PARAMETER_LIMIT:g}" if np.isfinite(values[at])
+                             else "a non-finite entry")
+                    raise ValueError(f"parameter array {name!r} has {fault} at "
+                                     f"({', '.join(map(str, at))})")
             extra = sorted(set(params) - set(shapes))
             if extra:
                 raise ValueError(f"unexpected parameter array {extra[0]!r}")
@@ -397,10 +404,12 @@ class MLPDenoiser(DenoiserInterface):
 
 
 def _extract_windows(dataset, config: TrainConfig):
-    """Sliding training windows (state, conditioning) from (poses, measurements) pairs;
-    refuses, by its index, a pair that is misshapen or shorter than the window."""
+    """Window views (state, conditioning) of one concatenation of the pairs' sequences,
+    and the first frame of each training window in it, one every W // 4 frames of a
+    sequence; refuses, by its index, a pair that is misshapen or shorter than the
+    window, then a dataset of fewer than 10 windows."""
     W = config.window
-    states, conds = [], []
+    rotations, conds, starts, offset = [], [], [], 0
     for i, (poses, meas) in enumerate(dataset):
         refusal = None
         if poses.joint_count != JOINT_COUNT:
@@ -413,11 +422,15 @@ def _extract_windows(dataset, config: TrainConfig):
             exc = TrainingError(f"sequence {i}: {refusal}")
             exc.sequence = i
             raise exc
-        cond = make_conditioning(meas, config.cond_spec)
-        for start in range(0, poses.frames - W + 1, max(1, W // 4)):
-            states.append(poses.rotations[start : start + W])
-            conds.append(cond[start : start + W])
-    return np.array(states), np.array(conds)
+        rotations.append(poses.rotations)
+        conds.append(make_conditioning(meas, config.cond_spec))
+        starts.extend(range(offset, offset + poses.frames - W + 1, max(1, W // 4)))
+        offset += poses.frames
+    if len(starts) < 10:  # before concatenating: an empty dataset has nothing to join
+        raise TrainingError(f"need at least 10 windows, got {len(starts)}")
+    states, conds = (np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+        np.concatenate(x), W, axis=0), -1, 1) for x in (rotations, conds))
+    return states, conds, np.array(starts)
 
 
 _ADAM_CHUNK = 32768  # elements per block: a thread's two 256 KB scratch buffers stay in cache
@@ -487,6 +500,8 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     output convention; the sampler derives the noise estimate from it).
     Each row's conditioning is dropped (zeroed and flagged) with
     probability ``config.dropout_prob``; inference always conditions.
+    The sequences are held once, as one concatenation read through window views,
+    and a step's arrays are freed when the step ends, before the next forward.
 
     A pool of at least one worker, one per CPU beyond the first, draws and packs
     the next batch while the caller runs the step; a worker computes Wo's
@@ -500,9 +515,7 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
     """
     from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool is opened
 
-    states, conds = _extract_windows(dataset, config)
-    if len(states) < 10:
-        raise TrainingError(f"need at least 10 windows, got {len(states)}")
+    states, conds, starts = _extract_windows(dataset, config)
     model = MLPDenoiser(config)
     rng = np.random.default_rng(config.seed + 1)
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -511,7 +524,7 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
 
     def draw():
         """One batch: the packed input rows and the clean targets."""
-        idx = rng.integers(0, len(states), size=B)
+        idx = starts[rng.integers(0, len(starts), size=B)]
         x0 = states[idx]
         t = rng.uniform(1e-3, TERMINAL, size=B)
         ab = alpha_bar(t)
@@ -520,6 +533,21 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
                + np.sqrt(1 - ab)[:, None, None, None] * noise)
         drop = rng.random(B) < config.dropout_prob
         return model._pack(x_t, t, conds[idx], drop), x0.reshape(B, -1)
+
+    def train_step(step, X, target):
+        """Forward, loss, backward and Adam update; the step's arrays die on return."""
+        out, cache = model._forward(X)
+        resid = out - target
+        loss = float(np.mean(resid**2))
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite loss at step {step}")
+        if loss_callback is not None:
+            loss_callback(step, loss)
+        d_out = 2.0 * resid / resid.size
+        grads = {}
+        with _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size,
+                          pool, workers) as release:
+            model._backward(cache, d_out, grads, release, pool)
 
     # the CPUs this process may run on; the caller's thread takes one part of each update
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -530,16 +558,5 @@ def train_denoiser(dataset, config: TrainConfig, loss_callback=None) -> MLPDenoi
             X, target = batch.result()
             if step < config.steps:
                 batch = pool.submit(draw)
-            out, cache = model._forward(X)
-            resid = out - target
-            loss = float(np.mean(resid**2))
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at step {step}")
-            if loss_callback is not None:
-                loss_callback(step, loss)
-            d_out = 2.0 * resid / resid.size
-            grads = {}
-            with _adam_update(model.params, grads, adam_m, adam_v, step, config.step_size,
-                              pool, workers) as release:
-                model._backward(cache, d_out, grads, release, pool)
+            train_step(step, X, target)
     return model

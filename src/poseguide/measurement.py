@@ -59,6 +59,14 @@ def _numbers(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} must be an array of numbers ({exc})") from exc
 
 
+def _misshapen(rows, width: int) -> bool:
+    """Whether a frame's ``rows`` are not 3 rows of ``width`` entries, none a list; a JSON
+    object in place of a row or an entry is left to ``_numbers``, which refuses it."""
+    return not (type(rows) is list and len(rows) == 3 and all(
+        type(row) is dict or type(row) is list and len(row) == width
+        and list not in map(type, row) for row in rows))
+
+
 @dataclass
 class MeasurementSet:
     """Per-frame locations (noise level ``sigma_l``) and 6DoF rotations of the measured joints.
@@ -121,6 +129,11 @@ class MeasurementSet:
             if t != i:  # the header is line 1, frame i is line i + 2
                 raise ValueError(f"{path} line {i + 2}: t is {t!r}, expected frame {i}")
         try:
+            for i, doc in enumerate(docs):
+                for key, width in (("loc", 3), ("rot", 6)):
+                    if _misshapen(doc[key], width):
+                        raise ValueError(f"line {i + 2}: {key} must be 3 rows of {width} "
+                                         f"numbers, got {json.dumps(doc[key])}")
             check_count("frames", frames, 1)
             if len(locs) < frames:
                 raise ValueError(f"truncated file: {len(locs)} of {frames} frames")

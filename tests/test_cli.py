@@ -199,6 +199,17 @@ def _edited_frame(key, value):
     return make
 
 
+def _edited_field(key, value):
+    """The cell's measurement file with the first frame's ``key`` set to ``value``."""
+    def make(cell, tmp_path):
+        first, frame, *lines = (cell / "measurements.jsonl").read_text().splitlines()
+        path = tmp_path / "edited-field.jsonl"
+        path.write_text("\n".join([first, json.dumps({**json.loads(frame), key: value}),
+                                   *lines]) + "\n")
+        return path
+    return make
+
+
 def _plain_npz(cell, tmp_path):
     path = tmp_path / "plain.npz"
     np.savez(path, W0=np.zeros((2, 2)))
@@ -322,6 +333,15 @@ def _one_cell_manifest(motion=None, **fields):
     # one whose squares overflow used to decode to an all-zero vec9 and be accepted
     ("--measurements", _edited_frame("rot", [1e300, 0.0, 0.0, 0.0, 1e300, 0.0]),
      "rotations at frame 0, sensor 1 (left wrist) do not decode: an entry past 1e+150"),
+    # a misshapen field used to be refused as numpy's "setting an array element with a
+    # sequence", naming no line
+    ("--measurements", _edited_field("rot", 0), "line 2: rot must be 3 rows of 6 numbers, got 0"),
+    ("--measurements", _edited_field("loc", None),
+     "line 2: loc must be 3 rows of 3 numbers, got null"),
+    ("--measurements", _edited_field("rot", [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]]),
+     "line 2: rot must be 3 rows of 6 numbers, got [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]]"),
+    ("--measurements", _edited_field("loc", [0.0] * 9),
+     "line 2: loc must be 3 rows of 3 numbers, got [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]"),
     ("--skeleton", lambda cell, tmp: cell.parent.parent / "manifest.json", ""),
     ("--skeleton", _skeleton_with_bone(float("nan")), "joint 18"),
     ("--skeleton", _skeleton_with_bone(float("inf")), "joint 18"),
@@ -396,7 +416,8 @@ def _one_cell_manifest(motion=None, **fields):
         "bool-sigma-measurements", "string-frames-measurements", "bool-frames-measurements",
         "huge-sigma-measurements", "object-loc-measurements", "object-rot-measurements",
         "string-loc-measurements", "bool-loc-measurements",
-        "zero-rot-measurements", "overflowing-rot-measurements",
+        "zero-rot-measurements", "overflowing-rot-measurements", "number-rot-measurements",
+        "null-loc-measurements", "one-sensor-rot-measurements", "flat-loc-measurements",
         "manifest-as-skeleton", "nan-bone", "inf-bone", "twelve-joint-skeleton",
         "rewired-sensors-skeleton", "plain-npz-as-checkpoint",
         "unknown-checkpoint-field", "checkpoint-missing-array", "checkpoint-narrowed-array",

@@ -1,6 +1,7 @@
 """Denoiser contracts: oracle identities, window stacks, training, config validation,
 pullback, persistence."""
 
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -121,6 +124,64 @@ def test_training_is_deterministic():
     b = train_denoiser(ds, small_config())
     for k in a.params:
         assert np.array_equal(a.params[k], b.params[k])
+
+
+def test_trained_bits_are_pinned():
+    # sha256 of the parameters, by name in name order, after the small set's training;
+    # test_training_is_deterministic compares two runs of one tree, this pins the
+    # bits across changes (taken when training copied every window)
+    ds, _ = small_dataset()
+    model = train_denoiser(ds, small_config())
+    digest = hashlib.sha256()
+    for name in sorted(model.params):
+        digest.update(name.encode() + model.params[name].tobytes())
+    assert digest.hexdigest() == ("c498c9841a549fc6a8b92471e696c8de"
+                                  "c26dae63d318a5c81d7eca24a410c2e7")
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["1-cpu", "4-cpus"])
+def test_a_steps_arrays_die_with_the_step(monkeypatch, cpus):
+    # a step's batch, activations, output gradient and parameter gradients used to
+    # stay bound in the training loop through the next step's forward
+    forward, backward = MLPDenoiser._forward, MLPDenoiser._backward
+    refs, alive = [], []
+
+    def watched_forward(self, X):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.clear()
+        out, cache = forward(self, X)
+        refs.extend(weakref.ref(a) for a in (cache["X"], cache["hout"], out))
+        return out, cache
+
+    def watched_backward(self, cache, d_out, grads, release, pool):
+        dz0 = backward(self, cache, d_out, grads, release, pool)
+        refs.extend(weakref.ref(a) for a in (d_out, dz0, *grads.values()))
+        return dz0
+
+    monkeypatch.setattr(MLPDenoiser, "_forward", watched_forward)
+    monkeypatch.setattr(MLPDenoiser, "_backward", watched_backward)
+    _train_on_cpus(monkeypatch, cpus, steps=4)
+    assert alive == [0] * 4
+
+
+def test_training_memory_stays_within_the_dataset_and_parameters():
+    # training holds the sequences once and a step's arrays only for the step; when
+    # it copied every window (each frame about 4 times over at 400 frames) and kept a
+    # step's arrays through the next forward, the traced peak here was 42.6 MB
+    skel = default_skeleton()
+    seqs = [generate_motion(MotionSpec(kind="reach", frames=400, seed=s), skel)
+            for s in range(20)]
+    ds = [(s, extract_measurements(s, skel, 0.0, seed=i)) for i, s in enumerate(seqs)]
+    data_bytes = sum(p.rotations.nbytes + m.rotations.nbytes for p, m in ds)
+    tracemalloc.start()
+    try:
+        model = train_denoiser(ds, TrainConfig(hidden=8, batch=8, steps=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.nbytes for p in model.params.values())
+    budget = 2 * data_bytes + 4 * param_bytes + 4e6  # 26.7 MB; the peak is 16.7 MB
+    assert peak < budget, f"traced peak {peak / 1e6:.1f} MB over the {budget / 1e6:.1f} MB budget"
 
 
 def test_training_reduces_loss():
@@ -436,7 +497,7 @@ def test_guided_inference_starts_no_thread(monkeypatch, mode):
 
 def test_training_errors():
     ds, skel = small_dataset()
-    with pytest.raises(TrainingError):
+    with pytest.raises(TrainingError, match="^need at least 10 windows, got 0$"):
         train_denoiser([], small_config())
     with pytest.raises(TrainingError, match="^sequence 0: 60 frames, shorter than the window "
                                             "of 100$"):
@@ -682,6 +743,34 @@ def test_a_non_finite_parameter_is_refused_by_array_and_index(tmp_path, name, in
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter array '{name}' "
                                          rf"has a non-finite entry at \({at}\)$"):
         MLPDenoiser.load(path)
+
+
+def test_an_absurd_parameter_is_refused_by_array_and_index(tmp_path):
+    # a 1e200 weight used to load; infer then stopped at a state magnitude of 2.76e+198,
+    # naming the state and not the checkpoint
+    model = MLPDenoiser(TrainConfig(window=12, hidden=8))
+    model.params["Wo"][3, 5] = 1e200
+    model.params["W0"][2, 1] = -1e151
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter array 'W0' "
+                                         r"has an entry past 1e\+150 at \(2, 1\)$"):
+        MLPDenoiser.load(path)
+    model.params["W0"][2, 1] = -1e150  # the limit itself loads
+    model.save(path)
+    with pytest.raises(ValueError, match=r"parameter array 'Wo' has an entry past 1e\+150 "
+                                         r"at \(3, 5\)$"):
+        MLPDenoiser.load(path)
+    model.params["Wo"][3, 5] = 1e150
+    model.save(path)
+    assert MLPDenoiser.load(path).params["Wo"][3, 5] == 1e150
+    # a string array used to escape as a UFuncTypeError, and a complex or bool one to load
+    for value, dtype in (("0.5", "<U3"), (0.5j, "complex128"), (True, "bool")):
+        model.params["bo"] = np.full(model.d_state, value)
+        model.save(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: parameter array 'bo' "
+                                             f"holds {dtype}, not real numbers$"):
+            MLPDenoiser.load(path)
 
 
 def test_checkpoint_version_guard(tmp_path):

@@ -207,6 +207,30 @@ def test_measurement_set_refuses_a_string_or_bool_entry_by_field(tmp_path, key, 
     assert MeasurementSet(doc["loc"], doc["rot"], 0.0).frames == 3
 
 
+@pytest.mark.parametrize("key, value, width", [
+    ("rot", 0, 6),
+    ("loc", None, 3),
+    ("rot", [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]], 6),  # one sensor's row
+    ("loc", [0.0] * 9, 3),  # the three locations as one flat row
+    ("loc", [[0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]], 3),
+    ("rot", [[1.0, 0.0, 0.0, 0.0, 1.0, [0.0]]] * 3, 6),
+], ids=["number-rot", "null-loc", "one-sensor-rot", "flat-loc", "short-row-loc",
+        "nested-entry-rot"])
+def test_measurement_load_refuses_a_misshapen_field_by_line(tmp_path, key, value, width):
+    # these were all refused as "<field> must be an array of numbers (setting an
+    # array element with a sequence...)", naming no line and misstating the fault
+    frames = [{"t": t, "loc": np.zeros((3, 3)).tolist(),
+               "rot": np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (3, 1)).tolist()}
+              for t in range(4)]
+    frames[3][key] = value
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join(map(json.dumps, [{"frames": 4, "sigma_l": 0.0}, *frames])))
+    shown = re.escape(json.dumps(value))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 5: {key} must be 3 rows "
+                                         f"of {width} numbers, got {shown}$"):
+        MeasurementSet.load(path)
+
+
 @pytest.mark.parametrize("sigma_l, message", [
     (np.inf, "sigma_l must be finite and non-negative, got inf"),
     (-0.5, "sigma_l must be finite and non-negative, got -0.5"),
@@ -260,7 +284,9 @@ def test_measurement_load_errors(tmp_path):
             # "truncated file: 7 of 5 frames"
             ("long", header, [*frames, *extra], "7 frame lines, more than the header's 5"),
             ("nan", header, [*frames[:2], json.dumps(nan), *frames[3:]], "non-finite"),
-            ("two", header, [frames[0], json.dumps(two), *frames[2:]], "with a sequence"),
+            # it used to be refused as numpy's "setting an array element with a sequence"
+            ("two", header, [frames[0], json.dumps(two), *frames[2:]],
+             r"line 3: loc must be 3 rows of 3 numbers, got \[\["),
             ("sigma", json.dumps({**json.loads(header), "sigma_l": np.inf}), frames,
              "sigma_l must be finite")):
         bad = tmp_path / f"{name}.jsonl"
